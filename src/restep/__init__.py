@@ -34,8 +34,6 @@ from .harness import (
     resolve_config,
     run_experiment,
     schedule_from_config,
-    sweep_pt,
-    sweep_samplers,
     world_from_config,
 )
 from .metrics import (
@@ -69,7 +67,6 @@ from .regressor import (
     TrainingDivergenceError,
     load_checkpoint,
     loss_and_gradients,
-    sample_time,
     sample_times,
     save_checkpoint,
     time_distribution_cdf,
@@ -116,7 +113,7 @@ __all__ = [
     # regressor
     "TIME_DISTRIBUTION_KINDS", "MlpRegressor", "TimeDistribution",
     "TrainConfig", "TrainingDivergenceError", "load_checkpoint",
-    "loss_and_gradients", "sample_time", "sample_times", "save_checkpoint",
+    "loss_and_gradients", "sample_times", "save_checkpoint",
     "time_distribution_cdf", "train",
     # metrics
     "DistributionStats", "MetricReport", "distortion_metrics",
@@ -127,5 +124,5 @@ __all__ = [
     # harness
     "EXPERIMENT_KINDS", "ConfigError", "RunReport", "default_config",
     "emit_report", "load_config", "resolve_config", "run_experiment",
-    "schedule_from_config", "sweep_pt", "sweep_samplers", "world_from_config",
+    "schedule_from_config", "world_from_config",
 ]

@@ -9,17 +9,10 @@ timing metadata).  Numeric cells are written with 17 significant digits so
 both formats round-trip bit-exactly through decimal; CSV output carries no
 timing, so identical configs and seeds yield byte-identical CSV files.
 
-Experiment kinds:
-
-    toy2d_a              four-corner mixture, H = I, strong noise
-    toy2d_b              four-corner mixture, H = [[1,0],[0,0]], moderate noise
-    gauss1d              Gaussian world, single probe observation
-    train_restore        train the regressor, then restore with it
-    generate_from_noise  mixture world observed through H = 0 (pure noise)
-    sweep_steps          step-count sweep on a shared input batch
-    sweep_pt             one trained regressor per time distribution
-    sweep_noise          noise-schedule ablation with the exact oracle
-    sampler_compare      the three samplers across a step grid
+Experiment kinds are defined once, in ``_KINDS``: each entry holds the
+kind's default config sections, the world type it needs and its runner.
+The kind list, the defaults, the world-type check and the runner dispatch
+all come from that table; the README's kinds table says what each measures.
 
 Independent (variant, replicate) cells own random sources derived from
 (master seed, variant index, replicate index) by the rule documented at
@@ -35,6 +28,7 @@ from __future__ import annotations
 import copy
 import json
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,6 +39,7 @@ from .degradation import (
     BrownianSchedule,
     ConstantSchedule,
     TableSchedule,
+    schedule_epsilon,
 )
 from .metrics import distortion_metrics, empirical_distribution_stats, nearest_modes
 from .oracles import (
@@ -87,22 +82,8 @@ __all__ = [
     "resolve_config",
     "run_experiment",
     "schedule_from_config",
-    "sweep_pt",
-    "sweep_samplers",
     "world_from_config",
 ]
-
-EXPERIMENT_KINDS = (
-    "toy2d_a",
-    "toy2d_b",
-    "gauss1d",
-    "train_restore",
-    "generate_from_noise",
-    "sweep_steps",
-    "sweep_pt",
-    "sweep_noise",
-    "sampler_compare",
-)
 
 SAMPLER_NAMES = ("iterative", "naive", "cold_diffusion")
 
@@ -128,36 +109,28 @@ def _require(cond: bool, path: str, msg: str):
 
 _UNIT_SQUARE_MODES = [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]
 _EQUAL_WEIGHTS = [0.25, 0.25, 0.25, 0.25]
+_IDENTITY_2D = [[1.0, 0.0], [0.0, 1.0]]
+_PROJECT_FIRST_2D = [[1.0, 0.0], [0.0, 0.0]]
+_ZERO_2D = [[0.0, 0.0], [0.0, 0.0]]
+_GAUSS_WORLD = {"type": "gaussian", "c": [0.0], "sigma_c": 1.0, "sigma_n": 1.0}
 
 
 def _mixture_world(H, sigma):
     return {
         "type": "mixture",
-        "modes": copy.deepcopy(_UNIT_SQUARE_MODES),
-        "weights": list(_EQUAL_WEIGHTS),
-        "H": copy.deepcopy(H),
+        "modes": _UNIT_SQUARE_MODES,
+        "weights": _EQUAL_WEIGHTS,
+        "H": H,
         "sigma": sigma,
     }
 
 
-def _gauss_world():
-    return {"type": "gaussian", "c": [0.0], "sigma_c": 1.0, "sigma_n": 1.0}
-
-
-def _sampler_section(steps):
+def _train_section(hidden, steps, batch_size, time_dist_kind):
     return {
-        "steps": steps,
-        "schedule": {"kind": "constant", "epsilon": 0.0},
-        "record_trajectory": False,
-    }
-
-
-def _train_section(hidden, steps, learning_rate, batch_size, time_dist_kind):
-    return {
-        "hidden": list(hidden),
+        "hidden": hidden,
         "activation": "tanh",
         "p_norm": 1,
-        "learning_rate": learning_rate,
+        "learning_rate": 2e-3,
         "batch_size": batch_size,
         "steps": steps,
         "time_dist": {"kind": time_dist_kind, "a": 0.0},
@@ -165,100 +138,37 @@ def _train_section(hidden, steps, learning_rate, batch_size, time_dist_kind):
     }
 
 
-_IDENTITY_2D = [[1.0, 0.0], [0.0, 1.0]]
-_PROJECT_FIRST_2D = [[1.0, 0.0], [0.0, 0.0]]
-_ZERO_2D = [[0.0, 0.0], [0.0, 0.0]]
+def _sections(world, steps=100, train=None, **ev):
+    """A kind's default sections, in the order the config echo keeps."""
+    sampler = {
+        "steps": steps,
+        "schedule": {"kind": "constant", "epsilon": 0.0},
+        "record_trajectory": False,
+    }
+    out = {"world": world, "sampler": sampler}
+    if train is not None:
+        out["train"] = train
+    out["eval"] = ev
+    return out
 
 
 def default_config(kind: str) -> dict:
-    """A complete, runnable config dict for ``kind``.
+    """A complete, runnable config dict for ``kind`` (a fresh copy).
 
     The mixture worlds put equal-weight modes at the unit-square corners;
     sigma = 1.0 for the identity observation (strong noise relative to the
     mode separation), 0.3 for the rank-deficient one, both package
-    conventions.  All returned structures are fresh copies.
+    conventions.
     """
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"kind: must be one of {EXPERIMENT_KINDS}, got {kind!r}")
-    base = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "seed": 0,
         "out_dir": "restep-out",
+        **copy.deepcopy(_KINDS[kind].sections),
     }
-    if kind == "toy2d_a":
-        base["world"] = _mixture_world(_IDENTITY_2D, 1.0)
-        base["sampler"] = _sampler_section(100)
-        base["eval"] = {"n_inputs": 1000, "hit_threshold": 1e-2}
-    elif kind == "toy2d_b":
-        base["world"] = _mixture_world(_PROJECT_FIRST_2D, 0.3)
-        base["sampler"] = _sampler_section(100)
-        base["eval"] = {"n_inputs": 1000, "hit_threshold": 1e-2}
-    elif kind == "gauss1d":
-        base["world"] = _gauss_world()
-        base["sampler"] = _sampler_section(1000)
-        base["eval"] = {"probe_y": [2.0]}
-    elif kind == "train_restore":
-        base["world"] = _mixture_world(_IDENTITY_2D, 1.0)
-        base["sampler"] = _sampler_section(100)
-        base["train"] = _train_section(
-            hidden=[128, 128], steps=20000, learning_rate=2e-3,
-            batch_size=256, time_dist_kind="bias_t0_t1",
-        )
-        base["eval"] = {"n_inputs": 1000, "hit_threshold": 5e-2}
-    elif kind == "generate_from_noise":
-        base["world"] = _mixture_world(_ZERO_2D, 1.0)
-        base["sampler"] = _sampler_section(100)
-        base["eval"] = {"n_inputs": 10000, "hit_threshold": 1e-2}
-    elif kind == "sweep_steps":
-        base["world"] = _gauss_world()
-        base["sampler"] = _sampler_section(100)
-        base["eval"] = {"n_inputs": 2000, "step_grid": [1, 2, 4, 10, 50, 100]}
-    elif kind == "sweep_pt":
-        base["world"] = _mixture_world(_IDENTITY_2D, 1.0)
-        base["sampler"] = _sampler_section(100)
-        base["train"] = _train_section(
-            hidden=[64, 64], steps=6000, learning_rate=2e-3,
-            batch_size=128, time_dist_kind="linear_0",
-        )
-        base["eval"] = {
-            "n_inputs": 1000,
-            "time_dists": list(TIME_DISTRIBUTION_KINDS),
-            "a": 1.0,
-            "hit_threshold": 5e-2,
-        }
-    elif kind == "sweep_noise":
-        base["world"] = _mixture_world(_IDENTITY_2D, 1.0)
-        base["sampler"] = _sampler_section(100)
-        base["eval"] = {
-            "n_inputs": 1000,
-            "hit_threshold": 1e-2,
-            "schedules": [
-                {"kind": "constant", "epsilon": 0.0},
-                {"kind": "constant", "epsilon": 0.05},
-                {"kind": "constant", "epsilon": 0.1},
-                {"kind": "brownian", "epsilon": 0.05},
-                {"kind": "brownian", "epsilon": 0.1},
-            ],
-        }
-    else:  # sampler_compare
-        base["world"] = _mixture_world(_IDENTITY_2D, 1.0)
-        base["sampler"] = _sampler_section(100)
-        # 3000 steps leaves the regressor slightly rough on purpose: the
-        # sampler ordering under study only separates once estimator error
-        # is non-negligible, and longer training washes it out.
-        base["train"] = _train_section(
-            hidden=[64, 64], steps=3000, learning_rate=2e-3,
-            batch_size=128, time_dist_kind="bias_t0_t1",
-        )
-        base["eval"] = {
-            "n_inputs": 500,
-            "step_grid": [1, 2, 3, 10, 100, 1000],
-            "samplers": list(SAMPLER_NAMES),
-            "estimator": "trained",
-            "hit_threshold": 1e-2,
-        }
-    return base
 
 
 # ---- config loading, merging, validation ---- #
@@ -281,7 +191,6 @@ def load_config(path) -> dict:
 # Sections whose sub-keys merge individually; everything else (including
 # world/schedule/time_dist variants) is replaced wholesale.
 _MERGE_SECTIONS = ("sampler", "eval", "train")
-_ATOMIC_IN_SECTION = ("schedule", "time_dist", "world")
 
 
 def _merge(defaults: dict, override: dict) -> dict:
@@ -306,21 +215,24 @@ def schedule_from_config(d, path: str = "schedule"):
         kind in ("constant", "brownian", "table"),
         f"{path}.kind", f"must be constant, brownian, or table, got {kind!r}",
     )
+    fields = {"kind", "times", "epsilons"} if kind == "table" else {"kind", "epsilon"}
+    _require(set(d) <= fields, path, "unknown field in schedule")
     try:
         if kind == "constant":
-            _require(set(d) <= {"kind", "epsilon"}, path, "unknown field in schedule")
             return ConstantSchedule(float(d["epsilon"]))
         if kind == "brownian":
-            _require(set(d) <= {"kind", "epsilon"}, path, "unknown field in schedule")
             return BrownianSchedule(float(d["epsilon"]))
-        _require(
-            set(d) <= {"kind", "times", "epsilons"}, path, "unknown field in schedule"
-        )
-        return TableSchedule(tuple(d["times"]), tuple(d["epsilons"]))
+        schedule = TableSchedule(tuple(d["times"]), tuple(d["epsilons"]))
     except KeyError as err:
         raise ConfigError(f"{path}: missing field {err.args[0]!r}") from err
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{path}: {err}") from err
+    # Samplers query eps on all of [0, 1]; a table that stops short fails there.
+    _require(
+        schedule.times[0] == 0.0 and schedule.times[-1] == 1.0,
+        f"{path}.times", "must start at 0 and end at 1",
+    )
+    return schedule
 
 
 def world_from_config(d, path: str = "world"):
@@ -330,19 +242,15 @@ def world_from_config(d, path: str = "world"):
         wtype in ("mixture", "gaussian"),
         f"{path}.type", f"must be mixture or gaussian, got {wtype!r}",
     )
+    fields = (
+        {"type", "modes", "weights", "H", "sigma"} if wtype == "mixture"
+        else {"type", "c", "sigma_c", "sigma_n"}
+    )
+    _require(set(d) <= fields, path, "unknown field in world")
     try:
         if wtype == "mixture":
-            _require(
-                set(d) <= {"type", "modes", "weights", "H", "sigma"},
-                path, "unknown field in world",
-            )
             prior = GaussianMixturePrior(d["modes"], d["weights"])
-            deg = LinearDegradation(d["H"], float(d["sigma"]))
-            return MixtureWorld(prior, deg)
-        _require(
-            set(d) <= {"type", "c", "sigma_c", "sigma_n"},
-            path, "unknown field in world",
-        )
+            return MixtureWorld(prior, LinearDegradation(d["H"], float(d["sigma"])))
         prior = GaussianPrior(d["c"], float(d["sigma_c"]))
         return GaussianWorld(prior, float(d["sigma_n"]))
     except KeyError as err:
@@ -351,36 +259,32 @@ def world_from_config(d, path: str = "world"):
         raise ConfigError(f"{path}: {err}") from err
 
 
-def _time_dist_from_config(d, path: str):
+def _time_dist_from_config(d, path: str = "train.time_dist"):
     _require(isinstance(d, dict), path, "must be a mapping")
     _require(set(d) <= {"kind", "a"}, path, "unknown field in time_dist")
     try:
         return TimeDistribution(str(d["kind"]), float(d.get("a", 0.0)))
     except KeyError as err:
         raise ConfigError(f"{path}: missing field {err.args[0]!r}") from err
-    except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from err
-
-
-def _train_config_from_section(d, seed: int, path: str = "train",
-                               time_dist: TimeDistribution | None = None) -> TrainConfig:
-    _require(isinstance(d, dict), path, "must be a mapping")
-    if time_dist is None:
-        time_dist = _time_dist_from_config(d["time_dist"], f"{path}.time_dist")
-    try:
-        return TrainConfig(
-            p_norm=int(d["p_norm"]),
-            learning_rate=float(d["learning_rate"]),
-            batch_size=int(d["batch_size"]),
-            steps=int(d["steps"]),
-            time_dist=time_dist,
-            schedule=schedule_from_config(d["schedule"], f"{path}.schedule"),
-            seed=seed,
-        )
-    except KeyError as err:
-        raise ConfigError(f"{path}: missing field {err.args[0]!r}") from err
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{path}: {err}") from err
+
+
+def _train_config(section: dict, seed: int, time_dist: TimeDistribution) -> TrainConfig:
+    """The TrainConfig of a ``train`` section whose numbers are checked."""
+    schedule = schedule_from_config(section["schedule"], "train.schedule")
+    try:
+        return TrainConfig(
+            p_norm=int(section["p_norm"]),
+            learning_rate=float(section["learning_rate"]),
+            batch_size=int(section["batch_size"]),
+            steps=int(section["steps"]),
+            time_dist=time_dist,
+            schedule=schedule,
+            seed=seed,
+        )
+    except ValueError as err:
+        raise ConfigError(f"train: {err}") from err
 
 
 def _check_int(value, path, minimum=None):
@@ -404,67 +308,63 @@ def _check_number(value, path, positive=False):
     return float(value)
 
 
-def _validate_eval(cfg: dict):
-    kind = cfg["kind"]
-    ev = cfg["eval"]
-    path = "eval"
-    _require(isinstance(ev, dict), path, "must be a mapping")
-    if kind == "gauss1d":
-        probe = ev.get("probe_y")
-        _require(
-            isinstance(probe, (list, tuple)) and len(probe) >= 1,
-            f"{path}.probe_y", "must be a non-empty list of numbers",
-        )
+def _check_list(value, path, what):
+    _require(
+        isinstance(value, (list, tuple)) and len(value) >= 1,
+        path, f"must be a non-empty list{what}",
+    )
+    return value
+
+
+def _validate_eval(ev: dict):
+    """Check the eval fields a kind has; which it has comes from its defaults."""
+    if "probe_y" in ev:
+        probe = _check_list(ev["probe_y"], "eval.probe_y", " of numbers")
         for j, v in enumerate(probe):
-            _check_number(v, f"{path}.probe_y[{j}]")
+            _check_number(v, f"eval.probe_y[{j}]")
         return
-    _check_int(ev["n_inputs"], f"{path}.n_inputs", minimum=1)
+    _check_int(ev["n_inputs"], "eval.n_inputs", minimum=1)
     if "hit_threshold" in ev:
-        _check_number(ev["hit_threshold"], f"{path}.hit_threshold", positive=True)
-    if kind in ("sweep_steps", "sampler_compare"):
-        grid = ev.get("step_grid")
-        _require(
-            isinstance(grid, (list, tuple)) and len(grid) >= 1,
-            f"{path}.step_grid", "must be a non-empty list of integers",
-        )
+        _check_number(ev["hit_threshold"], "eval.hit_threshold", positive=True)
+    if "step_grid" in ev:
+        grid = _check_list(ev["step_grid"], "eval.step_grid", " of integers")
         for j, v in enumerate(grid):
-            _check_int(v, f"{path}.step_grid[{j}]", minimum=1)
-    if kind == "sampler_compare":
-        names = ev.get("samplers")
+            _check_int(v, f"eval.step_grid[{j}]", minimum=1)
+    if "samplers" in ev:
+        for name in _check_list(ev["samplers"], "eval.samplers", ""):
+            _require(name in SAMPLER_NAMES, "eval.samplers", f"unknown sampler {name!r}")
+    if "estimator" in ev:
         _require(
-            isinstance(names, (list, tuple)) and len(names) >= 1,
-            f"{path}.samplers", "must be a non-empty list",
+            ev["estimator"] in ("oracle", "trained"),
+            "eval.estimator", "must be 'oracle' or 'trained'",
         )
-        for name in names:
-            _require(
-                name in SAMPLER_NAMES,
-                f"{path}.samplers", f"unknown sampler {name!r}",
-            )
-        _require(
-            ev.get("estimator") in ("oracle", "trained"),
-            f"{path}.estimator", "must be 'oracle' or 'trained'",
-        )
-    if kind == "sweep_pt":
-        kinds = ev.get("time_dists")
-        _require(
-            isinstance(kinds, (list, tuple)) and len(kinds) >= 1,
-            f"{path}.time_dists", "must be a non-empty list",
-        )
-        for name in kinds:
+    if "time_dists" in ev:
+        for name in _check_list(ev["time_dists"], "eval.time_dists", ""):
             _require(
                 name in TIME_DISTRIBUTION_KINDS,
-                f"{path}.time_dists", f"unknown time distribution {name!r}",
+                "eval.time_dists", f"unknown time distribution {name!r}",
             )
-        _check_number(ev["a"], f"{path}.a")
-        _require(ev["a"] >= 0, f"{path}.a", "must be >= 0")
-    if kind == "sweep_noise":
-        schedules = ev.get("schedules")
-        _require(
-            isinstance(schedules, (list, tuple)) and len(schedules) >= 1,
-            f"{path}.schedules", "must be a non-empty list of schedules",
-        )
+        _check_number(ev["a"], "eval.a")
+        _require(ev["a"] >= 0, "eval.a", "must be >= 0")
+    if "schedules" in ev:
+        schedules = _check_list(ev["schedules"], "eval.schedules", " of schedules")
         for j, sd in enumerate(schedules):
-            schedule_from_config(sd, f"{path}.schedules[{j}]")
+            schedule_from_config(sd, f"eval.schedules[{j}]")
+
+
+def _validate_train(section: dict):
+    hidden = _check_list(section["hidden"], "train.hidden", " of widths")
+    for j, h in enumerate(hidden):
+        _check_int(h, f"train.hidden[{j}]", minimum=1)
+    _require(
+        section["activation"] in ("tanh", "relu"),
+        "train.activation", "must be 'tanh' or 'relu'",
+    )
+    _check_int(section["p_norm"], "train.p_norm")
+    _check_number(section["learning_rate"], "train.learning_rate", positive=True)
+    _check_int(section["batch_size"], "train.batch_size", minimum=1)
+    _check_int(section["steps"], "train.steps", minimum=1)
+    _train_config(section, 0, _time_dist_from_config(section["time_dist"]))
 
 
 def resolve_config(raw: dict) -> dict:
@@ -489,20 +389,11 @@ def resolve_config(raw: dict) -> dict:
         "out_dir", "must be a non-empty string",
     )
     world = world_from_config(cfg["world"])
-    needs_mixture = kind in (
-        "toy2d_a", "toy2d_b", "train_restore", "generate_from_noise",
-        "sweep_pt", "sweep_noise", "sampler_compare",
+    wtype = _KINDS[kind].world
+    _require(
+        wtype is None or cfg["world"]["type"] == wtype,
+        "world.type", f"{kind} needs a {wtype} world",
     )
-    if needs_mixture:
-        _require(
-            isinstance(world, MixtureWorld),
-            "world.type", f"{kind} needs a mixture world",
-        )
-    if kind == "gauss1d":
-        _require(
-            isinstance(world, GaussianWorld),
-            "world.type", "gauss1d needs a gaussian world",
-        )
     sampler = cfg["sampler"]
     _check_int(sampler["steps"], "sampler.steps", minimum=1)
     schedule_from_config(sampler["schedule"], "sampler.schedule")
@@ -516,26 +407,27 @@ def resolve_config(raw: dict) -> dict:
             "sampler.record_trajectory",
             "trajectory recording is only supported for the single-probe gauss1d kind",
         )
-    _validate_eval(cfg)
+    ev = cfg["eval"]
+    _validate_eval(ev)
     if kind == "gauss1d":
         _require(
-            len(cfg["eval"]["probe_y"]) == world.dim,
+            len(ev["probe_y"]) == world.dim,
             "eval.probe_y", f"must have {world.dim} entries to match the world",
         )
     if "train" in cfg:
-        tc = _train_config_from_section(cfg["train"], seed=0)
+        _validate_train(cfg["train"])
+    if isinstance(world, MixtureWorld) and (
+        "train" not in cfg or ev.get("estimator") == "oracle"
+    ):
+        # The oracle's posterior has std t * hypot(sigma, eps(t)); eps never
+        # rises with t, so a schedule with eps(1) = 0 makes it a point mass.
+        seen = ev.get("schedules", [sampler["schedule"]])
         _require(
-            isinstance(cfg["train"]["hidden"], (list, tuple))
-            and len(cfg["train"]["hidden"]) >= 1,
-            "train.hidden", "must be a non-empty list of widths",
+            world.degradation.sigma > 0.0
+            or all(schedule_epsilon(schedule_from_config(sd), 1.0) > 0.0 for sd in seen),
+            "world.sigma",
+            "must be > 0 for the mixture oracle under a schedule with eps(1) = 0",
         )
-        for j, h in enumerate(cfg["train"]["hidden"]):
-            _check_int(h, f"train.hidden[{j}]", minimum=1)
-        _require(
-            cfg["train"]["activation"] in ("tanh", "relu"),
-            "train.activation", "must be 'tanh' or 'relu'",
-        )
-        _require(tc.steps >= 1, "train.steps", "must be >= 1")
     return cfg
 
 
@@ -634,23 +526,25 @@ def _trajectory_columns(report: RunReport) -> list:
     return list(report.trajectory[0].keys())
 
 
+
 # ---- cells (the unit of optional parallelism) ---- #
 
 
-def _run_cell(payload: dict) -> dict:
-    op = payload["op"]
-    if op == "sampler_eval":
-        return _sampler_eval_cell(payload)
-    if op == "train_eval":
-        return _train_eval_cell(payload)
-    raise ValueError(f"unknown cell op {op!r}")
-
-
-def _execute_cells(cells, jobs: int):
+def _execute_cells(fn, cells, jobs: int):
     if jobs <= 1 or len(cells) <= 1:
-        return [_run_cell(c) for c in cells]
+        return [fn(c) for c in cells]
     with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-        return list(pool.map(_run_cell, cells))
+        return list(pool.map(fn, cells))
+
+
+_METRIC_COLUMNS = [
+    "mse", "psnr", "ks", "mode_hit_rate", "mean_min_dist",
+    "divergent", "divergence_step",
+]
+
+
+def _metric_fields(res: dict) -> dict:
+    return {c: res[c] for c in _METRIC_COLUMNS}
 
 
 def _sampler_eval_cell(p: dict) -> dict:
@@ -662,36 +556,25 @@ def _sampler_eval_cell(p: dict) -> dict:
         record_trajectory=p.get("record_trajectory", False),
     )
     out = traj = None
-    divergent, div_step = 0, None
+    res = dict.fromkeys(_METRIC_COLUMNS + ["mode_counts", "outputs", "trajectory"])
+    res["divergent"] = 0
     try:
         out, traj = _SAMPLER_FNS[p["sampler_name"]](guard, p["y"], cfg)
     except (DivergenceError, NonFiniteIterateError) as err:
-        divergent, div_step = 1, int(err.step_index)
-    res = {
-        "divergent": divergent,
-        "divergence_step": div_step,
-        "mse": None,
-        "psnr": None,
-        "ks": None,
-        "mode_hit_rate": None,
-        "mean_min_dist": None,
-        "mode_counts": None,
-        "outputs": None,
-        "trajectory": None,
-    }
-    if out is None:
+        res["divergent"], res["divergence_step"] = 1, int(err.step_index)
         return res
-    if p.get("x_ref") is not None:
+    if p["x_ref"] is not None:
         m = distortion_metrics(p["x_ref"], out, peak=p["peak"])
         res["mse"] = float(m.mse)
         res["psnr"] = float(m.psnr)
-    prior = p.get("prior")
+    prior = p["prior"]
     if prior is not None:
         idx, dists = nearest_modes(out, prior)
-        res["mode_hit_rate"] = float(np.mean(dists <= p["hit_threshold"]))
+        if p["hit_threshold"] is not None:
+            res["mode_hit_rate"] = float(np.mean(dists <= p["hit_threshold"]))
         res["mean_min_dist"] = float(np.mean(dists))
         res["mode_counts"] = np.bincount(idx, minlength=prior.n_modes).tolist()
-    ks_ref = p.get("ks_ref")
+    ks_ref = p["ks_ref"]
     if ks_ref is not None:
         stats = empirical_distribution_stats(
             np.atleast_2d(out), ref_mean=ks_ref[0], ref_std=ks_ref[1]
@@ -710,91 +593,152 @@ def _sampler_eval_cell(p: dict) -> dict:
     return res
 
 
-def _train_eval_cell(p: dict) -> dict:
-    world = p["world"]
-    init_rng = derive_rng(p["master_seed"], *p["init_labels"])
+def _train_model(world, seed: int, section: dict, time_dist: TimeDistribution):
+    """Train the configured regressor on ``world``; returns (model, losses).
+
+    The one training path: the model is reproducible from the master seed
+    through the derivation labels 'model-init', 'train-data' and 'train'.
+    """
     model = MlpRegressor.create(
-        world.dim, p["hidden"], init_rng, activation=p["activation"]
+        world.dim, section["hidden"], derive_rng(seed, "model-init"),
+        activation=section["activation"],
     )
-    stream = world.pair_stream(derive_rng(p["master_seed"], *p["data_labels"]))
-    trained, losses = train(model, stream, p["train_config"])
-    if p.get("checkpoint_path"):
-        save_checkpoint(trained, p["checkpoint_path"])
+    stream = world.pair_stream(derive_rng(seed, "train-data"))
+    return train(model, stream, _train_config(section, derive_seed(seed, "train"), time_dist))
+
+
+def _train_eval_cell(p: dict) -> dict:
+    model, losses = _train_model(p["world"], p["seed"], p["train"], p["time_dist"])
+    if p["checkpoint_path"]:
+        save_checkpoint(model, p["checkpoint_path"])
+    res = _sampler_eval_cell({**p["eval_cell"], "estimator": model})
     window = max(1, min(100, losses.size))
-    extras = {
-        "loss_initial": float(np.mean(losses[:window])),
-        "loss_final": float(np.mean(losses[-window:])),
-    }
-    eval_payload = dict(p["eval_cell"])
-    eval_payload["estimator"] = trained
-    res = _sampler_eval_cell(eval_payload)
-    res.update(extras)
+    res["loss_initial"] = float(np.mean(losses[:window]))
+    res["loss_final"] = float(np.mean(losses[-window:]))
     return res
 
 
-# ---- the experiments ---- #
-
-_METRIC_COLUMNS = [
-    "mse", "psnr", "ks", "mode_hit_rate", "mean_min_dist",
-    "divergent", "divergence_step",
-]
+# ---- the runners: (cfg, jobs, write) -> (columns, rows, total steps, trajectory) ---- #
 
 
-def _metric_fields(res: dict) -> dict:
-    return {c: res[c] for c in _METRIC_COLUMNS}
-
-
-def _base_eval_cell(cfg, world, schedule, sampler_name, steps, variant,
-                    replicate, x_ref, y, estimator, hit_threshold=None,
-                    record_trajectory=False, return_outputs=False):
-    ks_ref = None
-    prior = None
-    if isinstance(world, GaussianWorld):
-        ks_ref = (world.prior.c, world.prior.sigma_c)
-    else:
-        prior = world.prior
+def _row(cfg, variant, **fields) -> dict:
+    """One report row: the prefix every kind shares, then ``fields``."""
     return {
-        "op": "sampler_eval",
+        "experiment": cfg["kind"],
+        "seed": cfg["seed"],
+        "variant": variant,
+        "replicate": 0,
+        **fields,
+    }
+
+
+def _inputs(cfg):
+    """The world and the shared batch of (clean, observed) inputs."""
+    world = world_from_config(cfg["world"])
+    x, y = world.sample_pairs(derive_rng(cfg["seed"], "inputs"), cfg["eval"]["n_inputs"])
+    return world, x, y
+
+
+def _eval_cell(cfg, world, estimator, schedule, sampler_name, steps, variant, y,
+               x_ref=None, **extra) -> dict:
+    gaussian = isinstance(world, GaussianWorld)
+    return {
         "estimator": estimator,
         "sampler_name": sampler_name,
         "steps": steps,
         "schedule": schedule,
-        "cell_seed": derive_seed(cfg["seed"], variant, replicate),
+        "cell_seed": derive_seed(cfg["seed"], variant, 0),
         "y": y,
         "x_ref": x_ref,
         "peak": world.signal_peak,
-        "prior": prior,
-        "hit_threshold": hit_threshold,
-        "ks_ref": ks_ref,
-        "record_trajectory": record_trajectory,
-        "return_outputs": return_outputs,
+        "prior": None if gaussian else world.prior,
+        "hit_threshold": cfg["eval"].get("hit_threshold"),
+        "ks_ref": (world.prior.c, world.prior.sigma_c) if gaussian else None,
+        **extra,
     }
 
 
-def _run_toy2d(cfg, jobs, write):
-    world = world_from_config(cfg["world"])
-    schedule = schedule_from_config(cfg["sampler"]["schedule"])
-    steps = cfg["sampler"]["steps"]
+def _run_grid(cfg, jobs, write):
+    """Schedules x samplers x step counts on one shared batch, a cell each.
+
+    ``eval.schedules``, ``eval.samplers`` and ``eval.step_grid`` default to
+    ``sampler.schedule``, the iterative sampler and ``sampler.steps``, so
+    toy2d is the one-cell grid.  A trained estimator is trained here, once,
+    so that its cells still fan out under ``jobs``.
+    """
+    world, x, y = _inputs(cfg)
     ev = cfg["eval"]
-    x, y = world.sample_pairs(derive_rng(cfg["seed"], "inputs"), ev["n_inputs"])
-    cell = _base_eval_cell(
-        cfg, world, schedule, "iterative", steps, variant=0, replicate=0,
-        x_ref=x, y=y, estimator=world.oracle(schedule),
-        hit_threshold=ev["hit_threshold"],
-    )
-    res = _execute_cells([cell], jobs)[0]
-    row = {
-        "experiment": cfg["kind"],
-        "seed": cfg["seed"],
-        "variant": 0,
-        "replicate": 0,
-        "sampler": "iterative",
-        "estimator": "oracle",
-        "N": steps,
-        "n_inputs": ev["n_inputs"],
-        **_metric_fields(res),
-    }
-    return list(row.keys()), [row], steps, None
+    grid = [int(n) for n in ev.get("step_grid", [cfg["sampler"]["steps"]])]
+    estimator_name = ev.get("estimator", "oracle")
+    model, train_steps = None, 0
+    if estimator_name == "trained":
+        time_dist = _time_dist_from_config(cfg["train"]["time_dist"])
+        model, _ = _train_model(world, cfg["seed"], cfg["train"], time_dist)
+        train_steps = cfg["train"]["steps"]
+    cells, rows = [], []
+    for sd in ev.get("schedules", [cfg["sampler"]["schedule"]]):
+        schedule = schedule_from_config(sd)
+        estimator = world.oracle(schedule) if model is None else model
+        swept = (
+            {"schedule_kind": sd["kind"], "epsilon": sd.get("epsilon")}
+            if "schedules" in ev else {}
+        )
+        for name in ev.get("samplers", ["iterative"]):
+            for n in grid:
+                variant = len(cells)
+                cells.append(_eval_cell(
+                    cfg, world, estimator, schedule, name, n, variant, y, x_ref=x,
+                ))
+                rows.append(_row(
+                    cfg, variant, sampler=name, estimator=estimator_name, **swept,
+                    N=n, n_inputs=ev["n_inputs"],
+                ))
+    for row, res in zip(rows, _execute_cells(_sampler_eval_cell, cells, jobs)):
+        row.update(_metric_fields(res))
+    return list(rows[0]), rows, train_steps + sum(c["steps"] for c in cells), None
+
+
+def _run_training(cfg, jobs, write):
+    """One regressor trained per time distribution, each restoring the
+    shared batch: ``eval.time_dists`` if the kind sweeps them, else the
+    single ``train.time_dist``.  Each cell trains, checkpoints and restores.
+    """
+    world, x, y = _inputs(cfg)
+    ev = cfg["eval"]
+    tr = cfg["train"]
+    steps = cfg["sampler"]["steps"]
+    schedule = schedule_from_config(cfg["sampler"]["schedule"])
+    if "time_dists" in ev:
+        dists = [TimeDistribution(kind, a=float(ev["a"])) for kind in ev["time_dists"]]
+        names = [f"checkpoint_{kind}.bin" for kind in ev["time_dists"]]
+    else:
+        dists = [_time_dist_from_config(tr["time_dist"])]
+        names = ["checkpoint.bin"]
+    if not write:
+        names = [None] * len(dists)
+    cells = [
+        {
+            "world": world,
+            "seed": cfg["seed"],
+            "train": tr,
+            "time_dist": td,
+            "checkpoint_path": None if name is None else str(Path(cfg["out_dir"]) / name),
+            "eval_cell": _eval_cell(cfg, world, None, schedule, "iterative", steps, i, y,
+                                    x_ref=x),
+        }
+        for i, (td, name) in enumerate(zip(dists, names))
+    ]
+    results = _execute_cells(_train_eval_cell, cells, jobs)
+    rows = [
+        _row(
+            cfg, i, time_dist=td.kind, atom_a=td.a if td.kind == "linear_a" else None,
+            train_steps=tr["steps"], loss_initial=res["loss_initial"],
+            loss_final=res["loss_final"], sampler="iterative", estimator="trained",
+            N=steps, n_inputs=ev["n_inputs"], **_metric_fields(res), checkpoint=name,
+        )
+        for i, (td, name, res) in enumerate(zip(dists, names, results))
+    ]
+    return list(rows[0]), rows, len(cells) * (tr["steps"] + steps), None
 
 
 def _run_gauss1d(cfg, jobs, write):
@@ -803,303 +747,117 @@ def _run_gauss1d(cfg, jobs, write):
     steps = cfg["sampler"]["steps"]
     y = np.asarray(cfg["eval"]["probe_y"], dtype=np.float64)
     target = gaussian_flow_trajectory(world.prior, world.sigma_n, y, 0.0)
-    cell = _base_eval_cell(
-        cfg, world, schedule, "iterative", steps, variant=0, replicate=0,
-        x_ref=None, y=y, estimator=world.oracle(schedule),
-        record_trajectory=cfg["sampler"]["record_trajectory"],
-        return_outputs=True,
+    cell = _eval_cell(
+        cfg, world, world.oracle(schedule), schedule, "iterative", steps, 0, y,
+        ks_ref=None,  # a single probe has no output distribution
+        record_trajectory=cfg["sampler"]["record_trajectory"], return_outputs=True,
     )
-    cell["ks_ref"] = None  # a single probe has no output distribution
-    res = _execute_cells([cell], jobs)[0]
-    row = {
-        "experiment": cfg["kind"],
-        "seed": cfg["seed"],
-        "variant": 0,
-        "replicate": 0,
-        "sampler": "iterative",
-        "estimator": "oracle",
-        "N": steps,
-    }
+    res = _execute_cells(_sampler_eval_cell, [cell], jobs)[0]
     out = res["outputs"]
-    for j in range(world.dim):
-        row[f"y_{j}"] = float(y[j])
-    for j in range(world.dim):
-        row[f"output_{j}"] = None if out is None else float(out[j])
-    for j in range(world.dim):
-        row[f"limit_{j}"] = float(target[j])
-    row["abs_error"] = (
-        None if out is None else float(np.max(np.abs(out - target)))
-    )
+    row = _row(cfg, 0, sampler="iterative", estimator="oracle", N=steps)
+    for prefix, values in (("y", y), ("output", out), ("limit", target)):
+        for j in range(world.dim):
+            row[f"{prefix}_{j}"] = None if values is None else float(values[j])
+    row["abs_error"] = None if out is None else float(np.max(np.abs(out - target)))
     row["divergent"] = res["divergent"]
     row["divergence_step"] = res["divergence_step"]
-    return list(row.keys()), [row], steps, res["trajectory"]
+    return list(row), [row], steps, res["trajectory"]
 
 
 def _run_generate_from_noise(cfg, jobs, write):
-    world = world_from_config(cfg["world"])
+    world, _, y = _inputs(cfg)
     schedule = schedule_from_config(cfg["sampler"]["schedule"])
     steps = cfg["sampler"]["steps"]
-    ev = cfg["eval"]
-    n = ev["n_inputs"]
-    _, y = world.sample_pairs(derive_rng(cfg["seed"], "inputs"), n)
-    cell = _base_eval_cell(
-        cfg, world, schedule, "iterative", steps, variant=0, replicate=0,
-        x_ref=None, y=y, estimator=world.oracle(schedule),
-        hit_threshold=ev["hit_threshold"],
-    )
-    res = _execute_cells([cell], jobs)[0]
+    n = cfg["eval"]["n_inputs"]
+    cell = _eval_cell(cfg, world, world.oracle(schedule), schedule, "iterative", steps, 0, y)
+    res = _execute_cells(_sampler_eval_cell, [cell], jobs)[0]
     counts = res["mode_counts"]
     rows = []
-    for mode_index in range(world.prior.n_modes):
-        w = float(world.prior.weights[mode_index])
+    for mode_index, w in enumerate(world.prior.weights.tolist()):
         freq = None if counts is None else counts[mode_index] / n
         std_err = float(np.sqrt(w * (1.0 - w) / n))
-        rows.append({
-            "experiment": cfg["kind"],
-            "seed": cfg["seed"],
-            "variant": mode_index,
-            "replicate": 0,
-            "sampler": "iterative",
-            "estimator": "oracle",
-            "N": steps,
-            "n_inputs": n,
-            "mode_index": mode_index,
-            "prior_weight": w,
-            "frequency": freq,
-            "std_err": std_err,
-            "z_score": None if freq is None else (freq - w) / std_err,
-            "mode_hit_rate": res["mode_hit_rate"],
-            "divergent": res["divergent"],
-        })
-    return list(rows[0].keys()), rows, steps, None
-
-
-def _run_sweep_steps(cfg, jobs, write):
-    world = world_from_config(cfg["world"])
-    schedule = schedule_from_config(cfg["sampler"]["schedule"])
-    ev = cfg["eval"]
-    x, y = world.sample_pairs(derive_rng(cfg["seed"], "inputs"), ev["n_inputs"])
-    hit = ev.get("hit_threshold")
-    oracle = world.oracle(schedule)
-    cells = [
-        _base_eval_cell(
-            cfg, world, schedule, "iterative", int(n), variant=i, replicate=0,
-            x_ref=x, y=y, estimator=oracle, hit_threshold=hit,
-        )
-        for i, n in enumerate(ev["step_grid"])
-    ]
-    results = _execute_cells(cells, jobs)
-    rows = []
-    for i, (n, res) in enumerate(zip(ev["step_grid"], results)):
-        rows.append({
-            "experiment": cfg["kind"],
-            "seed": cfg["seed"],
-            "variant": i,
-            "replicate": 0,
-            "sampler": "iterative",
-            "estimator": "oracle",
-            "N": int(n),
-            "n_inputs": ev["n_inputs"],
-            **_metric_fields(res),
-        })
-    return list(rows[0].keys()), rows, int(np.sum(ev["step_grid"])), None
-
-
-def _train_model_for(cfg, time_dist=None):
-    """Train the configured regressor once; shared by the trained-estimator
-    experiments.  Uses the documented derivation labels, so the identical
-    model is reproducible from (seed, 'model-init'/'train-data'/'train')."""
-    world = world_from_config(cfg["world"])
-    tcfg = _train_config_from_section(
-        cfg["train"], seed=derive_seed(cfg["seed"], "train"), time_dist=time_dist
-    )
-    init_rng = derive_rng(cfg["seed"], "model-init")
-    model = MlpRegressor.create(
-        world.dim, cfg["train"]["hidden"], init_rng,
-        activation=cfg["train"]["activation"],
-    )
-    stream = world.pair_stream(derive_rng(cfg["seed"], "train-data"))
-    return train(model, stream, tcfg)
-
-
-def _run_sampler_compare(cfg, jobs, write):
-    world = world_from_config(cfg["world"])
-    schedule = schedule_from_config(cfg["sampler"]["schedule"])
-    ev = cfg["eval"]
-    x, y = world.sample_pairs(derive_rng(cfg["seed"], "inputs"), ev["n_inputs"])
-    if ev["estimator"] == "trained":
-        estimator, _ = _train_model_for(cfg)
-        train_steps = cfg["train"]["steps"]
-    else:
-        estimator = world.oracle(schedule)
-        train_steps = 0
-    cells = []
-    grid = [int(n) for n in ev["step_grid"]]
-    for si, sampler_name in enumerate(ev["samplers"]):
-        for ni, n in enumerate(grid):
-            variant = si * len(grid) + ni
-            cells.append(_base_eval_cell(
-                cfg, world, schedule, sampler_name, n, variant=variant,
-                replicate=0, x_ref=x, y=y, estimator=estimator,
-                hit_threshold=ev["hit_threshold"],
-            ))
-    results = _execute_cells(cells, jobs)
-    rows = []
-    i = 0
-    for sampler_name in ev["samplers"]:
-        for n in grid:
-            rows.append({
-                "experiment": cfg["kind"],
-                "seed": cfg["seed"],
-                "variant": i,
-                "replicate": 0,
-                "sampler": sampler_name,
-                "estimator": ev["estimator"],
-                "N": n,
-                "n_inputs": ev["n_inputs"],
-                **_metric_fields(results[i]),
-            })
-            i += 1
-    total = train_steps + len(ev["samplers"]) * int(np.sum(grid))
-    return list(rows[0].keys()), rows, total, None
-
-
-def _run_sweep_noise(cfg, jobs, write):
-    world = world_from_config(cfg["world"])
-    ev = cfg["eval"]
-    x, y = world.sample_pairs(derive_rng(cfg["seed"], "inputs"), ev["n_inputs"])
-    steps = cfg["sampler"]["steps"]
-    cells = []
-    descriptors = []
-    for i, sd in enumerate(ev["schedules"]):
-        schedule = schedule_from_config(sd, f"eval.schedules[{i}]")
-        descriptors.append(sd)
-        cells.append(_base_eval_cell(
-            cfg, world, schedule, "iterative", steps, variant=i, replicate=0,
-            x_ref=x, y=y, estimator=world.oracle(schedule),
-            hit_threshold=ev["hit_threshold"],
+        rows.append(_row(
+            cfg, mode_index, sampler="iterative", estimator="oracle", N=steps,
+            n_inputs=n, mode_index=mode_index, prior_weight=w, frequency=freq,
+            std_err=std_err, z_score=None if freq is None else (freq - w) / std_err,
+            mode_hit_rate=res["mode_hit_rate"], divergent=res["divergent"],
         ))
-    results = _execute_cells(cells, jobs)
-    rows = []
-    for i, (sd, res) in enumerate(zip(descriptors, results)):
-        rows.append({
-            "experiment": cfg["kind"],
-            "seed": cfg["seed"],
-            "variant": i,
-            "replicate": 0,
-            "sampler": "iterative",
-            "estimator": "oracle",
-            "schedule_kind": sd["kind"],
-            "epsilon": sd.get("epsilon"),
-            "N": steps,
-            "n_inputs": ev["n_inputs"],
-            **_metric_fields(res),
-        })
-    return list(rows[0].keys()), rows, steps * len(cells), None
+    return list(rows[0]), rows, steps, None
 
 
-def _training_row(cfg, variant, time_dist_kind, atom_a, res, checkpoint_name):
-    ev = cfg["eval"]
-    return {
-        "experiment": cfg["kind"],
-        "seed": cfg["seed"],
-        "variant": variant,
-        "replicate": 0,
-        "time_dist": time_dist_kind,
-        "atom_a": atom_a,
-        "train_steps": cfg["train"]["steps"],
-        "loss_initial": res["loss_initial"],
-        "loss_final": res["loss_final"],
-        "sampler": "iterative",
-        "estimator": "trained",
-        "N": cfg["sampler"]["steps"],
-        "n_inputs": ev["n_inputs"],
-        **_metric_fields(res),
-        "checkpoint": checkpoint_name,
-    }
+# ---- the kind table ---- #
 
 
-def _train_eval_payload(cfg, world, schedule, time_dist, variant, x, y,
-                        checkpoint_path):
-    eval_cell = _base_eval_cell(
-        cfg, world, schedule, "iterative", cfg["sampler"]["steps"],
-        variant=variant, replicate=0, x_ref=x, y=y, estimator=None,
-        hit_threshold=cfg["eval"]["hit_threshold"],
-    )
-    return {
-        "op": "train_eval",
-        "world": world,
-        "master_seed": cfg["seed"],
-        "init_labels": ["model-init"],
-        "data_labels": ["train-data"],
-        "hidden": list(cfg["train"]["hidden"]),
-        "activation": cfg["train"]["activation"],
-        "train_config": _train_config_from_section(
-            cfg["train"], seed=derive_seed(cfg["seed"], "train"),
-            time_dist=time_dist,
+@dataclass(frozen=True)
+class _Kind:
+    sections: dict  # default world/sampler/[train]/eval sections
+    world: str | None  # the world type the kind needs; None accepts either
+    run: Callable  # the runner
+
+
+_MIXTURE_A = _mixture_world(_IDENTITY_2D, 1.0)
+
+_KINDS = {
+    "toy2d_a": _Kind(
+        _sections(_MIXTURE_A, n_inputs=1000, hit_threshold=1e-2), "mixture", _run_grid,
+    ),
+    "toy2d_b": _Kind(
+        _sections(_mixture_world(_PROJECT_FIRST_2D, 0.3), n_inputs=1000, hit_threshold=1e-2),
+        "mixture", _run_grid,
+    ),
+    "gauss1d": _Kind(
+        _sections(_GAUSS_WORLD, steps=1000, probe_y=[2.0]), "gaussian", _run_gauss1d,
+    ),
+    "train_restore": _Kind(
+        _sections(
+            _MIXTURE_A, train=_train_section([128, 128], 20000, 256, "bias_t0_t1"),
+            n_inputs=1000, hit_threshold=5e-2,
         ),
-        "checkpoint_path": checkpoint_path,
-        "eval_cell": eval_cell,
-    }
-
-
-def _run_sweep_pt(cfg, jobs, write):
-    world = world_from_config(cfg["world"])
-    schedule = schedule_from_config(cfg["sampler"]["schedule"])
-    ev = cfg["eval"]
-    x, y = world.sample_pairs(derive_rng(cfg["seed"], "inputs"), ev["n_inputs"])
-    out_dir = Path(cfg["out_dir"])
-    cells = []
-    names = []
-    for i, kind_name in enumerate(ev["time_dists"]):
-        td = TimeDistribution(kind_name, a=float(ev["a"]))
-        ckpt = str(out_dir / f"checkpoint_{kind_name}.bin") if write else None
-        names.append((kind_name, ckpt))
-        cells.append(_train_eval_payload(
-            cfg, world, schedule, td, variant=i, x=x, y=y, checkpoint_path=ckpt,
-        ))
-    results = _execute_cells(cells, jobs)
-    rows = []
-    for i, ((kind_name, ckpt), res) in enumerate(zip(names, results)):
-        atom_a = float(ev["a"]) if kind_name == "linear_a" else None
-        rows.append(_training_row(
-            cfg, i, kind_name, atom_a, res,
-            None if ckpt is None else Path(ckpt).name,
-        ))
-    total = len(cells) * (cfg["train"]["steps"] + cfg["sampler"]["steps"])
-    return list(rows[0].keys()), rows, total, None
-
-
-def _run_train_restore(cfg, jobs, write):
-    world = world_from_config(cfg["world"])
-    schedule = schedule_from_config(cfg["sampler"]["schedule"])
-    ev = cfg["eval"]
-    x, y = world.sample_pairs(derive_rng(cfg["seed"], "inputs"), ev["n_inputs"])
-    td = _time_dist_from_config(cfg["train"]["time_dist"], "train.time_dist")
-    ckpt = str(Path(cfg["out_dir"]) / "checkpoint.bin") if write else None
-    cell = _train_eval_payload(
-        cfg, world, schedule, td, variant=0, x=x, y=y, checkpoint_path=ckpt,
-    )
-    res = _execute_cells([cell], jobs)[0]
-    atom_a = td.a if td.kind == "linear_a" else None
-    row = _training_row(
-        cfg, 0, td.kind, atom_a, res, None if ckpt is None else Path(ckpt).name
-    )
-    total = cfg["train"]["steps"] + cfg["sampler"]["steps"]
-    return list(row.keys()), [row], total, None
-
-
-_RUNNERS = {
-    "toy2d_a": _run_toy2d,
-    "toy2d_b": _run_toy2d,
-    "gauss1d": _run_gauss1d,
-    "train_restore": _run_train_restore,
-    "generate_from_noise": _run_generate_from_noise,
-    "sweep_steps": _run_sweep_steps,
-    "sweep_pt": _run_sweep_pt,
-    "sweep_noise": _run_sweep_noise,
-    "sampler_compare": _run_sampler_compare,
+        "mixture", _run_training,
+    ),
+    "generate_from_noise": _Kind(
+        _sections(_mixture_world(_ZERO_2D, 1.0), n_inputs=10000, hit_threshold=1e-2),
+        "mixture", _run_generate_from_noise,
+    ),
+    "sweep_steps": _Kind(
+        _sections(_GAUSS_WORLD, n_inputs=2000, step_grid=[1, 2, 4, 10, 50, 100]),
+        None, _run_grid,
+    ),
+    "sweep_pt": _Kind(
+        _sections(
+            _MIXTURE_A, train=_train_section([64, 64], 6000, 128, "linear_0"),
+            n_inputs=1000, time_dists=list(TIME_DISTRIBUTION_KINDS), a=1.0,
+            hit_threshold=5e-2,
+        ),
+        "mixture", _run_training,
+    ),
+    "sweep_noise": _Kind(
+        _sections(
+            _MIXTURE_A, n_inputs=1000, hit_threshold=1e-2,
+            schedules=[
+                {"kind": "constant", "epsilon": 0.0},
+                {"kind": "constant", "epsilon": 0.05},
+                {"kind": "constant", "epsilon": 0.1},
+                {"kind": "brownian", "epsilon": 0.05},
+                {"kind": "brownian", "epsilon": 0.1},
+            ],
+        ),
+        "mixture", _run_grid,
+    ),
+    # 3000 training steps leave the regressor slightly rough on purpose: the
+    # sampler ordering under study only separates once estimator error is
+    # non-negligible, and longer training washes it out.
+    "sampler_compare": _Kind(
+        _sections(
+            _MIXTURE_A, train=_train_section([64, 64], 3000, 128, "bias_t0_t1"),
+            n_inputs=500, step_grid=[1, 2, 3, 10, 100, 1000],
+            samplers=list(SAMPLER_NAMES), estimator="trained", hit_threshold=1e-2,
+        ),
+        "mixture", _run_grid,
+    ),
 }
+
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def run_experiment(config: dict, jobs: int = 1, write: bool = True,
@@ -1116,7 +874,7 @@ def run_experiment(config: dict, jobs: int = 1, write: bool = True,
     if write:
         Path(cfg["out_dir"]).mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    columns, rows, total_steps, trajectory = _RUNNERS[cfg["kind"]](cfg, jobs, write)
+    columns, rows, total_steps, trajectory = _KINDS[cfg["kind"]].run(cfg, jobs, write)
     report = RunReport(
         kind=cfg["kind"],
         config=cfg,
@@ -1129,19 +887,3 @@ def run_experiment(config: dict, jobs: int = 1, write: bool = True,
     if write:
         emit_report(report, formats=formats)
     return report
-
-
-def sweep_samplers(config: dict, **kwargs) -> RunReport:
-    """Run a ``sampler_compare`` experiment (kind enforced)."""
-    kind = config.get("kind", "sampler_compare")
-    if kind != "sampler_compare":
-        raise ConfigError(f"kind: sweep_samplers needs sampler_compare, got {kind!r}")
-    return run_experiment({**config, "kind": "sampler_compare"}, **kwargs)
-
-
-def sweep_pt(config: dict, **kwargs) -> RunReport:
-    """Run a ``sweep_pt`` experiment (kind enforced)."""
-    kind = config.get("kind", "sweep_pt")
-    if kind != "sweep_pt":
-        raise ConfigError(f"kind: sweep_pt needs kind sweep_pt, got {kind!r}")
-    return run_experiment({**config, "kind": "sweep_pt"}, **kwargs)

@@ -46,7 +46,6 @@ __all__ = [
     "TrainingDivergenceError",
     "load_checkpoint",
     "loss_and_gradients",
-    "sample_time",
     "sample_times",
     "save_checkpoint",
     "time_distribution_cdf",
@@ -102,11 +101,6 @@ def sample_times(dist: TimeDistribution, rng, size=None):
     else:  # bias_t0_t1
         out = np.sin(s * (np.pi / 2.0)) ** 2
     return float(out) if size is None else out
-
-
-def sample_time(dist: TimeDistribution, rng) -> float:
-    """Single draw from ``dist``."""
-    return float(sample_times(dist, rng))
 
 
 def time_distribution_cdf(dist: TimeDistribution, t):

@@ -14,8 +14,6 @@ from restep.harness import (
     load_config,
     resolve_config,
     run_experiment,
-    sweep_pt,
-    sweep_samplers,
 )
 from restep.regressor import load_checkpoint
 
@@ -157,6 +155,36 @@ class TestConfigValidation:
                 "kind": "sweep_pt",
                 "eval": {"time_dists": ["linear_b"]},
             })
+        with pytest.raises(ConfigError, match="train.time_dist"):
+            resolve_config({
+                "kind": "train_restore",
+                "train": {"time_dist": {"kind": "linear_a", "a": [1.0]}},
+            })
+
+    @pytest.mark.parametrize("field, value", [
+        ("steps", 2.7), ("batch_size", 8.9), ("p_norm", 1.9), ("steps", True),
+        ("learning_rate", True),
+    ])
+    def test_train_numbers_are_checked_not_truncated(self, field, value):
+        with pytest.raises(ConfigError, match=f"train.{field}"):
+            resolve_config({"kind": "train_restore", "train": {field: value}})
+
+    @pytest.mark.parametrize("section", ["sampler", "train"])
+    @pytest.mark.parametrize("times", [[0.0, 0.5], [0.5, 1.0]])
+    def test_table_schedule_must_span_the_unit_interval(self, section, times):
+        table = {"kind": "table", "times": times, "epsilons": [0.1, 0.0]}
+        with pytest.raises(ConfigError, match=f"{section}.schedule.times"):
+            resolve_config({"kind": "train_restore", section: {"schedule": table}})
+
+    def test_zero_sigma_kept_where_the_posterior_stays_proper(self):
+        for kind in ("train_restore", "sweep_pt", "sampler_compare"):
+            world = {**default_config(kind)["world"], "sigma": 0.0}
+            resolve_config({"kind": kind, "world": world})
+        resolve_config({
+            "kind": "toy2d_a",
+            "world": {**default_config("toy2d_a")["world"], "sigma": 0.0},
+            "sampler": {"schedule": {"kind": "brownian", "epsilon": 0.1}},
+        })
 
     def test_load_config_errors_are_config_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -227,6 +255,14 @@ class TestExperimentRuns:
         parallel = run_experiment(dict(cfg), jobs=3, write=False)
         assert serial.rows == parallel.rows
 
+    def test_sweep_steps_on_a_mixture_world(self):
+        cfg = tiny_config("sweep_steps")
+        cfg["world"] = default_config("toy2d_a")["world"]
+        report = run_experiment(cfg, write=False)
+        for row in report.rows:
+            assert row["mode_hit_rate"] is None
+            assert row["mean_min_dist"] is not None
+
     def test_same_seed_same_rows(self):
         a = run_experiment(tiny_config("toy2d_a"), write=False)
         b = run_experiment(tiny_config("toy2d_a"), write=False)
@@ -238,20 +274,6 @@ class TestExperimentRuns:
         cfg["seed"] = 6
         b = run_experiment(dict(cfg), write=False)
         assert a.rows != b.rows
-
-    def test_wrapper_kind_enforcement(self):
-        with pytest.raises(ConfigError, match="sampler_compare"):
-            sweep_samplers({"kind": "toy2d_a"})
-        with pytest.raises(ConfigError, match="sweep_pt"):
-            sweep_pt({"kind": "toy2d_a"})
-
-    def test_wrappers_run_their_kind(self, tmp_path):
-        report = sweep_samplers(
-            tiny_config("sampler_compare", out_dir=tmp_path), write=False
-        )
-        assert report.kind == "sampler_compare"
-        samplers = {r["sampler"] for r in report.rows}
-        assert samplers == {"iterative", "naive", "cold_diffusion"}
 
 
 class TestReportEmission:
@@ -395,3 +417,10 @@ class TestCli:
             tmp_path, tiny_config("sweep_steps", out_dir=tmp_path / "j")
         )
         assert cli_main(["run", "--config", cfg_path, "--jobs", "2"]) == 0
+
+    @pytest.mark.parametrize("kind", ["toy2d_a", "sweep_noise"])
+    def test_zero_sigma_under_the_oracle_is_usage_error(self, kind, tmp_path, capsys):
+        cfg = tiny_config(kind, out_dir=tmp_path / "out")
+        cfg["world"] = {**default_config(kind)["world"], "sigma": 0}
+        assert cli_main(["run", "--config", self.write_config(tmp_path, cfg)]) == 2
+        assert "world.sigma" in capsys.readouterr().err

@@ -13,7 +13,6 @@ from restep.regressor import (
     TrainingDivergenceError,
     load_checkpoint,
     loss_and_gradients,
-    sample_time,
     sample_times,
     save_checkpoint,
     time_distribution_cdf,
@@ -82,7 +81,7 @@ class TestTimeDistributions:
         assert means["bias_t0"] < means["linear_0"] < means["bias_t1"]
 
     def test_scalar_draw(self):
-        t = sample_time(TimeDistribution("linear_0"), np.random.default_rng(1))
+        t = sample_times(TimeDistribution("linear_0"), np.random.default_rng(1))
         assert isinstance(t, float) and 0.0 <= t < 1.0
 
     def test_negative_atom_weight_rejected(self):
