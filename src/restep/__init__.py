@@ -15,7 +15,6 @@ from .degradation import (
     BrownianSchedule,
     ConstantSchedule,
     NoiseSchedule,
-    PairedSample,
     ScheduleInvariantError,
     TableSchedule,
     forward_degrade_noisy,
@@ -96,7 +95,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # degradation
-    "BrownianSchedule", "ConstantSchedule", "NoiseSchedule", "PairedSample",
+    "BrownianSchedule", "ConstantSchedule", "NoiseSchedule",
     "ScheduleInvariantError", "TableSchedule", "forward_degrade_noisy",
     "forward_interpolate", "forward_noise_std", "injected_noise_std",
     "schedule_epsilon",

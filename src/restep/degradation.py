@@ -25,7 +25,6 @@ __all__ = [
     "BrownianSchedule",
     "ConstantSchedule",
     "NoiseSchedule",
-    "PairedSample",
     "ScheduleInvariantError",
     "TableSchedule",
     "as_state",
@@ -238,19 +237,3 @@ def injected_noise_std(schedule: NoiseSchedule, t, delta) -> float:
             f"schedule increased between t={target} and t={t}"
         )
     return target * float(np.sqrt(radicand))
-
-
-@dataclass
-class PairedSample:
-    """A clean signal and its degraded observation, matching dimensions."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        self.x = as_state(self.x, "x")
-        self.y = as_state(self.y, "y")
-        if self.x.shape != self.y.shape:
-            raise ValueError(
-                f"shape mismatch: x {self.x.shape} vs y {self.y.shape}"
-            )

@@ -409,6 +409,11 @@ def resolve_config(raw: dict) -> dict:
         )
     ev = cfg["eval"]
     _validate_eval(ev)
+    default_schedule = _KINDS[kind].sections["sampler"]["schedule"]
+    _require(
+        "schedules" not in ev or sampler["schedule"] == default_schedule,
+        "sampler.schedule", "is unused when eval.schedules is swept; set eval.schedules",
+    )
     if kind == "gauss1d":
         _require(
             len(ev["probe_y"]) == world.dim,
@@ -779,7 +784,8 @@ def _run_generate_from_noise(cfg, jobs, write):
         rows.append(_row(
             cfg, mode_index, sampler="iterative", estimator="oracle", N=steps,
             n_inputs=n, mode_index=mode_index, prior_weight=w, frequency=freq,
-            std_err=std_err, z_score=None if freq is None else (freq - w) / std_err,
+            std_err=std_err,
+            z_score=None if freq is None or std_err == 0.0 else (freq - w) / std_err,
             mode_hit_rate=res["mode_hit_rate"], divergent=res["divergent"],
         ))
     return list(rows[0]), rows, steps, None

@@ -23,7 +23,6 @@ Time distributions, parameterized as t = g(s) with s ~ U[0, 1]:
 
 from __future__ import annotations
 
-import itertools
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -312,11 +311,11 @@ class TrainConfig:
 def train(model: MlpRegressor, data, config: TrainConfig):
     """Run ``config.steps`` optimizer steps; returns (trained model, losses).
 
-    ``data`` is an iterable of :class:`PairedSample`; ``config.batch_size``
-    samples are consumed per step.  The input model is left untouched (so
-    zero steps returns an identical copy and an empty loss curve).  Raises
-    :class:`TrainingDivergenceError` the moment the batch loss goes
-    non-finite.
+    ``data`` is an iterable of ``(x, y)`` arrays of shape (rows, d), such as
+    a world's ``pair_stream``; each step takes the next ``config.batch_size``
+    rows across chunks.  The input model is left untouched (so zero steps
+    returns an identical copy and an empty loss curve).  Raises
+    :class:`TrainingDivergenceError` the moment the batch loss goes non-finite.
     """
     trained = model.copy()
     params = trained.weights + trained.biases
@@ -324,21 +323,22 @@ def train(model: MlpRegressor, data, config: TrainConfig):
     moment2 = [np.zeros_like(p) for p in params]
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     losses = np.empty(config.steps)
-    data_iter = iter(data)
+    chunks = iter(data)
+    size, dim = config.batch_size, trained.state_dim
+    left_x = left_y = np.empty((0, dim))  # rows drawn but not yet trained on
     for step in range(config.steps):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, step)))
-        batch = list(itertools.islice(data_iter, config.batch_size))
-        if len(batch) < config.batch_size:
-            raise ValueError(
-                f"pair stream exhausted at step {step}: got {len(batch)} of "
-                f"{config.batch_size} samples"
-            )
-        x = np.stack([p.x for p in batch])
-        y = np.stack([p.y for p in batch])
-        if x.shape[1] != trained.state_dim:
-            raise ValueError(
-                f"pair dimension {x.shape[1]} != model dimension {trained.state_dim}"
-            )
+        while len(left_x) < size:
+            chunk = next(chunks, None)
+            if chunk is None:
+                raise ValueError(f"pair stream exhausted at step {step}: got "
+                                 f"{len(left_x)} of {size} samples")
+            cx, cy = as_state(chunk[0], "x"), as_state(chunk[1], "y")
+            if cx.shape != cy.shape or cx.shape[1:] != (dim,):
+                raise ValueError(f"pair chunks {cx.shape}, {cy.shape} need shape (rows, {dim})")
+            left_x, left_y = np.concatenate([left_x, cx]), np.concatenate([left_y, cy])
+        x, left_x = left_x[:size], left_x[size:]
+        y, left_y = left_y[:size], left_y[size:]
         t = sample_times(config.time_dist, rng, size=x.shape[0])
         x_t = forward_interpolate(x, y, t)
         std = forward_noise_std(config.schedule, t)

@@ -1,19 +1,20 @@
 """Reverse-time inference: three discrete samplers and an ODE integrator.
 
 All four routines are generic over an ``Estimator`` (anything mapping
-``(x_t, t)`` to a clean-signal estimate) and start from the degraded
-observation at t = 1, stepping down a uniform grid with delta = 1/N:
+``(x_t, t)`` to a clean-signal estimate) and run one loop from the degraded
+observation at t = 1: for each grid step (t, h), estimate, check, apply the
+routine's update rule, check.  The samplers step by h = 1/N down t = k/N:
 
 * :func:`iterative_restore` - the small-step scheme.  Each step moves the
-  iterate toward the current estimate by the convex weight delta/t and,
+  iterate toward the current estimate by the convex weight h/t and,
   when the schedule calls for it, injects fresh noise so the iterate keeps
   the prescribed noise level:
 
-      x_{t-d} = (d/t) F(x_t, t) + (1 - d/t) x_t + injected_std * zeta.
+      x_{t-h} = (h/t) F(x_t, t) + (1 - h/t) x_t + injected_std * zeta.
 
 * :func:`naive_restore` - re-anchors to the raw observation every step,
 
-      x_{t-d} = (1 - t + d) F(x_t, t) + (t - d) y,
+      x_{t-h} = (1 - t + h) F(x_t, t) + (t - h) y,
 
   with no per-step noise.  Kept deliberately faithful, including its known
   tendency to degrade at large N; the harness records that rather than
@@ -21,9 +22,9 @@ observation at t = 1, stepping down a uniform grid with delta = 1/N:
 
 * :func:`cold_diffusion_restore` - the incremental variant
 
-      x_{t-d} = x_t + d (F(x_t, t) - y),
+      x_{t-h} = x_t + h (F(x_t, t) - y),
 
-  algebraically the two-estimate form x_t - D(F, t) + D(F, t - d) with
+  algebraically the two-estimate form x_t - D(F, t) + D(F, t - h) with
   D(F, s) = (1 - s) F + s y expanded and simplified.
 
 * :func:`ode_restore` - explicit Euler or Heun on the continuum limit
@@ -31,7 +32,8 @@ observation at t = 1, stepping down a uniform grid with delta = 1/N:
       dx_t / dt = (x_t - F(x_t, t)) / t,
 
   integrated from 1 down to ``t_min`` with one terminal estimator
-  application, since the field blows up at t = 0.
+  application, since the field blows up at t = 0.  Euler is the iterative
+  rule without noise; Heun calls the estimator twice per step.
 
 States may be single vectors ``(d,)`` or batches ``(n, d)``; every routine
 is deterministic given its seed, with noise drawn in a fixed order (after
@@ -110,20 +112,61 @@ class Trajectory:
         return [s for _, s in self.points]
 
 
-def _initial_state(y, schedule, rng):
-    """x_1 = y + eps(1) * n, with no draw taken when eps(1) = 0."""
-    eps1 = schedule_epsilon(schedule, 1.0)
-    x = np.array(y, dtype=np.float64, copy=True)
-    if eps1 > 0.0:
-        x += eps1 * rng.standard_normal(x.shape)
-    return x
-
-
 def _check_estimate(est, step, t):
     est = np.asarray(est, dtype=np.float64)
     if not np.all(np.isfinite(est)):
         raise NonFiniteIterateError(step, t, "estimate")
     return est
+
+
+def _restore(estimator: Estimator, y, config: SamplerConfig, steps, rule):
+    """The one step loop: from x_1 = y + eps(1) * n (no draw when eps(1) = 0),
+    estimate, check, ``rule(x, est, t, h, k, y, rng)`` and check again for
+    each grid step ``(t, h)``, recording the state entering each step at its
+    t and the output at the last step's t - h.
+    """
+    y = as_state(y, "y")
+    rng = np.random.default_rng(config.seed)
+    x = np.array(y, copy=True)
+    eps1 = schedule_epsilon(config.schedule, 1.0)
+    if eps1 > 0.0:
+        x += eps1 * rng.standard_normal(x.shape)
+    traj = Trajectory() if config.record_trajectory else None
+    for k, (t, h) in enumerate(steps):
+        if traj is not None:
+            traj.points.append((t, x.copy()))
+        est = _check_estimate(estimator(x, t), k, t)
+        x = rule(x, est, t, h, k, y, rng)
+        if not np.all(np.isfinite(x)):
+            raise NonFiniteIterateError(k, t, "iterate")
+    if traj is not None:
+        traj.points.append((t - h, x.copy()))
+    return x, traj
+
+
+def _uniform_steps(n: int) -> list:
+    # h is exactly 1/n, not t_k - t_{k+1}: at n = 3, 1 - 2/3 != 1/3.
+    return [((n - k) / n, 1.0 / n) for k in range(n)]
+
+
+def _stepwise_rule(schedule: NoiseSchedule):
+    """x <- (h/t) F + (1 - h/t) x, plus the noise ``schedule`` asks for."""
+    def rule(x, est, t, h, k, y, rng):
+        coef = h / t
+        x = coef * est + (1.0 - coef) * x
+        std = injected_noise_std(schedule, t, h)
+        if std > 0.0:
+            x = x + std * rng.standard_normal(x.shape)
+        return x
+    return rule
+
+
+def _naive_rule(x, est, t, h, k, y, rng):
+    return (1.0 - t + h) * est + (t - h) * y
+
+
+def _cold_diffusion_rule(x, est, t, h, k, y, rng):
+    return x + h * (est - y)
 
 
 def iterative_restore(estimator: Estimator, y, config: SamplerConfig):
@@ -134,25 +177,8 @@ def iterative_restore(estimator: Estimator, y, config: SamplerConfig):
     delta/t = 1 exactly, so the output is a pure estimator application at
     t = delta (plus terminal noise if the schedule still carries any).
     """
-    y = as_state(y, "y")
-    rng = np.random.default_rng(config.seed)
-    x = _initial_state(y, config.schedule, rng)
-    n = config.steps
-    delta = 1.0 / n
-    traj = Trajectory([(1.0, x.copy())]) if config.record_trajectory else None
-    for k in range(n):
-        t = (n - k) / n
-        est = _check_estimate(estimator(x, t), k, t)
-        coef = delta / t
-        x = coef * est + (1.0 - coef) * x
-        std = injected_noise_std(config.schedule, t, delta)
-        if std > 0.0:
-            x = x + std * rng.standard_normal(x.shape)
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteIterateError(k, t, "iterate")
-        if traj is not None:
-            traj.points.append(((n - k - 1) / n, x.copy()))
-    return x, traj
+    return _restore(estimator, y, config, _uniform_steps(config.steps),
+                    _stepwise_rule(config.schedule))
 
 
 def naive_restore(estimator: Estimator, y, config: SamplerConfig):
@@ -161,40 +187,13 @@ def naive_restore(estimator: Estimator, y, config: SamplerConfig):
     Coincides with :func:`iterative_restore` at N = 1 (both reduce to a
     single estimator application at t = 1).
     """
-    y = as_state(y, "y")
-    rng = np.random.default_rng(config.seed)
-    x = _initial_state(y, config.schedule, rng)
-    n = config.steps
-    delta = 1.0 / n
-    traj = Trajectory([(1.0, x.copy())]) if config.record_trajectory else None
-    for k in range(n):
-        t = (n - k) / n
-        est = _check_estimate(estimator(x, t), k, t)
-        x = (1.0 - t + delta) * est + (t - delta) * y
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteIterateError(k, t, "iterate")
-        if traj is not None:
-            traj.points.append(((n - k - 1) / n, x.copy()))
-    return x, traj
+    return _restore(estimator, y, config, _uniform_steps(config.steps), _naive_rule)
 
 
 def cold_diffusion_restore(estimator: Estimator, y, config: SamplerConfig):
     """Run the incremental-correction sampler; see the module docstring."""
-    y = as_state(y, "y")
-    rng = np.random.default_rng(config.seed)
-    x = _initial_state(y, config.schedule, rng)
-    n = config.steps
-    delta = 1.0 / n
-    traj = Trajectory([(1.0, x.copy())]) if config.record_trajectory else None
-    for k in range(n):
-        t = (n - k) / n
-        est = _check_estimate(estimator(x, t), k, t)
-        x = x + delta * (est - y)
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteIterateError(k, t, "iterate")
-        if traj is not None:
-            traj.points.append(((n - k - 1) / n, x.copy()))
-    return x, traj
+    return _restore(estimator, y, config, _uniform_steps(config.steps),
+                    _cold_diffusion_rule)
 
 
 def residual_flow_rhs(estimator: Estimator, x_t, t: float) -> np.ndarray:
@@ -224,34 +223,26 @@ def ode_restore(estimator: Estimator, y, method: str = "euler",
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise ValueError("n_steps must be an integer >= 1")
     n = int(n_steps)
-    delta = 1.0 / n
-    if t_min is None:
-        t_min = delta
-    t_min = float(t_min)
+    t_min = 1.0 / n if t_min is None else float(t_min)
     if not 0.0 < t_min <= 1.0:
         raise ValueError("need 0 < t_min <= 1")
 
-    x = np.array(as_state(y, "y"), copy=True)
     # Full grid steps from t = 1 while the next grid point stays >= t_min;
     # the small fudge keeps t_min = k/N landing on the grid despite rounding.
     n_full = int(np.floor((1.0 - t_min) * n + 1e-9))
-    steps = [((n - k) / n, delta) for k in range(n_full)]
+    steps = _uniform_steps(n)[:n_full]
     t_reached = (n - n_full) / n
     if t_reached - t_min > 1e-12:
         steps.append((t_reached, t_reached - t_min))
 
-    for k, (t, h) in enumerate(steps):
-        est = _check_estimate(estimator(x, t), k, t)
-        if method == "euler":
-            coef = h / t
-            x = coef * est + (1.0 - coef) * x
-        else:
-            k1 = (x - est) / t
-            t2 = t - h
-            x_pred = x - h * k1
-            est2 = _check_estimate(estimator(x_pred, t2), k, t2)
-            k2 = (x_pred - est2) / t2
-            x = x - 0.5 * h * (k1 + k2)
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteIterateError(k, t, "iterate")
+    def heun(x, est, t, h, k, y, rng):
+        k1 = (x - est) / t
+        t2 = t - h
+        x_pred = x - h * k1
+        est2 = _check_estimate(estimator(x_pred, t2), k, t2)
+        k2 = (x_pred - est2) / t2
+        return x - 0.5 * h * (k1 + k2)
+
+    rule = heun if method == "heun" else _stepwise_rule(ConstantSchedule(0.0))
+    x, _ = _restore(estimator, y, SamplerConfig(steps=n), steps, rule)
     return _check_estimate(estimator(x, t_min), len(steps), t_min)

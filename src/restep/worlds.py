@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .degradation import NoiseSchedule, PairedSample
+from .degradation import NoiseSchedule
 from .oracles import (
     GaussianDenoisingOracle,
     GaussianMixturePrior,
@@ -107,11 +107,9 @@ class MixtureWorld:
         return x, self.degrade(rng, x)
 
     def pair_stream(self, rng, chunk: int = 256):
-        """Endless stream of :class:`PairedSample`, drawn chunk-wise."""
+        """Endless stream of ``(x, y)`` draws of ``sample_pairs(rng, chunk)``."""
         while True:
-            x, y = self.sample_pairs(rng, chunk)
-            for i in range(chunk):
-                yield PairedSample(x[i], y[i])
+            yield self.sample_pairs(rng, chunk)
 
     def oracle(self, schedule: Optional[NoiseSchedule] = None) -> MixturePosteriorOracle:
         return MixturePosteriorOracle(self.prior, self.degradation, schedule)
@@ -154,9 +152,7 @@ class GaussianWorld:
 
     def pair_stream(self, rng, chunk: int = 256):
         while True:
-            x, y = self.sample_pairs(rng, chunk)
-            for i in range(chunk):
-                yield PairedSample(x[i], y[i])
+            yield self.sample_pairs(rng, chunk)
 
     def oracle(self, schedule: Optional[NoiseSchedule] = None) -> GaussianDenoisingOracle:
         return GaussianDenoisingOracle(self.prior, self.sigma_n, schedule)

@@ -186,6 +186,19 @@ class TestConfigValidation:
             "sampler": {"schedule": {"kind": "brownian", "epsilon": 0.1}},
         })
 
+    def test_sweep_noise_refuses_a_sampler_schedule_it_would_ignore(self):
+        """sweep_noise restores under eval.schedules only, so a changed
+        sampler.schedule is an error rather than a silent no-op."""
+        with pytest.raises(ConfigError, match="sampler.schedule"):
+            resolve_config({
+                "kind": "sweep_noise",
+                "sampler": {"schedule": {"kind": "brownian", "epsilon": 0.5}},
+            })
+        resolve_config({
+            "kind": "sweep_noise",
+            "sampler": {"schedule": {"kind": "constant", "epsilon": 0.0}},
+        })
+
     def test_load_config_errors_are_config_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "missing.json")
@@ -222,6 +235,16 @@ class TestExperimentRuns:
         assert_allclose(freq, 1.0, atol=1e-12)
         for r in report.rows:
             assert r["prior_weight"] == 0.25
+
+    def test_generate_from_noise_with_a_certain_mode(self, tmp_path):
+        """Mode weights of 1 and 0 have no sampling spread: the standard
+        error is 0 and the z-score is left empty instead of dividing by it."""
+        cfg = tiny_config("generate_from_noise", out_dir=tmp_path)
+        cfg["world"] = {**default_config("generate_from_noise")["world"],
+                        "modes": [[1.0, 1.0], [-1.0, -1.0]], "weights": [1.0, 0.0]}
+        report = run_experiment(cfg)
+        assert [r["std_err"] for r in report.rows] == [0.0, 0.0]
+        assert [r["z_score"] for r in report.rows] == [None, None]
 
     def test_gauss1d_has_trajectory_when_asked(self, tmp_path):
         cfg = tiny_config("gauss1d", out_dir=tmp_path)

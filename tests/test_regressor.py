@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
@@ -253,10 +255,7 @@ class TestTraining:
 
         # manual replay
         replay_rng = np.random.default_rng(77)
-        stream = world.pair_stream(replay_rng)
-        batch = [next(stream) for _ in range(8)]
-        x = np.stack([p.x for p in batch])
-        y = np.stack([p.y for p in batch])
+        x, y = (a[:8] for a in next(world.pair_stream(replay_rng)))
         step_rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
         t = sample_times(TimeDistribution("bias_t1"), step_rng, size=8)
         x_t = forward_interpolate(x, y, t)
@@ -277,15 +276,32 @@ class TestTraining:
 
     def test_exhausted_stream_is_an_error(self):
         world = self.make_world()
-        x, y = world.sample_pairs(np.random.default_rng(1), 10)
-        from restep.degradation import PairedSample
-        short = [PairedSample(x[i], y[i]) for i in range(10)]
+        short = [world.sample_pairs(np.random.default_rng(1), 10)]
         with pytest.raises(ValueError, match="exhausted"):
             train(
                 MlpRegressor.create(2, [4], np.random.default_rng(2)),
                 iter(short),
                 TrainConfig(steps=2, batch_size=8),
             )
+
+    @settings(max_examples=15, deadline=None)
+    @given(cuts=st.sets(st.integers(1, 511), max_size=12),
+           batch_size=st.sampled_from([7, 64, 100, 256]))
+    def test_chunk_boundaries_do_not_change_training(self, cuts, batch_size):
+        """The same rows, split into chunks anywhere, train bitwise alike;
+        one row per chunk is the reference, as the stream once was."""
+        x, y = self.make_world().sample_pairs(np.random.default_rng(3), 512)
+        cfg = TrainConfig(batch_size=batch_size, steps=512 // batch_size,
+                          schedule=ConstantSchedule(0.2), seed=4)
+        model = MlpRegressor.create(2, [8], np.random.default_rng(5))
+        edges = [0, *sorted(cuts), 512]
+        chunks = [(x[a:b], y[a:b]) for a, b in zip(edges[:-1], edges[1:])]
+        rows = [(x[i:i + 1], y[i:i + 1]) for i in range(512)]
+        got, got_losses = train(model, chunks, cfg)
+        want, want_losses = train(model, rows, cfg)
+        assert_array_equal(got_losses, want_losses)
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert_array_equal(a, b)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_reports_step_and_batch_seed(self):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from restep.degradation import BrownianSchedule, ConstantSchedule
@@ -219,3 +222,43 @@ class TestOdeEquivalence:
         assert_allclose(residual_flow_rhs(est, x_t, 0.5), [(2.5 - 0.5) / 0.5])
         with pytest.raises(ValueError):
             residual_flow_rhs(est, x_t, 0.0)
+
+
+# A single state (d,) or a batch (m, d), d in 1..3, with moderate entries.
+_STATES = arrays(
+    np.float64,
+    st.tuples(st.integers(0, 4), st.integers(1, 3)).map(
+        lambda md: (md[1],) if md[0] == 0 else md),
+    elements=st.floats(-10.0, 10.0, allow_nan=False),
+)
+
+
+def _gauss_oracle_for(y):
+    prior = GaussianPrior(c=np.full(y.shape[-1], 0.2), sigma_c=0.9)
+    return GaussianWorld(prior, 1.1).oracle()
+
+
+class TestGeneratedInputs:
+    @settings(max_examples=30, deadline=None)
+    @given(y=_STATES, n=st.integers(1, 60))
+    def test_euler_is_the_zero_noise_stepwise_rule(self, y, n):
+        oracle = _gauss_oracle_for(y)
+        out, traj = iterative_restore(
+            oracle, y, SamplerConfig(steps=n, record_trajectory=True))
+        assert_array_equal(ode_restore(oracle, y, method="euler", n_steps=n), out)
+        assert traj.times == [(n - k) / n for k in range(n + 1)]
+        assert_array_equal(traj.points[-1][1], out)
+
+    @settings(max_examples=30, deadline=None)
+    @given(y=_STATES)
+    def test_samplers_coincide_at_one_step(self, y):
+        """Iterative and naive return F(y, 1) bit for bit.  Cold diffusion
+        returns y + (F - y), which can round away from F by about one ulp
+        (y = 4.00195312 does), so it is held to two rounding errors."""
+        oracle = _gauss_oracle_for(y)
+        cfg = SamplerConfig(steps=1)
+        want = oracle(y, 1.0)
+        assert_array_equal(iterative_restore(oracle, y, cfg)[0], want)
+        assert_array_equal(naive_restore(oracle, y, cfg)[0], want)
+        cold, _ = cold_diffusion_restore(oracle, y, cfg)
+        assert np.all(np.abs(cold - want) <= np.spacing(2 * np.maximum(abs(y), abs(want))))

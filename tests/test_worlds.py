@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from restep.degradation import PairedSample
 from restep.oracles import GaussianMixturePrior, GaussianPrior, LinearDegradation
 from restep.worlds import (
     DivergenceError,
@@ -89,23 +88,17 @@ class TestMixtureWorld:
     def test_signal_peak_is_mode_span(self):
         assert self.world().signal_peak == 2.0
 
-    def test_pair_stream_yields_paired_samples(self):
-        world = self.world()
-        stream = world.pair_stream(derive_rng(4, "stream"), chunk=8)
-        items = [next(stream) for _ in range(20)]
-        assert all(isinstance(p, PairedSample) for p in items)
-        assert items[0].x.shape == (2,)
-
     def test_stream_matches_sample_pairs(self):
-        """The stream draws chunk-wise with the same generator calls as
-        sample_pairs, so the first chunk reproduces it exactly."""
+        """Each stream item is one sample_pairs draw, made with the same
+        generator calls, so the items reproduce successive draws exactly."""
         world = self.world()
-        x, y = world.sample_pairs(derive_rng(5, "s"), 8)
+        rng = derive_rng(5, "s")
+        draws = [world.sample_pairs(rng, 8) for _ in range(3)]
         stream = world.pair_stream(derive_rng(5, "s"), chunk=8)
-        for i in range(8):
-            p = next(stream)
-            assert_array_equal(p.x, x[i])
-            assert_array_equal(p.y, y[i])
+        for x, y in draws:
+            got_x, got_y = next(stream)
+            assert_array_equal(got_x, x)
+            assert_array_equal(got_y, y)
 
     def test_dimension_mismatch_rejected(self):
         prior = GaussianMixturePrior(modes=[[0.0, 0.0]], weights=[1.0])
