@@ -11,7 +11,6 @@ from restep.oracles import (
     GaussianDenoisingOracle,
     GaussianPrior,
     gaussian_flow_trajectory,
-    gaussian_mmse,
     gaussian_posterior_mean,
     score_from_denoiser,
 )
@@ -26,7 +25,7 @@ y = np.array([2.0])
 print("observation y = 2.0 with c = 0, sigma_c = sigma_n = 1")
 print()
 print("single-shot posterior mean (best mse, no distribution match):")
-print(f"  E[x|y] = {gaussian_mmse(prior, sigma_n, y)[0]:.6f}")
+print(f"  E[x|y] = {gaussian_posterior_mean(prior, sigma_n, y, 1.0)[0]:.6f}")
 print()
 print("continuum limit of the stepwise path at t -> 0:")
 limit = gaussian_flow_trajectory(prior, sigma_n, y, 0.0)[0]

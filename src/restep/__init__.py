@@ -11,117 +11,20 @@ noise-free limit) live in :mod:`restep.samplers`; experiment configs,
 runners, and CSV/JSON reports live in :mod:`restep.harness`.
 """
 
-from .degradation import (
-    BrownianSchedule,
-    ConstantSchedule,
-    NoiseSchedule,
-    ScheduleInvariantError,
-    TableSchedule,
-    forward_degrade_noisy,
-    forward_interpolate,
-    forward_noise_std,
-    injected_noise_std,
-    schedule_epsilon,
-)
-from .harness import (
-    EXPERIMENT_KINDS,
-    ConfigError,
-    RunReport,
-    default_config,
-    emit_report,
-    load_config,
-    resolve_config,
-    run_experiment,
-    schedule_from_config,
-    world_from_config,
-)
-from .metrics import (
-    DistributionStats,
-    MetricReport,
-    distortion_metrics,
-    empirical_distribution_stats,
-    nearest_mode,
-    nearest_modes,
-)
-from .oracles import (
-    GaussianDenoisingOracle,
-    GaussianMixturePrior,
-    GaussianPrior,
-    LinearDegradation,
-    MixturePosteriorOracle,
-    blended_operator,
-    gaussian_flow_trajectory,
-    gaussian_mmse,
-    gaussian_posterior_mean,
-    mixture_marginal_density,
-    mixture_posterior_mean,
-    posterior_mean_at_s,
-    score_from_denoiser,
-)
-from .regressor import (
-    TIME_DISTRIBUTION_KINDS,
-    MlpRegressor,
-    TimeDistribution,
-    TrainConfig,
-    TrainingDivergenceError,
-    load_checkpoint,
-    loss_and_gradients,
-    sample_times,
-    save_checkpoint,
-    time_distribution_cdf,
-    train,
-)
-from .samplers import (
-    NonFiniteIterateError,
-    SamplerConfig,
-    Trajectory,
-    cold_diffusion_restore,
-    iterative_restore,
-    naive_restore,
-    ode_restore,
-    residual_flow_rhs,
-)
-from .worlds import (
-    DivergenceError,
-    DivergenceGuard,
-    GaussianWorld,
-    MixtureWorld,
-    derive_rng,
-    derive_seed,
-)
+from . import degradation, harness, metrics, oracles, regressor, samplers, worlds
+from .degradation import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .oracles import *  # noqa: F403
+from .regressor import *  # noqa: F403
+from .samplers import *  # noqa: F403
+from .worlds import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # degradation
-    "BrownianSchedule", "ConstantSchedule", "NoiseSchedule",
-    "ScheduleInvariantError", "TableSchedule", "forward_degrade_noisy",
-    "forward_interpolate", "forward_noise_std", "injected_noise_std",
-    "schedule_epsilon",
-    # oracles
-    "GaussianDenoisingOracle", "GaussianMixturePrior", "GaussianPrior",
-    "LinearDegradation", "MixturePosteriorOracle", "blended_operator",
-    "gaussian_flow_trajectory", "gaussian_mmse", "gaussian_posterior_mean",
-    "mixture_marginal_density", "mixture_posterior_mean", "posterior_mean_at_s",
-    "score_from_denoiser",
-    # samplers
-    "NonFiniteIterateError", "SamplerConfig", "Trajectory",
-    "cold_diffusion_restore", "iterative_restore", "naive_restore",
-    "ode_restore", "residual_flow_rhs",
-    # regressor
-    "TIME_DISTRIBUTION_KINDS", "MlpRegressor", "TimeDistribution",
-    "TrainConfig", "TrainingDivergenceError", "load_checkpoint",
-    "loss_and_gradients", "sample_times", "save_checkpoint",
-    "time_distribution_cdf", "train",
-    # metrics
-    "DistributionStats", "MetricReport", "distortion_metrics",
-    "empirical_distribution_stats", "nearest_mode", "nearest_modes",
-    # worlds
-    "DivergenceError", "DivergenceGuard", "GaussianWorld", "MixtureWorld",
-    "derive_rng", "derive_seed",
-    # harness
-    "EXPERIMENT_KINDS", "ConfigError", "RunReport", "default_config",
-    "emit_report", "load_config", "resolve_config", "run_experiment",
-    "schedule_from_config", "world_from_config",
+# The public names are each module's __all__; the package adds only its version.
+__all__ = ["__version__"] + [
+    name
+    for module in (degradation, oracles, samplers, regressor, metrics, worlds, harness)
+    for name in module.__all__
 ]

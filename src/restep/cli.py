@@ -14,12 +14,13 @@ import sys
 
 from .harness import ConfigError, default_config, load_config, run_experiment
 
-_SUBCOMMAND_KINDS = {
-    "run": None,
-    "sweep-samplers": "sampler_compare",
-    "sweep-pt": "sweep_pt",
-    "sweep-steps": "sweep_steps",
-    "train": "train_restore",
+# subcommand -> (the kind it runs, None for any; its help text)
+_SUBCOMMANDS = {
+    "run": (None, "run the experiment described by a config file"),
+    "sweep-samplers": ("sampler_compare", "compare the three samplers across a step grid"),
+    "sweep-pt": ("sweep_pt", "train one regressor per time distribution"),
+    "sweep-steps": ("sweep_steps", "sweep the sampler step count with the exact oracle"),
+    "train": ("train_restore", "train a regressor and restore a held-out batch with it"),
 }
 
 
@@ -29,14 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Run restoration experiments and write CSV/JSON reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = [
-        ("run", "run the experiment described by a config file"),
-        ("sweep-samplers", "compare the three samplers across a step grid"),
-        ("sweep-pt", "train one regressor per time distribution"),
-        ("sweep-steps", "sweep the sampler step count with the exact oracle"),
-        ("train", "train a regressor and restore a held-out batch with it"),
-    ]
-    for name, help_text in specs:
+    for name, (_, help_text) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument(
             "--config", default=None,
@@ -56,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_args(args) -> tuple:
-    fixed_kind = _SUBCOMMAND_KINDS[args.command]
+    fixed_kind, _ = _SUBCOMMANDS[args.command]
     if args.config is not None:
         raw = load_config(args.config)
     elif fixed_kind is not None:

@@ -27,7 +27,6 @@ __all__ = [
     "NoiseSchedule",
     "ScheduleInvariantError",
     "TableSchedule",
-    "as_state",
     "forward_degrade_noisy",
     "forward_interpolate",
     "forward_noise_std",

@@ -367,6 +367,15 @@ def _validate_train(section: dict):
     _train_config(section, 0, _time_dist_from_config(section["time_dist"]))
 
 
+# An eval list a kind sweeps replaces the one field its runner would
+# otherwise read, so a changed value there would be silently ignored.
+_SWEPT_FIELDS = {
+    "schedules": ("sampler", "schedule"),
+    "step_grid": ("sampler", "steps"),
+    "time_dists": ("train", "time_dist"),
+}
+
+
 def resolve_config(raw: dict) -> dict:
     """Merge ``raw`` over its kind's defaults and validate everything.
 
@@ -409,11 +418,12 @@ def resolve_config(raw: dict) -> dict:
         )
     ev = cfg["eval"]
     _validate_eval(ev)
-    default_schedule = _KINDS[kind].sections["sampler"]["schedule"]
-    _require(
-        "schedules" not in ev or sampler["schedule"] == default_schedule,
-        "sampler.schedule", "is unused when eval.schedules is swept; set eval.schedules",
-    )
+    defaults = _KINDS[kind].sections
+    for swept, (section, key) in _SWEPT_FIELDS.items():
+        _require(
+            swept not in ev or cfg[section][key] == defaults[section][key],
+            f"{section}.{key}", f"is unused when eval.{swept} is swept; set eval.{swept}",
+        )
     if kind == "gauss1d":
         _require(
             len(ev["probe_y"]) == world.dim,
@@ -472,7 +482,7 @@ def _write_csv(path: Path, columns, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def emit_report(report: RunReport, formats=("csv", "json"), basename=None) -> list:
+def emit_report(report: RunReport, formats=("csv", "json")) -> list:
     """Write the report under ``report.config['out_dir']``; returns paths.
 
     CSV holds one header row plus one row per (variant, replicate) cell.
@@ -490,15 +500,14 @@ def emit_report(report: RunReport, formats=("csv", "json"), basename=None) -> li
     out_dir = Path(report.config["out_dir"])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        base = basename or report.kind
         paths = []
         if "csv" in formats:
-            csv_path = out_dir / f"{base}.csv"
+            csv_path = out_dir / f"{report.kind}.csv"
             _write_csv(csv_path, report.columns, report.rows)
             paths.append(str(csv_path))
             if report.trajectory is not None:
-                traj_path = out_dir / f"{base}_trajectory.csv"
-                _write_csv(traj_path, _trajectory_columns(report), report.trajectory)
+                traj_path = out_dir / f"{report.kind}_trajectory.csv"
+                _write_csv(traj_path, list(report.trajectory[0]), report.trajectory)
                 paths.append(str(traj_path))
         if "json" in formats:
             doc = {
@@ -514,7 +523,7 @@ def emit_report(report: RunReport, formats=("csv", "json"), basename=None) -> li
             }
             if report.trajectory is not None:
                 doc["trajectory"] = report.trajectory
-            json_path = out_dir / f"{base}.json"
+            json_path = out_dir / f"{report.kind}.json"
             with open(json_path, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh, indent=2)
                 fh.write("\n")
@@ -523,13 +532,6 @@ def emit_report(report: RunReport, formats=("csv", "json"), basename=None) -> li
         raise OSError(f"cannot write report under {out_dir}: {err}") from err
     report.output_paths = paths
     return paths
-
-
-def _trajectory_columns(report: RunReport) -> list:
-    if not report.trajectory:
-        return ["step_index", "t"]
-    return list(report.trajectory[0].keys())
-
 
 
 # ---- cells (the unit of optional parallelism) ---- #
@@ -589,7 +591,7 @@ def _sampler_eval_cell(p: dict) -> dict:
         res["outputs"] = out
     if traj is not None:
         rows = []
-        for i, (t, state) in enumerate(traj.points):
+        for i, (t, state) in enumerate(traj):
             row = {"step_index": i, "t": float(t)}
             for j, v in enumerate(np.asarray(state).ravel()):
                 row[f"state_{j}"] = float(v)
@@ -623,7 +625,7 @@ def _train_eval_cell(p: dict) -> dict:
     return res
 
 
-# ---- the runners: (cfg, jobs, write) -> (columns, rows, total steps, trajectory) ---- #
+# ---- the runners: (cfg, jobs, write) -> (rows, total steps, trajectory) ---- #
 
 
 def _row(cfg, variant, **fields) -> dict:
@@ -700,7 +702,7 @@ def _run_grid(cfg, jobs, write):
                 ))
     for row, res in zip(rows, _execute_cells(_sampler_eval_cell, cells, jobs)):
         row.update(_metric_fields(res))
-    return list(rows[0]), rows, train_steps + sum(c["steps"] for c in cells), None
+    return rows, train_steps + sum(c["steps"] for c in cells), None
 
 
 def _run_training(cfg, jobs, write):
@@ -743,7 +745,7 @@ def _run_training(cfg, jobs, write):
         )
         for i, (td, name, res) in enumerate(zip(dists, names, results))
     ]
-    return list(rows[0]), rows, len(cells) * (tr["steps"] + steps), None
+    return rows, len(cells) * (tr["steps"] + steps), None
 
 
 def _run_gauss1d(cfg, jobs, write):
@@ -766,7 +768,7 @@ def _run_gauss1d(cfg, jobs, write):
     row["abs_error"] = None if out is None else float(np.max(np.abs(out - target)))
     row["divergent"] = res["divergent"]
     row["divergence_step"] = res["divergence_step"]
-    return list(row), [row], steps, res["trajectory"]
+    return [row], steps, res["trajectory"]
 
 
 def _run_generate_from_noise(cfg, jobs, write):
@@ -788,7 +790,7 @@ def _run_generate_from_noise(cfg, jobs, write):
             z_score=None if freq is None or std_err == 0.0 else (freq - w) / std_err,
             mode_hit_rate=res["mode_hit_rate"], divergent=res["divergent"],
         ))
-    return list(rows[0]), rows, steps, None
+    return rows, steps, None
 
 
 # ---- the kind table ---- #
@@ -880,11 +882,11 @@ def run_experiment(config: dict, jobs: int = 1, write: bool = True,
     if write:
         Path(cfg["out_dir"]).mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    columns, rows, total_steps, trajectory = _KINDS[cfg["kind"]].run(cfg, jobs, write)
+    rows, total_steps, trajectory = _KINDS[cfg["kind"]].run(cfg, jobs, write)
     report = RunReport(
         kind=cfg["kind"],
         config=cfg,
-        columns=columns,
+        columns=list(rows[0]),
         rows=rows,
         trajectory=trajectory,
         wall_clock_s=time.perf_counter() - start,

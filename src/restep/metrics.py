@@ -33,17 +33,14 @@ __all__ = [
 class MetricReport:
     mse: float
     psnr: float
-    per_sample_mse: Optional[np.ndarray] = None
 
 
-def distortion_metrics(reference, estimate, peak: float = 1.0,
-                       per_sample: bool = False) -> MetricReport:
+def distortion_metrics(reference, estimate, peak: float = 1.0) -> MetricReport:
     """MSE over all elements plus PSNR = 10 log10(peak^2 / mse).
 
     ``peak`` is the dynamic range of the signal convention in use (2.0 for
     signals living in [-1, 1], for instance).  A zero-error batch reports
-    psnr = inf.  With ``per_sample`` set, the report also carries one mse
-    per leading batch element.
+    psnr = inf.
     """
     reference = as_state(reference, "reference")
     estimate = as_state(estimate, "estimate")
@@ -53,13 +50,9 @@ def distortion_metrics(reference, estimate, peak: float = 1.0,
         )
     if not np.isfinite(peak) or peak <= 0.0:
         raise ValueError("peak must be finite and > 0")
-    sq = (reference - estimate) ** 2
-    mse = float(np.mean(sq))
+    mse = float(np.mean((reference - estimate) ** 2))
     psnr = math.inf if mse == 0.0 else 10.0 * math.log10(peak * peak / mse)
-    per = None
-    if per_sample:
-        per = sq.reshape(sq.shape[0], -1).mean(axis=1) if sq.ndim > 1 else sq
-    return MetricReport(mse=mse, psnr=psnr, per_sample_mse=per)
+    return MetricReport(mse=mse, psnr=psnr)
 
 
 def nearest_mode(x, prior: GaussianMixturePrior):

@@ -1,4 +1,4 @@
-"""Closed-form posterior means and densities for the two solvable worlds.
+"""Closed-form posterior means for the two solvable worlds.
 
 Both worlds observe ``y = H x + n`` with ``n ~ N(0, sigma^2 I)`` and embed
 the pair in the interpolation ``x_t = (1 - t) x + t y``.  Substituting the
@@ -30,7 +30,6 @@ import numpy as np
 from .degradation import NoiseSchedule, as_state, schedule_epsilon
 
 __all__ = [
-    "Estimator",
     "GaussianDenoisingOracle",
     "GaussianMixturePrior",
     "GaussianPrior",
@@ -38,9 +37,7 @@ __all__ = [
     "MixturePosteriorOracle",
     "blended_operator",
     "gaussian_flow_trajectory",
-    "gaussian_mmse",
     "gaussian_posterior_mean",
-    "mixture_marginal_density",
     "mixture_posterior_mean",
     "posterior_mean_at_s",
     "score_from_denoiser",
@@ -152,7 +149,7 @@ def _effective_sigma_t(deg: LinearDegradation, t: float, extra_noise_std: float)
 
 
 def _mixture_log_terms(prior, deg, x_t, t, extra_noise_std):
-    """Unshifted log terms log(w_i) - ||u_i||^2 / 2, plus sigma_t."""
+    """Unshifted log terms log(w_i) - ||u_i||^2 / 2."""
     x_t = as_state(x_t, "x_t")
     if x_t.shape[-1] != prior.dim:
         raise ValueError(
@@ -171,7 +168,7 @@ def _mixture_log_terms(prior, deg, x_t, t, extra_noise_std):
     u = (x_t[..., None, :] - centers) / sigma_t               # (..., m, d)
     with np.errstate(divide="ignore"):
         log_w = np.log(prior.weights)                         # -inf for w = 0
-    return log_w - 0.5 * np.sum(u * u, axis=-1), sigma_t      # (..., m)
+    return log_w - 0.5 * np.sum(u * u, axis=-1)               # (..., m)
 
 
 def mixture_posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation,
@@ -186,29 +183,13 @@ def mixture_posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation,
     Raises ValueError at t = 0 or when the effective sigma_t is 0: the
     posterior is then a point mass and the ratio form is undefined.
     """
-    log_terms, _ = _mixture_log_terms(prior, deg, x_t, t, extra_noise_std)
+    log_terms = _mixture_log_terms(prior, deg, x_t, t, extra_noise_std)
     # Max-subtraction: at least one term becomes exp(0) = 1, so the weight
     # ratios stay well defined arbitrarily far from every mode and the
     # posterior degrades gracefully to a one-hot on the closest kernel.
     post = np.exp(log_terms - np.max(log_terms, axis=-1, keepdims=True))
     post /= np.sum(post, axis=-1, keepdims=True)
     return post @ prior.modes
-
-
-def mixture_marginal_density(prior: GaussianMixturePrior, deg: LinearDegradation,
-                             x_t, t, extra_noise_std: float = 0.0):
-    """Normalized marginal density p_t(x_t) = sum_i w_i N(x_t; H_t c_i, sigma_t^2 I).
-
-    Unlike the posterior-mean ratio, the normalizing constants matter here,
-    so they are included.  Very far from every mode the result underflows
-    to exactly 0.0; callers doing density ratios should work in log space.
-    """
-    log_terms, sigma_t = _mixture_log_terms(prior, deg, x_t, t, extra_noise_std)
-    d = prior.dim
-    log_norm = -0.5 * d * np.log(2.0 * np.pi) - d * np.log(sigma_t)
-    m = np.max(log_terms, axis=-1, keepdims=True)
-    dens = np.exp(m[..., 0] + log_norm) * np.sum(np.exp(log_terms - m), axis=-1)
-    return float(dens) if dens.ndim == 0 else dens
 
 
 def posterior_mean_at_s(x0_estimate, x_t, s, t) -> np.ndarray:
@@ -236,21 +217,6 @@ def posterior_mean_at_s(x0_estimate, x_t, s, t) -> np.ndarray:
 
 
 # ---- Gaussian-prior world (everything in closed form) ---- #
-
-
-def gaussian_mmse(prior: GaussianPrior, sigma_n: float, y) -> np.ndarray:
-    """Minimum-MSE estimate of x from y = x + n, n ~ N(0, sigma_n^2 I):
-
-        (sigma_c^2 y + sigma_n^2 c) / (sigma_c^2 + sigma_n^2).
-    """
-    if not np.isfinite(sigma_n) or sigma_n <= 0.0:
-        raise ValueError("sigma_n must be finite and > 0")
-    y = as_state(y, "y")
-    if y.shape[-1] != prior.dim:
-        raise ValueError("y dimension does not match the prior")
-    vc = prior.sigma_c**2
-    vn = sigma_n**2
-    return (vc * y + vn * prior.c) / (vc + vn)
 
 
 def gaussian_posterior_mean(prior: GaussianPrior, sigma_n: float, x_t, t,

@@ -77,8 +77,8 @@ class TimeDistribution:
             raise ValueError("a must be finite and >= 0")
 
 
-def sample_times(dist: TimeDistribution, rng, size=None):
-    """Draw times from ``dist``; scalar when ``size`` is None.
+def sample_times(dist: TimeDistribution, rng, size: int) -> np.ndarray:
+    """Draw ``size`` times from ``dist``.
 
     For ``linear_a`` the atom is selected by a Bernoulli draw first, then a
     uniform fills the continuous part; atom draws are exactly 1.0, and the
@@ -90,16 +90,13 @@ def sample_times(dist: TimeDistribution, rng, size=None):
     if dist.kind == "linear_a":
         take_atom = rng.random(size) < dist.a / (1.0 + dist.a)
         u = rng.random(size)
-        out = np.where(take_atom, 1.0, u)
-        return float(out) if size is None else out
+        return np.where(take_atom, 1.0, u)
     s = rng.random(size)
     if dist.kind == "bias_t1":
-        out = np.sin(s * (np.pi / 2.0))
-    elif dist.kind == "bias_t0":
-        out = np.sin((s - 1.0) * (np.pi / 2.0)) + 1.0
-    else:  # bias_t0_t1
-        out = np.sin(s * (np.pi / 2.0)) ** 2
-    return float(out) if size is None else out
+        return np.sin(s * (np.pi / 2.0))
+    if dist.kind == "bias_t0":
+        return np.sin((s - 1.0) * (np.pi / 2.0)) + 1.0
+    return np.sin(s * (np.pi / 2.0)) ** 2  # bias_t0_t1
 
 
 def time_distribution_cdf(dist: TimeDistribution, t):

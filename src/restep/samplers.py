@@ -42,7 +42,7 @@ the estimator call of each step, skipped entirely when its std is zero).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -59,12 +59,10 @@ from .oracles import Estimator
 __all__ = [
     "NonFiniteIterateError",
     "SamplerConfig",
-    "Trajectory",
     "cold_diffusion_restore",
     "iterative_restore",
     "naive_restore",
     "ode_restore",
-    "residual_flow_rhs",
 ]
 
 
@@ -94,24 +92,6 @@ class SamplerConfig:
             raise ValueError("steps must be an integer >= 1")
 
 
-@dataclass
-class Trajectory:
-    """Ordered (t, state) pairs from t = 1 down to t = 0."""
-
-    points: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.points)
-
-    @property
-    def times(self):
-        return [t for t, _ in self.points]
-
-    @property
-    def states(self):
-        return [s for _, s in self.points]
-
-
 def _check_estimate(est, step, t):
     est = np.asarray(est, dtype=np.float64)
     if not np.all(np.isfinite(est)):
@@ -122,8 +102,8 @@ def _check_estimate(est, step, t):
 def _restore(estimator: Estimator, y, config: SamplerConfig, steps, rule):
     """The one step loop: from x_1 = y + eps(1) * n (no draw when eps(1) = 0),
     estimate, check, ``rule(x, est, t, h, k, y, rng)`` and check again for
-    each grid step ``(t, h)``, recording the state entering each step at its
-    t and the output at the last step's t - h.
+    each grid step ``(t, h)``, recording ``(t, state)`` for the state entering
+    each step and for the output at the last step's t - h.
     """
     y = as_state(y, "y")
     rng = np.random.default_rng(config.seed)
@@ -131,16 +111,16 @@ def _restore(estimator: Estimator, y, config: SamplerConfig, steps, rule):
     eps1 = schedule_epsilon(config.schedule, 1.0)
     if eps1 > 0.0:
         x += eps1 * rng.standard_normal(x.shape)
-    traj = Trajectory() if config.record_trajectory else None
+    traj = [] if config.record_trajectory else None
     for k, (t, h) in enumerate(steps):
         if traj is not None:
-            traj.points.append((t, x.copy()))
+            traj.append((t, x.copy()))
         est = _check_estimate(estimator(x, t), k, t)
         x = rule(x, est, t, h, k, y, rng)
         if not np.all(np.isfinite(x)):
             raise NonFiniteIterateError(k, t, "iterate")
     if traj is not None:
-        traj.points.append((t - h, x.copy()))
+        traj.append((t - h, x.copy()))
     return x, traj
 
 
@@ -173,7 +153,8 @@ def iterative_restore(estimator: Estimator, y, config: SamplerConfig):
     """Run the small-step sampler from observation ``y`` down to t = 0.
 
     Returns ``(x0, trajectory)`` where ``trajectory`` is None unless
-    ``config.record_trajectory`` is set.  The final step has weight
+    ``config.record_trajectory`` is set, and then a list of ``(t, state)``
+    pairs from t = 1 down to t = 0.  The final step has weight
     delta/t = 1 exactly, so the output is a pure estimator application at
     t = delta (plus terminal noise if the schedule still carries any).
     """
@@ -194,16 +175,6 @@ def cold_diffusion_restore(estimator: Estimator, y, config: SamplerConfig):
     """Run the incremental-correction sampler; see the module docstring."""
     return _restore(estimator, y, config, _uniform_steps(config.steps),
                     _cold_diffusion_rule)
-
-
-def residual_flow_rhs(estimator: Estimator, x_t, t: float) -> np.ndarray:
-    """The reverse-time vector field dx/dt = (x_t - F(x_t, t)) / t."""
-    t = float(t)
-    if t <= 0.0:
-        raise ValueError("the residual flow field is singular at t = 0")
-    x_t = as_state(x_t, "x_t")
-    est = np.asarray(estimator(x_t, t), dtype=np.float64)
-    return (x_t - est) / t
 
 
 def ode_restore(estimator: Estimator, y, method: str = "euler",

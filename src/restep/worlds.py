@@ -135,11 +135,6 @@ class GaussianWorld:
         """Dynamic range convention: two prior standard deviations."""
         return 2.0 * self.prior.sigma_c
 
-    @property
-    def observation_std(self) -> float:
-        """Marginal std of y: sqrt(sigma_c^2 + sigma_n^2)."""
-        return float(np.hypot(self.prior.sigma_c, self.sigma_n))
-
     def sample_clean(self, rng, n: int) -> np.ndarray:
         return self.prior.c + self.prior.sigma_c * rng.standard_normal((n, self.dim))
 

@@ -8,6 +8,9 @@ of the JSON report without its two run-dependent entries
 config echo's order is part of the report), of a recorded trajectory, the
 step total and the set of files written.  Every case runs at ``jobs`` 1 and
 2.  The digests are a fixed record: a change that moves one changes a report.
+The two ``sampler_compare`` JSON digests were taken again when its tiny
+config stopped setting ``sampler.steps``, which ``eval.step_grid`` replaces;
+only the config echo of that field moved (4 -> 100).
 """
 
 import hashlib
@@ -109,13 +112,13 @@ GOLDEN = {
     },
     "sampler_compare": {
         "csv": "5c463e91d551ff835479aa4769b541d46cf81e8e26bf28cdddb3684e5b68cd80",
-        "json": "61c86e3a2e2d162d0bc1a9d93a3f89c0fc3f1975dc02d765bc68b20679e2c430",
+        "json": "bc8b815f4785acfaeedfe30cf313812817f10fefe227750b2e948d02159568af",
         "total_steps": 15,
         "files": ["sampler_compare.csv", "sampler_compare.json"],
     },
     "sampler_compare_trained": {
         "csv": "3fa19ad9f24a9c7bfb66845096c51f69f17fb4344d7e8aab6adfaa2a035991ad",
-        "json": "a184ebe93e456bc5c98335a42890d143bf85f6fd9a63698df1aec56e1ee6b1de",
+        "json": "b2044e50968bdf3f20747ae9f816a7e952c4cbdd427b8337fd43a6011e91a5b9",
         "total_steps": 55,
         "files": ["sampler_compare.csv", "sampler_compare.json"],
     },

@@ -38,7 +38,6 @@ def tiny_config(kind, out_dir=None, **eval_over):
     elif kind == "sampler_compare":
         cfg["eval"] = {"n_inputs": 40, "step_grid": [1, 4],
                        "estimator": "oracle"}
-        cfg["sampler"] = {"steps": 4}
     elif kind in ("sweep_pt", "train_restore"):
         cfg["train"] = dict(TINY_TRAIN)
         cfg["eval"] = {"n_inputs": 40}
@@ -198,6 +197,21 @@ class TestConfigValidation:
             "kind": "sweep_noise",
             "sampler": {"schedule": {"kind": "constant", "epsilon": 0.0}},
         })
+
+    @pytest.mark.parametrize("kind, section, field, value", [
+        ("sweep_steps", "sampler", "steps", 4),
+        ("sampler_compare", "sampler", "steps", 77),
+        ("sweep_pt", "train", "time_dist", {"kind": "bias_t1", "a": 0.0}),
+    ])
+    def test_swept_eval_list_refuses_the_field_it_replaces(self, kind, section, field,
+                                                           value):
+        """eval.step_grid replaces sampler.steps and eval.time_dists replaces
+        train.time_dist, so a changed value there is an error rather than a
+        silent no-op; the kind's default stays accepted."""
+        with pytest.raises(ConfigError, match=f"{section}.{field}"):
+            resolve_config({"kind": kind, section: {field: value}})
+        default = default_config(kind)[section][field]
+        resolve_config({"kind": kind, section: {field: default}})
 
     def test_load_config_errors_are_config_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -365,8 +379,8 @@ class TestReportEmission:
             kind="toy2d_a", config={"out_dir": str(tmp_path)},
             columns=["a", "b"], rows=[],
         )
-        emit_report(report, formats=("csv",), basename="empty")
-        assert (tmp_path / "empty.csv").read_text() == "a,b\n"
+        emit_report(report, formats=("csv",))
+        assert (tmp_path / "toy2d_a.csv").read_text() == "a,b\n"
 
 
 class TestCli:

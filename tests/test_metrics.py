@@ -33,14 +33,6 @@ class TestDistortion:
         assert report.mse == 0.0
         assert np.isinf(report.psnr)
 
-    def test_per_sample_breakdown_averages_to_total(self):
-        rng = np.random.default_rng(1)
-        ref = rng.normal(size=(6, 3))
-        est = rng.normal(size=(6, 3))
-        report = distortion_metrics(ref, est, per_sample=True)
-        assert report.per_sample_mse.shape == (6,)
-        assert_allclose(report.per_sample_mse.mean(), report.mse, rtol=1e-14)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             distortion_metrics(np.zeros((2, 2)), np.zeros((3, 2)))

@@ -11,9 +11,7 @@ from restep.oracles import (
     MixturePosteriorOracle,
     blended_operator,
     gaussian_flow_trajectory,
-    gaussian_mmse,
     gaussian_posterior_mean,
-    mixture_marginal_density,
     mixture_posterior_mean,
     posterior_mean_at_s,
     score_from_denoiser,
@@ -128,31 +126,6 @@ class TestMixturePosteriorMean:
         assert_allclose(blended_operator(deg, 1.0), deg.H)
 
 
-class TestMarginalDensity:
-    def test_frozen_single_mode_peak(self):
-        # One mode, sigma_t = 0.5: peak density is 1/sqrt(2 pi 0.25).
-        prior = GaussianMixturePrior(modes=[[0.0]], weights=[1.0])
-        deg = LinearDegradation(H=[[1.0]], sigma=1.0)
-        got = mixture_marginal_density(prior, deg, np.array([0.0]), 0.5)
-        assert_allclose(got, 0.7978845608028654, rtol=1e-13)
-
-    def test_integrates_to_one(self):
-        rng = np.random.default_rng(21)
-        prior = GaussianMixturePrior(
-            modes=[[-1.0], [0.5], [2.0]], weights=[0.25, 0.5, 0.25]
-        )
-        deg = LinearDegradation(H=[[1.0]], sigma=0.7)
-        xs = np.linspace(-8.0, 10.0, 4001)[:, None]
-        dens = mixture_marginal_density(prior, deg, xs, 0.8)
-        total = np.trapezoid(dens, xs[:, 0])
-        assert_allclose(total, 1.0, atol=1e-6)
-
-    def test_far_field_underflows_to_zero(self):
-        prior = two_point_prior()
-        deg = LinearDegradation(H=[[1.0]], sigma=1.0)
-        assert mixture_marginal_density(prior, deg, np.array([1e6]), 0.5) == 0.0
-
-
 class TestSlideToS:
     def test_identity_against_per_atom_average(self):
         """Independent route: average the pathwise per-atom answers
@@ -220,16 +193,6 @@ class TestGaussianWorldForms:
         prior = GaussianPrior(c=[0.3], sigma_c=0.5)
         x = np.array([1.7])
         assert_allclose(gaussian_posterior_mean(prior, 2.0, x, 0.0), x)
-
-    def test_mmse_equals_posterior_mean_at_t_one(self):
-        rng = np.random.default_rng(8)
-        prior = GaussianPrior(c=[0.5, -0.5], sigma_c=1.3)
-        ys = rng.normal(size=(10, 2))
-        assert_allclose(
-            gaussian_mmse(prior, 0.7, ys),
-            gaussian_posterior_mean(prior, 0.7, ys, 1.0),
-            rtol=1e-14,
-        )
 
     def test_frozen_flow_values(self):
         """c = 0, sigma_c = sigma_n = 1, y = 2: the closed-form trajectory

@@ -1,7 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
@@ -81,10 +85,6 @@ class TestTimeDistributions:
             for kind in ("bias_t0", "linear_0", "bias_t1")
         }
         assert means["bias_t0"] < means["linear_0"] < means["bias_t1"]
-
-    def test_scalar_draw(self):
-        t = sample_times(TimeDistribution("linear_0"), np.random.default_rng(1))
-        assert isinstance(t, float) and 0.0 <= t < 1.0
 
     def test_negative_atom_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -398,3 +398,63 @@ class TestCheckpoints:
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
+
+
+@st.composite
+def _models(draw):
+    """Any valid model: 1-3 state dims, up to two hidden layers, arbitrary
+    finite parameters, either activation, with or without a seed."""
+    dim = draw(st.integers(1, 3))
+    sizes = (dim + 1, *draw(st.lists(st.integers(1, 5), max_size=2)), dim)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return MlpRegressor(
+        layer_sizes=sizes,
+        weights=[draw(arrays(np.float64, (o, i), elements=finite))
+                 for i, o in zip(sizes[:-1], sizes[1:])],
+        biases=[draw(arrays(np.float64, (o,), elements=finite)) for o in sizes[1:]],
+        activation=draw(st.sampled_from(["tanh", "relu"])),
+        training_seed=draw(st.none() | st.integers(0, 2**64 - 1)),
+    )
+
+
+def _checkpoint_blob(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.bin"
+        save_checkpoint(model, path)
+        return path.read_bytes()
+
+
+def _load_blob(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.bin"
+        path.write_bytes(blob)
+        return load_checkpoint(path)
+
+
+class TestCheckpointProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(model=_models())
+    def test_roundtrip_is_bitwise(self, model):
+        back = _load_blob(_checkpoint_blob(model))
+        assert back.layer_sizes == model.layer_sizes
+        assert back.activation == model.activation
+        assert back.training_seed == model.training_seed
+        for a, b in zip(model.weights + model.biases, back.weights + back.biases):
+            assert a.tobytes() == b.tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(model=_models())
+    def test_every_strict_prefix_is_rejected(self, model):
+        blob = _checkpoint_blob(model)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.bin"
+            for cut in range(len(blob)):
+                path.write_bytes(blob[:cut])
+                with pytest.raises(ValueError):
+                    load_checkpoint(path)
+
+    @settings(max_examples=20, deadline=None)
+    @given(model=_models(), extra=st.binary(min_size=1, max_size=1))
+    def test_one_trailing_byte_is_rejected(self, model, extra):
+        with pytest.raises(ValueError, match="trailing"):
+            _load_blob(_checkpoint_blob(model) + extra)

@@ -14,7 +14,6 @@ from restep.samplers import (
     iterative_restore,
     naive_restore,
     ode_restore,
-    residual_flow_rhs,
 )
 from restep.worlds import GaussianWorld
 
@@ -33,7 +32,9 @@ def constant_estimator(value):
 class TestSingleStep:
     def test_all_samplers_coincide_at_one_step(self):
         """With N = 1 every update reduces to a single estimator call at
-        t = 1, so the three samplers agree bit for bit."""
+        t = 1, so at this y the three samplers agree bit for bit.  In general
+        cold diffusion returns y + (F - y), which can round away from F; that
+        is held to two rounding errors by test_samplers_coincide_at_one_step."""
         oracle = gauss_oracle()
         y = np.array([2.0])
         cfg = SamplerConfig(steps=1)
@@ -73,11 +74,11 @@ class TestIterativeSampler:
         cfg = SamplerConfig(steps=n, record_trajectory=True)
         out, traj = iterative_restore(oracle, y, cfg)
         assert len(traj) == n + 1
-        assert traj.points[0][0] == 1.0
-        assert_array_equal(traj.points[0][1], y)
-        assert traj.points[-1][0] == 0.0
-        assert_array_equal(traj.points[-1][1], out)
-        assert_allclose(traj.times, [(n - k) / n for k in range(n + 1)])
+        assert traj[0][0] == 1.0
+        assert_array_equal(traj[0][1], y)
+        assert traj[-1][0] == 0.0
+        assert_array_equal(traj[-1][1], out)
+        assert_allclose([t for t, _ in traj], [(n - k) / n for k in range(n + 1)])
 
     def test_initial_noise_applied_once(self):
         """A constant eps > 0 schedule perturbs the start but injects no
@@ -89,7 +90,7 @@ class TestIterativeSampler:
         y = np.zeros(d)
         cfg = SamplerConfig(steps=3, schedule=sched, seed=12, record_trajectory=True)
         _, traj = iterative_restore(est, y, cfg)
-        start = traj.points[0][1]
+        start = traj[0][1]
         assert abs(start.std() - 0.5) < 0.02
         rerun, _ = iterative_restore(est, y, cfg)
         again, _ = iterative_restore(est, y, cfg)
@@ -130,7 +131,7 @@ class TestOtherSamplers:
             oracle, np.array([2.0]), SamplerConfig(steps=4, record_trajectory=True)
         )
         assert len(traj) == 5
-        assert traj.points[-1][0] == 0.0
+        assert traj[-1][0] == 0.0
 
     def test_cold_diffusion_first_step_formula(self):
         # One step of x + delta (F - y) from x = y.
@@ -216,13 +217,6 @@ class TestOdeEquivalence:
         with pytest.raises(ValueError):
             ode_restore(oracle, y, method="rk4", n_steps=10)
 
-    def test_residual_rhs_formula(self):
-        est = constant_estimator(0.5)
-        x_t = np.array([2.5])
-        assert_allclose(residual_flow_rhs(est, x_t, 0.5), [(2.5 - 0.5) / 0.5])
-        with pytest.raises(ValueError):
-            residual_flow_rhs(est, x_t, 0.0)
-
 
 # A single state (d,) or a batch (m, d), d in 1..3, with moderate entries.
 _STATES = arrays(
@@ -246,8 +240,8 @@ class TestGeneratedInputs:
         out, traj = iterative_restore(
             oracle, y, SamplerConfig(steps=n, record_trajectory=True))
         assert_array_equal(ode_restore(oracle, y, method="euler", n_steps=n), out)
-        assert traj.times == [(n - k) / n for k in range(n + 1)]
-        assert_array_equal(traj.points[-1][1], out)
+        assert [t for t, _ in traj] == [(n - k) / n for k in range(n + 1)]
+        assert_array_equal(traj[-1][1], out)
 
     @settings(max_examples=30, deadline=None)
     @given(y=_STATES)

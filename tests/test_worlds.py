@@ -128,9 +128,6 @@ class TestGaussianWorld:
         assert abs(x.std(ddof=1) - 1.5) < 3 * 1.5 / np.sqrt(2 * n)
         assert abs((y - x).std(ddof=1) - 0.5) < 3 * 0.5 / np.sqrt(2 * n)
 
-    def test_observation_std_combines_in_quadrature(self):
-        assert_allclose(self.world().observation_std, np.hypot(1.5, 0.5))
-
     def test_signal_peak_convention(self):
         # two prior standard deviations, the bulk of the prior's range
         assert self.world().signal_peak == 3.0
