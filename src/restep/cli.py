@@ -69,11 +69,6 @@ def _resolve_args(args) -> tuple:
     if args.out is not None:
         raw["out_dir"] = args.out
     formats = tuple(s for s in (p.strip() for p in args.format.split(",")) if s)
-    bad = set(formats) - {"csv", "json"}
-    if bad or not formats:
-        raise ConfigError(f"format: expected csv and/or json, got {args.format!r}")
-    if args.jobs < 1:
-        raise ConfigError("jobs: must be >= 1")
     return raw, formats, args.jobs
 
 

@@ -9,6 +9,9 @@ timing metadata).  Numeric cells are written with 17 significant digits so
 both formats round-trip bit-exactly through decimal; CSV output carries no
 timing, so identical configs and seeds yield byte-identical CSV files.
 
+Each config field is checked by its row of one table, ``_SCHEMA``, and
+``resolve_config`` then applies the few rules that tie fields together.
+
 Experiment kinds are defined once, in ``_KINDS``: each entry holds the
 kind's default config sections, the world type it needs and its runner.
 The kind list, the defaults, the world-type check and the runner dispatch
@@ -20,13 +23,16 @@ Independent (variant, replicate) cells own random sources derived from
 process pool and the report is assembled in deterministic grid order
 either way.  A cell whose run trips the divergence guard (iterate norm
 beyond 1e6 times its initial value) or hits a non-finite iterate is
-flagged in its row and the remaining cells continue.
+flagged in its row and the remaining cells continue.  Any other exception
+a cell raises ends the run, and it is the same exception, of the same type
+and message, at every ``jobs``.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import sys
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -85,13 +91,12 @@ __all__ = [
     "world_from_config",
 ]
 
-SAMPLER_NAMES = ("iterative", "naive", "cold_diffusion")
-
 _SAMPLER_FNS = {
     "iterative": iterative_restore,
     "naive": naive_restore,
     "cold_diffusion": cold_diffusion_restore,
 }
+SAMPLER_NAMES = tuple(_SAMPLER_FNS)
 
 SCHEMA_VERSION = 1
 
@@ -208,164 +213,161 @@ def _merge(defaults: dict, override: dict) -> dict:
     return out
 
 
-def schedule_from_config(d, path: str = "schedule"):
+# ---- the config schema: a check is check(value, path) -> None ---- #
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def _num(lo=-_FLOAT_MAX, hi=_FLOAT_MAX, positive=False, integer=False):
+    """A finite number (an integer if ``integer``; never a bool) in [lo, hi],
+    and > 0 if ``positive``."""
+    types = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+
+    def check(value, path):
+        _require(
+            isinstance(value, types) and not isinstance(value, bool)
+            and -_FLOAT_MAX <= value <= _FLOAT_MAX,
+            path, f"must be {'an integer' if integer else 'a finite number'}, got {value!r}",
+        )
+        _require(value > 0 or not positive, path, "must be > 0")
+        _require(lo <= value <= hi, path, f"must be >= {lo}" if value < lo else f"must be <= {hi}")
+    return check
+
+
+def _int(lo, hi=_FLOAT_MAX):
+    return _num(lo, hi, integer=True)
+
+
+def _choice(*options):
+    """One of ``options`` (kept as ``.options``), of the same type, so true
+    is not 1, nor is 1.0."""
+    def check(value, path):
+        _require(
+            any(type(value) is type(o) and value == o for o in options),
+            path, f"must be one of {options}, got {value!r}",
+        )
+    check.options = options
+    return check
+
+
+def _list_of(item):
+    """A non-empty list whose entries pass ``item`` (kept as ``.item``)."""
+    def check(value, path):
+        _require(isinstance(value, (list, tuple)) and value, path, "must be a non-empty list")
+        for j, v in enumerate(value):
+            item(v, f"{path}[{j}]")
+    check.item = item
+    return check
+
+
+def _text(value, path):
+    _require(isinstance(value, str) and value, path, "must be a non-empty string")
+
+
+# The tagged mappings: tag value -> field -> check.
+_SCHEDULES = {
+    "constant": {"epsilon": _num(0.0)},
+    "brownian": {"epsilon": _num(0.0)},
+    "table": {"times": _list_of(_num(0.0, 1.0)), "epsilons": _list_of(_num(0.0))},
+}
+_WORLDS = {
+    "mixture": {
+        "modes": _list_of(_list_of(_num())),
+        "weights": _list_of(_num(0.0)),
+        "H": _list_of(_list_of(_num())),
+        "sigma": _num(0.0),
+    },
+    "gaussian": {"c": _list_of(_num()), "sigma_c": _num(positive=True),
+                 "sigma_n": _num(positive=True)},
+}
+_TIME_DISTS = {kind: {"a": _num(0.0)} for kind in TIME_DISTRIBUTION_KINDS}
+
+
+def _tagged(d, path: str, tag: str, variants: dict, build):
+    """Check ``d`` against the variant its ``tag`` names; return ``build(tag
+    value, d)``, whose ValueErrors (shapes, orderings) are ConfigErrors."""
     _require(isinstance(d, dict), path, "must be a mapping")
-    kind = d.get("kind")
+    name = d.get(tag)
     _require(
-        kind in ("constant", "brownian", "table"),
-        f"{path}.kind", f"must be constant, brownian, or table, got {kind!r}",
+        isinstance(name, str) and name in variants,
+        f"{path}.{tag}", f"must be one of {tuple(variants)}, got {name!r}",
     )
-    fields = {"kind", "times", "epsilons"} if kind == "table" else {"kind", "epsilon"}
-    _require(set(d) <= fields, path, "unknown field in schedule")
+    fields = variants[name]
+    for key in d:
+        _require(key == tag or key in fields, f"{path}.{key}", "unknown config field")
+    for key, check in fields.items():
+        _require(key in d, path, f"missing field {key!r}")
+        check(d[key], f"{path}.{key}")
     try:
-        if kind == "constant":
-            return ConstantSchedule(float(d["epsilon"]))
-        if kind == "brownian":
-            return BrownianSchedule(float(d["epsilon"]))
-        schedule = TableSchedule(tuple(d["times"]), tuple(d["epsilons"]))
-    except KeyError as err:
-        raise ConfigError(f"{path}: missing field {err.args[0]!r}") from err
-    except (TypeError, ValueError) as err:
+        return build(name, d)
+    except ValueError as err:
         raise ConfigError(f"{path}: {err}") from err
+
+
+def _build_schedule(kind, d):
+    if kind == "table":
+        return TableSchedule(tuple(d["times"]), tuple(d["epsilons"]))
+    return (ConstantSchedule if kind == "constant" else BrownianSchedule)(float(d["epsilon"]))
+
+
+def schedule_from_config(d, path: str = "schedule"):
+    schedule = _tagged(d, path, "kind", _SCHEDULES, _build_schedule)
     # Samplers query eps on all of [0, 1]; a table that stops short fails there.
     _require(
-        schedule.times[0] == 0.0 and schedule.times[-1] == 1.0,
+        not isinstance(schedule, TableSchedule)
+        or (schedule.times[0] == 0.0 and schedule.times[-1] == 1.0),
         f"{path}.times", "must start at 0 and end at 1",
     )
     return schedule
 
 
+def _build_world(wtype, d):
+    if wtype == "mixture":
+        prior = GaussianMixturePrior(d["modes"], d["weights"])
+        return MixtureWorld(prior, LinearDegradation(d["H"], float(d["sigma"])))
+    return GaussianWorld(GaussianPrior(d["c"], float(d["sigma_c"])), float(d["sigma_n"]))
+
+
 def world_from_config(d, path: str = "world"):
-    _require(isinstance(d, dict), path, "must be a mapping")
-    wtype = d.get("type")
-    _require(
-        wtype in ("mixture", "gaussian"),
-        f"{path}.type", f"must be mixture or gaussian, got {wtype!r}",
-    )
-    fields = (
-        {"type", "modes", "weights", "H", "sigma"} if wtype == "mixture"
-        else {"type", "c", "sigma_c", "sigma_n"}
-    )
-    _require(set(d) <= fields, path, "unknown field in world")
-    try:
-        if wtype == "mixture":
-            prior = GaussianMixturePrior(d["modes"], d["weights"])
-            return MixtureWorld(prior, LinearDegradation(d["H"], float(d["sigma"])))
-        prior = GaussianPrior(d["c"], float(d["sigma_c"]))
-        return GaussianWorld(prior, float(d["sigma_n"]))
-    except KeyError as err:
-        raise ConfigError(f"{path}: missing field {err.args[0]!r}") from err
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{path}: {err}") from err
+    return _tagged(d, path, "type", _WORLDS, _build_world)
 
 
 def _time_dist_from_config(d, path: str = "train.time_dist"):
-    _require(isinstance(d, dict), path, "must be a mapping")
-    _require(set(d) <= {"kind", "a"}, path, "unknown field in time_dist")
-    try:
-        return TimeDistribution(str(d["kind"]), float(d.get("a", 0.0)))
-    except KeyError as err:
-        raise ConfigError(f"{path}: missing field {err.args[0]!r}") from err
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{path}: {err}") from err
-
-
-def _train_config(section: dict, seed: int, time_dist: TimeDistribution) -> TrainConfig:
-    """The TrainConfig of a ``train`` section whose numbers are checked."""
-    schedule = schedule_from_config(section["schedule"], "train.schedule")
-    try:
-        return TrainConfig(
-            p_norm=int(section["p_norm"]),
-            learning_rate=float(section["learning_rate"]),
-            batch_size=int(section["batch_size"]),
-            steps=int(section["steps"]),
-            time_dist=time_dist,
-            schedule=schedule,
-            seed=seed,
-        )
-    except ValueError as err:
-        raise ConfigError(f"train: {err}") from err
-
-
-def _check_int(value, path, minimum=None):
-    _require(
-        isinstance(value, (int, np.integer)) and not isinstance(value, bool),
-        path, f"must be an integer, got {value!r}",
+    if isinstance(d, dict):
+        d = {"a": 0.0, **d}  # ``a`` may be left out
+    return _tagged(
+        d, path, "kind", _TIME_DISTS, lambda kind, d: TimeDistribution(kind, float(d["a"])),
     )
-    if minimum is not None:
-        _require(value >= minimum, path, f"must be >= {minimum}")
-    return int(value)
 
 
-def _check_number(value, path, positive=False):
-    _require(
-        isinstance(value, (int, float, np.integer, np.floating))
-        and not isinstance(value, bool) and np.isfinite(value),
-        path, f"must be a finite number, got {value!r}",
-    )
-    if positive:
-        _require(value > 0, path, "must be > 0")
-    return float(value)
-
-
-def _check_list(value, path, what):
-    _require(
-        isinstance(value, (list, tuple)) and len(value) >= 1,
-        path, f"must be a non-empty list{what}",
-    )
-    return value
-
-
-def _validate_eval(ev: dict):
-    """Check the eval fields a kind has; which it has comes from its defaults."""
-    if "probe_y" in ev:
-        probe = _check_list(ev["probe_y"], "eval.probe_y", " of numbers")
-        for j, v in enumerate(probe):
-            _check_number(v, f"eval.probe_y[{j}]")
-        return
-    _check_int(ev["n_inputs"], "eval.n_inputs", minimum=1)
-    if "hit_threshold" in ev:
-        _check_number(ev["hit_threshold"], "eval.hit_threshold", positive=True)
-    if "step_grid" in ev:
-        grid = _check_list(ev["step_grid"], "eval.step_grid", " of integers")
-        for j, v in enumerate(grid):
-            _check_int(v, f"eval.step_grid[{j}]", minimum=1)
-    if "samplers" in ev:
-        for name in _check_list(ev["samplers"], "eval.samplers", ""):
-            _require(name in SAMPLER_NAMES, "eval.samplers", f"unknown sampler {name!r}")
-    if "estimator" in ev:
-        _require(
-            ev["estimator"] in ("oracle", "trained"),
-            "eval.estimator", "must be 'oracle' or 'trained'",
-        )
-    if "time_dists" in ev:
-        for name in _check_list(ev["time_dists"], "eval.time_dists", ""):
-            _require(
-                name in TIME_DISTRIBUTION_KINDS,
-                "eval.time_dists", f"unknown time distribution {name!r}",
-            )
-        _check_number(ev["a"], "eval.a")
-        _require(ev["a"] >= 0, "eval.a", "must be >= 0")
-    if "schedules" in ev:
-        schedules = _check_list(ev["schedules"], "eval.schedules", " of schedules")
-        for j, sd in enumerate(schedules):
-            schedule_from_config(sd, f"eval.schedules[{j}]")
-
-
-def _validate_train(section: dict):
-    hidden = _check_list(section["hidden"], "train.hidden", " of widths")
-    for j, h in enumerate(hidden):
-        _check_int(h, f"train.hidden[{j}]", minimum=1)
-    _require(
-        section["activation"] in ("tanh", "relu"),
-        "train.activation", "must be 'tanh' or 'relu'",
-    )
-    _check_int(section["p_norm"], "train.p_norm")
-    _check_number(section["learning_rate"], "train.learning_rate", positive=True)
-    _check_int(section["batch_size"], "train.batch_size", minimum=1)
-    _check_int(section["steps"], "train.steps", minimum=1)
-    _train_config(section, 0, _time_dist_from_config(section["time_dist"]))
-
+# Every field of a resolved config (except ``kind``, which chose the
+# defaults) has exactly one row; a field without one is a KeyError.
+_SCHEMA = {
+    "schema_version": _choice(SCHEMA_VERSION),
+    "seed": _int(0, 2**64 - 1),
+    "out_dir": _text,
+    "world": world_from_config,
+    "sampler.steps": _int(1),
+    "sampler.schedule": schedule_from_config,
+    "sampler.record_trajectory": _choice(True, False),
+    "train.hidden": _list_of(_int(1)),
+    "train.activation": _choice("tanh", "relu"),
+    "train.p_norm": _choice(1, 2),
+    "train.learning_rate": _num(positive=True),
+    "train.batch_size": _int(1),
+    "train.steps": _int(1),
+    "train.time_dist": _time_dist_from_config,
+    "train.schedule": schedule_from_config,
+    "eval.n_inputs": _int(1),
+    "eval.hit_threshold": _num(positive=True),
+    "eval.step_grid": _list_of(_int(1)),
+    "eval.samplers": _list_of(_choice(*SAMPLER_NAMES)),
+    "eval.estimator": _choice("oracle", "trained"),
+    "eval.time_dists": _list_of(_choice(*TIME_DISTRIBUTION_KINDS)),
+    "eval.a": _num(0.0),
+    "eval.schedules": _list_of(schedule_from_config),
+    "eval.probe_y": _list_of(_num()),
+}
 
 # An eval list a kind sweeps replaces the one field its runner would
 # otherwise read, so a changed value there would be silently ignored.
@@ -380,44 +382,31 @@ def resolve_config(raw: dict) -> dict:
     """Merge ``raw`` over its kind's defaults and validate everything.
 
     Returns the fully resolved dict that the runners consume and the
-    report echoes.  Unknown fields, missing fields, and out-of-range
-    values raise :class:`ConfigError` with the offending field path.
+    report echoes.  Each field is checked by its ``_SCHEMA`` row, then the
+    rules that tie fields together.  Unknown fields, missing fields, and
+    out-of-range values raise :class:`ConfigError` with the offending
+    field path.
     """
     _require(isinstance(raw, dict), "config", "must be a mapping")
     kind = raw.get("kind")
-    _require(kind is not None, "kind", "is required")
     cfg = _merge(default_config(kind), raw)
-    _require(
-        cfg["schema_version"] == SCHEMA_VERSION,
-        "schema_version", f"must be {SCHEMA_VERSION}",
-    )
-    seed = _check_int(cfg["seed"], "seed", minimum=0)
-    _require(seed < 2**64, "seed", "must fit in 64 bits")
-    _require(
-        isinstance(cfg["out_dir"], str) and cfg["out_dir"],
-        "out_dir", "must be a non-empty string",
-    )
-    world = world_from_config(cfg["world"])
+    for key, value in cfg.items():
+        if key in _MERGE_SECTIONS:
+            for sub, subval in value.items():
+                _SCHEMA[f"{key}.{sub}"](subval, f"{key}.{sub}")
+        elif key != "kind":
+            _SCHEMA[key](value, key)
+    world, sampler, ev = cfg["world"], cfg["sampler"], cfg["eval"]
     wtype = _KINDS[kind].world
     _require(
-        wtype is None or cfg["world"]["type"] == wtype,
+        wtype is None or world["type"] == wtype,
         "world.type", f"{kind} needs a {wtype} world",
     )
-    sampler = cfg["sampler"]
-    _check_int(sampler["steps"], "sampler.steps", minimum=1)
-    schedule_from_config(sampler["schedule"], "sampler.schedule")
     _require(
-        isinstance(sampler["record_trajectory"], bool),
-        "sampler.record_trajectory", "must be a boolean",
+        not sampler["record_trajectory"] or kind == "gauss1d",
+        "sampler.record_trajectory",
+        "trajectory recording is only supported for the single-probe gauss1d kind",
     )
-    if sampler["record_trajectory"]:
-        _require(
-            kind == "gauss1d",
-            "sampler.record_trajectory",
-            "trajectory recording is only supported for the single-probe gauss1d kind",
-        )
-    ev = cfg["eval"]
-    _validate_eval(ev)
     defaults = _KINDS[kind].sections
     for swept, (section, key) in _SWEPT_FIELDS.items():
         _require(
@@ -426,19 +415,15 @@ def resolve_config(raw: dict) -> dict:
         )
     if kind == "gauss1d":
         _require(
-            len(ev["probe_y"]) == world.dim,
-            "eval.probe_y", f"must have {world.dim} entries to match the world",
+            len(ev["probe_y"]) == len(world["c"]),
+            "eval.probe_y", f"must have {len(world['c'])} entries to match the world",
         )
-    if "train" in cfg:
-        _validate_train(cfg["train"])
-    if isinstance(world, MixtureWorld) and (
-        "train" not in cfg or ev.get("estimator") == "oracle"
-    ):
+    if world["type"] == "mixture" and ("train" not in cfg or ev.get("estimator") == "oracle"):
         # The oracle's posterior has std t * hypot(sigma, eps(t)); eps never
         # rises with t, so a schedule with eps(1) = 0 makes it a point mass.
         seen = ev.get("schedules", [sampler["schedule"]])
         _require(
-            world.degradation.sigma > 0.0
+            world["sigma"] > 0.0
             or all(schedule_epsilon(schedule_from_config(sd), 1.0) > 0.0 for sd in seen),
             "world.sigma",
             "must be > 0 for the mixture oracle under a schedule with eps(1) = 0",
@@ -482,6 +467,12 @@ def _write_csv(path: Path, columns, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _check_formats(formats) -> set:
+    out = set(formats)
+    _require(out and out <= {"csv", "json"}, "format", f"must be csv and/or json, got {formats!r}")
+    return out
+
+
 def emit_report(report: RunReport, formats=("csv", "json")) -> list:
     """Write the report under ``report.config['out_dir']``; returns paths.
 
@@ -491,12 +482,7 @@ def emit_report(report: RunReport, formats=("csv", "json")) -> list:
     the CSV so reruns are byte-identical).  A recorded trajectory goes to
     a sibling ``*_trajectory`` file, one record per step.
     """
-    formats = set(formats)
-    unknown = formats - {"csv", "json"}
-    if unknown:
-        raise ConfigError(f"format: unknown format(s) {sorted(unknown)}")
-    if not formats:
-        raise ConfigError("format: need at least one of csv, json")
+    formats = _check_formats(formats)
     out_dir = Path(report.config["out_dir"])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -582,7 +568,7 @@ def _sampler_eval_cell(p: dict) -> dict:
         res["mean_min_dist"] = float(np.mean(dists))
         res["mode_counts"] = np.bincount(idx, minlength=prior.n_modes).tolist()
     ks_ref = p["ks_ref"]
-    if ks_ref is not None:
+    if ks_ref is not None and len(np.atleast_2d(out)) >= 2:  # one row has no distribution
         stats = empirical_distribution_stats(
             np.atleast_2d(out), ref_mean=ks_ref[0], ref_std=ks_ref[1]
         )
@@ -610,8 +596,16 @@ def _train_model(world, seed: int, section: dict, time_dist: TimeDistribution):
         world.dim, section["hidden"], derive_rng(seed, "model-init"),
         activation=section["activation"],
     )
-    stream = world.pair_stream(derive_rng(seed, "train-data"))
-    return train(model, stream, _train_config(section, derive_seed(seed, "train"), time_dist))
+    config = TrainConfig(
+        p_norm=section["p_norm"],
+        learning_rate=float(section["learning_rate"]),
+        batch_size=section["batch_size"],
+        steps=section["steps"],
+        time_dist=time_dist,
+        schedule=schedule_from_config(section["schedule"], "train.schedule"),
+        seed=derive_seed(seed, "train"),
+    )
+    return train(model, world.pair_stream(derive_rng(seed, "train-data")), config)
 
 
 def _train_eval_cell(p: dict) -> dict:
@@ -876,9 +870,9 @@ def run_experiment(config: dict, jobs: int = 1, write: bool = True,
     Deterministic given the config and seed; wall-clock timing lives only
     in the JSON meta block.
     """
+    _int(1)(jobs, "jobs")
+    _check_formats(formats)
     cfg = resolve_config(config)
-    if not isinstance(jobs, int) or jobs < 1:
-        raise ConfigError("jobs: must be an integer >= 1")
     if write:
         Path(cfg["out_dir"]).mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()

@@ -40,7 +40,7 @@ def distortion_metrics(reference, estimate, peak: float = 1.0) -> MetricReport:
 
     ``peak`` is the dynamic range of the signal convention in use (2.0 for
     signals living in [-1, 1], for instance).  A zero-error batch reports
-    psnr = inf.
+    psnr = inf, and one whose squared error overflows to inf psnr = -inf.
     """
     reference = as_state(reference, "reference")
     estimate = as_state(estimate, "estimate")
@@ -51,7 +51,10 @@ def distortion_metrics(reference, estimate, peak: float = 1.0) -> MetricReport:
     if not np.isfinite(peak) or peak <= 0.0:
         raise ValueError("peak must be finite and > 0")
     mse = float(np.mean((reference - estimate) ** 2))
-    psnr = math.inf if mse == 0.0 else 10.0 * math.log10(peak * peak / mse)
+    if mse == math.inf:  # the squared error overflowed
+        psnr = -math.inf
+    else:
+        psnr = math.inf if mse == 0.0 else 10.0 * math.log10(peak * peak / mse)
     return MetricReport(mse=mse, psnr=psnr)
 
 

@@ -236,8 +236,9 @@ def gaussian_posterior_mean(prior: GaussianPrior, sigma_n: float, x_t, t,
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError("need t in [0, 1]")
-    vc = prior.sigma_c**2
-    vt = (t * t) * (sigma_n**2 + extra_noise_std**2)
+    # numpy's ** overflows to inf where Python's raises; the bits are the same.
+    vc = np.float64(prior.sigma_c) ** 2
+    vt = (t * t) * (np.float64(sigma_n) ** 2 + np.float64(extra_noise_std) ** 2)
     return (vc * x_t + vt * prior.c) / (vc + vt)
 
 
@@ -259,7 +260,7 @@ def gaussian_flow_trajectory(prior: GaussianPrior, sigma_n: float, y, t) -> np.n
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError("need t in [0, 1]")
-    alpha_sq = (prior.sigma_c / sigma_n) ** 2
+    alpha_sq = np.float64(prior.sigma_c / sigma_n) ** 2  # inf, not OverflowError
     scale = np.sqrt((t * t + alpha_sq) / (1.0 + alpha_sq))
     return prior.c + (y - prior.c) * scale
 

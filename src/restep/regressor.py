@@ -429,7 +429,11 @@ def load_checkpoint(path) -> MlpRegressor:
     (name_len,) = struct.unpack("<I", take(4, "activation length"))
     activation = take(name_len, "activation name").decode("utf-8")
     (has_seed,) = struct.unpack("<B", take(1, "seed flag"))
+    if has_seed > 1:
+        raise ValueError(f"seed flag must be 0 or 1, got {has_seed}")
     (seed,) = struct.unpack("<Q", take(8, "training seed"))
+    if not has_seed and seed:
+        raise ValueError("nonzero training seed under seed flag 0")
     weights = []
     biases = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):

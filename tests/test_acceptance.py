@@ -12,7 +12,6 @@ import time
 import numpy as np
 from numpy.testing import assert_array_equal
 
-from restep.degradation import ConstantSchedule
 from restep.harness import default_config, run_experiment
 from restep.oracles import (
     GaussianDenoisingOracle,

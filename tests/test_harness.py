@@ -1,7 +1,8 @@
 import csv
 import json
+import math
+import re
 
-import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -9,6 +10,7 @@ from restep.cli import main as cli_main
 from restep.harness import (
     EXPERIMENT_KINDS,
     ConfigError,
+    _execute_cells,
     default_config,
     emit_report,
     load_config,
@@ -47,6 +49,12 @@ def tiny_config(kind, out_dir=None, **eval_over):
     for key, val in eval_over.items():
         cfg.setdefault("eval", {})[key] = val
     return cfg
+
+
+def _fail_at_cell_one(cell):
+    if cell == 1:
+        raise ZeroDivisionError("cell 1 failed")
+    return cell
 
 
 class TestConfigValidation:
@@ -213,6 +221,25 @@ class TestConfigValidation:
         default = default_config(kind)[section][field]
         resolve_config({"kind": kind, section: {field: default}})
 
+    @pytest.mark.parametrize("path, value", [
+        ("world.sigma", "0.5"), ("world.sigma", True),
+        ("sampler.schedule.epsilon", "0.1"), ("train.time_dist.a", "0.5"),
+        ("schema_version", True), ("schema_version", 1.0),
+        ("train.schedule", {"kind": "table", "times": "01", "epsilons": [0.1, 0.0]}),
+        ("train.learning_rate", 10**400),
+    ])
+    def test_loose_values_are_refused_at_their_path(self, path, value):
+        """Strings, bools and floats where a typed value belongs used to run
+        after a conversion; an int beyond the float range raised TypeError."""
+        cfg = resolve_config({"kind": "train_restore"})
+        *parents, last = path.split(".")
+        node = cfg
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}[.\w]*: must be"):
+            resolve_config(cfg)
+
     def test_load_config_errors_are_config_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "missing.json")
@@ -292,6 +319,39 @@ class TestExperimentRuns:
         parallel = run_experiment(dict(cfg), jobs=3, write=False)
         assert serial.rows == parallel.rows
 
+    @pytest.mark.parametrize("kind", ["gauss1d", "sweep_steps"])
+    @pytest.mark.parametrize("field, value", [
+        ("sigma_c", 1e300), ("sigma_n", 1e-300), ("sigma_n", 1e300),
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_extreme_gaussian_world_runs(self, kind, field, value):
+        """The squares of sigma_c, sigma_n and their ratio overflow to inf
+        (they raised OverflowError): the probe is flagged divergent or its
+        distance to the flow limit is nan."""
+        cfg = tiny_config(kind)
+        cfg["world"] = {**default_config(kind)["world"], field: value}
+        report = run_experiment(cfg, write=False)
+        assert len(report.rows) == len(cfg.get("eval", {}).get("step_grid", [0]))
+        if kind == "gauss1d":
+            row = report.rows[0]
+            assert row["divergent"] == 1 or math.isnan(row["abs_error"])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_trained_estimator_reports_minus_infinite_psnr(self):
+        """At N = 1 the stepwise rule returns the net's output unchecked by the
+        guard; a net trained at learning rate 1e300 outputs ~1e302, whose
+        squared error overflows."""
+        cfg = tiny_config("sampler_compare", estimator="trained")
+        cfg["train"] = {**TINY_TRAIN, "learning_rate": 1e300}
+        report = run_experiment(cfg, write=False)
+        one_step = [r for r in report.rows if r["N"] == 1 and not r["divergent"]]
+        assert one_step and all(r["psnr"] == -math.inf for r in one_step)
+
+    def test_one_input_has_no_ks(self):
+        report = run_experiment(tiny_config("sweep_steps", n_inputs=1), write=False)
+        assert [r["ks"] for r in report.rows] == [None] * 3
+        assert all(r["mse"] is not None for r in report.rows)
+
     def test_sweep_steps_on_a_mixture_world(self):
         cfg = tiny_config("sweep_steps")
         cfg["world"] = default_config("toy2d_a")["world"]
@@ -367,6 +427,17 @@ class TestReportEmission:
         assert (tmp_path / "toy2d_a.csv").exists()
         assert not (tmp_path / "toy2d_a.json").exists()
 
+    def test_bad_format_is_refused_before_the_run(self, tmp_path):
+        out = tmp_path / "never"
+        with pytest.raises(ConfigError, match="^format"):
+            run_experiment(tiny_config("toy2d_a", out_dir=out), formats=("xml",))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_an_unflagged_cell_error_is_raised_unchanged(self, jobs):
+        with pytest.raises(ZeroDivisionError, match="^cell 1 failed$"):
+            _execute_cells(_fail_at_cell_one, [0, 1, 2], jobs)
+
     def test_unknown_format_rejected(self, tmp_path):
         report = run_experiment(tiny_config("toy2d_a"), write=False)
         report.config["out_dir"] = str(tmp_path)
@@ -441,6 +512,16 @@ class TestCli:
     def test_bad_format_is_usage_error(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path, tiny_config("toy2d_a"))
         assert cli_main(["run", "--config", cfg_path, "--format", "yaml"]) == 2
+
+    @pytest.mark.parametrize("flags", [["--format", ","], ["--jobs", "0"]])
+    def test_flags_are_checked_before_the_run(self, tmp_path, capsys, flags):
+        """The format and jobs checks are run_experiment's, made before it
+        creates the output directory."""
+        out = tmp_path / "out"
+        cfg_path = self.write_config(tmp_path, tiny_config("toy2d_a", out_dir=out))
+        assert cli_main(["run", "--config", cfg_path, *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flags[0][2:]}:")
+        assert not out.exists()
 
     def test_unwritable_out_dir_is_io_error(self, tmp_path, capsys):
         cfg_path = self.write_config(

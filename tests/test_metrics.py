@@ -33,6 +33,14 @@ class TestDistortion:
         assert report.mse == 0.0
         assert np.isinf(report.psnr)
 
+    def test_overflowing_error_is_minus_infinite_psnr(self):
+        """Finite arrays whose squared difference overflows: mse = inf, and
+        psnr = -inf rather than a math domain error."""
+        with np.errstate(over="ignore"):
+            report = distortion_metrics(np.full((2, 1), 1e200), np.full((2, 1), -1e200))
+        assert report.mse == np.inf
+        assert report.psnr == -np.inf
+
     def test_validation(self):
         with pytest.raises(ValueError):
             distortion_metrics(np.zeros((2, 2)), np.zeros((3, 2)))

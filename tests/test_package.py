@@ -1,6 +1,7 @@
 """The package's public surface: one list of names, and demos that import
 only names that exist (the demos take seconds to run, so they are checked
-here by parsing, not by running them)."""
+here by parsing, not by running them).  No source file imports a name it
+does not use."""
 
 import ast
 import importlib
@@ -13,7 +14,10 @@ from restep import degradation, harness, metrics, oracles, regressor, samplers, 
 
 MODULES = (degradation, harness, metrics, oracles, regressor, samplers, worlds)
 DELETED = ("Trajectory", "gaussian_mmse", "mixture_marginal_density", "residual_flow_rhs")
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
+SOURCES = sorted(str(p.relative_to(ROOT)) for d in ("src", "tests", "demos")
+                 for p in (ROOT / d).rglob("*.py"))
 
 
 def test_package_names_are_the_module_names():
@@ -49,3 +53,23 @@ def test_demo_imports_resolve(demo):
         module = importlib.import_module(node.module)
         for alias in node.names:
             assert hasattr(module, alias.name), f"{demo}: {node.module}.{alias.name}"
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_no_unused_imports(source):
+    """Every imported name is read somewhere in its file, or listed in its
+    ``__all__`` (star imports and ``__future__`` are exempt)."""
+    tree = ast.parse((ROOT / source).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names if a.name != "*"}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    assert imported <= used, f"{source}: unused {sorted(imported - used)}"

@@ -1,3 +1,4 @@
+import struct
 import tempfile
 from pathlib import Path
 
@@ -389,7 +390,6 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def test_unsupported_version_rejected(self, tmp_path):
-        import struct
         model = MlpRegressor.create(1, [2], np.random.default_rng(45))
         path = tmp_path / "v.bin"
         save_checkpoint(model, path)
@@ -422,6 +422,12 @@ def _checkpoint_blob(model):
         path = Path(tmp) / "model.bin"
         save_checkpoint(model, path)
         return path.read_bytes()
+
+
+def _seed_flag_offset(model):
+    """Byte offset of the seed flag: after magic, version, the sizes and
+    the activation name."""
+    return 16 + 4 * len(model.layer_sizes) + 4 + len(model.activation.encode("utf-8"))
 
 
 def _load_blob(blob):
@@ -458,3 +464,21 @@ class TestCheckpointProperties:
     def test_one_trailing_byte_is_rejected(self, model, extra):
         with pytest.raises(ValueError, match="trailing"):
             _load_blob(_checkpoint_blob(model) + extra)
+
+    @settings(max_examples=20, deadline=None)
+    @given(model=_models(), flag=st.integers(2, 255))
+    def test_seed_flag_other_than_0_or_1_is_rejected(self, model, flag):
+        blob = bytearray(_checkpoint_blob(model))
+        blob[_seed_flag_offset(model)] = flag
+        with pytest.raises(ValueError, match="seed flag must be 0 or 1"):
+            _load_blob(bytes(blob))
+
+    @settings(max_examples=20, deadline=None)
+    @given(model=_models(), seed=st.integers(1, 2**64 - 1))
+    def test_nonzero_seed_under_flag_0_is_rejected(self, model, seed):
+        blob = bytearray(_checkpoint_blob(model))
+        at = _seed_flag_offset(model)
+        blob[at] = 0
+        blob[at + 1:at + 9] = struct.pack("<Q", seed)
+        with pytest.raises(ValueError, match="nonzero training seed"):
+            _load_blob(bytes(blob))
