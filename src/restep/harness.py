@@ -17,15 +17,16 @@ kind's default config sections, the world type it needs and its runner.
 The kind list, the defaults, the world-type check and the runner dispatch
 all come from that table; the README's kinds table says what each measures.
 
-Independent (variant, replicate) cells own random sources derived from
-(master seed, variant index, replicate index) by the rule documented at
-:func:`restep.worlds.derive_rng`; with ``jobs > 1`` the cells run in a
-process pool and the report is assembled in deterministic grid order
-either way.  A cell whose run trips the divergence guard (iterate norm
-beyond 1e6 times its initial value) or hits a non-finite iterate is
-flagged in its row and the remaining cells continue.  Any other exception
-a cell raises ends the run, and it is the same exception, of the same type
-and message, at every ``jobs``.
+A cell is one sampler run, ``(sampler name, estimator, y, SamplerConfig)``,
+with random sources derived from (master seed, variant index, replicate
+index) by the rule documented at :func:`restep.worlds.derive_rng`; with
+``jobs > 1`` cells run in a process pool and the report is assembled in
+deterministic grid order either way.  A run that goes numerically wrong
+(an iterate beyond 1e6 times its initial norm, or a non-finite iterate,
+estimate or training loss) raises :class:`restep.worlds.DivergenceError`;
+the rows of the cells it hits are flagged and the rest continue.  Any
+other exception a cell raises ends the run, and it is the same exception,
+of the same type and message, at every ``jobs``.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from .regressor import (
     train,
 )
 from .samplers import (
-    NonFiniteIterateError,
     SamplerConfig,
     cold_diffusion_restore,
     iterative_restore,
@@ -220,7 +220,7 @@ _FLOAT_MAX = sys.float_info.max
 
 def _num(lo=-_FLOAT_MAX, hi=_FLOAT_MAX, positive=False, integer=False):
     """A finite number (an integer if ``integer``; never a bool) in [lo, hi],
-    and > 0 if ``positive``."""
+    and > 0 if ``positive``; ``.bounds`` keeps the range."""
     types = (int, np.integer) if integer else (int, float, np.integer, np.floating)
 
     def check(value, path):
@@ -231,6 +231,7 @@ def _num(lo=-_FLOAT_MAX, hi=_FLOAT_MAX, positive=False, integer=False):
         )
         _require(value > 0 or not positive, path, "must be > 0")
         _require(lo <= value <= hi, path, f"must be >= {lo}" if value < lo else f"must be <= {hi}")
+    check.bounds = (max(lo, 0.0) if positive else lo, hi)
     return check
 
 
@@ -460,11 +461,12 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, columns, rows):
+def _write_csv(path: Path, columns, rows) -> str:
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_format_cell(row.get(c)) for c in columns))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
 
 
 def _check_formats(formats) -> set:
@@ -488,13 +490,10 @@ def emit_report(report: RunReport, formats=("csv", "json")) -> list:
         out_dir.mkdir(parents=True, exist_ok=True)
         paths = []
         if "csv" in formats:
-            csv_path = out_dir / f"{report.kind}.csv"
-            _write_csv(csv_path, report.columns, report.rows)
-            paths.append(str(csv_path))
+            paths.append(_write_csv(out_dir / f"{report.kind}.csv", report.columns, report.rows))
             if report.trajectory is not None:
                 traj_path = out_dir / f"{report.kind}_trajectory.csv"
-                _write_csv(traj_path, list(report.trajectory[0]), report.trajectory)
-                paths.append(str(traj_path))
+                paths.append(_write_csv(traj_path, list(report.trajectory[0]), report.trajectory))
         if "json" in formats:
             doc = {
                 "schema_version": SCHEMA_VERSION,
@@ -530,64 +529,47 @@ def _execute_cells(fn, cells, jobs: int):
         return list(pool.map(fn, cells))
 
 
-_METRIC_COLUMNS = [
-    "mse", "psnr", "ks", "mode_hit_rate", "mean_min_dist",
-    "divergent", "divergence_step",
-]
-
-
-def _metric_fields(res: dict) -> dict:
-    return {c: res[c] for c in _METRIC_COLUMNS}
-
-
-def _sampler_eval_cell(p: dict) -> dict:
-    guard = DivergenceGuard(p["estimator"])
-    cfg = SamplerConfig(
-        steps=p["steps"],
-        schedule=p["schedule"],
-        seed=p["cell_seed"],
-        record_trajectory=p.get("record_trajectory", False),
-    )
-    out = traj = None
-    res = dict.fromkeys(_METRIC_COLUMNS + ["mode_counts", "outputs", "trajectory"])
-    res["divergent"] = 0
+def _restore_cell(cell):
+    """Run one ``(sampler name, estimator, y, SamplerConfig)`` cell under a
+    divergence guard: (output, trajectory), or the run's DivergenceError."""
+    name, estimator, y, config = cell
     try:
-        out, traj = _SAMPLER_FNS[p["sampler_name"]](guard, p["y"], cfg)
-    except (DivergenceError, NonFiniteIterateError) as err:
-        res["divergent"], res["divergence_step"] = 1, int(err.step_index)
-        return res
-    if p["x_ref"] is not None:
-        m = distortion_metrics(p["x_ref"], out, peak=p["peak"])
-        res["mse"] = float(m.mse)
-        res["psnr"] = float(m.psnr)
-    prior = p["prior"]
-    if prior is not None:
-        idx, dists = nearest_modes(out, prior)
-        if p["hit_threshold"] is not None:
-            res["mode_hit_rate"] = float(np.mean(dists <= p["hit_threshold"]))
-        res["mean_min_dist"] = float(np.mean(dists))
-        res["mode_counts"] = np.bincount(idx, minlength=prior.n_modes).tolist()
-    ks_ref = p["ks_ref"]
-    if ks_ref is not None and len(np.atleast_2d(out)) >= 2:  # one row has no distribution
+        return _SAMPLER_FNS[name](DivergenceGuard(estimator), y, config)
+    except DivergenceError as err:
+        return err
+
+
+def _metrics(cfg, world, x, result) -> dict:
+    """Every metric column of a cell's ``result``: mse/psnr against a clean
+    batch ``x``, mode distances and hit rate in a mixture world, KS against
+    a Gaussian prior.  A divergence leaves them (in training, the step too) empty."""
+    row = dict.fromkeys(["mse", "psnr", "ks", "mode_hit_rate", "mean_min_dist",
+                         "divergent", "divergence_step"])
+    row["divergent"] = int(isinstance(result, DivergenceError))
+    if row["divergent"]:
+        row["divergence_step"] = None if result.t is None else int(result.step_index)
+        return row
+    out = np.atleast_2d(result[0])
+    if x is not None:
+        m = distortion_metrics(x, out, peak=world.signal_peak)
+        row["mse"] = float(m.mse)
+        row["psnr"] = float(m.psnr)
+    if isinstance(world, MixtureWorld):
+        _, dists = nearest_modes(out, world.prior)
+        if "hit_threshold" in cfg["eval"]:
+            row["mode_hit_rate"] = float(np.mean(dists <= cfg["eval"]["hit_threshold"]))
+        row["mean_min_dist"] = float(np.mean(dists))
+    elif len(out) >= 2:  # one row has no distribution
         stats = empirical_distribution_stats(
-            np.atleast_2d(out), ref_mean=ks_ref[0], ref_std=ks_ref[1]
+            out, ref_mean=world.prior.c, ref_std=world.prior.sigma_c
         )
-        res["ks"] = float(np.max(stats.ks_vs_normal))
-    if p.get("return_outputs"):
-        res["outputs"] = out
-    if traj is not None:
-        rows = []
-        for i, (t, state) in enumerate(traj):
-            row = {"step_index": i, "t": float(t)}
-            for j, v in enumerate(np.asarray(state).ravel()):
-                row[f"state_{j}"] = float(v)
-            rows.append(row)
-        res["trajectory"] = rows
-    return res
+        row["ks"] = float(np.max(stats.ks_vs_normal))
+    return row
 
 
 def _train_model(world, seed: int, section: dict, time_dist: TimeDistribution):
-    """Train the configured regressor on ``world``; returns (model, losses).
+    """Train the configured regressor on ``world``; returns (model, losses),
+    or (the DivergenceError, None) if a training step diverged.
 
     The one training path: the model is reproducible from the master seed
     through the derivation labels 'model-init', 'train-data' and 'train'.
@@ -605,18 +587,25 @@ def _train_model(world, seed: int, section: dict, time_dist: TimeDistribution):
         schedule=schedule_from_config(section["schedule"], "train.schedule"),
         seed=derive_seed(seed, "train"),
     )
-    return train(model, world.pair_stream(derive_rng(seed, "train-data")), config)
+    try:
+        return train(model, world.pair_stream(derive_rng(seed, "train-data")), config)
+    except DivergenceError as err:
+        return err, None
 
 
-def _train_eval_cell(p: dict) -> dict:
-    model, losses = _train_model(p["world"], p["seed"], p["train"], p["time_dist"])
-    if p["checkpoint_path"]:
-        save_checkpoint(model, p["checkpoint_path"])
-    res = _sampler_eval_cell({**p["eval_cell"], "estimator": model})
+def _train_cell(p):
+    """Train, checkpoint, then run the restore cell with the model: (mean loss
+    of the first and of the last 100 steps, result), or (None, None, the
+    training's DivergenceError) with no checkpoint."""
+    world, seed, section, time_dist, checkpoint_path, (name, _, y, config) = p
+    model, losses = _train_model(world, seed, section, time_dist)
+    if losses is None:
+        return None, None, model
+    if checkpoint_path:
+        save_checkpoint(model, checkpoint_path)
     window = max(1, min(100, losses.size))
-    res["loss_initial"] = float(np.mean(losses[:window]))
-    res["loss_final"] = float(np.mean(losses[-window:]))
-    return res
+    return (float(np.mean(losses[:window])), float(np.mean(losses[-window:])),
+            _restore_cell((name, model, y, config)))
 
 
 # ---- the runners: (cfg, jobs, write) -> (rows, total steps, trajectory) ---- #
@@ -640,23 +629,11 @@ def _inputs(cfg):
     return world, x, y
 
 
-def _eval_cell(cfg, world, estimator, schedule, sampler_name, steps, variant, y,
-               x_ref=None, **extra) -> dict:
-    gaussian = isinstance(world, GaussianWorld)
-    return {
-        "estimator": estimator,
-        "sampler_name": sampler_name,
-        "steps": steps,
-        "schedule": schedule,
-        "cell_seed": derive_seed(cfg["seed"], variant, 0),
-        "y": y,
-        "x_ref": x_ref,
-        "peak": world.signal_peak,
-        "prior": None if gaussian else world.prior,
-        "hit_threshold": cfg["eval"].get("hit_threshold"),
-        "ks_ref": (world.prior.c, world.prior.sigma_c) if gaussian else None,
-        **extra,
-    }
+def _cell(cfg, variant, name, estimator, y, steps, schedule):
+    """Variant ``variant``'s restore cell, seeded by the cell rule."""
+    seed = derive_seed(cfg["seed"], variant, 0)
+    config = SamplerConfig(steps, schedule, seed, cfg["sampler"]["record_trajectory"])
+    return name, estimator, y, config
 
 
 def _run_grid(cfg, jobs, write):
@@ -665,7 +642,8 @@ def _run_grid(cfg, jobs, write):
     ``eval.schedules``, ``eval.samplers`` and ``eval.step_grid`` default to
     ``sampler.schedule``, the iterative sampler and ``sampler.steps``, so
     toy2d is the one-cell grid.  A trained estimator is trained here, once,
-    so that its cells still fan out under ``jobs``.
+    so that its cells still fan out under ``jobs``; if its training
+    diverges, that divergence is every cell's result.
     """
     world, x, y = _inputs(cfg)
     ev = cfg["eval"]
@@ -687,16 +665,18 @@ def _run_grid(cfg, jobs, write):
         for name in ev.get("samplers", ["iterative"]):
             for n in grid:
                 variant = len(cells)
-                cells.append(_eval_cell(
-                    cfg, world, estimator, schedule, name, n, variant, y, x_ref=x,
-                ))
+                cells.append(_cell(cfg, variant, name, estimator, y, n, schedule))
                 rows.append(_row(
                     cfg, variant, sampler=name, estimator=estimator_name, **swept,
                     N=n, n_inputs=ev["n_inputs"],
                 ))
-    for row, res in zip(rows, _execute_cells(_sampler_eval_cell, cells, jobs)):
-        row.update(_metric_fields(res))
-    return rows, train_steps + sum(c["steps"] for c in cells), None
+    if isinstance(model, DivergenceError):
+        results = [model] * len(cells)
+    else:
+        results = _execute_cells(_restore_cell, cells, jobs)
+    for row, result in zip(rows, results):
+        row.update(_metrics(cfg, world, x, result))
+    return rows, train_steps + sum(config.steps for *_, config in cells), None
 
 
 def _run_training(cfg, jobs, write):
@@ -718,26 +698,19 @@ def _run_training(cfg, jobs, write):
     if not write:
         names = [None] * len(dists)
     cells = [
-        {
-            "world": world,
-            "seed": cfg["seed"],
-            "train": tr,
-            "time_dist": td,
-            "checkpoint_path": None if name is None else str(Path(cfg["out_dir"]) / name),
-            "eval_cell": _eval_cell(cfg, world, None, schedule, "iterative", steps, i, y,
-                                    x_ref=x),
-        }
+        (world, cfg["seed"], tr, td, None if name is None else str(Path(cfg["out_dir"]) / name),
+         _cell(cfg, i, "iterative", None, y, steps, schedule))
         for i, (td, name) in enumerate(zip(dists, names))
     ]
-    results = _execute_cells(_train_eval_cell, cells, jobs)
     rows = [
         _row(
             cfg, i, time_dist=td.kind, atom_a=td.a if td.kind == "linear_a" else None,
-            train_steps=tr["steps"], loss_initial=res["loss_initial"],
-            loss_final=res["loss_final"], sampler="iterative", estimator="trained",
-            N=steps, n_inputs=ev["n_inputs"], **_metric_fields(res), checkpoint=name,
+            train_steps=tr["steps"], loss_initial=first, loss_final=last,
+            sampler="iterative", estimator="trained", N=steps, n_inputs=ev["n_inputs"],
+            **_metrics(cfg, world, x, result), checkpoint=None if first is None else name,
         )
-        for i, (td, name, res) in enumerate(zip(dists, names, results))
+        for i, (td, name, (first, last, result))
+        in enumerate(zip(dists, names, _execute_cells(_train_cell, cells, jobs)))
     ]
     return rows, len(cells) * (tr["steps"] + steps), None
 
@@ -748,21 +721,25 @@ def _run_gauss1d(cfg, jobs, write):
     steps = cfg["sampler"]["steps"]
     y = np.asarray(cfg["eval"]["probe_y"], dtype=np.float64)
     target = gaussian_flow_trajectory(world.prior, world.sigma_n, y, 0.0)
-    cell = _eval_cell(
-        cfg, world, world.oracle(schedule), schedule, "iterative", steps, 0, y,
-        ks_ref=None,  # a single probe has no output distribution
-        record_trajectory=cfg["sampler"]["record_trajectory"], return_outputs=True,
-    )
-    res = _execute_cells(_sampler_eval_cell, [cell], jobs)[0]
-    out = res["outputs"]
+    result = _restore_cell(_cell(cfg, 0, "iterative", world.oracle(schedule), y, steps, schedule))
+    metrics = _metrics(cfg, world, None, result)
+    out, traj = (None, None) if metrics["divergent"] else result
     row = _row(cfg, 0, sampler="iterative", estimator="oracle", N=steps)
     for prefix, values in (("y", y), ("output", out), ("limit", target)):
         for j in range(world.dim):
             row[f"{prefix}_{j}"] = None if values is None else float(values[j])
     row["abs_error"] = None if out is None else float(np.max(np.abs(out - target)))
-    row["divergent"] = res["divergent"]
-    row["divergence_step"] = res["divergence_step"]
-    return [row], steps, res["trajectory"]
+    row["divergent"] = metrics["divergent"]
+    row["divergence_step"] = metrics["divergence_step"]
+    trajectory = None
+    if traj is not None:
+        trajectory = []
+        for i, (t, state) in enumerate(traj):
+            record = {"step_index": i, "t": float(t)}
+            for j, v in enumerate(np.asarray(state).ravel()):
+                record[f"state_{j}"] = float(v)
+            trajectory.append(record)
+    return [row], steps, trajectory
 
 
 def _run_generate_from_noise(cfg, jobs, write):
@@ -770,9 +747,11 @@ def _run_generate_from_noise(cfg, jobs, write):
     schedule = schedule_from_config(cfg["sampler"]["schedule"])
     steps = cfg["sampler"]["steps"]
     n = cfg["eval"]["n_inputs"]
-    cell = _eval_cell(cfg, world, world.oracle(schedule), schedule, "iterative", steps, 0, y)
-    res = _execute_cells(_sampler_eval_cell, [cell], jobs)[0]
-    counts = res["mode_counts"]
+    result = _restore_cell(_cell(cfg, 0, "iterative", world.oracle(schedule), y, steps, schedule))
+    metrics = _metrics(cfg, world, None, result)
+    counts = None if metrics["divergent"] else np.bincount(
+        nearest_modes(result[0], world.prior)[0], minlength=world.prior.n_modes
+    ).tolist()
     rows = []
     for mode_index, w in enumerate(world.prior.weights.tolist()):
         freq = None if counts is None else counts[mode_index] / n
@@ -782,7 +761,7 @@ def _run_generate_from_noise(cfg, jobs, write):
             n_inputs=n, mode_index=mode_index, prior_weight=w, frequency=freq,
             std_err=std_err,
             z_score=None if freq is None or std_err == 0.0 else (freq - w) / std_err,
-            mode_hit_rate=res["mode_hit_rate"], divergent=res["divergent"],
+            mode_hit_rate=metrics["mode_hit_rate"], divergent=metrics["divergent"],
         ))
     return rows, steps, None
 

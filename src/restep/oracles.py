@@ -261,6 +261,8 @@ def gaussian_flow_trajectory(prior: GaussianPrior, sigma_n: float, y, t) -> np.n
     if not 0.0 <= t <= 1.0:
         raise ValueError("need t in [0, 1]")
     alpha_sq = np.float64(prior.sigma_c / sigma_n) ** 2  # inf, not OverflowError
+    if np.isinf(alpha_sq):  # the scale below tends to 1, where inf / inf is nan
+        return y.copy()
     scale = np.sqrt((t * t + alpha_sq) / (1.0 + alpha_sq))
     return prior.c + (y - prior.c) * scale
 

@@ -36,13 +36,13 @@ from .degradation import (
     forward_interpolate,
     forward_noise_std,
 )
+from .worlds import DivergenceError
 
 __all__ = [
     "TIME_DISTRIBUTION_KINDS",
     "MlpRegressor",
     "TimeDistribution",
     "TrainConfig",
-    "TrainingDivergenceError",
     "load_checkpoint",
     "loss_and_gradients",
     "sample_times",
@@ -264,18 +264,6 @@ def loss_and_gradients(model: MlpRegressor, inputs, targets, p_norm: int):
     return loss, grads_w, grads_b
 
 
-class TrainingDivergenceError(RuntimeError):
-    """Training hit a non-finite loss; carries the step and its batch seed."""
-
-    def __init__(self, step_index: int, batch_seed):
-        self.step_index = step_index
-        self.batch_seed = batch_seed
-        super().__init__(
-            f"non-finite loss at step {step_index} "
-            f"(batch seed entropy {batch_seed})"
-        )
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for :func:`train`.
@@ -312,7 +300,8 @@ def train(model: MlpRegressor, data, config: TrainConfig):
     a world's ``pair_stream``; each step takes the next ``config.batch_size``
     rows across chunks.  The input model is left untouched (so zero steps
     returns an identical copy and an empty loss curve).  Raises
-    :class:`TrainingDivergenceError` the moment the batch loss goes non-finite.
+    :class:`DivergenceError`, with ``t`` None, the moment a drawn pair or
+    the batch loss goes non-finite.
     """
     trained = model.copy()
     params = trained.weights + trained.biases
@@ -330,9 +319,11 @@ def train(model: MlpRegressor, data, config: TrainConfig):
             if chunk is None:
                 raise ValueError(f"pair stream exhausted at step {step}: got "
                                  f"{len(left_x)} of {size} samples")
-            cx, cy = as_state(chunk[0], "x"), as_state(chunk[1], "y")
+            cx, cy = np.asarray(chunk[0], np.float64), np.asarray(chunk[1], np.float64)
             if cx.shape != cy.shape or cx.shape[1:] != (dim,):
                 raise ValueError(f"pair chunks {cx.shape}, {cy.shape} need shape (rows, {dim})")
+            if not (np.all(np.isfinite(cx)) and np.all(np.isfinite(cy))):
+                raise DivergenceError(step, None, "non-finite training pair")
             left_x, left_y = np.concatenate([left_x, cx]), np.concatenate([left_y, cy])
         x, left_x = left_x[:size], left_x[size:]
         y, left_y = left_y[:size], left_y[size:]
@@ -344,7 +335,8 @@ def train(model: MlpRegressor, data, config: TrainConfig):
         inputs = np.concatenate([x_t, t[:, None]], axis=1)
         loss, grads_w, grads_b = loss_and_gradients(trained, inputs, x, config.p_norm)
         if not np.isfinite(loss):
-            raise TrainingDivergenceError(step, (config.seed, step))
+            raise DivergenceError(step, None, "non-finite loss (batch seed entropy "
+                                  f"{(config.seed, step)})")
         grads = grads_w + grads_b
         correction1 = 1.0 - beta1 ** (step + 1)
         correction2 = 1.0 - beta2 ** (step + 1)

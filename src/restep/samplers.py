@@ -50,31 +50,19 @@ import numpy as np
 from .degradation import (
     ConstantSchedule,
     NoiseSchedule,
-    as_state,
     injected_noise_std,
     schedule_epsilon,
 )
 from .oracles import Estimator
+from .worlds import DivergenceError
 
 __all__ = [
-    "NonFiniteIterateError",
     "SamplerConfig",
     "cold_diffusion_restore",
     "iterative_restore",
     "naive_restore",
     "ode_restore",
 ]
-
-
-class NonFiniteIterateError(RuntimeError):
-    """An estimator or update produced NaN/Inf; carries the failing step."""
-
-    def __init__(self, step_index: int, t: float, what: str):
-        self.step_index = step_index
-        self.t = t
-        super().__init__(
-            f"non-finite {what} at step {step_index} (t = {t:.6g})"
-        )
 
 
 @dataclass(frozen=True)
@@ -92,33 +80,35 @@ class SamplerConfig:
             raise ValueError("steps must be an integer >= 1")
 
 
-def _check_estimate(est, step, t):
-    est = np.asarray(est, dtype=np.float64)
-    if not np.all(np.isfinite(est)):
-        raise NonFiniteIterateError(step, t, "estimate")
-    return est
+def _check_finite(values, step, t, what):
+    values = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise DivergenceError(step, t, f"non-finite {what}")
+    return values
 
 
 def _restore(estimator: Estimator, y, config: SamplerConfig, steps, rule):
     """The one step loop: from x_1 = y + eps(1) * n (no draw when eps(1) = 0),
     estimate, check, ``rule(x, est, t, h, k, y, rng)`` and check again for
     each grid step ``(t, h)``, recording ``(t, state)`` for the state entering
-    each step and for the output at the last step's t - h.
+    each step and for the output at the last step's t - h.  A non-finite
+    x_1 (an overflowed observation or start noise) diverges at step 0.
     """
-    y = as_state(y, "y")
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim == 0:
+        raise ValueError("y must have at least one axis, got a scalar")
     rng = np.random.default_rng(config.seed)
     x = np.array(y, copy=True)
     eps1 = schedule_epsilon(config.schedule, 1.0)
     if eps1 > 0.0:
         x += eps1 * rng.standard_normal(x.shape)
+    x = _check_finite(x, 0, 1.0, "start")
     traj = [] if config.record_trajectory else None
     for k, (t, h) in enumerate(steps):
         if traj is not None:
             traj.append((t, x.copy()))
-        est = _check_estimate(estimator(x, t), k, t)
-        x = rule(x, est, t, h, k, y, rng)
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteIterateError(k, t, "iterate")
+        est = _check_finite(estimator(x, t), k, t, "estimate")
+        x = _check_finite(rule(x, est, t, h, k, y, rng), k, t, "iterate")
     if traj is not None:
         traj.append((t - h, x.copy()))
     return x, traj
@@ -210,10 +200,10 @@ def ode_restore(estimator: Estimator, y, method: str = "euler",
         k1 = (x - est) / t
         t2 = t - h
         x_pred = x - h * k1
-        est2 = _check_estimate(estimator(x_pred, t2), k, t2)
+        est2 = _check_finite(estimator(x_pred, t2), k, t2, "estimate")
         k2 = (x_pred - est2) / t2
         return x - 0.5 * h * (k1 + k2)
 
     rule = heun if method == "heun" else _stepwise_rule(ConstantSchedule(0.0))
     x, _ = _restore(estimator, y, SamplerConfig(steps=n), steps, rule)
-    return _check_estimate(estimator(x, t_min), len(steps), t_min)
+    return _check_finite(estimator(x, t_min), len(steps), t_min, "estimate")

@@ -154,16 +154,17 @@ class GaussianWorld:
 
 
 class DivergenceError(RuntimeError):
-    """An iterate's norm blew past the divergence threshold."""
+    """A run went numerically wrong at ``step_index``: a sampler step at time
+    ``t`` (a blown-up iterate, or a non-finite start, estimate or iterate) or
+    a training step, ``t`` None (a non-finite pair or loss); see ``what``."""
 
-    def __init__(self, step_index: int, norm: float, baseline: float):
-        self.step_index = step_index
-        self.norm = norm
-        self.baseline = baseline
-        super().__init__(
-            f"iterate norm {norm:.3g} exceeded {DivergenceGuard.FACTOR:.0e} x "
-            f"initial norm {baseline:.3g} at step {step_index}"
-        )
+    def __init__(self, step_index: int, t, what: str):
+        super().__init__(step_index, t, what)  # the args rebuild it after pickling
+        self.step_index, self.t, self.what = step_index, t, what
+
+    def __str__(self):
+        where = "" if self.t is None else f" (t = {self.t:.6g})"
+        return f"{self.what} at step {self.step_index}{where}"
 
 
 class DivergenceGuard:
@@ -189,6 +190,7 @@ class DivergenceGuard:
         if self.baseline is None:
             self.baseline = max(worst, 1e-12)
         elif worst > self.FACTOR * self.baseline:
-            raise DivergenceError(self.calls, worst, self.baseline)
+            raise DivergenceError(self.calls, t, f"iterate norm {worst:.3g} exceeded "
+                                  f"{self.FACTOR:.0e} x initial norm {self.baseline:.3g}")
         self.calls += 1
         return self.estimator(x_t, t)

@@ -8,7 +8,6 @@ added there is fuzzed with no edit here.  A config must either run to rows
 any other exception is a fault.
 """
 
-import math
 import re
 
 import pytest
@@ -54,23 +53,27 @@ ENUM_NAMES = sorted(
      for o in getattr(c, "options", ()) if isinstance(o, str)}
     | {name for _, _, table in _tagged_rows() for name in table}
 )
-FLOATS = st.floats(-1e6, 1e6) | st.sampled_from([math.nan, math.inf, -math.inf])
 NAMES = st.text(max_size=3) | st.sampled_from(ENUM_NAMES)
-SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 8), FLOATS, NAMES)
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 8), st.floats(), NAMES)
 VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3), max_leaves=9)
 
 
-def _like(value):
-    """Generated values of the same JSON type and list shape as ``value``,
-    so that more mutated configs get past the type checks to the run."""
-    if isinstance(value, bool):
-        return st.booleans()
-    if isinstance(value, (int, float)):
-        return st.integers(-2, 8) if isinstance(value, int) else st.floats(-1e6, 1e6)
-    if isinstance(value, str):
-        return st.sampled_from(ENUM_NAMES)
-    if isinstance(value, list):
-        return st.lists(_like(value[0]), min_size=len(value), max_size=len(value))
+def _like(check, value=None):
+    """Values of the type ``check`` accepts, in the list shape of ``value``
+    when it is given, so that more mutated configs get past the checks to
+    the run: a choice's options, and numbers anywhere within a number row's
+    bounds (``.bounds``), which brings up the bounds themselves and
+    magnitudes near 1e300.  Whole numbers stay small, since they count
+    steps, rows and units and so set the run's size."""
+    if hasattr(check, "options"):
+        return st.sampled_from(check.options)
+    if hasattr(check, "bounds"):
+        return st.integers(-2, 8) if isinstance(value, int) else st.floats(*check.bounds)
+    if hasattr(check, "item"):
+        if isinstance(value, list):
+            n = len(value)
+            return st.lists(_like(check.item, value[0]), min_size=n, max_size=n)
+        return st.lists(_like(check.item), min_size=1, max_size=3)
     return VALUES
 
 
@@ -79,9 +82,9 @@ def _variant_dicts(draw, tag, table):
     """A mapping of a random variant, now and then missing a field."""
     name = draw(st.sampled_from(sorted(table)))
     out = {tag: name}
-    for field in table[name]:
+    for field, check in table[name].items():
         if draw(st.integers(0, 9)):
-            out[field] = draw(VALUES)
+            out[field] = draw(_like(check) | VALUES)
     return out
 
 
@@ -96,7 +99,7 @@ def _mutable_fields(cfg):
         if key not in node:
             continue
         if path not in tagged:
-            out.append((path, _like(node[key]) | SCALARS | VALUES))
+            out.append((path, _like(check, node[key]) | SCALARS | VALUES))
             continue
         tag, table = tagged[path]
         dicts = _variant_dicts(tag, table)
@@ -105,8 +108,9 @@ def _mutable_fields(cfg):
             continue
         out.append((path, dicts | VALUES))
         out.append((f"{path}.{tag}", st.sampled_from(sorted(table)) | SCALARS))
-        for field in table[node[key][tag]]:
-            out.append((f"{path}.{field}", _like(node[key][field]) | SCALARS | VALUES))
+        for field, field_check in table[node[key][tag]].items():
+            out.append((f"{path}.{field}",
+                        _like(field_check, node[key][field]) | SCALARS | VALUES))
     return out
 
 

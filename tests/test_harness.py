@@ -51,6 +51,16 @@ def tiny_config(kind, out_dir=None, **eval_over):
     return cfg
 
 
+def diverging_training_config(kind, out_dir):
+    """``kind``'s small config, training its network at learning rate 1e300
+    under p_norm 2, whose loss goes non-finite at the second step."""
+    cfg = tiny_config(kind, out_dir=out_dir)
+    if kind == "sampler_compare":
+        cfg["eval"]["estimator"] = "trained"
+    cfg["train"] = {**TINY_TRAIN, "learning_rate": 1e300, "p_norm": 2}
+    return cfg
+
+
 def _fail_at_cell_one(cell):
     if cell == 1:
         raise ZeroDivisionError("cell 1 failed")
@@ -326,15 +336,17 @@ class TestExperimentRuns:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_extreme_gaussian_world_runs(self, kind, field, value):
         """The squares of sigma_c, sigma_n and their ratio overflow to inf
-        (they raised OverflowError): the probe is flagged divergent or its
-        distance to the flow limit is nan."""
+        (they raised OverflowError): the flow limit stays finite (it was nan
+        where (sigma_c / sigma_n)^2 overflows, and is then y), and the probe
+        is flagged divergent or lands on it."""
         cfg = tiny_config(kind)
         cfg["world"] = {**default_config(kind)["world"], field: value}
         report = run_experiment(cfg, write=False)
         assert len(report.rows) == len(cfg.get("eval", {}).get("step_grid", [0]))
         if kind == "gauss1d":
             row = report.rows[0]
-            assert row["divergent"] == 1 or math.isnan(row["abs_error"])
+            assert math.isfinite(row["limit_0"])
+            assert row["divergent"] == 1 or row["abs_error"] == 0.0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_trained_estimator_reports_minus_infinite_psnr(self):
@@ -346,6 +358,38 @@ class TestExperimentRuns:
         report = run_experiment(cfg, write=False)
         one_step = [r for r in report.rows if r["N"] == 1 and not r["divergent"]]
         assert one_step and all(r["psnr"] == -math.inf for r in one_step)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("kind", ["train_restore", "sweep_pt", "sampler_compare"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_training_divergence_flags_the_rows_of_its_model(self, kind, jobs, tmp_path):
+        """At learning rate 1e300 under p_norm 2 the training loss goes
+        non-finite (it raised out of run_experiment): every row the model
+        would have fed is divergent with no sampler step, losses, metrics or
+        checkpoint, no checkpoint file is written, and the report is."""
+        report = run_experiment(diverging_training_config(kind, tmp_path), jobs=jobs)
+        empty = ("divergence_step", "loss_initial", "loss_final", "mse", "psnr", "ks",
+                 "mode_hit_rate", "mean_min_dist", "checkpoint")
+        assert report.rows
+        for row in report.rows:
+            assert row["divergent"] == 1
+            assert [row.get(c) for c in empty] == [None] * len(empty)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{kind}.csv", f"{kind}.json"]
+
+    @pytest.mark.parametrize("kind, section, value", [
+        ("toy2d_a", "world", {"sigma": 1.7e308}),
+        ("train_restore", "world", {"sigma": 1.7e308}),
+        ("sweep_steps", "sampler", {"schedule": {"kind": "brownian", "epsilon": 1.7e308}}),
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_draws_are_flagged(self, kind, section, value):
+        """Noise near the float range overflows the observed batch, the
+        training pairs or the sampler's start (they raised ValueError):
+        the rows are flagged divergent instead."""
+        cfg = tiny_config(kind)
+        cfg[section] = {**default_config(kind)[section], **cfg.get(section, {}), **value}
+        report = run_experiment(cfg, write=False)
+        assert [r["divergent"] for r in report.rows] == [1] * len(report.rows)
 
     def test_one_input_has_no_ks(self):
         report = run_experiment(tiny_config("sweep_steps", n_inputs=1), write=False)
@@ -535,6 +579,13 @@ class TestCli:
             tmp_path, tiny_config("sweep_steps", out_dir=tmp_path / "j")
         )
         assert cli_main(["run", "--config", cfg_path, "--jobs", "2"]) == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_training_divergence_exits_zero(self, tmp_path, capsys):
+        cfg = diverging_training_config("train_restore", tmp_path / "out")
+        assert cli_main(["train", "--config", self.write_config(tmp_path, cfg)]) == 0
+        assert "train_restore: 1 rows" in capsys.readouterr().out
+        assert (tmp_path / "out" / "train_restore.csv").exists()
 
     @pytest.mark.parametrize("kind", ["toy2d_a", "sweep_noise"])
     def test_zero_sigma_under_the_oracle_is_usage_error(self, kind, tmp_path, capsys):

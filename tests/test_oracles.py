@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from restep.degradation import BrownianSchedule, ConstantSchedule
 from restep.oracles import (
@@ -175,6 +177,28 @@ class TestSlideToS:
         se = resid.std(ddof=1) / np.sqrt(mask.sum())
         assert abs(resid.mean()) < 3.0 * se + 0.01
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        c=st.floats(-100.0, 100.0), sigma_c=st.floats(1e-3, 1e3),
+        sigma_n=st.floats(1e-3, 1e3), t=st.floats(1e-3, 1.0), frac=st.floats(0.0, 1.0),
+        x_t=st.floats(-1e3, 1e3),
+    )
+    def test_gaussian_slide_is_the_joint_gaussian_conditional_mean(
+        self, c, sigma_c, sigma_n, t, frac, x_t,
+    ):
+        """In the Gaussian world x_s = x + s n and x_t = x + t n are jointly
+        Gaussian, so E[x_s | x_t] = c + cov(x_s, x_t) / var(x_t) (x_t - c)
+        with cov = sigma_c^2 + s t sigma_n^2 and var = sigma_c^2 + t^2
+        sigma_n^2, a route that uses nothing from the package."""
+        s = frac * t
+        prior = GaussianPrior(c=[c], sigma_c=sigma_c)
+        pm = gaussian_posterior_mean(prior, sigma_n, np.array([x_t]), t)
+        got = posterior_mean_at_s(pm, np.array([x_t]), s, t)[0]
+        vc, vn = sigma_c**2, sigma_n**2
+        want = c + (vc + s * t * vn) / (vc + t * t * vn) * (x_t - c)
+        # the floor covers subnormal inputs, which carry fewer significant bits
+        assert abs(got - want) <= 1e-12 * (abs(x_t - c) + abs(c)) + 1e-300
+
     def test_geometry_validation(self):
         pm = np.zeros(2)
         with pytest.raises(ValueError):
@@ -208,6 +232,17 @@ class TestGaussianWorldForms:
             gaussian_flow_trajectory(prior, 1.0, y, 0.0),
             [1.4142135623730951], rtol=1e-15,
         )
+
+    @pytest.mark.parametrize("sigma_c, sigma_n", [(1.0, 1e-300), (1e300, 1.0)])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow under test
+    def test_flow_is_the_observation_when_alpha_squared_overflows(self, sigma_c, sigma_n):
+        """(sigma_c / sigma_n)^2 overflows to inf; the scale
+        sqrt((t^2 + alpha^2) / (1 + alpha^2)) tends to 1, so the trajectory
+        stays at y instead of becoming inf / inf = nan."""
+        prior = GaussianPrior(c=[0.5], sigma_c=sigma_c)
+        y = np.array([2.0])
+        for t in (0.0, 0.5, 1.0):
+            assert_array_equal(gaussian_flow_trajectory(prior, sigma_n, y, t), y)
 
     def test_flow_endpoint_maps_observation_onto_prior(self):
         """Pushing y ~ N(c, sigma_c^2 + sigma_n^2) through the t = 0 map

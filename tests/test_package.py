@@ -13,7 +13,8 @@ import restep
 from restep import degradation, harness, metrics, oracles, regressor, samplers, worlds
 
 MODULES = (degradation, harness, metrics, oracles, regressor, samplers, worlds)
-DELETED = ("Trajectory", "gaussian_mmse", "mixture_marginal_density", "residual_flow_rhs")
+DELETED = ("Trajectory", "gaussian_mmse", "mixture_marginal_density", "residual_flow_rhs",
+           "NonFiniteIterateError", "TrainingDivergenceError")
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 SOURCES = sorted(str(p.relative_to(ROOT)) for d in ("src", "tests", "demos")

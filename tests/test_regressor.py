@@ -17,7 +17,6 @@ from restep.regressor import (
     MlpRegressor,
     TimeDistribution,
     TrainConfig,
-    TrainingDivergenceError,
     load_checkpoint,
     loss_and_gradients,
     sample_times,
@@ -25,7 +24,7 @@ from restep.regressor import (
     time_distribution_cdf,
     train,
 )
-from restep.worlds import GaussianWorld, MixtureWorld
+from restep.worlds import DivergenceError, GaussianWorld, MixtureWorld
 
 
 class TestTimeDistributions:
@@ -312,10 +311,22 @@ class TestTraining:
         model.weights[0][:] = 1e200
         model.weights[1][:] = 1e200
         cfg = TrainConfig(p_norm=2, steps=5, batch_size=4, seed=123)
-        with pytest.raises(TrainingDivergenceError) as info:
+        with pytest.raises(DivergenceError) as info:
             train(model, world.pair_stream(np.random.default_rng(31)), cfg)
         assert info.value.step_index == 0
-        assert info.value.batch_seed == (123, 0)
+        assert info.value.t is None
+        assert str(info.value) == "non-finite loss (batch seed entropy (123, 0)) at step 0"
+
+    def test_non_finite_pair_diverges(self):
+        """A drawn pair that overflowed is a training divergence at the step
+        that takes it (it was a ValueError from the pair check)."""
+        x = np.ones((8, 2))
+        chunks = [(x, x), (x, np.full((8, 2), np.inf))]
+        model = MlpRegressor.create(2, [4], np.random.default_rng(1))
+        with pytest.raises(DivergenceError) as info:
+            train(model, chunks, TrainConfig(steps=3, batch_size=8))
+        assert (info.value.step_index, info.value.t) == (1, None)
+        assert str(info.value) == "non-finite training pair at step 1"
 
     def test_dimension_mismatch_rejected(self):
         prior = GaussianPrior(c=[0.0], sigma_c=1.0)

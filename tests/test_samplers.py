@@ -8,14 +8,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 from restep.degradation import BrownianSchedule, ConstantSchedule
 from restep.oracles import GaussianPrior
 from restep.samplers import (
-    NonFiniteIterateError,
     SamplerConfig,
     cold_diffusion_restore,
     iterative_restore,
     naive_restore,
     ode_restore,
 )
-from restep.worlds import GaussianWorld
+from restep.worlds import DivergenceError, GaussianWorld
 
 
 def gauss_oracle(sigma_c=1.0, sigma_n=1.0, c=0.0):
@@ -107,9 +106,20 @@ class TestIterativeSampler:
     def test_non_finite_estimate_raises_with_step_index(self):
         def bad(x_t, t):
             return np.full_like(x_t, np.nan)
-        with pytest.raises(NonFiniteIterateError) as info:
+        with pytest.raises(DivergenceError) as info:
             iterative_restore(bad, np.array([1.0]), SamplerConfig(steps=4))
         assert info.value.step_index == 0
+        assert str(info.value) == "non-finite estimate at step 0 (t = 1)"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow under test
+    @pytest.mark.parametrize("y, epsilon", [([2.0, np.inf], 0.0), ([2.0] * 50, 1.7e308)])
+    def test_non_finite_start_diverges_at_step_zero(self, y, epsilon):
+        """An observation that overflowed, or start noise eps(1) * n that
+        does, is a divergence of the run (it was a ValueError from the
+        estimator's input check)."""
+        cfg = SamplerConfig(steps=4, schedule=ConstantSchedule(epsilon), seed=3)
+        with pytest.raises(DivergenceError, match=r"^non-finite start at step 0 \(t = 1\)$"):
+            iterative_restore(gauss_oracle(), np.array(y), cfg)
 
     def test_batch_input_runs_rowwise(self):
         oracle = gauss_oracle()

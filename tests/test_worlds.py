@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -154,7 +156,16 @@ class TestDivergenceGuard:
         with pytest.raises(DivergenceError) as info:
             guard(2e6 * x, 0.8)
         assert info.value.step_index == 2
-        assert info.value.baseline == 1.0
+        assert info.value.t == 0.8
+        assert "initial norm 1 at step 2" in str(info.value)
+
+    def test_divergence_error_survives_pickling(self):
+        """A cell returns its DivergenceError across the process pool."""
+        for err in (DivergenceError(3, 0.25, "non-finite iterate"),
+                    DivergenceError(7, None, "non-finite loss")):
+            back = pickle.loads(pickle.dumps(err))
+            assert (back.step_index, back.t, back.what) == (err.step_index, err.t, err.what)
+            assert str(back) == str(err)
 
     def test_baseline_floor_protects_tiny_starts(self):
         guard = DivergenceGuard(self.toy_estimator(1.0))
