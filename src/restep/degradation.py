@@ -217,7 +217,9 @@ def injected_noise_std(schedule: NoiseSchedule, t, delta) -> float:
     noise level the schedule prescribes.  It is 0 for any constant
     schedule and 0 whenever the step lands exactly at t = 0 (the
     ``t - delta`` factor vanishes before the schedule is consulted, so
-    Brownian schedules never get queried at 0).
+    Brownian schedules never get queried at 0).  Where ``eps^2`` overflows
+    it is ``(t - delta) * eps(t-delta) * sqrt(1 - (eps(t)/eps(t-delta))^2)``,
+    which is nan when both epsilons are inf.
     """
     t = float(t)
     delta = float(delta)
@@ -231,8 +233,12 @@ def injected_noise_std(schedule: NoiseSchedule, t, delta) -> float:
     eps_prev = schedule_epsilon(schedule, target)
     eps_cur = schedule_epsilon(schedule, t)
     radicand = eps_prev * eps_prev - eps_cur * eps_cur
+    scale = 1.0
+    if not np.isfinite(radicand):  # eps^2 overflowed: take eps_prev out of the root
+        ratio = eps_cur / eps_prev
+        radicand, scale = 1.0 - ratio * ratio, eps_prev
     if radicand < 0.0:
         raise ScheduleInvariantError(
             f"schedule increased between t={target} and t={t}"
         )
-    return target * float(np.sqrt(radicand))
+    return target * scale * float(np.sqrt(radicand))

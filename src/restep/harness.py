@@ -539,10 +539,11 @@ def _restore_cell(cell):
         return err
 
 
-def _metrics(cfg, world, x, result) -> dict:
+def _metrics(cfg, world, x, result, nearest=None) -> dict:
     """Every metric column of a cell's ``result``: mse/psnr against a clean
     batch ``x``, mode distances and hit rate in a mixture world, KS against
-    a Gaussian prior.  A divergence leaves them (in training, the step too) empty."""
+    a Gaussian prior.  A divergence leaves them (in training, the step too) empty.
+    ``nearest`` is ``nearest_modes`` of the output if the caller has it already."""
     row = dict.fromkeys(["mse", "psnr", "ks", "mode_hit_rate", "mean_min_dist",
                          "divergent", "divergence_step"])
     row["divergent"] = int(isinstance(result, DivergenceError))
@@ -555,7 +556,7 @@ def _metrics(cfg, world, x, result) -> dict:
         row["mse"] = float(m.mse)
         row["psnr"] = float(m.psnr)
     if isinstance(world, MixtureWorld):
-        _, dists = nearest_modes(out, world.prior)
+        _, dists = nearest_modes(out, world.prior) if nearest is None else nearest
         if "hit_threshold" in cfg["eval"]:
             row["mode_hit_rate"] = float(np.mean(dists <= cfg["eval"]["hit_threshold"]))
         row["mean_min_dist"] = float(np.mean(dists))
@@ -748,10 +749,11 @@ def _run_generate_from_noise(cfg, jobs, write):
     steps = cfg["sampler"]["steps"]
     n = cfg["eval"]["n_inputs"]
     result = _restore_cell(_cell(cfg, 0, "iterative", world.oracle(schedule), y, steps, schedule))
-    metrics = _metrics(cfg, world, None, result)
-    counts = None if metrics["divergent"] else np.bincount(
-        nearest_modes(result[0], world.prior)[0], minlength=world.prior.n_modes
-    ).tolist()
+    nearest, counts = None, None
+    if not isinstance(result, DivergenceError):
+        nearest = nearest_modes(result[0], world.prior)
+        counts = np.bincount(nearest[0], minlength=world.prior.n_modes).tolist()
+    metrics = _metrics(cfg, world, None, result, nearest)
     rows = []
     for mode_index, w in enumerate(world.prior.weights.tolist()):
         freq = None if counts is None else counts[mode_index] / n

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import stats
 
 from .degradation import as_state
-from .oracles import GaussianMixturePrior
+from .oracles import GaussianMixturePrior, _sum_last
 
 __all__ = [
     "DistributionStats",
@@ -76,7 +76,9 @@ def nearest_modes(xs, prior: GaussianMixturePrior):
     xs = as_state(xs, "xs")
     if xs.ndim == 1:
         xs = xs[None, :]
-    dists = np.linalg.norm(xs[:, None, :] - prior.modes[None, :, :], axis=2)
+    diff = xs[:, None, :] - prior.modes
+    diff *= diff
+    dists = np.sqrt(_sum_last(diff))  # np.linalg.norm(diff, axis=2), bit for bit
     idx = np.argmin(dists, axis=1)
     return idx, dists[np.arange(len(xs)), idx]
 

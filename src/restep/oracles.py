@@ -18,6 +18,13 @@ and for a Gaussian prior ``N(c, sigma_c^2 I)`` (with ``H = I``) everything
 stays Gaussian and is available in closed form, including the whole
 reverse-time trajectory.  These forms double as ideal estimators and as
 ground truth for the samplers and the trained regressor.
+
+The squared norms and normalising sums here run over axes of a few modes
+or dimensions, where numpy's reduction costs more than the arithmetic.
+:func:`_sum_last` adds such an axis column by column, left to right, which
+is the order numpy's pairwise summation uses below 8 terms, so the result
+is the same float bit for bit.  From 8 terms up numpy sums in blocks, so
+the helper calls ``np.sum`` there.
 """
 
 from __future__ import annotations
@@ -133,6 +140,22 @@ class GaussianPrior:
         return self.c.shape[0]
 
 
+# numpy's pairwise summation adds fewer terms than this left to right.
+_SHORT_AXIS = 8
+
+
+def _sum_last(a: np.ndarray):
+    """``np.sum(a, axis=-1)`` bit for bit, summed by in-place column
+    additions when the last axis is shorter than ``_SHORT_AXIS``."""
+    n = a.shape[-1]
+    if not 0 < n < _SHORT_AXIS:
+        return np.sum(a, axis=-1)
+    out = a[..., 0] + 0.0  # numpy's sum starts from +0.0, which makes -0.0 0.0
+    for j in range(1, n):
+        out += a[..., j]
+    return out
+
+
 def blended_operator(deg: LinearDegradation, t: float) -> np.ndarray:
     """The interpolated operator ``H_t = (1 - t) I + t H``."""
     t = float(t)
@@ -165,10 +188,12 @@ def _mixture_log_terms(prior, deg, x_t, t, extra_noise_std):
             "need deg.sigma > 0 or extra_noise_std > 0"
         )
     centers = prior.modes @ blended_operator(deg, t).T        # (m, d)
-    u = (x_t[..., None, :] - centers) / sigma_t               # (..., m, d)
+    u = x_t[..., None, :] - centers                           # (..., m, d)
+    u /= sigma_t
+    u *= u
     with np.errstate(divide="ignore"):
         log_w = np.log(prior.weights)                         # -inf for w = 0
-    return log_w - 0.5 * np.sum(u * u, axis=-1)               # (..., m)
+    return log_w - 0.5 * _sum_last(u)                         # (..., m)
 
 
 def mixture_posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation,
@@ -187,8 +212,14 @@ def mixture_posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation,
     # Max-subtraction: at least one term becomes exp(0) = 1, so the weight
     # ratios stay well defined arbitrarily far from every mode and the
     # posterior degrades gracefully to a one-hot on the closest kernel.
-    post = np.exp(log_terms - np.max(log_terms, axis=-1, keepdims=True))
-    post /= np.sum(post, axis=-1, keepdims=True)
+    # The max is taken column by column, which beats np.max over few modes.
+    shift = log_terms[..., 0].copy()
+    for j in range(1, log_terms.shape[-1]):
+        np.maximum(shift, log_terms[..., j], out=shift)
+    post = log_terms
+    post -= shift[..., None]
+    np.exp(post, out=post)
+    post /= _sum_last(post)[..., None]
     return post @ prior.modes
 
 

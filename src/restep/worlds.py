@@ -29,6 +29,7 @@ from .oracles import (
     GaussianPrior,
     LinearDegradation,
     MixturePosteriorOracle,
+    _sum_last,
 )
 
 __all__ = [
@@ -185,8 +186,10 @@ class DivergenceGuard:
         self.baseline = None
 
     def __call__(self, x_t, t):
-        norms = np.linalg.norm(np.atleast_2d(np.asarray(x_t, float)), axis=-1)
-        worst = float(np.max(norms))
+        # The largest row norm: sqrt is correctly rounded and monotone, so
+        # this is max(np.linalg.norm(x, axis=-1)) to the bit.
+        x = np.atleast_2d(np.asarray(x_t, float))
+        worst = float(np.sqrt(np.max(_sum_last(x * x))))
         if self.baseline is None:
             self.baseline = max(worst, 1e-12)
         elif worst > self.FACTOR * self.baseline:

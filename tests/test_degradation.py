@@ -196,6 +196,14 @@ class TestInjectedNoise:
                 rhs = (target * schedule_epsilon(sched, target)) ** 2
                 assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-14)
 
+    def test_overflowing_epsilon_squared_still_injects(self):
+        """eps^2 overflows above about 1.3e154 (the std was nan, and the
+        sampler then injected nothing); the std still meets the Brownian
+        closed form eps * sqrt((t - d) d / t)."""
+        got = injected_noise_std(BrownianSchedule(1e160), 0.5, 0.25)
+        assert np.isfinite(got) and got > 0.0
+        assert_allclose(got, 1e160 * np.sqrt(0.25 * 0.25 / 0.5), rtol=1e-12)
+
     def test_bad_step_geometry_rejected(self):
         sched = ConstantSchedule(0.1)
         with pytest.raises(ValueError):
@@ -214,5 +222,9 @@ class TestInjectedNoise:
             return 1.0 + float(t)
 
         monkeypatch.setattr(deg, "schedule_epsilon", increasing)
+        with pytest.raises(ScheduleInvariantError):
+            injected_noise_std(ConstantSchedule(0.0), 0.5, 0.25)
+        # the same check where eps^2 overflows
+        monkeypatch.setattr(deg, "schedule_epsilon", lambda schedule, t: 1e200 * increasing(schedule, t))
         with pytest.raises(ScheduleInvariantError):
             injected_noise_std(ConstantSchedule(0.0), 0.5, 0.25)

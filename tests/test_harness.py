@@ -6,6 +6,7 @@ import re
 import pytest
 from numpy.testing import assert_allclose
 
+from restep import harness
 from restep.cli import main as cli_main
 from restep.harness import (
     EXPERIMENT_KINDS,
@@ -17,6 +18,7 @@ from restep.harness import (
     resolve_config,
     run_experiment,
 )
+from restep.metrics import nearest_modes
 from restep.regressor import load_checkpoint
 
 TINY_TRAIN = {"hidden": [8], "steps": 40, "batch_size": 16,
@@ -297,6 +299,21 @@ class TestExperimentRuns:
         assert [r["std_err"] for r in report.rows] == [0.0, 0.0]
         assert [r["z_score"] for r in report.rows] == [None, None]
 
+    def test_generate_from_noise_assigns_modes_once(self, monkeypatch):
+        """The per-mode counts and the hit rate share one nearest_modes call
+        on the output (there were two)."""
+        calls = []
+
+        def counted(xs, prior):
+            calls.append(len(xs))
+            return nearest_modes(xs, prior)
+
+        monkeypatch.setattr(harness, "nearest_modes", counted)
+        report = run_experiment(tiny_config("generate_from_noise"), write=False)
+        assert calls == [150]
+        assert {r["mode_hit_rate"] for r in report.rows} == {report.rows[0]["mode_hit_rate"]}
+        assert report.rows[0]["mode_hit_rate"] is not None
+
     def test_gauss1d_has_trajectory_when_asked(self, tmp_path):
         cfg = tiny_config("gauss1d", out_dir=tmp_path)
         cfg["sampler"]["record_trajectory"] = True
@@ -380,6 +397,7 @@ class TestExperimentRuns:
         ("toy2d_a", "world", {"sigma": 1.7e308}),
         ("train_restore", "world", {"sigma": 1.7e308}),
         ("sweep_steps", "sampler", {"schedule": {"kind": "brownian", "epsilon": 1.7e308}}),
+        ("gauss1d", "sampler", {"schedule": {"kind": "brownian", "epsilon": 1e160}}),
     ])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_draws_are_flagged(self, kind, section, value):

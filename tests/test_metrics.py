@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.testing import assert_allclose, assert_array_equal
 
 from restep.metrics import (
     distortion_metrics,
@@ -74,6 +77,24 @@ class TestNearestMode:
             i_single, d_single = nearest_mode(xs[i], self.prior())
             assert idx[i] == i_single
             assert_allclose(dists[i], d_single, rtol=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 12), m=st.integers(1, 9),
+           lead=st.sampled_from([(), (1,), (13,)]))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # squares that overflow
+    def test_batch_keeps_every_bit_of_linalg_norm(self, data, d, m, lead):
+        """Indices and distances equal those of np.linalg.norm over the
+        differences, ties and overflowing squares included."""
+        coords = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e200, 1e200))
+        prior = GaussianMixturePrior(data.draw(arrays(np.float64, (m, d), elements=coords)),
+                                     np.full(m, 1.0 / m))
+        xs = data.draw(arrays(np.float64, lead + (d,), elements=coords))
+        idx, dists = nearest_modes(xs, prior)
+        rows = np.atleast_2d(xs)
+        want = np.linalg.norm(rows[:, None, :] - prior.modes[None, :, :], axis=2)
+        want_idx = np.argmin(want, axis=1)
+        assert_array_equal(idx, want_idx)
+        assert dists.tobytes() == want[np.arange(len(rows)), want_idx].tobytes()
 
     def test_single_vector_required_for_scalar_api(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from restep.degradation import BrownianSchedule, ConstantSchedule
@@ -11,6 +12,7 @@ from restep.oracles import (
     GaussianPrior,
     LinearDegradation,
     MixturePosteriorOracle,
+    _sum_last,
     blended_operator,
     gaussian_flow_trajectory,
     gaussian_posterior_mean,
@@ -30,6 +32,19 @@ def random_mixture(rng, dim, n_modes):
     w /= w.sum()
     w[-1] = 1.0 - w[:-1].sum()   # exact unit sum
     return GaussianMixturePrior(modes=modes, weights=w)
+
+
+def _reference_mixture_posterior_mean(prior, deg, x_t, t, extra_noise_std):
+    """The posterior mean as first written, with numpy's own reductions."""
+    sigma_t = t * float(np.hypot(deg.sigma, extra_noise_std))
+    centers = prior.modes @ blended_operator(deg, t).T
+    u = (x_t[..., None, :] - centers) / sigma_t
+    with np.errstate(divide="ignore"):
+        log_w = np.log(prior.weights)
+    log_terms = log_w - 0.5 * np.sum(u * u, axis=-1)
+    post = np.exp(log_terms - np.max(log_terms, axis=-1, keepdims=True))
+    post /= np.sum(post, axis=-1, keepdims=True)
+    return post @ prior.modes
 
 
 class TestMixturePosteriorMean:
@@ -122,10 +137,46 @@ class TestMixturePosteriorMean:
                 np.array([0.5]), 0.0,
             )
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 10), m=st.integers(1, 9),
+           t=st.floats(0.01, 1.0), sigma=st.floats(0.01, 3.0),
+           extra=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+           lead=st.sampled_from([(), (1,), (20,)]))
+    def test_mixture_posterior_mean_keeps_every_bit(self, data, d, m, t, sigma, extra, lead):
+        """Against the formula with numpy's reductions, for vectors and
+        batches, zero-weight modes and schedule noise."""
+        coords = st.floats(-10.0, 10.0)
+        modes = data.draw(arrays(np.float64, (m, d), elements=coords))
+        raw = data.draw(arrays(np.float64, m, elements=st.sampled_from([0.0, 0.3, 1.0, 2.5])))
+        raw[data.draw(st.integers(0, m - 1))] = 1.0
+        prior = GaussianMixturePrior(modes, raw / raw.sum())
+        H = data.draw(arrays(np.float64, (d, d), elements=st.floats(-2.0, 2.0)))
+        deg = LinearDegradation(H, sigma)
+        x_t = data.draw(arrays(np.float64, lead + (d,), elements=st.floats(-20.0, 20.0)))
+        got = mixture_posterior_mean(prior, deg, x_t, t, extra_noise_std=extra)
+        want = _reference_mixture_posterior_mean(prior, deg, x_t, t, extra)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_blended_operator_endpoints(self):
         deg = LinearDegradation(H=[[2.0, 0.0], [0.0, 3.0]], sigma=1.0)
         assert_allclose(blended_operator(deg, 0.0), np.eye(2))
         assert_allclose(blended_operator(deg, 1.0), deg.H)
+
+
+class TestShortAxisSum:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), lead=st.sampled_from([(), (1,), (37,), (9, 3)]))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf and the like
+    def test_sum_is_numpys_bit_for_bit(self, data, n, lead):
+        """Left to right below 8 terms, numpy's own sum from 8 up; signed
+        zeros, infinities and nan included."""
+        a = data.draw(arrays(np.float64, lead + (n,), elements=st.floats(width=64)))
+        got, want = np.asarray(_sum_last(a)), np.sum(a, axis=-1)
+        assert got.shape == want.shape
+        nan = np.isnan(want)
+        assert_array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 class TestSlideToS:

@@ -103,6 +103,16 @@ class TestIterativeSampler:
         b, _ = iterative_restore(oracle, y, SamplerConfig(steps=10, schedule=sched, seed=1))
         assert not np.array_equal(a, b)
 
+    def test_brownian_noise_injected_where_epsilon_squared_overflows(self):
+        """At epsilon 1e160 the first step still injects its noise (it
+        injected none, its std being nan)."""
+        cfg = SamplerConfig(steps=4, schedule=BrownianSchedule(1e160), seed=2,
+                            record_trajectory=True)
+        _, traj = iterative_restore(constant_estimator(0.0), np.zeros(50), cfg)
+        injected = (traj[1][1] - 0.75 * traj[0][1]) / 1e160
+        assert np.all(injected != 0.0)
+        assert 0.5 < injected.std() / np.sqrt(0.75 * 0.25) < 1.5
+
     def test_non_finite_estimate_raises_with_step_index(self):
         def bad(x_t, t):
             return np.full_like(x_t, np.nan)

@@ -2,6 +2,9 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from restep.oracles import GaussianMixturePrior, GaussianPrior, LinearDegradation
@@ -181,3 +184,26 @@ class TestDivergenceGuard:
         bad = np.array([[0.1, 0.0], [3e6, 0.0]])
         with pytest.raises(DivergenceError):
             guard(bad, 0.9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 12), lead=st.sampled_from([(), (1,), (29,)]))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # squares that overflow
+    def test_worst_row_is_the_largest_linalg_norm(self, data, d, lead):
+        """The baseline and the threshold test read max(np.linalg.norm(x,
+        axis=-1)) to the bit, so no flag can flip at the threshold; squares
+        that overflow included."""
+        states = arrays(np.float64, lead + (d,), elements=st.floats(allow_nan=False,
+                                                                    allow_infinity=False))
+        x, y = data.draw(states), data.draw(states)
+
+        def worst(v):
+            return float(np.max(np.linalg.norm(np.atleast_2d(v), axis=-1)))
+
+        guard = DivergenceGuard(self.toy_estimator(1.0))
+        guard(x, 1.0)
+        assert guard.baseline == max(worst(x), 1e-12)
+        if worst(y) > DivergenceGuard.FACTOR * guard.baseline:
+            with pytest.raises(DivergenceError):
+                guard(y, 0.5)
+        else:
+            guard(y, 0.5)
