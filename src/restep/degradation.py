@@ -53,6 +53,13 @@ def as_state(values, name: str = "state") -> np.ndarray:
     return arr
 
 
+def as_count(value, name: str, lo: int = 1) -> int:
+    """Return ``value`` as an int >= ``lo``; bools and non-integers are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
+    return int(value)
+
+
 def _check_time(t, name: str = "t"):
     t_arr = np.asarray(t, dtype=np.float64)
     if not np.all(np.isfinite(t_arr)):
@@ -134,7 +141,6 @@ def schedule_epsilon(schedule: NoiseSchedule, t):
     :func:`forward_noise_std`, whose ``t * eps(t)`` is continuous at 0.
     """
     t_arr = _check_time(t)
-    scalar = t_arr.ndim == 0
     if isinstance(schedule, ConstantSchedule):
         out = np.full_like(t_arr, schedule.epsilon)
     elif isinstance(schedule, BrownianSchedule):
@@ -151,7 +157,7 @@ def schedule_epsilon(schedule: NoiseSchedule, t):
         out = np.interp(t_arr, times, eps)
     else:
         raise TypeError(f"unknown schedule type {type(schedule).__name__}")
-    return float(out) if scalar else out
+    return float(out) if t_arr.ndim == 0 else out
 
 
 def forward_noise_std(schedule: NoiseSchedule, t):
@@ -162,12 +168,10 @@ def forward_noise_std(schedule: NoiseSchedule, t):
     so 0 is returned there without evaluating eps.
     """
     t_arr = _check_time(t)
-    scalar = t_arr.ndim == 0
     out = np.zeros_like(t_arr)
     pos = t_arr > 0.0
-    if np.any(pos):
-        out[pos] = t_arr[pos] * schedule_epsilon(schedule, t_arr[pos])
-    return float(out) if scalar else out
+    out[pos] = t_arr[pos] * schedule_epsilon(schedule, t_arr[pos])
+    return float(out) if t_arr.ndim == 0 else out
 
 
 # ---- forward process ---- #
@@ -198,47 +202,42 @@ def forward_degrade_noisy(x, y, t, schedule: NoiseSchedule, rng) -> np.ndarray:
     collapses exactly to :func:`forward_interpolate`.
     """
     base = forward_interpolate(x, y, t)
-    std = forward_noise_std(schedule, t)
-    if np.ndim(std) == 0:
-        if std == 0.0:
-            return base
-    elif not np.any(std):
+    std = np.asarray(forward_noise_std(schedule, t))
+    if not np.any(std):
         return base
-    else:
-        std = np.asarray(std)[..., None]
-    return base + std * rng.standard_normal(base.shape)
+    return base + (std[..., None] if std.ndim else std) * rng.standard_normal(base.shape)
 
 
-def injected_noise_std(schedule: NoiseSchedule, t, delta) -> float:
-    """Noise amplitude ``(t - delta) * sqrt(eps(t-delta)^2 - eps(t)^2)``.
+def injected_noise_std(schedule: NoiseSchedule, t, delta):
+    """Per-coordinate std ``(t - delta) * sqrt(eps(t-delta)^2 - eps(t)^2)`` of
+    the fresh noise a reverse-time step from ``t`` to ``t - delta`` injects so
+    that the iterate keeps the noise level the schedule prescribes.
 
-    This is the per-coordinate std of the fresh noise a reverse-time step
-    from ``t`` to ``t - delta`` must inject so that the iterate keeps the
-    noise level the schedule prescribes.  It is 0 for any constant
-    schedule and 0 whenever the step lands exactly at t = 0 (the
-    ``t - delta`` factor vanishes before the schedule is consulted, so
-    Brownian schedules never get queried at 0).  Where ``eps^2`` overflows
-    it is ``(t - delta) * eps(t-delta) * sqrt(1 - (eps(t)/eps(t-delta))^2)``,
-    which is nan when both epsilons are inf.
+    Elementwise in ``t`` and ``delta``; a float when both are scalars.  It is
+    0 for any constant schedule, and exactly 0 where a step lands on t = 0,
+    without querying eps there (Brownian eps is undefined at 0).  Where
+    ``eps^2`` overflows it is ``(t - delta) * eps(t-delta) * sqrt(1 -
+    (eps(t)/eps(t-delta))^2)``, which is nan when both epsilons are inf.
     """
-    t = float(t)
-    delta = float(delta)
-    if not (np.isfinite(t) and np.isfinite(delta)):
+    t, delta = np.broadcast_arrays(np.asarray(t, dtype=np.float64),
+                                   np.asarray(delta, dtype=np.float64))
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(delta))):
         raise ValueError("t and delta must be finite")
-    if not 0.0 < delta <= t <= 1.0:
+    if not np.all((0.0 < delta) & (delta <= t) & (t <= 1.0)):
         raise ValueError("need 0 < delta <= t <= 1")
-    target = t - delta
-    if target == 0.0:
-        return 0.0
+    out = np.array(t - delta)  # t - delta >= 0, and each entry at 0 stays 0.0
+    lands = out > 0.0
+    target, t = out[lands], t[lands]
     eps_prev = schedule_epsilon(schedule, target)
     eps_cur = schedule_epsilon(schedule, t)
-    radicand = eps_prev * eps_prev - eps_cur * eps_cur
-    scale = 1.0
-    if not np.isfinite(radicand):  # eps^2 overflowed: take eps_prev out of the root
-        ratio = eps_cur / eps_prev
-        radicand, scale = 1.0 - ratio * ratio, eps_prev
-    if radicand < 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        radicand = eps_prev * eps_prev - eps_cur * eps_cur
+        scale = np.ones_like(radicand)
+        big = ~np.isfinite(radicand)  # eps^2 overflowed: take eps_prev out of the root
+        ratio = eps_cur[big] / eps_prev[big]
+        radicand[big], scale[big] = 1.0 - ratio * ratio, eps_prev[big]
+    if np.any(bad := radicand < 0.0):
         raise ScheduleInvariantError(
-            f"schedule increased between t={target} and t={t}"
-        )
-    return target * scale * float(np.sqrt(radicand))
+            f"schedule increased between t={target[bad][0]} and t={t[bad][0]}")
+    out[lands] = target * scale * np.sqrt(radicand)
+    return float(out) if out.ndim == 0 else out

@@ -32,6 +32,7 @@ import numpy as np
 from .degradation import (
     ConstantSchedule,
     NoiseSchedule,
+    as_count,
     as_state,
     forward_interpolate,
     forward_noise_std,
@@ -283,14 +284,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.p_norm not in (1, 2):
+        if as_count(self.p_norm, "p_norm") not in (1, 2):
             raise ValueError("p_norm must be 1 or 2")
         if not np.isfinite(self.learning_rate) or self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be finite and > 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
+        as_count(self.batch_size, "batch_size")
+        as_count(self.steps, "steps", 0)
 
 
 def train(model: MlpRegressor, data, config: TrainConfig):

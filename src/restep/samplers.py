@@ -2,8 +2,9 @@
 
 All four routines are generic over an ``Estimator`` (anything mapping
 ``(x_t, t)`` to a clean-signal estimate) and run one loop from the degraded
-observation at t = 1: for each grid step (t, h), estimate, check, apply the
-routine's update rule, check.  The samplers step by h = 1/N down t = k/N:
+observation at t = 1 over the run's step list (t, h, std), built once per run
+from t = k/N, h = 1/N and one grid call of ``injected_noise_std``: for each
+step, estimate, check, apply the routine's update rule, check.
 
 * :func:`iterative_restore` - the small-step scheme.  Each step moves the
   iterate toward the current estimate by the convex weight h/t and,
@@ -50,6 +51,7 @@ import numpy as np
 from .degradation import (
     ConstantSchedule,
     NoiseSchedule,
+    as_count,
     injected_noise_std,
     schedule_epsilon,
 )
@@ -76,8 +78,7 @@ class SamplerConfig:
     record_trajectory: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.steps, (int, np.integer)) or self.steps < 1:
-            raise ValueError("steps must be an integer >= 1")
+        as_count(self.steps, "steps")
 
 
 def _check_finite(values, step, t, what):
@@ -87,12 +88,21 @@ def _check_finite(values, step, t, what):
     return values
 
 
-def _restore(estimator: Estimator, y, config: SamplerConfig, steps, rule):
+def _steps(n: int, schedule: NoiseSchedule) -> list:
+    """The step list ``(t, h, std)`` of a run on the N = n grid: t = (n - k)/n,
+    h exactly 1/n (not t_k - t_{k+1}: at n = 3, 1 - 2/3 != 1/3), and the
+    injected noise std of every step from one elementwise call."""
+    t = np.arange(n, 0, -1) / n
+    return list(zip(t.tolist(), [1.0 / n] * n, injected_noise_std(schedule, t, 1.0 / n).tolist()))
+
+
+def _restore(estimator: Estimator, y, config: SamplerConfig, rule, steps=None):
     """The one step loop: from x_1 = y + eps(1) * n (no draw when eps(1) = 0),
-    estimate, check, ``rule(x, est, t, h, k, y, rng)`` and check again for
-    each grid step ``(t, h)``, recording ``(t, state)`` for the state entering
-    each step and for the output at the last step's t - h.  A non-finite
-    x_1 (an overflowed observation or start noise) diverges at step 0.
+    estimate, check, ``rule(x, est, t, h, std, k, y, rng)`` and check again
+    for each step of ``steps`` (by default ``config``'s step list), recording
+    ``(t, state)`` for the state entering each step and for the output at the
+    last step's t - h.  A non-finite x_1 (an overflowed observation or start
+    noise) diverges at step 0.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim == 0:
@@ -104,38 +114,32 @@ def _restore(estimator: Estimator, y, config: SamplerConfig, steps, rule):
         x += eps1 * rng.standard_normal(x.shape)
     x = _check_finite(x, 0, 1.0, "start")
     traj = [] if config.record_trajectory else None
-    for k, (t, h) in enumerate(steps):
+    if steps is None:
+        steps = _steps(config.steps, config.schedule)
+    for k, (t, h, std) in enumerate(steps):
         if traj is not None:
             traj.append((t, x.copy()))
         est = _check_finite(estimator(x, t), k, t, "estimate")
-        x = _check_finite(rule(x, est, t, h, k, y, rng), k, t, "iterate")
+        x = _check_finite(rule(x, est, t, h, std, k, y, rng), k, t, "iterate")
     if traj is not None:
         traj.append((t - h, x.copy()))
     return x, traj
 
 
-def _uniform_steps(n: int) -> list:
-    # h is exactly 1/n, not t_k - t_{k+1}: at n = 3, 1 - 2/3 != 1/3.
-    return [((n - k) / n, 1.0 / n) for k in range(n)]
+def _stepwise_rule(x, est, t, h, std, k, y, rng):
+    """x <- (h/t) F + (1 - h/t) x, plus the step's injected noise."""
+    coef = h / t
+    x = coef * est + (1.0 - coef) * x
+    if std > 0.0:
+        x = x + std * rng.standard_normal(x.shape)
+    return x
 
 
-def _stepwise_rule(schedule: NoiseSchedule):
-    """x <- (h/t) F + (1 - h/t) x, plus the noise ``schedule`` asks for."""
-    def rule(x, est, t, h, k, y, rng):
-        coef = h / t
-        x = coef * est + (1.0 - coef) * x
-        std = injected_noise_std(schedule, t, h)
-        if std > 0.0:
-            x = x + std * rng.standard_normal(x.shape)
-        return x
-    return rule
-
-
-def _naive_rule(x, est, t, h, k, y, rng):
+def _naive_rule(x, est, t, h, std, k, y, rng):
     return (1.0 - t + h) * est + (t - h) * y
 
 
-def _cold_diffusion_rule(x, est, t, h, k, y, rng):
+def _cold_diffusion_rule(x, est, t, h, std, k, y, rng):
     return x + h * (est - y)
 
 
@@ -148,8 +152,7 @@ def iterative_restore(estimator: Estimator, y, config: SamplerConfig):
     delta/t = 1 exactly, so the output is a pure estimator application at
     t = delta (plus terminal noise if the schedule still carries any).
     """
-    return _restore(estimator, y, config, _uniform_steps(config.steps),
-                    _stepwise_rule(config.schedule))
+    return _restore(estimator, y, config, _stepwise_rule)
 
 
 def naive_restore(estimator: Estimator, y, config: SamplerConfig):
@@ -158,13 +161,12 @@ def naive_restore(estimator: Estimator, y, config: SamplerConfig):
     Coincides with :func:`iterative_restore` at N = 1 (both reduce to a
     single estimator application at t = 1).
     """
-    return _restore(estimator, y, config, _uniform_steps(config.steps), _naive_rule)
+    return _restore(estimator, y, config, _naive_rule)
 
 
 def cold_diffusion_restore(estimator: Estimator, y, config: SamplerConfig):
     """Run the incremental-correction sampler; see the module docstring."""
-    return _restore(estimator, y, config, _uniform_steps(config.steps),
-                    _cold_diffusion_rule)
+    return _restore(estimator, y, config, _cold_diffusion_rule)
 
 
 def ode_restore(estimator: Estimator, y, method: str = "euler",
@@ -181,22 +183,21 @@ def ode_restore(estimator: Estimator, y, method: str = "euler",
     """
     if method not in ("euler", "heun"):
         raise ValueError(f"method must be 'euler' or 'heun', got {method!r}")
-    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
-        raise ValueError("n_steps must be an integer >= 1")
-    n = int(n_steps)
+    n = as_count(n_steps, "n_steps")
     t_min = 1.0 / n if t_min is None else float(t_min)
     if not 0.0 < t_min <= 1.0:
         raise ValueError("need 0 < t_min <= 1")
 
-    # Full grid steps from t = 1 while the next grid point stays >= t_min;
-    # the small fudge keeps t_min = k/N landing on the grid despite rounding.
+    # Full grid steps (std 0.0) from t = 1 while the next grid point stays >=
+    # t_min, the fudge keeping t_min = k/N on the grid; then a partial step.
+    config = SamplerConfig(steps=n)
     n_full = int(np.floor((1.0 - t_min) * n + 1e-9))
-    steps = _uniform_steps(n)[:n_full]
+    steps = _steps(n, config.schedule)[:n_full]
     t_reached = (n - n_full) / n
     if t_reached - t_min > 1e-12:
-        steps.append((t_reached, t_reached - t_min))
+        steps.append((t_reached, t_reached - t_min, 0.0))
 
-    def heun(x, est, t, h, k, y, rng):
+    def heun(x, est, t, h, std, k, y, rng):
         k1 = (x - est) / t
         t2 = t - h
         x_pred = x - h * k1
@@ -204,6 +205,5 @@ def ode_restore(estimator: Estimator, y, method: str = "euler",
         k2 = (x_pred - est2) / t2
         return x - 0.5 * h * (k1 + k2)
 
-    rule = heun if method == "heun" else _stepwise_rule(ConstantSchedule(0.0))
-    x, _ = _restore(estimator, y, SamplerConfig(steps=n), steps, rule)
+    x, _ = _restore(estimator, y, config, heun if method == "heun" else _stepwise_rule, steps)
     return _check_finite(estimator(x, t_min), len(steps), t_min, "estimate")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from restep.degradation import (
@@ -219,7 +221,7 @@ class TestInjectedNoise:
         import restep.degradation as deg
 
         def increasing(schedule, t):
-            return 1.0 + float(t)
+            return 1.0 + np.asarray(t, float)
 
         monkeypatch.setattr(deg, "schedule_epsilon", increasing)
         with pytest.raises(ScheduleInvariantError):
@@ -228,3 +230,69 @@ class TestInjectedNoise:
         monkeypatch.setattr(deg, "schedule_epsilon", lambda schedule, t: 1e200 * increasing(schedule, t))
         with pytest.raises(ScheduleInvariantError):
             injected_noise_std(ConstantSchedule(0.0), 0.5, 0.25)
+
+
+def _reference_injected_std(schedule, t, delta):
+    """The scalar formula injected_noise_std had before it became
+    elementwise, kept verbatim (Python floats, one step at a time)."""
+    target = t - delta
+    if target == 0.0:
+        return 0.0
+    eps_prev = schedule_epsilon(schedule, target)
+    eps_cur = schedule_epsilon(schedule, t)
+    radicand = eps_prev * eps_prev - eps_cur * eps_cur
+    scale = 1.0
+    if not np.isfinite(radicand):
+        ratio = eps_cur / eps_prev
+        radicand, scale = 1.0 - ratio * ratio, eps_prev
+    return target * scale * float(np.sqrt(radicand))
+
+
+# 0, or m * 10^e with e in [-300, 299]: eps^2 underflows at the low end and
+# overflows above about 1.3e154.
+_EPSILONS = st.one_of(
+    st.just(0.0),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-300, 299)),
+)
+
+
+@st.composite
+def _schedules(draw):
+    """A constant, Brownian or table schedule; a table spans [0, 1] with up
+    to four interior knots and non-increasing epsilons."""
+    eps = draw(_EPSILONS)
+    kind = draw(st.sampled_from(["constant", "brownian", "table"]))
+    if kind == "constant":
+        return ConstantSchedule(eps)
+    if kind == "brownian":
+        return BrownianSchedule(eps)
+    inner = draw(st.lists(st.floats(0.01, 0.99), max_size=4, unique=True))
+    times = (0.0, *sorted(inner), 1.0)
+    scales = draw(st.lists(st.floats(0.0, 1.0), min_size=len(times), max_size=len(times)))
+    return TableSchedule(times, tuple(eps * f for f in sorted(scales, reverse=True)))
+
+
+class TestInjectedNoiseOnGrids:
+    @settings(max_examples=150, deadline=None)
+    @given(schedule=_schedules(), n=st.integers(1, 300))
+    def test_grid_call_keeps_every_bit_and_the_variance_bookkeeping(self, schedule, n):
+        """One elementwise call over the grid t = (n - k)/n, delta = 1/n gives
+        the per-step scalar formula bit for bit, and each std tops the carried
+        noise up to the prescribed level, ((t-d) eps(t))^2 + std^2 =
+        ((t-d) eps(t-d))^2, checked divided by eps(t-d)^2 so that it holds
+        where eps^2 overflows.  Where eps(t-d)^2 underflows the std is 0 and
+        the identity is not checked."""
+        t = np.arange(n, 0, -1) / n
+        got = injected_noise_std(schedule, t, 1.0 / n)
+        want = np.array([_reference_injected_std(schedule, (n - k) / n, 1.0 / n)
+                         for k in range(n)])
+        assert got.shape == (n,)
+        assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert got[-1] == 0.0
+        target = t[:-1] - 1.0 / n
+        eps_prev = schedule_epsilon(schedule, target)
+        eps_cur = schedule_epsilon(schedule, t[:-1])
+        ok = eps_prev > 1e-140
+        target, ratio, std = target[ok], eps_cur[ok] / eps_prev[ok], got[:-1][ok] / eps_prev[ok]
+        assert_allclose((target * ratio) ** 2 + std**2, target**2, rtol=1e-12)
+        assert np.all(got[:-1][eps_prev == 0.0] == 0.0)

@@ -205,6 +205,19 @@ class TestTraining:
         assert losses[-50:].mean() < 0.5 * losses[:50].mean()
         assert trained.training_seed == cfg.seed
 
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 2.5), ("batch_size", True), ("batch_size", 0),
+        ("steps", 2.5), ("steps", True), ("steps", -1),
+        ("p_norm", True), ("p_norm", 1.0), ("p_norm", 3),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        """A bool or non-integer count is refused at construction (a float
+        count failed inside train with a TypeError, and p_norm=True trained
+        with p = 1)."""
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TrainConfig(**{field: value})
+        TrainConfig(batch_size=np.int64(8), steps=np.int64(0), p_norm=np.int64(2))
+
     def test_zero_steps_is_identity(self):
         world = self.make_world()
         model = MlpRegressor.create(2, [8], np.random.default_rng(3))

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
-from restep.degradation import BrownianSchedule, ConstantSchedule
+from restep import samplers
+from restep.degradation import (
+    BrownianSchedule,
+    ConstantSchedule,
+    TableSchedule,
+    injected_noise_std,
+    schedule_epsilon,
+)
 from restep.oracles import GaussianPrior
 from restep.samplers import (
     SamplerConfig,
@@ -143,6 +150,13 @@ class TestIterativeSampler:
         with pytest.raises(ValueError):
             SamplerConfig(steps=0)
 
+    @pytest.mark.parametrize("steps", [True, np.True_, 2.0, 2.5, "3"])
+    def test_step_count_must_be_an_integer(self, steps):
+        """A bool (which ran one step) or a non-integer is refused."""
+        with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+            SamplerConfig(steps=steps)
+        assert SamplerConfig(steps=np.int64(2)).steps == 2
+
 
 class TestOtherSamplers:
     def test_naive_records_trajectory(self):
@@ -237,6 +251,36 @@ class TestOdeEquivalence:
         with pytest.raises(ValueError):
             ode_restore(oracle, y, method="rk4", n_steps=10)
 
+    @pytest.mark.parametrize("n_steps", [True, 10.0, 0])
+    def test_step_count_must_be_an_integer(self, n_steps):
+        """A bool (which ran one step) or a non-integer is refused."""
+        with pytest.raises(ValueError, match="n_steps must be an integer >= 1"):
+            ode_restore(gauss_oracle(), np.array([1.0]), n_steps=n_steps)
+
+
+class TestStepList:
+    def test_each_run_queries_the_injected_std_once(self, monkeypatch):
+        """Every run builds its step list with one elementwise call, at the
+        module global the benchmark tracer wraps."""
+        calls = []
+
+        def counting(schedule, t, delta):
+            calls.append(np.shape(t))
+            return injected_noise_std(schedule, t, delta)
+
+        monkeypatch.setattr(samplers, "injected_noise_std", counting)
+        oracle = gauss_oracle()
+        y = np.array([[2.0], [-1.0]])
+        cfg = SamplerConfig(steps=25, schedule=BrownianSchedule(0.3), seed=4)
+        for run in (iterative_restore, naive_restore, cold_diffusion_restore):
+            calls.clear()
+            run(oracle, y, cfg)
+            assert calls == [(25,)], run.__name__
+        for method in ("euler", "heun"):
+            calls.clear()
+            ode_restore(oracle, y, method, n_steps=25, t_min=0.13)
+            assert calls == [(25,)], method
+
 
 # A single state (d,) or a batch (m, d), d in 1..3, with moderate entries.
 _STATES = arrays(
@@ -276,3 +320,54 @@ class TestGeneratedInputs:
         assert_array_equal(naive_restore(oracle, y, cfg)[0], want)
         cold, _ = cold_diffusion_restore(oracle, y, cfg)
         assert np.all(np.abs(cold - want) <= np.spacing(2 * np.maximum(abs(y), abs(want))))
+
+
+def _reference_iterative(estimator, y, schedule, n, seed):
+    """The small-step sampler as a plain per-step loop that asks for each
+    step's injected std as it goes; the rng is used in the same order."""
+    rng = np.random.default_rng(seed)
+    x = np.array(y, dtype=np.float64)
+    eps1 = schedule_epsilon(schedule, 1.0)
+    if eps1 > 0.0:
+        x += eps1 * rng.standard_normal(x.shape)
+    traj = []
+    for k in range(n):
+        t, h = (n - k) / n, 1.0 / n
+        traj.append((t, x.copy()))
+        coef = h / t
+        x = coef * estimator(x, t) + (1.0 - coef) * x
+        std = injected_noise_std(schedule, t, h)
+        if std > 0.0:
+            x = x + std * rng.standard_normal(x.shape)
+    traj.append((0.0, x.copy()))
+    return x, traj
+
+
+@st.composite
+def _noisy_schedules(draw):
+    """A Brownian schedule, or a table on [0, 1] with non-increasing epsilons."""
+    eps = draw(st.floats(0.0, 2.0))
+    if draw(st.booleans()):
+        return BrownianSchedule(eps)
+    inner = draw(st.lists(st.floats(0.01, 0.99), max_size=3, unique=True))
+    times = (0.0, *sorted(inner), 1.0)
+    scales = draw(st.lists(st.floats(0.0, 1.0), min_size=len(times), max_size=len(times)))
+    return TableSchedule(times, tuple(eps * f for f in sorted(scales, reverse=True)))
+
+
+class TestStepListProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(y=_STATES, schedule=_noisy_schedules(), n=st.integers(1, 60),
+           seed=st.integers(0, 2**32 - 1))
+    def test_iterative_is_the_per_step_loop(self, y, schedule, n, seed):
+        """The step list built once per run gives the output and trajectory
+        of the per-step loop bit for bit."""
+        oracle = GaussianWorld(GaussianPrior(c=np.full(y.shape[-1], 0.2), sigma_c=0.9),
+                               1.1).oracle(schedule)
+        cfg = SamplerConfig(steps=n, schedule=schedule, seed=seed, record_trajectory=True)
+        out, traj = iterative_restore(oracle, y, cfg)
+        want, want_traj = _reference_iterative(oracle, y, schedule, n, seed)
+        assert_array_equal(out.view(np.uint64), want.view(np.uint64))
+        assert [t for t, _ in traj] == [t for t, _ in want_traj]
+        for (_, got), (_, ref) in zip(traj, want_traj):
+            assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
