@@ -561,10 +561,8 @@ def _metrics(cfg, world, x, result, nearest=None) -> dict:
             row["mode_hit_rate"] = float(np.mean(dists <= cfg["eval"]["hit_threshold"]))
         row["mean_min_dist"] = float(np.mean(dists))
     elif len(out) >= 2:  # one row has no distribution
-        stats = empirical_distribution_stats(
-            out, ref_mean=world.prior.c, ref_std=world.prior.sigma_c
-        )
-        row["ks"] = float(np.max(stats.ks_vs_normal))
+        ks = empirical_distribution_stats(out, world.prior.c, world.prior.sigma_c)
+        row["ks"] = float(np.max(ks))
     return row
 
 

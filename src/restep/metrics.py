@@ -3,24 +3,22 @@
 Point distortion is measured with mean squared error and PSNR.  The
 distributional side, which at scale would use learned perceptual metrics,
 is covered here by exact proxies: nearest-mode assignment against a known
-mixture prior, and moment/Kolmogorov-Smirnov statistics against a known
-Gaussian prior.
+mixture prior, and the Kolmogorov-Smirnov distance from a known Gaussian
+prior, computed in closed form over ``scipy.special.ndtr``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 from .degradation import as_state
 from .oracles import GaussianMixturePrior, _sum_last
 
 __all__ = [
-    "DistributionStats",
     "MetricReport",
     "distortion_metrics",
     "empirical_distribution_stats",
@@ -83,19 +81,13 @@ def nearest_modes(xs, prior: GaussianMixturePrior):
     return idx, dists[np.arange(len(xs)), idx]
 
 
-@dataclass(frozen=True)
-class DistributionStats:
-    mean: np.ndarray
-    variance: np.ndarray
-    ks_vs_normal: Optional[np.ndarray]
+def empirical_distribution_stats(samples, ref_mean, ref_std) -> np.ndarray:
+    """Per-coordinate one-sample KS statistic of ``samples`` against
+    N(ref_mean, ref_std^2), as a (d,) array.
 
-
-def empirical_distribution_stats(samples, ref_mean=None, ref_std=None) -> DistributionStats:
-    """Sample mean, unbiased per-coordinate variance, and (optionally) the
-    one-sample KS statistic of each coordinate against N(ref_mean, ref_std^2).
-
-    ``samples`` is (n, d) with n >= 2.  The KS block is skipped when no
-    reference is supplied.
+    ``samples`` is (n, d) with n >= 2; a 1-d array is one coordinate.  This
+    is scipy's ``kstest(col, "norm", args=(m, s)).statistic`` term for term,
+    for all columns at once and without the p-value.
     """
     samples = as_state(samples, "samples")
     if samples.ndim == 1:
@@ -103,20 +95,11 @@ def empirical_distribution_stats(samples, ref_mean=None, ref_std=None) -> Distri
     n, d = samples.shape
     if n < 2:
         raise ValueError("need at least 2 samples")
-    mean = samples.mean(axis=0)
-    variance = samples.var(axis=0, ddof=1)
-    ks = None
-    if ref_mean is not None or ref_std is not None:
-        if ref_mean is None or ref_std is None:
-            raise ValueError("supply both ref_mean and ref_std, or neither")
-        ref_mean = np.broadcast_to(np.asarray(ref_mean, float), (d,))
-        ref_std = np.broadcast_to(np.asarray(ref_std, float), (d,))
-        if np.any(ref_std <= 0.0):
-            raise ValueError("ref_std must be > 0")
-        ks = np.empty(d)
-        for j in range(d):
-            res = stats.kstest(
-                samples[:, j], "norm", args=(ref_mean[j], ref_std[j])
-            )
-            ks[j] = res.statistic
-    return DistributionStats(mean=mean, variance=variance, ks_vs_normal=ks)
+    ref_mean = np.broadcast_to(np.asarray(ref_mean, float), (d,))
+    ref_std = np.broadcast_to(np.asarray(ref_std, float), (d,))
+    if np.any(ref_std <= 0.0):
+        raise ValueError("ref_std must be > 0")
+    cdf = ndtr((np.sort(samples, axis=0) - ref_mean) / ref_std)
+    d_plus = np.max(np.arange(1.0, n + 1)[:, None] / n - cdf, axis=0)
+    d_minus = np.max(cdf - np.arange(0.0, n)[:, None] / n, axis=0)
+    return np.maximum(d_plus, d_minus)

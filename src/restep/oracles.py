@@ -267,10 +267,11 @@ def gaussian_posterior_mean(prior: GaussianPrior, sigma_n: float, x_t, t,
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError("need t in [0, 1]")
-    # numpy's ** overflows to inf where Python's raises; the bits are the same.
-    vc = np.float64(prior.sigma_c) ** 2
-    vt = (t * t) * (np.float64(sigma_n) ** 2 + np.float64(extra_noise_std) ** 2)
-    return (vc * x_t + vt * prior.c) / (vc + vt)
+    # squares overflow to inf (Python's ** raises), inf / inf is a nan samplers flag
+    with np.errstate(over="ignore", invalid="ignore"):
+        vc = np.float64(prior.sigma_c) ** 2
+        vt = (t * t) * (np.float64(sigma_n) ** 2 + np.float64(extra_noise_std) ** 2)
+        return (vc * x_t + vt * prior.c) / (vc + vt)
 
 
 def gaussian_flow_trajectory(prior: GaussianPrior, sigma_n: float, y, t) -> np.ndarray:

@@ -125,10 +125,10 @@ def time_distribution_cdf(dist: TimeDistribution, t):
 
 # ---- the MLP itself ---- #
 
-# activation -> (function on pre-activations, derivative from the activated value)
+# activation -> (in-place function on pre-activations, derivative from the activated value)
 _ACTIVATIONS = {
-    "tanh": (np.tanh, lambda a: 1.0 - a * a),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda a: (a > 0.0).astype(np.float64)),
+    "tanh": (lambda z: np.tanh(z, out=z), lambda a: 1.0 - a * a),
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda a: (a > 0.0).astype(np.float64)),
 }
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy import stats
 
 from restep.metrics import (
     distortion_metrics,
@@ -102,41 +103,46 @@ class TestNearestMode:
 
 
 class TestDistributionStats:
-    def test_moments_match_numpy(self):
-        rng = np.random.default_rng(9)
-        samples = rng.normal(size=(500, 3))
-        s = empirical_distribution_stats(samples)
-        assert_allclose(s.mean, samples.mean(axis=0), rtol=1e-14)
-        assert_allclose(s.variance, samples.var(axis=0, ddof=1), rtol=1e-14)
-        assert s.ks_vs_normal is None
-
     def test_ks_small_for_matching_reference(self):
         rng = np.random.default_rng(10)
         n = 20_000
         samples = 0.5 + 2.0 * rng.standard_normal((n, 2))
-        s = empirical_distribution_stats(samples, ref_mean=0.5, ref_std=2.0)
-        assert s.ks_vs_normal.shape == (2,)
-        assert np.all(s.ks_vs_normal < 1.63 / np.sqrt(n))   # ~ 1% critical value
+        ks = empirical_distribution_stats(samples, 0.5, 2.0)
+        assert ks.shape == (2,)
+        assert np.all(ks < 1.63 / np.sqrt(n))   # ~ 1% critical value
 
     def test_ks_large_for_wrong_reference(self):
         rng = np.random.default_rng(11)
         samples = rng.standard_normal((5_000, 1))
-        s = empirical_distribution_stats(samples, ref_mean=1.0, ref_std=1.0)
-        assert s.ks_vs_normal[0] > 0.3
-
-    def test_reference_args_must_come_together(self):
-        samples = np.zeros((10, 1))
-        with pytest.raises(ValueError):
-            empirical_distribution_stats(samples, ref_mean=0.0)
-        with pytest.raises(ValueError):
-            empirical_distribution_stats(samples, ref_std=1.0)
+        ks = empirical_distribution_stats(samples, 1.0, 1.0)
+        assert ks[0] > 0.3
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
-            empirical_distribution_stats(np.zeros((1, 2)))
+            empirical_distribution_stats(np.zeros((1, 2)), 0.0, 1.0)
 
     def test_one_dimensional_input_is_a_single_coordinate(self):
         rng = np.random.default_rng(12)
         draws = rng.standard_normal(100)
-        s = empirical_distribution_stats(draws)
-        assert s.mean.shape == (1,)
+        ks = empirical_distribution_stats(draws, 0.0, 1.0)
+        assert ks.shape == (1,)
+        assert ks.tobytes() == empirical_distribution_stats(draws[:, None], 0.0, 1.0).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 2_000), d=st.integers(1, 3),
+           loc=st.floats(-1e6, 1e6), scale=st.floats(1e-6, 1e6),
+           shift=st.floats(-3.0, 3.0), spread=st.floats(0.1, 10.0),
+           decimals=st.none() | st.integers(-2, 6))
+    def test_ks_is_scipys_statistic_bit_for_bit(self, seed, n, d, loc, scale, shift,
+                                                spread, decimals):
+        """Each column's statistic is ``scipy.stats.kstest``'s, ties from
+        rounded samples and far-off references included."""
+        rng = np.random.default_rng(seed)
+        ref_mean = loc + scale * rng.normal(size=d)
+        samples = ref_mean + scale * (shift + spread * rng.standard_normal((n, d)))
+        if decimals is not None:
+            samples = np.round(samples, decimals)
+        ks = empirical_distribution_stats(samples, ref_mean, scale)
+        want = [stats.kstest(samples[:, j], "norm", args=(ref_mean[j], scale)).statistic
+                for j in range(d)]
+        assert ks.tobytes() == np.array(want).tobytes()

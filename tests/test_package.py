@@ -1,10 +1,13 @@
 """The package's public surface: one list of names, and demos that import
 only names that exist (the demos take seconds to run, so they are checked
 here by parsing, not by running them).  No source file imports a name it
-does not use."""
+does not use, and the package does not import ``scipy.stats``."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,7 @@ from restep import degradation, harness, metrics, oracles, regressor, samplers, 
 
 MODULES = (degradation, harness, metrics, oracles, regressor, samplers, worlds)
 DELETED = ("Trajectory", "gaussian_mmse", "mixture_marginal_density", "residual_flow_rhs",
-           "NonFiniteIterateError", "TrainingDivergenceError")
+           "NonFiniteIterateError", "TrainingDivergenceError", "DistributionStats")
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 SOURCES = sorted(str(p.relative_to(ROOT)) for d in ("src", "tests", "demos")
@@ -40,6 +43,16 @@ def test_deleted_names_are_gone():
         assert not hasattr(restep, name), name
         for module in MODULES:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_import_loads_no_scipy_stats():
+    """``import restep`` stays light: the KS metric needs only
+    ``scipy.special.ndtr``, not ``scipy.stats``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(restep.__file__).resolve().parent.parent)}
+    code = "import sys, restep; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))

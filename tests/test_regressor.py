@@ -188,6 +188,57 @@ class TestGradients:
             loss_and_gradients(model, np.zeros((2, 2)), np.zeros((2, 1)), 3)
 
 
+def _reference_pass(model, inputs, targets, p_norm):
+    """Out-of-place forward and backward pass, written out independently of
+    ``_ACTIVATIONS``: (prediction, loss, grads_w, grads_b)."""
+    tanh = model.activation == "tanh"
+    outs = [inputs]
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = outs[-1] @ w.T + b
+        if l < len(model.weights) - 1:
+            z = np.tanh(z) if tanh else np.maximum(z, 0.0)
+        outs.append(z)
+    diff = outs[-1] - targets
+    if p_norm == 2:
+        loss, delta = float(np.mean(diff * diff)), (2.0 / diff.size) * diff
+    else:
+        loss, delta = float(np.mean(np.abs(diff))), np.sign(diff) / diff.size
+    grads_w, grads_b = [None] * len(model.weights), [None] * len(model.weights)
+    for l in range(len(model.weights) - 1, -1, -1):
+        grads_w[l] = delta.T @ outs[l]
+        grads_b[l] = delta.sum(axis=0)
+        if l > 0:
+            a = outs[l]
+            delta = (delta @ model.weights[l]) * (1.0 - a * a if tanh
+                                                  else (a > 0.0).astype(np.float64))
+    return outs[-1], loss, grads_w, grads_b
+
+
+class TestInPlaceActivation:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3),
+           hidden=st.lists(st.integers(1, 40), min_size=1, max_size=2),
+           rows=st.integers(1, 300), activation=st.sampled_from(["tanh", "relu"]),
+           p_norm=st.sampled_from([1, 2]), scale=st.sampled_from([1e-3, 1.0, 30.0]))
+    def test_predict_and_gradients_keep_every_bit(self, seed, dim, hidden, rows,
+                                                  activation, p_norm, scale):
+        """The activation overwrites its fresh pre-activations; predictions,
+        loss and gradients equal an out-of-place pass bit for bit."""
+        rng = np.random.default_rng(seed)
+        model = MlpRegressor.create(dim, hidden, rng, activation=activation)
+        model.weights = [w * scale for w in model.weights]
+        xs = rng.normal(size=(rows, dim))
+        ts = rng.uniform(0.0, 1.0, size=rows)
+        targets = rng.normal(size=(rows, dim))
+        inputs = np.concatenate([xs, ts[:, None]], axis=1)
+        pred, loss, grads_w, grads_b = _reference_pass(model, inputs, targets, p_norm)
+        assert model.predict(xs, ts).tobytes() == pred.tobytes()
+        got_loss, got_w, got_b = loss_and_gradients(model, inputs, targets, p_norm)
+        assert got_loss == loss
+        for got, want in zip(got_w + got_b, grads_w + grads_b):
+            assert got.tobytes() == want.tobytes()
+
+
 class TestTraining:
     def make_world(self):
         prior = GaussianMixturePrior(

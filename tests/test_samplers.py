@@ -120,6 +120,19 @@ class TestIterativeSampler:
         assert np.all(injected != 0.0)
         assert 0.5 < injected.std() / np.sqrt(0.75 * 0.25) < 1.5
 
+    @pytest.mark.parametrize("c", [0.0, 0.5])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gaussian_oracle_under_overflowing_epsilon_diverges_quietly(self, c):
+        """Where eps(t)^2 overflows, the Gaussian oracle's nan estimate is
+        flagged at step 0 without a RuntimeWarning (it printed "overflow
+        encountered in scalar power")."""
+        sched = BrownianSchedule(1e160)
+        oracle = GaussianWorld(GaussianPrior(c=[c], sigma_c=1.0), 0.5).oracle(sched)
+        cfg = SamplerConfig(steps=4, schedule=sched, seed=1)
+        with pytest.raises(DivergenceError) as info:
+            iterative_restore(oracle, np.array([[0.3], [-1.0]]), cfg)
+        assert str(info.value) == "non-finite estimate at step 0 (t = 1)"
+
     def test_non_finite_estimate_raises_with_step_index(self):
         def bad(x_t, t):
             return np.full_like(x_t, np.nan)
