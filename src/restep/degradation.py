@@ -16,6 +16,7 @@ keeps injecting fresh noise along the way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -139,7 +140,21 @@ def schedule_epsilon(schedule: NoiseSchedule, t):
     The Brownian kind diverges at t = 0 and is rejected there; callers that
     need the noise amplitude rather than eps itself should use
     :func:`forward_noise_std`, whose ``t * eps(t)`` is continuous at 0.
+    A scalar ``t`` under a constant or Brownian schedule is computed in
+    Python floats (``math.sqrt`` is correctly rounded, like ``np.sqrt``),
+    which gives the same bits as the array path at a fraction of its cost.
     """
+    if isinstance(schedule, (ConstantSchedule, BrownianSchedule)) and np.ndim(t) == 0:
+        t = float(t)
+        if not math.isfinite(t):
+            raise ValueError("t must be finite")
+        if not 0.0 <= t <= 1.0:
+            raise ValueError("t must lie in [0, 1]")
+        if isinstance(schedule, ConstantSchedule):
+            return float(schedule.epsilon)
+        if t <= 0.0:
+            raise ValueError("Brownian schedule is undefined at t = 0")
+        return float(schedule.epsilon) / math.sqrt(t)
     t_arr = _check_time(t)
     if isinstance(schedule, ConstantSchedule):
         out = np.full_like(t_arr, schedule.epsilon)

@@ -24,7 +24,7 @@ Time distributions, parameterized as t = g(s) with s ~ U[0, 1]:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
@@ -125,11 +125,26 @@ def time_distribution_cdf(dist: TimeDistribution, t):
 
 # ---- the MLP itself ---- #
 
-# activation -> (in-place function on pre-activations, derivative from the activated value)
+# activation -> (function on pre-activations, derivative from the activated
+# value); both overwrite their argument
 _ACTIVATIONS = {
-    "tanh": (lambda z: np.tanh(z, out=z), lambda a: 1.0 - a * a),
-    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda a: (a > 0.0).astype(np.float64)),
+    "tanh": (lambda z: np.tanh(z, out=z),
+             lambda a: np.subtract(1.0, np.multiply(a, a, out=a), out=a)),
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda a: np.greater(a, 0.0, out=a)),
 }
+
+
+class _Workspace:
+    """Kept arrays for one row count n: the (n, d + 1) input batch, each
+    hidden layer's activations, and the backprop delta of each hidden layer.
+    Reusing them spares every call the page faults of fresh arrays above
+    the allocator's mmap threshold."""
+
+    def __init__(self, sizes: tuple, rows: int):
+        self.rows = rows
+        self.inputs = np.empty((rows, sizes[0]))
+        self.hidden = [np.empty((rows, s)) for s in sizes[1:-1]]
+        self.deltas = [np.empty((rows, s)) for s in sizes[1:-1]]
 
 
 @dataclass
@@ -137,7 +152,10 @@ class MlpRegressor:
     """Fully connected regressor with input width d + 1 and output width d.
 
     ``weights[l]`` has shape (fan_out, fan_in); the last layer is linear,
-    all earlier ones apply ``activation``.
+    all earlier ones apply ``activation``.  The model keeps one workspace
+    of scratch arrays, made again only when the batch row count changes;
+    it is left out of ``==``, ``repr``, pickles, :meth:`copy` and
+    checkpoints.  Arrays the model returns are never workspace arrays.
     """
 
     layer_sizes: tuple
@@ -145,6 +163,8 @@ class MlpRegressor:
     biases: list
     activation: str = "tanh"
     training_seed: Optional[int] = None
+    _work: Optional[_Workspace] = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
@@ -193,21 +213,42 @@ class MlpRegressor:
             training_seed=self.training_seed,
         )
 
+    def __getstate__(self):
+        return {**self.__dict__, "_work": None}
+
+    def _workspace(self, rows: int) -> _Workspace:
+        if self._work is None or self._work.rows != rows:
+            self._work = _Workspace(self.layer_sizes, rows)
+        return self._work
+
+    def _inputs(self, x: np.ndarray, t) -> np.ndarray:
+        """The batch ``[x, t]`` in the workspace's (n, d + 1) input array."""
+        inputs = self._workspace(len(x)).inputs
+        inputs[:, :-1] = x
+        inputs[:, -1] = t
+        return inputs
+
     def _forward(self, inputs: np.ndarray) -> list:
-        """All layer outputs, starting with the input batch itself."""
+        """All layer outputs, starting with the input batch itself.  The
+        hidden layers write into the workspace; the last layer's output is
+        a fresh array."""
         act, _ = _ACTIVATIONS[self.activation]
+        hidden = self._workspace(len(inputs)).hidden
         outs = [inputs]
         h = inputs
         last = len(self.weights) - 1
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.T + b
-            h = act(z) if l < last else z
+            h = np.matmul(h, w.T, out=hidden[l] if l < last else None)
+            h += b
+            if l < last:
+                act(h)
             outs.append(h)
         return outs
 
     def predict(self, x_t, t) -> np.ndarray:
         """Deterministic forward pass; ``x_t`` is (d,) or (n, d), ``t`` a
-        scalar or (n,) array."""
+        scalar or (n,) array.  The output is a fresh array, so a later call
+        never overwrites it."""
         x = as_state(x_t, "x_t")
         single = x.ndim == 1
         xb = x[None, :] if single else x
@@ -218,50 +259,57 @@ class MlpRegressor:
         t_arr = np.asarray(t, dtype=np.float64)
         if not np.all(np.isfinite(t_arr)):
             raise ValueError("t must be finite")
-        if t_arr.ndim == 0:
-            col = np.full((xb.shape[0], 1), float(t_arr))
-        elif t_arr.shape == (xb.shape[0],):
-            col = t_arr[:, None]
-        else:
+        if t_arr.ndim != 0 and t_arr.shape != (xb.shape[0],):
             raise ValueError("t must be a scalar or one entry per batch row")
-        out = self._forward(np.concatenate([xb, col], axis=1))[-1]
+        out = self._forward(self._inputs(xb, t_arr))[-1]
         return out[0] if single else out
 
     # the Estimator protocol
     __call__ = predict
 
 
-def loss_and_gradients(model: MlpRegressor, inputs, targets, p_norm: int):
+def loss_and_gradients(model: MlpRegressor, inputs, targets, p_norm: int, out=None):
     """Empirical p-norm loss and its gradients by backprop.
 
     ``inputs`` is the already-assembled (n, d + 1) batch, ``targets`` the
     (n, d) clean signals.  The loss is the mean of |diff|^p over all n * d
     elements; for p = 1 the subgradient at 0 is taken as 0.  Returns
     ``(loss, grads_w, grads_b)`` with gradients shaped like the parameters.
+    The gradients are written into ``out``, a list of arrays shaped like
+    ``weights + biases``, when given, and into fresh arrays otherwise; the
+    intermediate activations and deltas live in the model's workspace.
     """
     if p_norm not in (1, 2):
         raise ValueError("p_norm must be 1 or 2")
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    if inputs.ndim != 2 or targets.ndim != 2 or inputs.shape[0] != targets.shape[0]:
-        raise ValueError("inputs and targets must be matching 2-d batches")
+    if (inputs.ndim != 2 or inputs.shape[1] != model.layer_sizes[0]
+            or targets.shape != (len(inputs), model.state_dim)):
+        raise ValueError("inputs and targets must be matching (n, d + 1) and (n, d) batches")
     outs = model._forward(inputs)
-    diff = outs[-1] - targets
+    diff = outs[-1]  # the fresh output becomes the residual, then the delta
+    diff -= targets
     n_elems = diff.size
     if p_norm == 2:
         loss = float(np.mean(diff * diff))
-        delta = (2.0 / n_elems) * diff
+        delta = np.multiply(2.0 / n_elems, diff, out=diff)
     else:
         loss = float(np.mean(np.abs(diff)))
-        delta = np.sign(diff) / n_elems
+        delta = np.sign(diff, out=diff)
+        delta /= n_elems
     _, act_deriv = _ACTIVATIONS[model.activation]
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
-    for l in range(len(model.weights) - 1, -1, -1):
-        grads_w[l] = delta.T @ outs[l]
-        grads_b[l] = delta.sum(axis=0)
+    deltas = model._workspace(len(inputs)).deltas
+    n_layers = len(model.weights)
+    if out is None:
+        out = [np.empty(p.shape) for p in model.weights + model.biases]
+    grads_w, grads_b = out[:n_layers], out[n_layers:]
+    for l in range(n_layers - 1, -1, -1):
+        np.matmul(delta.T, outs[l], out=grads_w[l])
+        np.sum(delta, axis=0, out=grads_b[l])
         if l > 0:
-            delta = (delta @ model.weights[l]) * act_deriv(outs[l])
+            deriv = act_deriv(outs[l])  # outs[l] is not read again
+            delta = np.matmul(delta, model.weights[l], out=deltas[l - 1])
+            delta *= deriv
     return loss, grads_w, grads_b
 
 
@@ -300,12 +348,15 @@ def train(model: MlpRegressor, data, config: TrainConfig):
     rows across chunks.  The input model is left untouched (so zero steps
     returns an identical copy and an empty loss curve).  Raises
     :class:`DivergenceError`, with ``t`` None, the moment a drawn pair or
-    the batch loss goes non-finite.
+    the batch loss goes non-finite.  Each step writes its batch, gradients
+    and Adam temporaries into arrays kept across steps.
     """
     trained = model.copy()
     params = trained.weights + trained.biases
     moment1 = [np.zeros_like(p) for p in params]
     moment2 = [np.zeros_like(p) for p in params]
+    grads = [np.empty_like(p) for p in params]
+    temps = [(np.empty_like(p), np.empty_like(p)) for p in params]
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     losses = np.empty(config.steps)
     chunks = iter(data)
@@ -331,22 +382,24 @@ def train(model: MlpRegressor, data, config: TrainConfig):
         std = forward_noise_std(config.schedule, t)
         if np.any(std > 0.0):
             x_t = x_t + std[:, None] * rng.standard_normal(x_t.shape)
-        inputs = np.concatenate([x_t, t[:, None]], axis=1)
-        loss, grads_w, grads_b = loss_and_gradients(trained, inputs, x, config.p_norm)
+        inputs = trained._inputs(x_t, t)
+        loss, _, _ = loss_and_gradients(trained, inputs, x, config.p_norm, out=grads)
         if not np.isfinite(loss):
             raise DivergenceError(step, None, "non-finite loss (batch seed entropy "
                                   f"{(config.seed, step)})")
-        grads = grads_w + grads_b
         correction1 = 1.0 - beta1 ** (step + 1)
         correction2 = 1.0 - beta2 ** (step + 1)
-        for p, g, m1, m2 in zip(params, grads, moment1, moment2):
+        for p, g, m1, m2, (u, v) in zip(params, grads, moment1, moment2, temps):
             m1 *= beta1
-            m1 += (1.0 - beta1) * g
+            m1 += np.multiply(1.0 - beta1, g, out=u)
             m2 *= beta2
-            m2 += (1.0 - beta2) * (g * g)
-            p -= config.learning_rate * (m1 / correction1) / (
-                np.sqrt(m2 / correction2) + adam_eps
-            )
+            m2 += np.multiply(1.0 - beta2, np.multiply(g, g, out=u), out=u)
+            # p -= learning_rate * (m1 / correction1) / (sqrt(m2 / correction2) + adam_eps)
+            np.multiply(config.learning_rate, np.divide(m1, correction1, out=u), out=u)
+            np.sqrt(np.divide(m2, correction2, out=v), out=v)
+            v += adam_eps
+            u /= v
+            p -= u
         losses[step] = loss
     if config.steps > 0:
         trained.training_seed = config.seed

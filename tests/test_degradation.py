@@ -296,3 +296,30 @@ class TestInjectedNoiseOnGrids:
         target, ratio, std = target[ok], eps_cur[ok] / eps_prev[ok], got[:-1][ok] / eps_prev[ok]
         assert_allclose((target * ratio) ** 2 + std**2, target**2, rtol=1e-12)
         assert np.all(got[:-1][eps_prev == 0.0] == 0.0)
+
+
+def _outcome(evaluate):
+    """The bits of a float result, or the message of the ValueError raised."""
+    try:
+        with np.errstate(over="ignore"):
+            return "value", np.float64(evaluate()).tobytes()
+    except ValueError as err:
+        return "error", str(err)
+
+
+class TestScalarEpsilon:
+    @settings(max_examples=300, deadline=None)
+    @given(eps=_EPSILONS, brownian=st.booleans(),
+           t=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-300),
+                       st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.0]),
+                       st.floats()),
+           wrap=st.sampled_from([float, np.float64, np.array]))
+    def test_scalar_path_equals_the_array_path(self, eps, brownian, t, wrap):
+        """A scalar t under a constant or Brownian schedule goes through
+        Python floats; its result, or its error, equals the array path's
+        bit for bit, subnormal t and eps^2 overflow included."""
+        schedule = BrownianSchedule(eps) if brownian else ConstantSchedule(eps)
+        scalar = _outcome(lambda: schedule_epsilon(schedule, wrap(t)))
+        assert scalar == _outcome(lambda: schedule_epsilon(schedule, np.array([t]))[0])
+        if scalar[0] == "value":
+            assert type(schedule_epsilon(schedule, wrap(t))) is float

@@ -1,5 +1,7 @@
+import pickle
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,12 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
-from restep.degradation import ConstantSchedule, forward_interpolate
+from restep.degradation import (
+    BrownianSchedule,
+    ConstantSchedule,
+    forward_interpolate,
+    forward_noise_std,
+)
 from restep.oracles import GaussianMixturePrior, GaussianPrior, LinearDegradation
 from restep.regressor import (
     TIME_DISTRIBUTION_KINDS,
@@ -24,6 +31,7 @@ from restep.regressor import (
     time_distribution_cdf,
     train,
 )
+from restep.samplers import ode_restore
 from restep.worlds import DivergenceError, GaussianWorld, MixtureWorld
 
 
@@ -187,6 +195,19 @@ class TestGradients:
         with pytest.raises(ValueError):
             loss_and_gradients(model, np.zeros((2, 2)), np.zeros((2, 1)), 3)
 
+    @pytest.mark.parametrize("inputs, targets", [
+        ((4, 2), (4, 2)),   # targets wider than the output broadcast against it
+        ((4, 3), (4, 1)),   # inputs wider than d + 1
+        ((4, 2), (3, 1)),   # row counts differ
+        ((2,), (1,)),       # not batches
+    ])
+    def test_batch_shapes_must_match_the_model(self, inputs, targets):
+        """The residual is formed in place in the output, so targets must
+        have the output's shape; a wider one used to broadcast silently."""
+        model = MlpRegressor.create(1, [2], np.random.default_rng(14))
+        with pytest.raises(ValueError, match="matching"):
+            loss_and_gradients(model, np.zeros(inputs), np.zeros(targets), 2)
+
 
 def _reference_pass(model, inputs, targets, p_norm):
     """Out-of-place forward and backward pass, written out independently of
@@ -237,6 +258,191 @@ class TestInPlaceActivation:
         assert got_loss == loss
         for got, want in zip(got_w + got_b, grads_w + grads_b):
             assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3),
+           hidden=st.lists(st.integers(1, 40), min_size=1, max_size=2),
+           batch_size=st.sampled_from([1, 7, 32, 64]), steps=st.integers(1, 20),
+           activation=st.sampled_from(["tanh", "relu"]), p_norm=st.sampled_from([1, 2]),
+           brownian=st.booleans(), eps=st.sampled_from([0.0, 0.3]),
+           kind=st.sampled_from(TIME_DISTRIBUTION_KINDS))
+    def test_training_keeps_every_bit(self, data, seed, dim, hidden, batch_size, steps,
+                                      activation, p_norm, brownian, eps, kind):
+        """train() with its kept batch, gradient and Adam arrays equals a
+        fresh-array training loop bit for bit: every weight, bias and loss.
+        The stream is cut anywhere, batch boundaries and empty chunks (a
+        zero-size last chunk among them) included."""
+        rng = np.random.default_rng(seed)
+        model = MlpRegressor.create(dim, hidden, rng, activation=activation)
+        total = steps * batch_size
+        x, y = rng.normal(size=(total, dim)), rng.normal(size=(total, dim))
+        cuts = data.draw(st.lists(st.one_of(
+            st.integers(0, total),
+            st.integers(0, steps).map(lambda k: k * batch_size)), max_size=6))
+        edges = [0, *sorted(cuts), total]
+        chunks = [(x[a:b], y[a:b]) for a, b in zip(edges[:-1], edges[1:])]
+        schedule = BrownianSchedule(eps) if brownian else ConstantSchedule(eps)
+        cfg = TrainConfig(p_norm=p_norm, learning_rate=1e-2, batch_size=batch_size,
+                          steps=steps, time_dist=TimeDistribution(kind, a=1.0),
+                          schedule=schedule, seed=seed % 1000)
+        got, got_losses = train(model, chunks, cfg)
+        want, want_losses = _reference_train(model, x, y, cfg)
+        assert got_losses.tobytes() == np.array(want_losses).tobytes()
+        for a, b in zip(got.weights + got.biases, want):
+            assert a.tobytes() == b.tobytes()
+
+
+def _reference_train(model, x, y, config):
+    """train() written out with fresh arrays throughout: the stream's rows
+    in order, the documented per-step draws, ``_reference_pass`` and Adam
+    with out-of-place temporaries.  Returns (weights + biases, losses)."""
+    ref = model.copy()
+    params = ref.weights + ref.biases
+    moment1 = [np.zeros_like(p) for p in params]
+    moment2 = [np.zeros_like(p) for p in params]
+    size, losses = config.batch_size, []
+    for step in range(config.steps):
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, step)))
+        xb, yb = x[step * size:(step + 1) * size], y[step * size:(step + 1) * size]
+        t = sample_times(config.time_dist, rng, size=size)
+        x_t = forward_interpolate(xb, yb, t)
+        std = forward_noise_std(config.schedule, t)
+        if np.any(std > 0.0):
+            x_t = x_t + std[:, None] * rng.standard_normal(x_t.shape)
+        inputs = np.concatenate([x_t, t[:, None]], axis=1)
+        _, loss, grads_w, grads_b = _reference_pass(ref, inputs, xb, config.p_norm)
+        correction1 = 1.0 - 0.9 ** (step + 1)
+        correction2 = 1.0 - 0.999 ** (step + 1)
+        for p, g, m1, m2 in zip(params, grads_w + grads_b, moment1, moment2):
+            m1 *= 0.9
+            m1 += (1.0 - 0.9) * g
+            m2 *= 0.999
+            m2 += (1.0 - 0.999) * (g * g)
+            p -= config.learning_rate * (m1 / correction1) / (
+                np.sqrt(m2 / correction2) + 1e-8)
+        losses.append(loss)
+    return params, losses
+
+
+class TestWorkspace:
+    """The model's kept arrays never reach what a caller holds, and never
+    travel with the model."""
+
+    def model(self, activation="tanh"):
+        return MlpRegressor.create(2, [16, 16], np.random.default_rng(40),
+                                   activation=activation)
+
+    def test_consecutive_outputs_do_not_share_memory(self):
+        model = self.model()
+        x = np.random.default_rng(41).normal(size=(50, 2))
+        first = model.predict(x, 0.3)
+        kept = first.copy()
+        second = model.predict(x, 0.7)
+        assert not np.shares_memory(first, second)
+        assert_array_equal(first, kept)
+
+    def test_heun_keeps_its_first_estimate(self):
+        """Heun calls the estimator twice per step; every estimate stays as
+        it was returned, and the run equals one fed copied estimates."""
+        model = self.model()
+        y = np.random.default_rng(42).normal(size=(30, 2))
+        returned = []
+
+        def recording(x, t):
+            est = model.predict(x, t)
+            returned.append((est, est.copy()))
+            return est
+
+        got = ode_restore(recording, y, "heun", n_steps=12)
+        for est, copy in returned:
+            assert_array_equal(est, copy)
+        want = ode_restore(lambda x, t: model.predict(x, t).copy(), y, "heun", n_steps=12)
+        assert got.tobytes() == want.tobytes()
+        assert ode_restore(model, y, "heun", n_steps=12).tobytes() == want.tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), m=st.integers(1, 300),
+           activation=st.sampled_from(["tanh", "relu"]), p_norm=st.sampled_from([1, 2]))
+    def test_alternating_row_counts_keep_every_bit(self, seed, n, m, activation, p_norm):
+        """Row counts n, m, n with fresh inputs each time: predictions,
+        losses and gradients all equal the out-of-place reference."""
+        model = self.model(activation)
+        rng = np.random.default_rng(seed)
+        for rows in (n, m, n):
+            xs, ts = rng.normal(size=(rows, 2)), rng.uniform(size=rows)
+            targets = rng.normal(size=(rows, 2))
+            inputs = np.concatenate([xs, ts[:, None]], axis=1)
+            pred, loss, grads_w, grads_b = _reference_pass(model, inputs, targets, p_norm)
+            assert model.predict(xs, ts).tobytes() == pred.tobytes()
+            got_loss, got_w, got_b = loss_and_gradients(model, inputs, targets, p_norm)
+            assert np.float64(got_loss).tobytes() == np.float64(loss).tobytes()
+            for got, want in zip(got_w + got_b, grads_w + grads_b):
+                assert got.tobytes() == want.tobytes()
+
+    def test_pickles_leave_the_workspace_behind(self):
+        model = self.model()
+        before = pickle.dumps(model)
+        x = np.random.default_rng(43).normal(size=(500, 2))
+        want = model.predict(x, 0.4)
+        after = pickle.dumps(model)
+        assert len(after) == len(before)
+        clone = pickle.loads(after)
+        assert clone._work is None
+        assert clone.predict(x, 0.4).tobytes() == want.tobytes()
+
+    def test_copy_repr_and_eq_ignore_the_workspace(self):
+        model = self.model()
+        twin = MlpRegressor(model.layer_sizes, model.weights, model.biases)
+        model.predict(np.zeros((20, 2)), 0.5)
+        assert model._work is not None and twin._work is None
+        assert model == twin
+        assert repr(model) == repr(twin)
+        assert model.copy()._work is None
+
+
+class TestAllocations:
+    """A warm 1000-row forward pass and a warm training step make no array
+    near glibc's default mmap threshold (128 KiB), above which each fresh
+    array is mapped and page-faulted anew.  numpy reports its buffers to
+    tracemalloc, so the peak is deterministic."""
+
+    LIMIT = 128 * 1024
+
+    def test_warm_predict(self):
+        model = MlpRegressor.create(2, [64, 64], np.random.default_rng(50))
+        rng = np.random.default_rng(51)
+        x, t = rng.normal(size=(1000, 2)), rng.uniform(size=1000)
+        model.predict(x, t)
+        tracemalloc.start()
+        try:
+            model.predict(x, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.LIMIT
+
+    def test_warm_training_step(self):
+        """The peak counts from the second step on: the first made the
+        workspace, and train() allocates its moments once per call."""
+        model = MlpRegressor.create(2, [64, 64], np.random.default_rng(52))
+        rng = np.random.default_rng(53)
+        x, y = rng.normal(size=(512, 2)), rng.normal(size=(512, 2))
+        held = []
+
+        def chunks():
+            yield x[:256], y[:256]
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            yield x[256:], y[256:]
+
+        tracemalloc.start()
+        try:
+            train(model, chunks(), TrainConfig(batch_size=256, steps=2,
+                                               schedule=ConstantSchedule(0.1)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held[0] < self.LIMIT
 
 
 class TestTraining:
