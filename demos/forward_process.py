@@ -10,7 +10,6 @@ from restep.degradation import (
     BrownianSchedule,
     schedule_epsilon,
     ConstantSchedule,
-    forward_degrade_noisy,
     forward_interpolate,
     forward_noise_std,
     injected_noise_std,
@@ -60,6 +59,7 @@ print(f"  target var at t - delta         = {rhs:.12f}")
 
 print()
 print("noisy forward draw at t=0.5 (constant schedule, seeded):")
-noisy = forward_degrade_noisy(x, y, 0.5, constant, rng)
+noisy = forward_interpolate(x, y, 0.5) \
+    + forward_noise_std(constant, 0.5) * rng.standard_normal(x.shape)
 print("  x_t =", noisy)
 print("  total noise std at this t:", forward_noise_std(constant, 0.5))

@@ -28,7 +28,6 @@ __all__ = [
     "NoiseSchedule",
     "ScheduleInvariantError",
     "TableSchedule",
-    "forward_degrade_noisy",
     "forward_interpolate",
     "forward_noise_std",
     "injected_noise_std",
@@ -207,20 +206,6 @@ def forward_interpolate(x, y, t) -> np.ndarray:
     if t_arr.ndim:
         t_arr = t_arr[..., None]
     return (1.0 - t_arr) * x + t_arr * y
-
-
-def forward_degrade_noisy(x, y, t, schedule: NoiseSchedule, rng) -> np.ndarray:
-    """Noisy forward sample ``(1 - t) x + t y + t * eps(t) * n``.
-
-    ``n`` is standard normal per coordinate, drawn from ``rng``.  When the
-    noise std is identically zero no draw is taken, so the zero-noise case
-    collapses exactly to :func:`forward_interpolate`.
-    """
-    base = forward_interpolate(x, y, t)
-    std = np.asarray(forward_noise_std(schedule, t))
-    if not np.any(std):
-        return base
-    return base + (std[..., None] if std.ndim else std) * rng.standard_normal(base.shape)
 
 
 def injected_noise_std(schedule: NoiseSchedule, t, delta):

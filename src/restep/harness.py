@@ -552,9 +552,7 @@ def _metrics(cfg, world, x, result, nearest=None) -> dict:
         return row
     out = np.atleast_2d(result[0])
     if x is not None:
-        m = distortion_metrics(x, out, peak=world.signal_peak)
-        row["mse"] = float(m.mse)
-        row["psnr"] = float(m.psnr)
+        row["mse"], row["psnr"] = distortion_metrics(x, out, peak=world.signal_peak)
     if isinstance(world, MixtureWorld):
         _, dists = nearest_modes(out, world.prior) if nearest is None else nearest
         if "hit_threshold" in cfg["eval"]:

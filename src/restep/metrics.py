@@ -1,16 +1,15 @@
 """Distortion and distributional metrics for sampler evaluation.
 
-Point distortion is measured with mean squared error and PSNR.  The
+Point distortion is an ``(mse, psnr)`` pair over a batch.  The
 distributional side, which at scale would use learned perceptual metrics,
-is covered here by exact proxies: nearest-mode assignment against a known
-mixture prior, and the Kolmogorov-Smirnov distance from a known Gaussian
-prior, computed in closed form over ``scipy.special.ndtr``.
+is covered here by exact proxies: batch nearest-mode assignment against a
+known mixture prior, and the Kolmogorov-Smirnov distance from a known
+Gaussian prior, computed in closed form over ``scipy.special.ndtr``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -19,22 +18,14 @@ from .degradation import as_state
 from .oracles import GaussianMixturePrior, _sum_last
 
 __all__ = [
-    "MetricReport",
     "distortion_metrics",
     "empirical_distribution_stats",
-    "nearest_mode",
     "nearest_modes",
 ]
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    mse: float
-    psnr: float
-
-
-def distortion_metrics(reference, estimate, peak: float = 1.0) -> MetricReport:
-    """MSE over all elements plus PSNR = 10 log10(peak^2 / mse).
+def distortion_metrics(reference, estimate, peak: float = 1.0) -> tuple[float, float]:
+    """``(mse, psnr)``: MSE over all elements and PSNR = 10 log10(peak^2 / mse).
 
     ``peak`` is the dynamic range of the signal convention in use (2.0 for
     signals living in [-1, 1], for instance).  A zero-error batch reports
@@ -53,24 +44,12 @@ def distortion_metrics(reference, estimate, peak: float = 1.0) -> MetricReport:
         psnr = -math.inf
     else:
         psnr = math.inf if mse == 0.0 else 10.0 * math.log10(peak * peak / mse)
-    return MetricReport(mse=mse, psnr=psnr)
-
-
-def nearest_mode(x, prior: GaussianMixturePrior):
-    """Index and Euclidean distance of the prior mode closest to ``x``.
-
-    Ties go to the lowest index (np.argmin's convention).
-    """
-    x = as_state(x, "x")
-    if x.ndim != 1:
-        raise ValueError("nearest_mode expects a single (d,) vector")
-    dists = np.linalg.norm(prior.modes - x, axis=1)
-    idx = int(np.argmin(dists))
-    return idx, float(dists[idx])
+    return mse, psnr
 
 
 def nearest_modes(xs, prior: GaussianMixturePrior):
-    """Batch version of :func:`nearest_mode`: arrays of indices, distances."""
+    """Index and Euclidean distance of the prior mode closest to each row of
+    ``xs`` (a (d,) vector is one row); ties go to the lowest index."""
     xs = as_state(xs, "xs")
     if xs.ndim == 1:
         xs = xs[None, :]

@@ -30,11 +30,11 @@ the helper calls ``np.sum`` there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .degradation import NoiseSchedule, as_state, schedule_epsilon
+from .degradation import ConstantSchedule, NoiseSchedule, as_state, schedule_epsilon
 
 __all__ = [
     "GaussianDenoisingOracle",
@@ -267,10 +267,13 @@ def gaussian_posterior_mean(prior: GaussianPrior, sigma_n: float, x_t, t,
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError("need t in [0, 1]")
-    # squares overflow to inf (Python's ** raises), inf / inf is a nan samplers flag
+    # squares overflow to inf (Python's ** raises); where one variance is inf
+    # the mean is its limit, and where both are, inf / inf is a nan samplers flag
     with np.errstate(over="ignore", invalid="ignore"):
         vc = np.float64(prior.sigma_c) ** 2
         vt = (t * t) * (np.float64(sigma_n) ** 2 + np.float64(extra_noise_std) ** 2)
+        if np.isinf(vc) != np.isinf(vt):
+            return x_t.copy() if np.isinf(vc) else np.broadcast_to(prior.c, x_t.shape).copy()
         return (vc * x_t + vt * prior.c) / (vc + vt)
 
 
@@ -292,7 +295,8 @@ def gaussian_flow_trajectory(prior: GaussianPrior, sigma_n: float, y, t) -> np.n
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError("need t in [0, 1]")
-    alpha_sq = np.float64(prior.sigma_c / sigma_n) ** 2  # inf, not OverflowError
+    with np.errstate(over="ignore"):
+        alpha_sq = np.float64(prior.sigma_c / sigma_n) ** 2  # inf, not OverflowError
     if np.isinf(alpha_sq):  # the scale below tends to 1, where inf / inf is nan
         return y.copy()
     scale = np.sqrt((t * t + alpha_sq) / (1.0 + alpha_sq))
@@ -322,18 +326,16 @@ def score_from_denoiser(estimate, x_t, sigma_t: float) -> np.ndarray:
 class MixturePosteriorOracle:
     """Ideal estimator for the mixture world: (x_t, t) -> E[x | x_t].
 
-    When a noise schedule is attached, its eps(t) is folded into the
-    effective sigma_t so the oracle stays exact for noisy trajectories.
+    The schedule's eps(t) is folded into the effective sigma_t so the
+    oracle stays exact for noisy trajectories; the default adds none.
     """
 
     prior: GaussianMixturePrior
     degradation: LinearDegradation
-    schedule: Optional[NoiseSchedule] = None
+    schedule: NoiseSchedule = ConstantSchedule(0.0)
 
     def __call__(self, x_t, t):
-        extra = 0.0
-        if self.schedule is not None:
-            extra = schedule_epsilon(self.schedule, float(t))
+        extra = schedule_epsilon(self.schedule, float(t))
         return mixture_posterior_mean(
             self.prior, self.degradation, x_t, t, extra_noise_std=extra
         )
@@ -345,12 +347,10 @@ class GaussianDenoisingOracle:
 
     prior: GaussianPrior
     sigma_n: float
-    schedule: Optional[NoiseSchedule] = None
+    schedule: NoiseSchedule = ConstantSchedule(0.0)
 
     def __call__(self, x_t, t):
-        extra = 0.0
-        if self.schedule is not None:
-            extra = schedule_epsilon(self.schedule, float(t))
+        extra = schedule_epsilon(self.schedule, float(t))
         return gaussian_posterior_mean(
             self.prior, self.sigma_n, x_t, t, extra_noise_std=extra
         )

@@ -1,9 +1,10 @@
 """Synthetic observation worlds and reproducibility plumbing.
 
-A world bundles a prior with a degradation and can draw matched
-(clean, degraded) pairs, hand out its ideal estimator, and stream training
-data.  Two kinds exist, mirroring the two analytically solvable setups in
-:mod:`restep.oracles`:
+A world bundles a prior with a degradation.  ``sample_pairs`` is its one
+draw of matched (clean, degraded) pairs: the clean signals first, then the
+observation noise.  It also hands out its ideal estimator and streams
+training data.  Two kinds exist, mirroring the two analytically solvable
+setups in :mod:`restep.oracles`:
 
 * :class:`MixtureWorld` - discrete modes, observed through ``y = H x + n``.
 * :class:`GaussianWorld` - Gaussian prior, observed through ``y = x + n``.
@@ -18,11 +19,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .degradation import NoiseSchedule
+from .degradation import ConstantSchedule, NoiseSchedule
 from .oracles import (
     GaussianDenoisingOracle,
     GaussianMixturePrior,
@@ -95,24 +95,18 @@ class MixtureWorld:
         span = float(np.ptp(self.prior.modes))
         return span if span > 0.0 else 1.0
 
-    def sample_clean(self, rng, n: int) -> np.ndarray:
-        idx = rng.choice(self.prior.n_modes, size=n, p=self.prior.weights)
-        return self.prior.modes[idx]
-
-    def degrade(self, rng, x: np.ndarray) -> np.ndarray:
-        noise = rng.standard_normal(x.shape)
-        return x @ self.degradation.H.T + self.degradation.sigma * noise
-
     def sample_pairs(self, rng, n: int):
-        x = self.sample_clean(rng, n)
-        return x, self.degrade(rng, x)
+        """``n`` clean mode draws ``x`` and their observations ``y``."""
+        x = self.prior.modes[rng.choice(self.prior.n_modes, size=n, p=self.prior.weights)]
+        noise = rng.standard_normal(x.shape)
+        return x, x @ self.degradation.H.T + self.degradation.sigma * noise
 
     def pair_stream(self, rng, chunk: int = 256):
         """Endless stream of ``(x, y)`` draws of ``sample_pairs(rng, chunk)``."""
         while True:
             yield self.sample_pairs(rng, chunk)
 
-    def oracle(self, schedule: Optional[NoiseSchedule] = None) -> MixturePosteriorOracle:
+    def oracle(self, schedule: NoiseSchedule = ConstantSchedule(0.0)) -> MixturePosteriorOracle:
         return MixturePosteriorOracle(self.prior, self.degradation, schedule)
 
 
@@ -136,21 +130,15 @@ class GaussianWorld:
         """Dynamic range convention: two prior standard deviations."""
         return 2.0 * self.prior.sigma_c
 
-    def sample_clean(self, rng, n: int) -> np.ndarray:
-        return self.prior.c + self.prior.sigma_c * rng.standard_normal((n, self.dim))
-
-    def degrade(self, rng, x: np.ndarray) -> np.ndarray:
-        return x + self.sigma_n * rng.standard_normal(x.shape)
-
     def sample_pairs(self, rng, n: int):
-        x = self.sample_clean(rng, n)
-        return x, self.degrade(rng, x)
+        x = self.prior.c + self.prior.sigma_c * rng.standard_normal((n, self.dim))
+        return x, x + self.sigma_n * rng.standard_normal(x.shape)
 
     def pair_stream(self, rng, chunk: int = 256):
         while True:
             yield self.sample_pairs(rng, chunk)
 
-    def oracle(self, schedule: Optional[NoiseSchedule] = None) -> GaussianDenoisingOracle:
+    def oracle(self, schedule: NoiseSchedule = ConstantSchedule(0.0)) -> GaussianDenoisingOracle:
         return GaussianDenoisingOracle(self.prior, self.sigma_n, schedule)
 
 

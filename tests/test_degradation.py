@@ -9,7 +9,6 @@ from restep.degradation import (
     ConstantSchedule,
     ScheduleInvariantError,
     TableSchedule,
-    forward_degrade_noisy,
     forward_interpolate,
     forward_noise_std,
     injected_noise_std,
@@ -117,39 +116,12 @@ class TestForwardNoise:
         assert forward_noise_std(BrownianSchedule(0.5), 0.0) == 0.0
         assert forward_noise_std(ConstantSchedule(0.5), 0.0) == 0.0
 
-    def test_zero_schedule_collapses_to_interpolation(self):
-        """With eps = 0 no random draw happens, so two different generators
-        produce bit-identical results."""
-        rng_a = np.random.default_rng(1)
-        rng_b = np.random.default_rng(2)
-        x = np.array([[1.0, -1.0]])
-        y = np.array([[0.5, 0.5]])
-        sched = ConstantSchedule(0.0)
-        out_a = forward_degrade_noisy(x, y, 0.3, sched, rng_a)
-        out_b = forward_degrade_noisy(x, y, 0.3, sched, rng_b)
-        assert_array_equal(out_a, out_b)
-        assert_array_equal(out_a, forward_interpolate(x, y, 0.3))
-
-    def test_noisy_sample_statistics(self):
-        rng = np.random.default_rng(11)
-        n = 200_000
-        x = np.zeros((n, 1))
-        y = np.zeros((n, 1))
-        t = 0.5
-        sched = ConstantSchedule(0.8)
-        out = forward_degrade_noisy(x, y, t, sched, rng)
-        want_std = t * 0.8
-        assert abs(out.std() - want_std) < 3.0 * want_std / np.sqrt(2 * n)
-        assert abs(out.mean()) < 3.0 * want_std / np.sqrt(n)
-
-    def test_per_sample_times_draw_noise_where_positive(self):
-        rng = np.random.default_rng(4)
-        x = np.zeros((3, 2))
-        y = np.zeros((3, 2))
-        t = np.array([0.0, 0.0, 1.0])
-        out = forward_degrade_noisy(x, y, t, ConstantSchedule(1.0), rng)
-        assert_array_equal(out[:2], 0.0)
-        assert np.all(out[2] != 0.0)
+    def test_per_sample_noise_std_is_zero_only_at_time_zero(self):
+        """An array of per-sample times, as training draws them: std 0 where
+        t = 0 and t * eps(t) elsewhere."""
+        t = np.array([0.0, 0.0, 0.25, 1.0])
+        assert_array_equal(forward_noise_std(ConstantSchedule(1.0), t), t)
+        assert_array_equal(forward_noise_std(BrownianSchedule(0.5), t), [0.0, 0.0, 0.25, 0.5])
 
 
 class TestInjectedNoise:

@@ -365,6 +365,16 @@ class TestExperimentRuns:
             assert math.isfinite(row["limit_0"])
             assert row["divergent"] == 1 or row["abs_error"] == 0.0
 
+    def test_gauss1d_lands_on_its_limit_when_sigma_c_squared_overflows(self):
+        """sigma_c = 1e200: the posterior mean is x_t and the flow is y (both
+        were nan or warned), so the probe is not flagged and no warning is
+        raised."""
+        cfg = tiny_config("gauss1d")
+        cfg["world"] = {**default_config("gauss1d")["world"], "sigma_c": 1e200}
+        row = run_experiment(cfg, write=False).rows[0]
+        assert (row["output_0"], row["limit_0"]) == (2.0, 2.0)
+        assert (row["abs_error"], row["divergent"]) == (0.0, 0)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_trained_estimator_reports_minus_infinite_psnr(self):
         """At N = 1 the stepwise rule returns the net's output unchecked by the
@@ -397,7 +407,7 @@ class TestExperimentRuns:
         ("toy2d_a", "world", {"sigma": 1.7e308}),
         ("train_restore", "world", {"sigma": 1.7e308}),
         ("sweep_steps", "sampler", {"schedule": {"kind": "brownian", "epsilon": 1.7e308}}),
-        ("gauss1d", "sampler", {"schedule": {"kind": "brownian", "epsilon": 1e160}}),
+        ("gauss1d", "sampler", {"schedule": {"kind": "brownian", "epsilon": 1.7e308}}),
     ])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_draws_are_flagged(self, kind, section, value):

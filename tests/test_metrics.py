@@ -9,7 +9,6 @@ from scipy import stats
 from restep.metrics import (
     distortion_metrics,
     empirical_distribution_stats,
-    nearest_mode,
     nearest_modes,
 )
 from restep.oracles import GaussianMixturePrior
@@ -20,30 +19,30 @@ class TestDistortion:
         # mse = 0.0625 against peak 1 gives 10 log10(16).
         ref = np.zeros((4, 1))
         est = np.full((4, 1), 0.25)
-        report = distortion_metrics(ref, est)
-        assert_allclose(report.mse, 0.0625, rtol=1e-15)
-        assert_allclose(report.psnr, 12.041199826559248, rtol=1e-15)
+        mse, psnr = distortion_metrics(ref, est)
+        assert_allclose(mse, 0.0625, rtol=1e-15)
+        assert_allclose(psnr, 12.041199826559248, rtol=1e-15)
 
     def test_peak_scaling(self):
         ref = np.zeros((4, 1))
         est = np.full((4, 1), 0.25)
-        r1 = distortion_metrics(ref, est, peak=1.0)
-        r2 = distortion_metrics(ref, est, peak=2.0)
-        assert_allclose(r2.psnr - r1.psnr, 20.0 * np.log10(2.0), rtol=1e-12)
+        _, psnr1 = distortion_metrics(ref, est, peak=1.0)
+        _, psnr2 = distortion_metrics(ref, est, peak=2.0)
+        assert_allclose(psnr2 - psnr1, 20.0 * np.log10(2.0), rtol=1e-12)
 
     def test_perfect_reconstruction_is_infinite_psnr(self):
         x = np.ones((3, 2))
-        report = distortion_metrics(x, x.copy())
-        assert report.mse == 0.0
-        assert np.isinf(report.psnr)
+        mse, psnr = distortion_metrics(x, x.copy())
+        assert mse == 0.0
+        assert np.isinf(psnr)
 
     def test_overflowing_error_is_minus_infinite_psnr(self):
         """Finite arrays whose squared difference overflows: mse = inf, and
         psnr = -inf rather than a math domain error."""
         with np.errstate(over="ignore"):
-            report = distortion_metrics(np.full((2, 1), 1e200), np.full((2, 1), -1e200))
-        assert report.mse == np.inf
-        assert report.psnr == -np.inf
+            mse, psnr = distortion_metrics(np.full((2, 1), 1e200), np.full((2, 1), -1e200))
+        assert mse == np.inf
+        assert psnr == -np.inf
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -60,24 +59,15 @@ class TestNearestMode:
         )
 
     def test_frozen_distance(self):
-        idx, dist = nearest_mode(np.array([0.9, 0.1]), self.prior())
-        assert idx == 0
-        assert_allclose(dist, 0.9055385138137417, rtol=1e-15)
+        idx, dist = nearest_modes(np.array([[0.9, 0.1]]), self.prior())
+        assert_array_equal(idx, [0])
+        assert_allclose(dist, [0.9055385138137417], rtol=1e-15)
 
     def test_tie_goes_to_lowest_index(self):
-        idx, _ = nearest_mode(np.array([1.0, 0.0]), self.prior())
-        assert idx == 0
-        idx, _ = nearest_mode(np.array([0.0, 0.0]), self.prior())
-        assert idx == 0
-
-    def test_batch_agrees_with_singles(self):
-        rng = np.random.default_rng(5)
-        xs = rng.normal(size=(20, 2))
-        idx, dists = nearest_modes(xs, self.prior())
-        for i in range(20):
-            i_single, d_single = nearest_mode(xs[i], self.prior())
-            assert idx[i] == i_single
-            assert_allclose(dists[i], d_single, rtol=1e-14)
+        idx, _ = nearest_modes(np.array([[1.0, 0.0]]), self.prior())
+        assert_array_equal(idx, [0])
+        idx, _ = nearest_modes(np.array([[0.0, 0.0]]), self.prior())
+        assert_array_equal(idx, [0])
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), d=st.integers(1, 12), m=st.integers(1, 9),
@@ -96,10 +86,6 @@ class TestNearestMode:
         want_idx = np.argmin(want, axis=1)
         assert_array_equal(idx, want_idx)
         assert dists.tobytes() == want[np.arange(len(rows)), want_idx].tobytes()
-
-    def test_single_vector_required_for_scalar_api(self):
-        with pytest.raises(ValueError):
-            nearest_mode(np.zeros((2, 2)), self.prior())
 
 
 class TestDistributionStats:

@@ -269,6 +269,34 @@ class TestGaussianWorldForms:
         x = np.array([1.7])
         assert_allclose(gaussian_posterior_mean(prior, 2.0, x, 0.0), x)
 
+    def test_posterior_mean_is_the_prior_mean_when_the_noise_variance_overflows(self):
+        """t^2 (sigma_n^2 + eps^2) overflows to inf: the weight on x_t tends to
+        0, so the mean is c (it was inf / inf = nan)."""
+        oracle = GaussianDenoisingOracle(GaussianPrior([0.0], 1.0), 0.5, BrownianSchedule(1e160))
+        assert_array_equal(oracle(np.array([0.3]), 0.5), [0.0])
+        prior = GaussianPrior(c=[0.5, -2.0], sigma_c=1.0)
+        x = np.array([[0.3, 1.0], [4.0, -1.0], [0.0, 0.0]])
+        got = gaussian_posterior_mean(prior, 1e200, x, 0.5)
+        assert_array_equal(got, np.broadcast_to(prior.c, x.shape))
+        got[0, 0] = 9.0  # a fresh array, not a view of the prior
+        assert_array_equal(prior.c, [0.5, -2.0])
+
+    def test_posterior_mean_is_x_t_when_the_prior_variance_overflows(self):
+        """sigma_c^2 overflows to inf: the weight on c tends to 0, so the mean
+        is x_t itself (it was inf / inf = nan)."""
+        prior = GaussianPrior(c=[0.5], sigma_c=1e200)
+        x = np.array([[0.3], [-7.0]])
+        for t in (0.25, 1.0):
+            got = gaussian_posterior_mean(prior, 0.5, x, t, extra_noise_std=1e3)
+            assert_array_equal(got, x)
+            assert got is not x
+
+    def test_posterior_mean_is_nan_when_both_variances_overflow(self):
+        """Both limits compete; the nan is kept so samplers flag the row."""
+        prior = GaussianPrior(c=[0.5], sigma_c=1e200)
+        got = gaussian_posterior_mean(prior, 1e200, np.array([0.3]), 0.5)
+        assert np.isnan(got).all()
+
     def test_frozen_flow_values(self):
         """c = 0, sigma_c = sigma_n = 1, y = 2: the closed-form trajectory
         passes through sqrt(2.5) at t = 0.5 and ends at sqrt(2)."""
@@ -285,7 +313,6 @@ class TestGaussianWorldForms:
         )
 
     @pytest.mark.parametrize("sigma_c, sigma_n", [(1.0, 1e-300), (1e300, 1.0)])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow under test
     def test_flow_is_the_observation_when_alpha_squared_overflows(self, sigma_c, sigma_n):
         """(sigma_c / sigma_n)^2 overflows to inf; the scale
         sqrt((t^2 + alpha^2) / (1 + alpha^2)) tends to 1, so the trajectory
@@ -350,13 +377,18 @@ class TestOracleWrappers:
 
     def test_gaussian_oracle_without_schedule(self):
         prior = GaussianPrior(c=[0.0], sigma_c=1.0)
-        oracle = GaussianDenoisingOracle(prior, 1.0, None)
+        oracle = GaussianDenoisingOracle(prior, 1.0)
+        assert oracle.schedule == ConstantSchedule(0.0)
         xs = np.array([[2.0]])
         assert_allclose(oracle(xs, 1.0), [[1.0]])
 
     def test_constant_zero_schedule_is_a_no_op(self):
+        """The default schedule adds no noise: the oracles are the posterior
+        means without extra noise, bit for bit."""
         prior = GaussianPrior(c=[0.0], sigma_c=1.0)
-        with_sched = GaussianDenoisingOracle(prior, 1.0, ConstantSchedule(0.0))
-        without = GaussianDenoisingOracle(prior, 1.0, None)
         xs = np.array([[0.3], [-1.0]])
-        assert_allclose(with_sched(xs, 0.6), without(xs, 0.6))
+        got = GaussianDenoisingOracle(prior, 1.0)(xs, 0.6)
+        assert got.tobytes() == gaussian_posterior_mean(prior, 1.0, xs, 0.6).tobytes()
+        mix, deg = two_point_prior(), LinearDegradation(H=[[1.0]], sigma=0.5)
+        got = MixturePosteriorOracle(mix, deg)(xs, 0.6)
+        assert got.tobytes() == mixture_posterior_mean(mix, deg, xs, 0.6).tobytes()

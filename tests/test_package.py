@@ -17,7 +17,8 @@ from restep import degradation, harness, metrics, oracles, regressor, samplers, 
 
 MODULES = (degradation, harness, metrics, oracles, regressor, samplers, worlds)
 DELETED = ("Trajectory", "gaussian_mmse", "mixture_marginal_density", "residual_flow_rhs",
-           "NonFiniteIterateError", "TrainingDivergenceError", "DistributionStats")
+           "NonFiniteIterateError", "TrainingDivergenceError", "DistributionStats",
+           "forward_degrade_noisy", "nearest_mode", "MetricReport")
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 SOURCES = sorted(str(p.relative_to(ROOT)) for d in ("src", "tests", "demos")
@@ -43,6 +44,9 @@ def test_deleted_names_are_gone():
         assert not hasattr(restep, name), name
         for module in MODULES:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+    for world in (worlds.MixtureWorld, worlds.GaussianWorld):
+        for name in ("sample_clean", "degrade"):  # sample_pairs is the one draw
+            assert not hasattr(world, name), f"{world.__name__}.{name}"
 
 
 def test_import_loads_no_scipy_stats():

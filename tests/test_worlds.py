@@ -60,7 +60,7 @@ class TestMixtureWorld:
 
     def test_clean_samples_live_on_modes(self):
         world = self.world()
-        x = world.sample_clean(derive_rng(0, "clean"), 100)
+        x = world.sample_pairs(derive_rng(0, "clean"), 100)[0]
         dists = np.linalg.norm(
             x[:, None, :] - world.prior.modes[None, :, :], axis=2
         ).min(axis=1)
@@ -69,7 +69,7 @@ class TestMixtureWorld:
     def test_mode_frequencies_match_weights(self):
         world = self.world()
         n = 20_000
-        x = world.sample_clean(derive_rng(1, "clean"), n)
+        x = world.sample_pairs(derive_rng(1, "clean"), n)[0]
         for i, w in enumerate(world.prior.weights):
             freq = np.mean(np.all(x == world.prior.modes[i], axis=1))
             assert abs(freq - w) < 3.0 * np.sqrt(w * (1 - w) / n)
