@@ -48,7 +48,7 @@ def as_state(values, name: str = "state") -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 0:
         raise ValueError(f"{name} must have at least one axis, got a scalar")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 

@@ -422,12 +422,15 @@ def resolve_config(raw: dict) -> dict:
     if world["type"] == "mixture" and ("train" not in cfg or ev.get("estimator") == "oracle"):
         # The oracle's posterior has std t * hypot(sigma, eps(t)); eps never
         # rises with t, so a schedule with eps(1) = 0 makes it a point mass.
+        # A subnormal std is one too: t * 5e-324 rounds to 0 at t = 0.5.
+        tiny = np.finfo(np.float64).tiny
         seen = ev.get("schedules", [sampler["schedule"]])
         _require(
-            world["sigma"] > 0.0
-            or all(schedule_epsilon(schedule_from_config(sd), 1.0) > 0.0 for sd in seen),
+            world["sigma"] >= tiny
+            or all(schedule_epsilon(schedule_from_config(sd), 1.0) >= tiny for sd in seen),
             "world.sigma",
-            "must be > 0 for the mixture oracle under a schedule with eps(1) = 0",
+            f"must be >= {tiny:.17g}, the smallest normal float, for the mixture oracle "
+            "unless every schedule's eps(1) is",
         )
     return cfg
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .degradation import as_state
-from .oracles import GaussianMixturePrior, _sum_last
+from .oracles import GaussianMixturePrior, _sum_axis
 
 __all__ = [
     "distortion_metrics",
@@ -51,13 +51,12 @@ def nearest_modes(xs, prior: GaussianMixturePrior):
     """Index and Euclidean distance of the prior mode closest to each row of
     ``xs`` (a (d,) vector is one row); ties go to the lowest index."""
     xs = as_state(xs, "xs")
-    if xs.ndim == 1:
-        xs = xs[None, :]
-    diff = xs[:, None, :] - prior.modes
+    rows = np.ascontiguousarray(np.atleast_2d(xs).T)        # (d, n)
+    diff = rows[:, None, :] - prior.modes.T[:, :, None]     # (d, m, n)
     diff *= diff
-    dists = np.sqrt(_sum_last(diff))  # np.linalg.norm(diff, axis=2), bit for bit
-    idx = np.argmin(dists, axis=1)
-    return idx, dists[np.arange(len(xs)), idx]
+    dists = np.sqrt(_sum_axis(diff, 0))  # np.linalg.norm over d, bit for bit
+    idx = np.argmin(dists, axis=0)
+    return idx, dists[idx, np.arange(dists.shape[1])]
 
 
 def empirical_distribution_stats(samples, ref_mean, ref_std) -> np.ndarray:

@@ -19,12 +19,18 @@ stays Gaussian and is available in closed form, including the whole
 reverse-time trajectory.  These forms double as ideal estimators and as
 ground truth for the samplers and the trained regressor.
 
-The squared norms and normalising sums here run over axes of a few modes
-or dimensions, where numpy's reduction costs more than the arithmetic.
-:func:`_sum_last` adds such an axis column by column, left to right, which
-is the order numpy's pairwise summation uses below 8 terms, so the result
-is the same float bit for bit.  From 8 terms up numpy sums in blocks, so
-the helper calls ``np.sum`` there.
+The mixture posterior runs mode-major: a batch of n states against m
+modes in d dimensions is held as d contiguous (m, n) blocks, one per
+coordinate, so every elementwise step runs along the n rows.  Broadcasting
+``x_t[..., None, :] - centers`` instead runs n * m inner loops of length d.
+The squared norms (over d) and the normaliser (over m) are sums over short
+axes, and :func:`_sum_axis` gives them numpy's pairwise-summation bits,
+those of ``np.sum`` over a contiguous last axis: below 8 terms that order
+is left to right, so the helper adds whole slices in place; from 8 terms
+up numpy sums in blocks, and the helper calls ``np.sum`` on a copy with
+the axis last.  The final product takes the weights as a C-ordered
+(n, m) copy, because matmul chooses its kernel by memory layout and a
+transposed view gives different last bits.
 """
 
 from __future__ import annotations
@@ -144,15 +150,19 @@ class GaussianPrior:
 _SHORT_AXIS = 8
 
 
-def _sum_last(a: np.ndarray):
-    """``np.sum(a, axis=-1)`` bit for bit, summed by in-place column
-    additions when the last axis is shorter than ``_SHORT_AXIS``."""
-    n = a.shape[-1]
+def _sum_axis(a: np.ndarray, axis: int = -1):
+    """The sum over ``axis`` with numpy's pairwise-summation bits: those of
+    ``np.sum`` over a C-ordered copy with that axis last.  Below
+    ``_SHORT_AXIS`` terms the slices along ``axis`` are added left to right
+    in place, with no copy."""
+    axis %= a.ndim
+    n = a.shape[axis]
     if not 0 < n < _SHORT_AXIS:
-        return np.sum(a, axis=-1)
-    out = a[..., 0] + 0.0  # numpy's sum starts from +0.0, which makes -0.0 0.0
+        return np.sum(np.ascontiguousarray(np.moveaxis(a, axis, -1)), axis=-1)
+    lead = (slice(None),) * axis  # a[lead + (j,)] is slice j along axis
+    out = a[lead + (0,)] + 0.0  # numpy's sum starts from +0.0, which makes -0.0 0.0
     for j in range(1, n):
-        out += a[..., j]
+        out += a[lead + (j,)]
     return out
 
 
@@ -171,8 +181,18 @@ def _effective_sigma_t(deg: LinearDegradation, t: float, extra_noise_std: float)
     return float(t) * float(np.hypot(deg.sigma, extra_noise_std))
 
 
-def _mixture_log_terms(prior, deg, x_t, t, extra_noise_std):
-    """Unshifted log terms log(w_i) - ||u_i||^2 / 2."""
+def mixture_posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation,
+                           x_t, t, extra_noise_std: float = 0.0) -> np.ndarray:
+    """Posterior mean E[x | x_t] under the mixture prior.
+
+    ``x_t`` may be a single vector ``(d,)`` or a batch ``(n, d)``.
+    ``extra_noise_std`` is the schedule noise eps(t) present in ``x_t`` on
+    top of the observation noise; the two combine into an effective
+    ``sigma_t = t * sqrt(sigma^2 + eps(t)^2)``.
+
+    Raises ValueError at t = 0 or when the effective sigma_t is 0: the
+    posterior is then a point mass and the ratio form is undefined.
+    """
     x_t = as_state(x_t, "x_t")
     if x_t.shape[-1] != prior.dim:
         raise ValueError(
@@ -187,39 +207,27 @@ def _mixture_log_terms(prior, deg, x_t, t, extra_noise_std):
             "posterior degenerates to a point mass at sigma_t = 0; "
             "need deg.sigma > 0 or extra_noise_std > 0"
         )
-    centers = prior.modes @ blended_operator(deg, t).T        # (m, d)
-    u = x_t[..., None, :] - centers                           # (..., m, d)
+    centers = prior.modes @ blended_operator(deg, t).T          # (m, d)
+    rows = np.ascontiguousarray(x_t.reshape(-1, prior.dim).T)   # (d, n)
+    u = rows[:, None, :] - centers.T[:, :, None]                # (d, m, n)
     u /= sigma_t
     u *= u
     with np.errstate(divide="ignore"):
-        log_w = np.log(prior.weights)                         # -inf for w = 0
-    return log_w - 0.5 * _sum_last(u)                         # (..., m)
-
-
-def mixture_posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation,
-                           x_t, t, extra_noise_std: float = 0.0) -> np.ndarray:
-    """Posterior mean E[x | x_t] under the mixture prior.
-
-    ``x_t`` may be a single vector ``(d,)`` or a batch ``(n, d)``.
-    ``extra_noise_std`` is the schedule noise eps(t) present in ``x_t`` on
-    top of the observation noise; the two combine into an effective
-    ``sigma_t = t * sqrt(sigma^2 + eps(t)^2)``.
-
-    Raises ValueError at t = 0 or when the effective sigma_t is 0: the
-    posterior is then a point mass and the ratio form is undefined.
-    """
-    log_terms = _mixture_log_terms(prior, deg, x_t, t, extra_noise_std)
+        log_w = np.log(prior.weights)                           # -inf for w = 0
+    # log(w_i) - ||u_i||^2 / 2 in place: adding -b is subtracting b, bit for bit
+    log_terms = _sum_axis(u, 0)                                 # (m, n)
+    log_terms *= -0.5
+    log_terms += log_w[:, None]
     # Max-subtraction: at least one term becomes exp(0) = 1, so the weight
     # ratios stay well defined arbitrarily far from every mode and the
     # posterior degrades gracefully to a one-hot on the closest kernel.
-    # The max is taken column by column, which beats np.max over few modes.
-    shift = log_terms[..., 0].copy()
-    for j in range(1, log_terms.shape[-1]):
-        np.maximum(shift, log_terms[..., j], out=shift)
     post = log_terms
-    post -= shift[..., None]
+    post -= np.max(log_terms, axis=0)
     np.exp(post, out=post)
-    post /= _sum_last(post)[..., None]
+    post /= _sum_axis(post, 0)
+    # The product takes the (..., m) weights in C order: matmul's kernel
+    # depends on the layout, and a transposed view changes the bits.
+    post = np.ascontiguousarray(post.T).reshape(x_t.shape[:-1] + (prior.n_modes,))
     return post @ prior.modes
 
 
@@ -272,6 +280,8 @@ def gaussian_posterior_mean(prior: GaussianPrior, sigma_n: float, x_t, t,
     with np.errstate(over="ignore", invalid="ignore"):
         vc = np.float64(prior.sigma_c) ** 2
         vt = (t * t) * (np.float64(sigma_n) ** 2 + np.float64(extra_noise_std) ** 2)
+        if t == 0.0:  # 0 * inf is nan; at t = 0 the noise variance is 0 for any sigma_n
+            vt = 0.0
         if np.isinf(vc) != np.isinf(vt):
             return x_t.copy() if np.isinf(vc) else np.broadcast_to(prior.c, x_t.shape).copy()
         return (vc * x_t + vt * prior.c) / (vc + vt)

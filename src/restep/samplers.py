@@ -83,7 +83,7 @@ class SamplerConfig:
 
 def _check_finite(values, step, t, what):
     values = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise DivergenceError(step, t, f"non-finite {what}")
     return values
 

@@ -615,9 +615,14 @@ class TestCli:
         assert "train_restore: 1 rows" in capsys.readouterr().out
         assert (tmp_path / "out" / "train_restore.csv").exists()
 
-    @pytest.mark.parametrize("kind", ["toy2d_a", "sweep_noise"])
-    def test_zero_sigma_under_the_oracle_is_usage_error(self, kind, tmp_path, capsys):
+    @pytest.mark.parametrize("kind, sigma", [
+        pytest.param("toy2d_a", 0, id="toy2d_a"),
+        pytest.param("sweep_noise", 0, id="sweep_noise"),
+        pytest.param("toy2d_a", 5e-324, id="toy2d_a-subnormal"),  # t * 5e-324 rounds to 0
+        pytest.param("sweep_noise", 5e-324, id="sweep_noise-subnormal"),
+    ])
+    def test_zero_sigma_under_the_oracle_is_usage_error(self, kind, sigma, tmp_path, capsys):
         cfg = tiny_config(kind, out_dir=tmp_path / "out")
-        cfg["world"] = {**default_config(kind)["world"], "sigma": 0}
+        cfg["world"] = {**default_config(kind)["world"], "sigma": sigma}
         assert cli_main(["run", "--config", self.write_config(tmp_path, cfg)]) == 2
         assert "world.sigma" in capsys.readouterr().err

@@ -70,12 +70,15 @@ class TestNearestMode:
         assert_array_equal(idx, [0])
 
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), d=st.integers(1, 12), m=st.integers(1, 9),
+    @given(data=st.data(),
+           dm=st.one_of(st.tuples(st.integers(1, 12), st.integers(1, 9)),
+                        st.tuples(st.integers(1, 2), st.integers(10, 140))),
            lead=st.sampled_from([(), (1,), (13,)]))
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # squares that overflow
-    def test_batch_keeps_every_bit_of_linalg_norm(self, data, d, m, lead):
+    def test_batch_keeps_every_bit_of_linalg_norm(self, data, dm, lead):
         """Indices and distances equal those of np.linalg.norm over the
-        differences, ties and overflowing squares included."""
+        differences, ties and overflowing squares included, up to 140 modes."""
+        d, m = dm
         coords = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e200, 1e200))
         prior = GaussianMixturePrior(data.draw(arrays(np.float64, (m, d), elements=coords)),
                                      np.full(m, 1.0 / m))

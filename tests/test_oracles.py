@@ -12,7 +12,7 @@ from restep.oracles import (
     GaussianPrior,
     LinearDegradation,
     MixturePosteriorOracle,
-    _sum_last,
+    _sum_axis,
     blended_operator,
     gaussian_flow_trajectory,
     gaussian_posterior_mean,
@@ -138,21 +138,26 @@ class TestMixturePosteriorMean:
             )
 
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), d=st.integers(1, 10), m=st.integers(1, 9),
+    @given(data=st.data(),
+           dm=st.one_of(st.tuples(st.integers(1, 10), st.integers(1, 9)),
+                        st.tuples(st.just(1), st.integers(10, 140))),
            t=st.floats(0.01, 1.0), sigma=st.floats(0.01, 3.0),
-           extra=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
-           lead=st.sampled_from([(), (1,), (20,)]))
-    def test_mixture_posterior_mean_keeps_every_bit(self, data, d, m, t, sigma, extra, lead):
+           extra=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+           lead=st.sampled_from([(), (1,), (20,), (257,), (3, 5)]))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # far-field squares that overflow
+    def test_mixture_posterior_mean_keeps_every_bit(self, data, dm, t, sigma, extra, lead):
         """Against the formula with numpy's reductions, for vectors and
-        batches, zero-weight modes and schedule noise."""
-        coords = st.floats(-10.0, 10.0)
+        batches, zero-weight modes, schedule noise and the far field; past
+        8 and 128 modes numpy's pairwise sum works in blocks."""
+        d, m = dm
+        coords = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e150, 1e150))
         modes = data.draw(arrays(np.float64, (m, d), elements=coords))
         raw = data.draw(arrays(np.float64, m, elements=st.sampled_from([0.0, 0.3, 1.0, 2.5])))
         raw[data.draw(st.integers(0, m - 1))] = 1.0
         prior = GaussianMixturePrior(modes, raw / raw.sum())
         H = data.draw(arrays(np.float64, (d, d), elements=st.floats(-2.0, 2.0)))
         deg = LinearDegradation(H, sigma)
-        x_t = data.draw(arrays(np.float64, lead + (d,), elements=st.floats(-20.0, 20.0)))
+        x_t = data.draw(arrays(np.float64, lead + (d,), elements=coords))
         got = mixture_posterior_mean(prior, deg, x_t, t, extra_noise_std=extra)
         want = _reference_mixture_posterior_mean(prior, deg, x_t, t, extra)
         assert got.shape == want.shape
@@ -169,10 +174,14 @@ class TestShortAxisSum:
     @given(data=st.data(), n=st.integers(1, 12), lead=st.sampled_from([(), (1,), (37,), (9, 3)]))
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf and the like
     def test_sum_is_numpys_bit_for_bit(self, data, n, lead):
-        """Left to right below 8 terms, numpy's own sum from 8 up; signed
+        """Over any axis, np.sum of that axis laid out last and contiguous:
+        left to right below 8 terms, numpy's own sum from 8 up; signed
         zeros, infinities and nan included."""
-        a = data.draw(arrays(np.float64, lead + (n,), elements=st.floats(width=64)))
-        got, want = np.asarray(_sum_last(a)), np.sum(a, axis=-1)
+        axis = data.draw(st.integers(0, len(lead)))
+        shape = lead[:axis] + (n,) + lead[axis:]
+        a = data.draw(arrays(np.float64, shape, elements=st.floats(width=64)))
+        got = np.asarray(_sum_axis(a, axis))
+        want = np.sum(np.ascontiguousarray(np.moveaxis(a, axis, -1)), axis=-1)
         assert got.shape == want.shape
         nan = np.isnan(want)
         assert_array_equal(np.isnan(got), nan)
@@ -290,6 +299,19 @@ class TestGaussianWorldForms:
             got = gaussian_posterior_mean(prior, 0.5, x, t, extra_noise_std=1e3)
             assert_array_equal(got, x)
             assert got is not x
+
+    @pytest.mark.parametrize("sigma_n, extra", [(1e200, 0.0), (1.0, 1e200), (1e200, 1e200)])
+    def test_posterior_mean_is_identity_at_t_zero_when_the_noise_variance_overflows(
+        self, sigma_n, extra,
+    ):
+        """At t = 0 the noise variance t^2 (sigma_n^2 + eps^2) is 0 however
+        large sigma_n is, so the mean is x_t, bit for bit as with a finite
+        sigma_n (0 * inf made it nan)."""
+        x = np.array([[0.3], [-7.0]])
+        for prior in (GaussianPrior(c=[0.5], sigma_c=1.0), GaussianPrior(c=[0.5], sigma_c=1e200)):
+            got = gaussian_posterior_mean(prior, sigma_n, x, 0.0, extra_noise_std=extra)
+            assert got.tobytes() == gaussian_posterior_mean(prior, 1.0, x, 0.0).tobytes()
+            assert_array_equal(got, x)
 
     def test_posterior_mean_is_nan_when_both_variances_overflow(self):
         """Both limits compete; the nan is kept so samplers flag the row."""
