@@ -39,17 +39,23 @@ class ScheduleInvariantError(RuntimeError):
     """A noise schedule violated its non-increasing invariant at runtime."""
 
 
-def as_state(values, name: str = "state") -> np.ndarray:
+def as_state(values, name: str = "state", dim: int | None = None, like=None) -> np.ndarray:
     """Coerce ``values`` to a float64 array and require every entry finite.
 
     Accepts a single signal vector of shape ``(d,)`` or a batch of signals
-    with the signal dimension last, e.g. ``(n, d)``.
+    with the signal dimension last, e.g. ``(n, d)``.  ``dim`` requires that
+    last axis to have ``dim`` coordinates; ``like`` (an array) requires the
+    whole shape to be ``like.shape``.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 0:
         raise ValueError(f"{name} must have at least one axis, got a scalar")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
+    if dim is not None and arr.shape[-1] != dim:
+        raise ValueError(f"{name} must have {dim} coordinates, got shape {arr.shape}")
+    if like is not None and arr.shape != like.shape:
+        raise ValueError(f"{name} must have shape {like.shape}, got {arr.shape}")
     return arr
 
 
@@ -60,13 +66,28 @@ def as_count(value, name: str, lo: int = 1) -> int:
     return int(value)
 
 
-def _check_time(t, name: str = "t"):
-    t_arr = np.asarray(t, dtype=np.float64)
-    if not np.all(np.isfinite(t_arr)):
+def as_scalar(value, name: str, positive: bool = False) -> float:
+    """Return ``value`` as a finite float that is >= 0, or > 0 when ``positive``."""
+    value = float(value)
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0")
+    return value
+
+
+def as_time(t, name: str = "t"):
+    """Return a time in [0, 1]: a scalar ``t`` as a Python float (cheap on
+    the per-call paths), anything with an axis as a float64 array."""
+    if isinstance(t, float) or np.ndim(t) == 0:
+        t = float(t)
+        finite, inside = math.isfinite(t), 0.0 <= t <= 1.0
+    else:
+        t = np.asarray(t, dtype=np.float64)
+        finite, inside = np.isfinite(t).all(), ((0.0 <= t) & (t <= 1.0)).all()
+    if not finite:
         raise ValueError(f"{name} must be finite")
-    if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
+    if not inside:
         raise ValueError(f"{name} must lie in [0, 1]")
-    return t_arr
+    return t
 
 
 # ---- noise schedules ---- #
@@ -79,8 +100,7 @@ class ConstantSchedule:
     epsilon: float
 
     def __post_init__(self):
-        if not np.isfinite(self.epsilon) or self.epsilon < 0.0:
-            raise ValueError("epsilon must be finite and >= 0")
+        object.__setattr__(self, "epsilon", as_scalar(self.epsilon, "epsilon"))
 
 
 @dataclass(frozen=True)
@@ -95,8 +115,7 @@ class BrownianSchedule:
     epsilon: float
 
     def __post_init__(self):
-        if not np.isfinite(self.epsilon) or self.epsilon < 0.0:
-            raise ValueError("epsilon must be finite and >= 0")
+        object.__setattr__(self, "epsilon", as_scalar(self.epsilon, "epsilon"))
 
 
 @dataclass(frozen=True)
@@ -143,35 +162,21 @@ def schedule_epsilon(schedule: NoiseSchedule, t):
     Python floats (``math.sqrt`` is correctly rounded, like ``np.sqrt``),
     which gives the same bits as the array path at a fraction of its cost.
     """
-    if isinstance(schedule, (ConstantSchedule, BrownianSchedule)) and np.ndim(t) == 0:
-        t = float(t)
-        if not math.isfinite(t):
-            raise ValueError("t must be finite")
-        if not 0.0 <= t <= 1.0:
-            raise ValueError("t must lie in [0, 1]")
-        if isinstance(schedule, ConstantSchedule):
-            return float(schedule.epsilon)
-        if t <= 0.0:
-            raise ValueError("Brownian schedule is undefined at t = 0")
-        return float(schedule.epsilon) / math.sqrt(t)
-    t_arr = _check_time(t)
+    t = as_time(t)
+    scalar = isinstance(t, float)
     if isinstance(schedule, ConstantSchedule):
-        out = np.full_like(t_arr, schedule.epsilon)
-    elif isinstance(schedule, BrownianSchedule):
-        if np.any(t_arr <= 0.0):
+        return schedule.epsilon if scalar else np.full_like(t, schedule.epsilon)
+    if isinstance(schedule, BrownianSchedule):
+        if (t <= 0.0) if scalar else np.any(t <= 0.0):
             raise ValueError("Brownian schedule is undefined at t = 0")
-        out = schedule.epsilon / np.sqrt(t_arr)
-    elif isinstance(schedule, TableSchedule):
-        times = np.asarray(schedule.times)
-        eps = np.asarray(schedule.epsilons)
-        if np.any(t_arr < times[0]) or np.any(t_arr > times[-1]):
-            raise ValueError(
-                f"t outside table domain [{times[0]}, {times[-1]}]"
-            )
-        out = np.interp(t_arr, times, eps)
-    else:
+        return schedule.epsilon / (math.sqrt(t) if scalar else np.sqrt(t))
+    if not isinstance(schedule, TableSchedule):
         raise TypeError(f"unknown schedule type {type(schedule).__name__}")
-    return float(out) if t_arr.ndim == 0 else out
+    times = schedule.times
+    if np.any(t < times[0]) or np.any(t > times[-1]):
+        raise ValueError(f"t outside table domain [{times[0]}, {times[-1]}]")
+    out = np.interp(t, times, schedule.epsilons)
+    return float(out) if scalar else out
 
 
 def forward_noise_std(schedule: NoiseSchedule, t):
@@ -181,11 +186,11 @@ def forward_noise_std(schedule: NoiseSchedule, t):
     schedule (including Brownian, where it equals ``sqrt(t) * epsilon``),
     so 0 is returned there without evaluating eps.
     """
-    t_arr = _check_time(t)
-    out = np.zeros_like(t_arr)
-    pos = t_arr > 0.0
-    out[pos] = t_arr[pos] * schedule_epsilon(schedule, t_arr[pos])
-    return float(out) if t_arr.ndim == 0 else out
+    t = np.asarray(as_time(t))
+    out = np.zeros_like(t)
+    pos = t > 0.0
+    out[pos] = t[pos] * schedule_epsilon(schedule, t[pos])
+    return float(out) if out.ndim == 0 else out
 
 
 # ---- forward process ---- #
@@ -199,13 +204,11 @@ def forward_interpolate(x, y, t) -> np.ndarray:
     returns ``x`` and t = 1 returns ``y`` bit for bit.
     """
     x = as_state(x, "x")
-    y = as_state(y, "y")
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: x {x.shape} vs y {y.shape}")
-    t_arr = _check_time(t)
-    if t_arr.ndim:
-        t_arr = t_arr[..., None]
-    return (1.0 - t_arr) * x + t_arr * y
+    y = as_state(y, "y", like=x)
+    t = as_time(t)
+    if not isinstance(t, float):
+        t = t[..., None]
+    return (1.0 - t) * x + t * y
 
 
 def injected_noise_std(schedule: NoiseSchedule, t, delta):

@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from .degradation import as_state
+from .degradation import as_scalar, as_state
 from .oracles import GaussianMixturePrior, _sum_axis
 
 __all__ = [
@@ -32,13 +32,8 @@ def distortion_metrics(reference, estimate, peak: float = 1.0) -> tuple[float, f
     psnr = inf, and one whose squared error overflows to inf psnr = -inf.
     """
     reference = as_state(reference, "reference")
-    estimate = as_state(estimate, "estimate")
-    if reference.shape != estimate.shape:
-        raise ValueError(
-            f"shape mismatch: {reference.shape} vs {estimate.shape}"
-        )
-    if not np.isfinite(peak) or peak <= 0.0:
-        raise ValueError("peak must be finite and > 0")
+    estimate = as_state(estimate, "estimate", like=reference)
+    peak = as_scalar(peak, "peak", positive=True)
     mse = float(np.mean((reference - estimate) ** 2))
     if mse == math.inf:  # the squared error overflowed
         psnr = -math.inf
@@ -50,7 +45,7 @@ def distortion_metrics(reference, estimate, peak: float = 1.0) -> tuple[float, f
 def nearest_modes(xs, prior: GaussianMixturePrior):
     """Index and Euclidean distance of the prior mode closest to each row of
     ``xs`` (a (d,) vector is one row); ties go to the lowest index."""
-    xs = as_state(xs, "xs")
+    xs = as_state(xs, "xs", dim=prior.dim)
     rows = np.ascontiguousarray(np.atleast_2d(xs).T)        # (d, n)
     diff = rows[:, None, :] - prior.modes.T[:, :, None]     # (d, m, n)
     diff *= diff
@@ -61,7 +56,8 @@ def nearest_modes(xs, prior: GaussianMixturePrior):
 
 def empirical_distribution_stats(samples, ref_mean, ref_std) -> np.ndarray:
     """Per-coordinate one-sample KS statistic of ``samples`` against
-    N(ref_mean, ref_std^2), as a (d,) array.
+    N(ref_mean, ref_std^2), as a (d,) array; ``ref_mean`` is a scalar or a
+    (d,) vector, ``ref_std`` a scalar.
 
     ``samples`` is (n, d) with n >= 2; a 1-d array is one coordinate.  This
     is scipy's ``kstest(col, "norm", args=(m, s)).statistic`` term for term,
@@ -73,10 +69,8 @@ def empirical_distribution_stats(samples, ref_mean, ref_std) -> np.ndarray:
     n, d = samples.shape
     if n < 2:
         raise ValueError("need at least 2 samples")
-    ref_mean = np.broadcast_to(np.asarray(ref_mean, float), (d,))
-    ref_std = np.broadcast_to(np.asarray(ref_std, float), (d,))
-    if np.any(ref_std <= 0.0):
-        raise ValueError("ref_std must be > 0")
+    ref_mean = as_state(np.broadcast_to(ref_mean, (d,)), "ref_mean")
+    ref_std = as_scalar(ref_std, "ref_std", positive=True)
     cdf = ndtr((np.sort(samples, axis=0) - ref_mean) / ref_std)
     d_plus = np.max(np.arange(1.0, n + 1)[:, None] / n - cdf, axis=0)
     d_minus = np.max(cdf - np.arange(0.0, n)[:, None] / n, axis=0)

@@ -40,7 +40,14 @@ from typing import Callable
 
 import numpy as np
 
-from .degradation import ConstantSchedule, NoiseSchedule, as_state, schedule_epsilon
+from .degradation import (
+    ConstantSchedule,
+    NoiseSchedule,
+    as_scalar,
+    as_state,
+    as_time,
+    schedule_epsilon,
+)
 
 __all__ = [
     "GaussianDenoisingOracle",
@@ -77,16 +84,12 @@ class GaussianMixturePrior:
     weights: np.ndarray
 
     def __post_init__(self):
-        modes = np.atleast_2d(np.asarray(self.modes, dtype=np.float64))
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if modes.ndim != 2 or modes.shape[0] < 1:
+        modes = as_state(np.atleast_2d(self.modes), "modes")
+        if modes.ndim != 2 or 0 in modes.shape:
             raise ValueError("modes must be a non-empty (m, d) array")
-        if not np.all(np.isfinite(modes)):
-            raise ValueError("modes must be finite")
-        if weights.shape != (modes.shape[0],):
-            raise ValueError("need one weight per mode")
-        if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be finite and >= 0")
+        weights = as_state(self.weights, "weights", like=modes[:, 0])  # one per mode
+        if np.any(weights < 0.0):
+            raise ValueError("weights must be >= 0")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
         object.__setattr__(self, "modes", modes)
@@ -114,15 +117,11 @@ class LinearDegradation:
     sigma: float
 
     def __post_init__(self):
-        H = np.atleast_2d(np.asarray(self.H, dtype=np.float64))
+        H = as_state(np.atleast_2d(self.H), "H")
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ValueError("H must be square")
-        if not np.all(np.isfinite(H)):
-            raise ValueError("H must be finite")
-        if not np.isfinite(self.sigma) or self.sigma < 0.0:
-            raise ValueError("sigma must be finite and >= 0")
         object.__setattr__(self, "H", H)
-        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "sigma", as_scalar(self.sigma, "sigma"))
 
 
 @dataclass(frozen=True)
@@ -133,13 +132,11 @@ class GaussianPrior:
     sigma_c: float
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.c, dtype=np.float64))
-        if c.ndim != 1 or not np.all(np.isfinite(c)):
-            raise ValueError("c must be a finite vector")
-        if not np.isfinite(self.sigma_c) or self.sigma_c <= 0.0:
-            raise ValueError("sigma_c must be finite and > 0")
+        c = as_state(np.atleast_1d(self.c), "c")
+        if c.ndim != 1:
+            raise ValueError("c must be a vector")
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "sigma_c", float(self.sigma_c))
+        object.__setattr__(self, "sigma_c", as_scalar(self.sigma_c, "sigma_c", positive=True))
 
     @property
     def dim(self) -> int:
@@ -176,9 +173,8 @@ def blended_operator(deg: LinearDegradation, t: float) -> np.ndarray:
 def _effective_sigma_t(deg: LinearDegradation, t: float, extra_noise_std: float) -> float:
     # Schedule noise enters the state with std t * eps_t, independent of the
     # observation noise's t * sigma, so the stds add in quadrature.
-    if extra_noise_std < 0.0 or not np.isfinite(extra_noise_std):
-        raise ValueError("extra_noise_std must be finite and >= 0")
-    return float(t) * float(np.hypot(deg.sigma, extra_noise_std))
+    extra_noise_std = as_scalar(extra_noise_std, "extra_noise_std")
+    return t * float(np.hypot(deg.sigma, extra_noise_std))
 
 
 def mixture_posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation,
@@ -193,13 +189,9 @@ def mixture_posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation,
     Raises ValueError at t = 0 or when the effective sigma_t is 0: the
     posterior is then a point mass and the ratio form is undefined.
     """
-    x_t = as_state(x_t, "x_t")
-    if x_t.shape[-1] != prior.dim:
-        raise ValueError(
-            f"x_t dimension {x_t.shape[-1]} != prior dimension {prior.dim}"
-        )
-    t = float(t)
-    if not 0.0 < t <= 1.0:
+    x_t = as_state(x_t, "x_t", dim=prior.dim)
+    t = as_time(float(t))
+    if t == 0.0:
         raise ValueError("need t in (0, 1]")
     sigma_t = _effective_sigma_t(deg, t, extra_noise_std)
     if sigma_t <= 0.0:
@@ -218,9 +210,13 @@ def mixture_posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation,
     log_terms = _sum_axis(u, 0)                                 # (m, n)
     log_terms *= -0.5
     log_terms += log_w[:, None]
-    # Max-subtraction: at least one term becomes exp(0) = 1, so the weight
-    # ratios stay well defined arbitrarily far from every mode and the
-    # posterior degrades gracefully to a one-hot on the closest kernel.
+    # Max-subtraction: at least one term becomes exp(0) = 1, so the weights
+    # do not underflow to 0 / 0 far from the modes.  That holds only while
+    # the squared distances still tell the modes apart in float64.  With
+    # modes -1 and +1, sigma 1 and t = 0.5, x_t = 1e15 gives [1.] (one-hot
+    # on the closest kernel); from 1e16 the log terms tie and the result is
+    # the weighted mean of the modes, [0.]; from 1e154 u * u overflows, every
+    # log term is -inf and the result is [nan], which the samplers flag.
     post = log_terms
     post -= np.max(log_terms, axis=0)
     np.exp(post, out=post)
@@ -242,9 +238,7 @@ def posterior_mean_at_s(x0_estimate, x_t, s, t) -> np.ndarray:
     The identity is exact; no approximation is involved.
     """
     x0_estimate = as_state(x0_estimate, "x0_estimate")
-    x_t = as_state(x_t, "x_t")
-    if x0_estimate.shape != x_t.shape:
-        raise ValueError("x0_estimate and x_t must share a shape")
+    x_t = as_state(x_t, "x_t", like=x0_estimate)
     s = float(s)
     t = float(t)
     if t <= 0.0:
@@ -267,14 +261,10 @@ def gaussian_posterior_mean(prior: GaussianPrior, sigma_n: float, x_t, t,
     with sigma_n'^2 = sigma_n^2 + extra_noise_std^2 when schedule noise is
     present in x_t.  At t = 0 this is the identity, as it should be.
     """
-    if not np.isfinite(sigma_n) or sigma_n <= 0.0:
-        raise ValueError("sigma_n must be finite and > 0")
-    if extra_noise_std < 0.0 or not np.isfinite(extra_noise_std):
-        raise ValueError("extra_noise_std must be finite and >= 0")
+    sigma_n = as_scalar(sigma_n, "sigma_n", positive=True)
+    extra_noise_std = as_scalar(extra_noise_std, "extra_noise_std")
     x_t = as_state(x_t, "x_t")
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("need t in [0, 1]")
+    t = as_time(float(t))
     # squares overflow to inf (Python's ** raises); where one variance is inf
     # the mean is its limit, and where both are, inf / inf is a nan samplers flag
     with np.errstate(over="ignore", invalid="ignore"):
@@ -299,12 +289,9 @@ def gaussian_flow_trajectory(prior: GaussianPrior, sigma_n: float, y, t) -> np.n
     (sigma_c^2 + sigma_n^2)), which maps the observation marginal
     N(c, (sigma_c^2 + sigma_n^2) I) exactly onto the prior N(c, sigma_c^2 I).
     """
-    if not np.isfinite(sigma_n) or sigma_n <= 0.0:
-        raise ValueError("sigma_n must be finite and > 0")
+    sigma_n = as_scalar(sigma_n, "sigma_n", positive=True)
     y = as_state(y, "y")
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("need t in [0, 1]")
+    t = as_time(float(t))
     with np.errstate(over="ignore"):
         alpha_sq = np.float64(prior.sigma_c / sigma_n) ** 2  # inf, not OverflowError
     if np.isinf(alpha_sq):  # the scale below tends to 1, where inf / inf is nan
@@ -320,12 +307,9 @@ def score_from_denoiser(estimate, x_t, sigma_t: float) -> np.ndarray:
     grad log p_t(x_t) = (E[x|x_t] - x_t) / sigma_t^2, so a posterior-mean
     estimator doubles as a score estimator.
     """
-    if not np.isfinite(sigma_t) or sigma_t <= 0.0:
-        raise ValueError("sigma_t must be finite and > 0")
+    sigma_t = as_scalar(sigma_t, "sigma_t", positive=True)
     estimate = as_state(estimate, "estimate")
-    x_t = as_state(x_t, "x_t")
-    if estimate.shape != x_t.shape:
-        raise ValueError("estimate and x_t must share a shape")
+    x_t = as_state(x_t, "x_t", like=estimate)
     return (estimate - x_t) / (sigma_t * sigma_t)
 
 

@@ -33,7 +33,9 @@ from .degradation import (
     ConstantSchedule,
     NoiseSchedule,
     as_count,
+    as_scalar,
     as_state,
+    as_time,
     forward_interpolate,
     forward_noise_std,
 )
@@ -74,8 +76,7 @@ class TimeDistribution:
             raise ValueError(
                 f"kind must be one of {TIME_DISTRIBUTION_KINDS}, got {self.kind!r}"
             )
-        if not np.isfinite(self.a) or self.a < 0.0:
-            raise ValueError("a must be finite and >= 0")
+        object.__setattr__(self, "a", as_scalar(self.a, "a"))
 
 
 def sample_times(dist: TimeDistribution, rng, size: int) -> np.ndarray:
@@ -106,9 +107,7 @@ def time_distribution_cdf(dist: TimeDistribution, t):
     Obtained by inverting the g(s) transforms above; for ``linear_a`` this
     is the full mixture CDF, with the atom's jump landing at t = 1.
     """
-    t_arr = np.asarray(t, dtype=np.float64)
-    if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
-        raise ValueError("t must lie in [0, 1]")
+    t_arr = np.asarray(as_time(t))
     two_over_pi = 2.0 / np.pi
     if dist.kind == "linear_0":
         out = t_arr.copy()
@@ -249,13 +248,11 @@ class MlpRegressor:
         """Deterministic forward pass; ``x_t`` is (d,) or (n, d), ``t`` a
         scalar or (n,) array.  The output is a fresh array, so a later call
         never overwrites it."""
-        x = as_state(x_t, "x_t")
+        x = as_state(x_t, "x_t", dim=self.state_dim)
+        if x.ndim > 2:
+            raise ValueError(f"x_t must be (d,) or (n, d), got shape {x.shape}")
         single = x.ndim == 1
         xb = x[None, :] if single else x
-        if xb.ndim != 2 or xb.shape[1] != self.state_dim:
-            raise ValueError(
-                f"x_t must have {self.state_dim} coordinates, got shape {x.shape}"
-            )
         t_arr = np.asarray(t, dtype=np.float64)
         if not np.all(np.isfinite(t_arr)):
             raise ValueError("t must be finite")
@@ -334,8 +331,8 @@ class TrainConfig:
     def __post_init__(self):
         if as_count(self.p_norm, "p_norm") not in (1, 2):
             raise ValueError("p_norm must be 1 or 2")
-        if not np.isfinite(self.learning_rate) or self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be finite and > 0")
+        object.__setattr__(self, "learning_rate",
+                           as_scalar(self.learning_rate, "learning_rate", positive=True))
         as_count(self.batch_size, "batch_size")
         as_count(self.steps, "steps", 0)
 

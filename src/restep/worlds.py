@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degradation import ConstantSchedule, NoiseSchedule
+from .degradation import ConstantSchedule, NoiseSchedule, as_scalar
 from .oracles import (
     GaussianDenoisingOracle,
     GaussianMixturePrior,
@@ -118,8 +118,7 @@ class GaussianWorld:
     sigma_n: float
 
     def __post_init__(self):
-        if not np.isfinite(self.sigma_n) or self.sigma_n <= 0.0:
-            raise ValueError("sigma_n must be finite and > 0")
+        object.__setattr__(self, "sigma_n", as_scalar(self.sigma_n, "sigma_n", positive=True))
 
     @property
     def dim(self) -> int:

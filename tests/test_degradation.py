@@ -14,6 +14,18 @@ from restep.degradation import (
     injected_noise_std,
     schedule_epsilon,
 )
+from restep.metrics import distortion_metrics, empirical_distribution_stats
+from restep.oracles import (
+    GaussianMixturePrior,
+    GaussianPrior,
+    LinearDegradation,
+    gaussian_flow_trajectory,
+    gaussian_posterior_mean,
+    mixture_posterior_mean,
+    score_from_denoiser,
+)
+from restep.regressor import TimeDistribution, TrainConfig
+from restep.worlds import GaussianWorld
 
 
 class TestSchedules:
@@ -73,6 +85,50 @@ class TestSchedules:
         batch = schedule_epsilon(sched, ts)
         singles = [schedule_epsilon(sched, float(t)) for t in ts]
         assert_allclose(batch, singles)
+
+
+_MIX = GaussianMixturePrior([[-1.0], [1.0]], [0.5, 0.5])
+_GAUSS = GaussianPrior([0.0], 1.0)
+_X = np.zeros(1)
+
+# (call site, parameter, needs > 0, call with the parameter set to v)
+_SCALAR_SITES = [
+    ("ConstantSchedule", "epsilon", False, lambda v: ConstantSchedule(v)),
+    ("BrownianSchedule", "epsilon", False, lambda v: BrownianSchedule(v)),
+    ("LinearDegradation", "sigma", False, lambda v: LinearDegradation([[1.0]], v)),
+    ("GaussianPrior", "sigma_c", True, lambda v: GaussianPrior([0.0], v)),
+    ("mixture_posterior_mean", "extra_noise_std", False,
+     lambda v: mixture_posterior_mean(_MIX, LinearDegradation([[1.0]], 1.0), _X, 0.5, v)),
+    ("gaussian_posterior_mean", "sigma_n", True,
+     lambda v: gaussian_posterior_mean(_GAUSS, v, _X, 0.5)),
+    ("gaussian_posterior_mean", "extra_noise_std", False,
+     lambda v: gaussian_posterior_mean(_GAUSS, 1.0, _X, 0.5, v)),
+    ("gaussian_flow_trajectory", "sigma_n", True,
+     lambda v: gaussian_flow_trajectory(_GAUSS, v, _X, 0.5)),
+    ("score_from_denoiser", "sigma_t", True, lambda v: score_from_denoiser(_X, _X, v)),
+    ("TimeDistribution", "a", False, lambda v: TimeDistribution("linear_a", v)),
+    ("TrainConfig", "learning_rate", True, lambda v: TrainConfig(learning_rate=v)),
+    ("GaussianWorld", "sigma_n", True, lambda v: GaussianWorld(_GAUSS, v)),
+    ("distortion_metrics", "peak", True, lambda v: distortion_metrics(_X, _X, peak=v)),
+    ("empirical_distribution_stats", "ref_std", True,
+     lambda v: empirical_distribution_stats(np.zeros((2, 1)), 0.0, v)),
+]
+
+
+class TestScalarRule:
+    @pytest.mark.parametrize("name, positive, call", [row[1:] for row in _SCALAR_SITES],
+                             ids=[f"{row[0]}.{row[1]}" for row in _SCALAR_SITES])
+    def test_every_scalar_site_applies_one_rule(self, name, positive, call):
+        """Each scalar parameter refuses nan, +-inf and negatives (and 0 where
+        it must be > 0) with a message that starts with its name."""
+        bad = [np.nan, np.inf, -np.inf, -1.0] + ([0.0] if positive else [])
+        want = f"^{name} must be finite and {'>' if positive else '>='} 0$"
+        for value in bad:
+            with pytest.raises(ValueError, match=want):
+                call(value)
+        call(1.0)
+        if not positive:
+            call(0.0)
 
 
 class TestForwardInterpolate:

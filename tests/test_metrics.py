@@ -63,6 +63,13 @@ class TestNearestMode:
         assert_array_equal(idx, [0])
         assert_allclose(dist, [0.9055385138137417], rtol=1e-15)
 
+    def test_rows_of_the_wrong_width_are_refused(self):
+        """A (n, 1) batch against a 2-d prior used to broadcast into
+        indices [1, 0] and distances 0.141."""
+        prior = GaussianMixturePrior([[0.0, 0.0], [5.0, 5.0]], [0.5, 0.5])
+        with pytest.raises(ValueError, match=r"^xs must have 2 coordinates"):
+            nearest_modes([[4.9], [0.1]], prior)
+
     def test_tie_goes_to_lowest_index(self):
         idx, _ = nearest_modes(np.array([[1.0, 0.0]]), self.prior())
         assert_array_equal(idx, [0])
@@ -116,6 +123,15 @@ class TestDistributionStats:
         ks = empirical_distribution_stats(draws, 0.0, 1.0)
         assert ks.shape == (1,)
         assert ks.tobytes() == empirical_distribution_stats(draws[:, None], 0.0, 1.0).tobytes()
+
+    @pytest.mark.parametrize("ref_mean, ref_std, name", [
+        (0.0, np.nan, "ref_std"), (np.inf, 1.0, "ref_mean"), ([0.0, -np.inf], 1.0, "ref_mean"),
+    ])
+    def test_non_finite_reference_is_refused(self, ref_mean, ref_std, name):
+        """These references used to give [nan nan] and [1. 1.]."""
+        samples = np.random.default_rng(13).standard_normal((50, 2))
+        with pytest.raises(ValueError, match=f"^{name} "):
+            empirical_distribution_stats(samples, ref_mean, ref_std)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 2_000), d=st.integers(1, 3),

@@ -79,6 +79,14 @@ class TestTimeDistributions:
         res = stats.kstest(body, stats.uniform(loc=0.0, scale=1.0).cdf)
         assert res.pvalue > 1e-3
 
+    @pytest.mark.parametrize("kind", TIME_DISTRIBUTION_KINDS)
+    def test_cdf_refuses_nan(self, kind):
+        """nan used to come back as a nan CDF value for every kind."""
+        with pytest.raises(ValueError, match="^t must be finite"):
+            time_distribution_cdf(TimeDistribution(kind), np.nan)
+        with pytest.raises(ValueError, match="^t must be finite"):
+            time_distribution_cdf(TimeDistribution(kind), [0.5, np.nan])
+
     def test_linear_a_cdf_has_jump_at_one(self):
         dist = TimeDistribution("linear_a", a=3.0)
         assert time_distribution_cdf(dist, 1.0) == 1.0
