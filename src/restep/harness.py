@@ -19,14 +19,16 @@ all come from that table; the README's kinds table says what each measures.
 
 A cell is one sampler run, ``(sampler name, estimator, y, SamplerConfig)``,
 with random sources derived from (master seed, variant index, replicate
-index) by the rule documented at :func:`restep.worlds.derive_rng`; with
-``jobs > 1`` cells run in a process pool and the report is assembled in
-deterministic grid order either way.  A run that goes numerically wrong
-(an iterate beyond 1e6 times its initial norm, or a non-finite iterate,
-estimate or training loss) raises :class:`restep.worlds.DivergenceError`;
-the rows of the cells it hits are flagged and the rest continue.  Any
-other exception a cell raises ends the run, and it is the same exception,
-of the same type and message, at every ``jobs``.
+index) by the rule documented at :func:`restep.worlds.derive_rng`.  A kind
+with a trained estimator trains its models first, then runs its cells;
+with ``jobs > 1`` both the models and the cells run in a process pool, and
+the report is assembled in deterministic grid order either way.  A run
+that goes numerically wrong (an iterate beyond 1e6 times its initial norm,
+or a non-finite iterate, estimate or training loss) raises
+:class:`restep.worlds.DivergenceError`; the rows of the cells it hits are
+flagged and the rest continue.  Any other exception a cell raises ends
+the run, and it is the same exception, of the same type and message, at
+every ``jobs``.
 """
 
 from __future__ import annotations
@@ -536,6 +538,8 @@ def _restore_cell(cell):
     """Run one ``(sampler name, estimator, y, SamplerConfig)`` cell under a
     divergence guard: (output, trajectory), or the run's DivergenceError."""
     name, estimator, y, config = cell
+    if isinstance(estimator, DivergenceError):  # its model's training diverged
+        return estimator
     try:
         return _SAMPLER_FNS[name](DivergenceGuard(estimator), y, config)
     except DivergenceError as err:
@@ -567,13 +571,16 @@ def _metrics(cfg, world, x, result, nearest=None) -> dict:
     return row
 
 
-def _train_model(world, seed: int, section: dict, time_dist: TimeDistribution):
-    """Train the configured regressor on ``world``; returns (model, losses),
-    or (the DivergenceError, None) if a training step diverged.
+def _train_model(cell):
+    """Train on one ``(world, seed, train section, TimeDistribution,
+    checkpoint path or None)`` cell and write the checkpoint if given a path:
+    (model, mean loss of the first and of the last 100 steps), or (the
+    DivergenceError, None, None) with no checkpoint.
 
     The one training path: the model is reproducible from the master seed
     through the derivation labels 'model-init', 'train-data' and 'train'.
     """
+    world, seed, section, time_dist, checkpoint_path = cell
     model = MlpRegressor.create(
         world.dim, section["hidden"], derive_rng(seed, "model-init"),
         activation=section["activation"],
@@ -588,27 +595,19 @@ def _train_model(world, seed: int, section: dict, time_dist: TimeDistribution):
         seed=derive_seed(seed, "train"),
     )
     try:
-        return train(model, world.pair_stream(derive_rng(seed, "train-data")), config)
+        model, losses = train(model, world.pair_stream(derive_rng(seed, "train-data")), config)
     except DivergenceError as err:
-        return err, None
-
-
-def _train_cell(p):
-    """Train, checkpoint, then run the restore cell with the model: (mean loss
-    of the first and of the last 100 steps, result), or (None, None, the
-    training's DivergenceError) with no checkpoint."""
-    world, seed, section, time_dist, checkpoint_path, (name, _, y, config) = p
-    model, losses = _train_model(world, seed, section, time_dist)
-    if losses is None:
-        return None, None, model
+        return err, None, None
     if checkpoint_path:
         save_checkpoint(model, checkpoint_path)
     window = max(1, min(100, losses.size))
-    return (float(np.mean(losses[:window])), float(np.mean(losses[-window:])),
-            _restore_cell((name, model, y, config)))
+    return model, float(np.mean(losses[:window])), float(np.mean(losses[-window:]))
 
 
 # ---- the runners: (cfg, jobs, write) -> (rows, total steps, trajectory) ---- #
+
+# ``_run_grid`` runs every kind whose rows are the cells of one grid; gauss1d
+# (a probe and its flow limit) and generate_from_noise (a row per mode) do not.
 
 
 def _row(cfg, variant, **fields) -> dict:
@@ -636,83 +635,78 @@ def _cell(cfg, variant, name, estimator, y, steps, schedule):
     return name, estimator, y, config
 
 
-def _run_grid(cfg, jobs, write):
-    """Schedules x samplers x step counts on one shared batch, a cell each.
+def _models(cfg, world, jobs, write):
+    """The trained estimators as (model, head, tail): one per ``eval.time_dists``
+    entry, else the ``train.time_dist`` one, trained as cells under ``jobs``.
 
-    ``eval.schedules``, ``eval.samplers`` and ``eval.step_grid`` default to
-    ``sampler.schedule``, the iterative sampler and ``sampler.steps``, so
-    toy2d is the one-cell grid.  A trained estimator is trained here, once,
-    so that its cells still fan out under ``jobs``; if its training
-    diverges, that divergence is every cell's result.
+    A training kind (a ``train`` section and no ``eval.estimator``) writes
+    the checkpoints, and its rows put the model's time distribution and
+    losses (``head``) before the grid's columns and the checkpoint
+    (``tail``) after the metrics; other kinds' head and tail are empty.
     """
-    world, x, y = _inputs(cfg)
-    ev = cfg["eval"]
-    grid = [int(n) for n in ev.get("step_grid", [cfg["sampler"]["steps"]])]
-    estimator_name = ev.get("estimator", "oracle")
-    model, train_steps = None, 0
-    if estimator_name == "trained":
-        time_dist = _time_dist_from_config(cfg["train"]["time_dist"])
-        model, _ = _train_model(world, cfg["seed"], cfg["train"], time_dist)
-        train_steps = cfg["train"]["steps"]
-    cells, rows = [], []
-    for sd in ev.get("schedules", [cfg["sampler"]["schedule"]]):
-        schedule = schedule_from_config(sd)
-        estimator = world.oracle(schedule) if model is None else model
-        swept = (
-            {"schedule_kind": sd["kind"], "epsilon": sd.get("epsilon")}
-            if "schedules" in ev else {}
-        )
-        for name in ev.get("samplers", ["iterative"]):
-            for n in grid:
-                variant = len(cells)
-                cells.append(_cell(cfg, variant, name, estimator, y, n, schedule))
-                rows.append(_row(
-                    cfg, variant, sampler=name, estimator=estimator_name, **swept,
-                    N=n, n_inputs=ev["n_inputs"],
-                ))
-    if isinstance(model, DivergenceError):
-        results = [model] * len(cells)
-    else:
-        results = _execute_cells(_restore_cell, cells, jobs)
-    for row, result in zip(rows, results):
-        row.update(_metrics(cfg, world, x, result))
-    return rows, train_steps + sum(config.steps for *_, config in cells), None
-
-
-def _run_training(cfg, jobs, write):
-    """One regressor trained per time distribution, each restoring the
-    shared batch: ``eval.time_dists`` if the kind sweeps them, else the
-    single ``train.time_dist``.  Each cell trains, checkpoints and restores.
-    """
-    world, x, y = _inputs(cfg)
-    ev = cfg["eval"]
-    tr = cfg["train"]
-    steps = cfg["sampler"]["steps"]
-    schedule = schedule_from_config(cfg["sampler"]["schedule"])
+    ev, tr = cfg["eval"], cfg["train"]
     if "time_dists" in ev:
         dists = [TimeDistribution(kind, a=float(ev["a"])) for kind in ev["time_dists"]]
         names = [f"checkpoint_{kind}.bin" for kind in ev["time_dists"]]
     else:
-        dists = [_time_dist_from_config(tr["time_dist"])]
-        names = ["checkpoint.bin"]
-    if not write:
+        dists, names = [_time_dist_from_config(tr["time_dist"])], ["checkpoint.bin"]
+    own = "estimator" not in ev
+    if not (own and write):
         names = [None] * len(dists)
-    cells = [
-        (world, cfg["seed"], tr, td, None if name is None else str(Path(cfg["out_dir"]) / name),
-         _cell(cfg, i, "iterative", None, y, steps, schedule))
-        for i, (td, name) in enumerate(zip(dists, names))
+    trained = _execute_cells(_train_model, [
+        (world, cfg["seed"], tr, td, None if name is None else str(Path(cfg["out_dir"]) / name))
+        for td, name in zip(dists, names)
+    ], jobs)
+    if not own:
+        return [(model, {}, {}) for model, _, _ in trained]
+    return [
+        (model,
+         {"time_dist": td.kind, "atom_a": td.a if td.kind == "linear_a" else None,
+          "train_steps": tr["steps"], "loss_initial": first, "loss_final": last},
+         {"checkpoint": None if first is None else name})
+        for td, name, (model, first, last) in zip(dists, names, trained)
     ]
-    rows = [
-        _row(
-            cfg, i, time_dist=td.kind, atom_a=td.a if td.kind == "linear_a" else None,
-            train_steps=tr["steps"], loss_initial=first, loss_final=last,
-            sampler="iterative", estimator="trained", N=steps, n_inputs=ev["n_inputs"],
-            **_metrics(cfg, world, x, result), checkpoint=None if first is None else name,
-        )
-        for i, (td, name, (first, last, result))
-        in enumerate(zip(dists, names, _execute_cells(_train_cell, cells, jobs)))
-    ]
-    return rows, len(cells) * (tr["steps"] + steps), None
+
+
+def _run_grid(cfg, jobs, write):
+    """Models x schedules x samplers x step counts on one shared batch, a cell each.
+
+    ``eval.schedules``, ``eval.samplers`` and ``eval.step_grid`` default to
+    ``sampler.schedule``, the iterative sampler and ``sampler.steps``, so
+    toy2d is the one-cell grid.  The estimator is the world's oracle or each
+    model of :func:`_models`: every model trains first, then every restore
+    cell fans out under ``jobs``.  The cells of a model whose training
+    diverged take that divergence as their result.
+    """
+    world, x, y = _inputs(cfg)
+    ev = cfg["eval"]
+    grid = [int(n) for n in ev.get("step_grid", [cfg["sampler"]["steps"]])]
+    estimator_name = ev.get("estimator", "trained" if "train" in cfg else "oracle")
+    models, train_steps = [(None, {}, {})], 0
+    if estimator_name == "trained":
+        models = _models(cfg, world, jobs, write)
+        train_steps = len(models) * cfg["train"]["steps"]
+    cells, rows, tails = [], [], []
+    for model, head, tail in models:
+        for sd in ev.get("schedules", [cfg["sampler"]["schedule"]]):
+            schedule = schedule_from_config(sd)
+            estimator = world.oracle(schedule) if model is None else model
+            swept = (
+                {"schedule_kind": sd["kind"], "epsilon": sd.get("epsilon")}
+                if "schedules" in ev else {}
+            )
+            for name in ev.get("samplers", ["iterative"]):
+                for n in grid:
+                    variant = len(cells)
+                    cells.append(_cell(cfg, variant, name, estimator, y, n, schedule))
+                    rows.append(_row(
+                        cfg, variant, **head, sampler=name, estimator=estimator_name,
+                        **swept, N=n, n_inputs=ev["n_inputs"],
+                    ))
+                    tails.append(tail)
+    for row, tail, result in zip(rows, tails, _execute_cells(_restore_cell, cells, jobs)):
+        row.update(_metrics(cfg, world, x, result), **tail)
+    return rows, train_steps + sum(config.steps for *_, config in cells), None
 
 
 def _run_gauss1d(cfg, jobs, write):
@@ -774,7 +768,7 @@ def _run_generate_from_noise(cfg, jobs, write):
 class _Kind:
     sections: dict  # default world/sampler/[train]/eval sections
     world: str | None  # the world type the kind needs; None accepts either
-    run: Callable  # the runner
+    run: Callable  # the runner: _run_grid, unless the rows are not grid cells
 
 
 _MIXTURE_A = _mixture_world(_IDENTITY_2D, 1.0)
@@ -795,7 +789,7 @@ _KINDS = {
             _MIXTURE_A, train=_train_section([128, 128], 20000, 256, "bias_t0_t1"),
             n_inputs=1000, hit_threshold=5e-2,
         ),
-        "mixture", _run_training,
+        "mixture", _run_grid,
     ),
     "generate_from_noise": _Kind(
         _sections(_mixture_world(_ZERO_2D, 1.0), n_inputs=10000, hit_threshold=1e-2),
@@ -811,7 +805,7 @@ _KINDS = {
             n_inputs=1000, time_dists=list(TIME_DISTRIBUTION_KINDS), a=1.0,
             hit_threshold=5e-2,
         ),
-        "mixture", _run_training,
+        "mixture", _run_grid,
     ),
     "sweep_noise": _Kind(
         _sections(

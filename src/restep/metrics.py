@@ -46,6 +46,8 @@ def nearest_modes(xs, prior: GaussianMixturePrior):
     """Index and Euclidean distance of the prior mode closest to each row of
     ``xs`` (a (d,) vector is one row); ties go to the lowest index."""
     xs = as_state(xs, "xs", dim=prior.dim)
+    if xs.ndim > 2:
+        raise ValueError(f"xs must be (d,) or (n, d), got shape {xs.shape}")
     rows = np.ascontiguousarray(np.atleast_2d(xs).T)        # (d, n)
     diff = rows[:, None, :] - prior.modes.T[:, :, None]     # (d, m, n)
     diff *= diff

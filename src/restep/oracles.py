@@ -260,10 +260,11 @@ def gaussian_posterior_mean(prior: GaussianPrior, sigma_n: float, x_t, t,
 
     with sigma_n'^2 = sigma_n^2 + extra_noise_std^2 when schedule noise is
     present in x_t.  At t = 0 this is the identity, as it should be.
+    ``x_t``'s rows have the prior's width; a 1-d prior's c spans any width.
     """
     sigma_n = as_scalar(sigma_n, "sigma_n", positive=True)
     extra_noise_std = as_scalar(extra_noise_std, "extra_noise_std")
-    x_t = as_state(x_t, "x_t")
+    x_t = as_state(x_t, "x_t", dim=prior.dim if prior.dim > 1 else None)
     t = as_time(float(t))
     # squares overflow to inf (Python's ** raises); where one variance is inf
     # the mean is its limit, and where both are, inf / inf is a nan samplers flag
@@ -288,9 +289,10 @@ def gaussian_flow_trajectory(prior: GaussianPrior, sigma_n: float, y, t) -> np.n
     At t = 0 this gives the limit point c + (y - c) * sqrt(sigma_c^2 /
     (sigma_c^2 + sigma_n^2)), which maps the observation marginal
     N(c, (sigma_c^2 + sigma_n^2) I) exactly onto the prior N(c, sigma_c^2 I).
+    ``y``'s rows have the prior's width; a 1-d prior's c spans any width.
     """
     sigma_n = as_scalar(sigma_n, "sigma_n", positive=True)
-    y = as_state(y, "y")
+    y = as_state(y, "y", dim=prior.dim if prior.dim > 1 else None)
     t = as_time(float(t))
     with np.errstate(over="ignore"):
         alpha_sq = np.float64(prior.sigma_c / sigma_n) ** 2  # inf, not OverflowError

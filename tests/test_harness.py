@@ -19,7 +19,7 @@ from restep.harness import (
     run_experiment,
 )
 from restep.metrics import nearest_modes
-from restep.regressor import load_checkpoint
+from restep.regressor import load_checkpoint, train
 
 TINY_TRAIN = {"hidden": [8], "steps": 40, "batch_size": 16,
               "learning_rate": 5e-3}
@@ -339,6 +339,27 @@ class TestExperimentRuns:
         row = report.rows[0]
         assert row["loss_final"] is not None
         assert (tmp_path / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("kind, estimator, models, rows", [
+        ("sweep_pt", None, 2, 2), ("train_restore", None, 1, 1),
+        ("sampler_compare", "trained", 1, 6), ("sampler_compare", "oracle", 0, 6),
+    ])
+    def test_each_model_trains_once(self, kind, estimator, models, rows, monkeypatch):
+        """One training run per time distribution, however many cells the
+        model feeds: sweep_pt's tiny config sweeps two, sampler_compare's
+        trained estimator feeds its whole grid."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "train", counted)
+        cfg = tiny_config(kind) if estimator is None else tiny_config(kind, estimator=estimator)
+        cfg["train"] = dict(TINY_TRAIN)
+        report = run_experiment(cfg, jobs=1, write=False)
+        assert len(calls) == models
+        assert len(report.rows) == rows
 
     def test_jobs_do_not_change_results(self, tmp_path):
         cfg = tiny_config("sweep_steps")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,16 @@ class TestNearestMode:
         prior = GaussianMixturePrior([[0.0, 0.0], [5.0, 5.0]], [0.5, 0.5])
         with pytest.raises(ValueError, match=r"^xs must have 2 coordinates"):
             nearest_modes([[4.9], [0.1]], prior)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 3, 2)])
+    def test_more_than_one_leading_axis_is_refused(self, shape):
+        """The transpose reversed every axis: a (2, 2, 2) batch returned
+        wrong (2, 2) indices and a (2, 3, 2) one a broadcast error."""
+        prior = GaussianMixturePrior([[0.0, 0.0], [5.0, 5.0]], [0.5, 0.5])
+        xs = np.zeros(shape)
+        with pytest.raises(ValueError, match=r"^xs must be \(d,\) or \(n, d\), got shape "
+                           + re.escape(str(shape))):
+            nearest_modes(xs, prior)
 
     def test_tie_goes_to_lowest_index(self):
         idx, _ = nearest_modes(np.array([[1.0, 0.0]]), self.prior())

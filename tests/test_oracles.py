@@ -344,6 +344,18 @@ class TestGaussianWorldForms:
         for t in (0.0, 0.5, 1.0):
             assert_array_equal(gaussian_flow_trajectory(prior, sigma_n, y, t), y)
 
+    @pytest.mark.parametrize("form", [gaussian_posterior_mean, gaussian_flow_trajectory])
+    def test_a_batch_of_the_wrong_width_is_refused(self, form):
+        """A (2, 1) batch against a 2-d c used to broadcast into a (2, 2)
+        result; a batch with the prior's width still runs, and a 1-d c is
+        one mean for a batch of any width."""
+        prior = GaussianPrior(c=[0.0, 3.0], sigma_c=1.0)
+        for x in (np.array([[1.0], [2.0]]), np.array([1.0, 2.0, 3.0])):
+            with pytest.raises(ValueError, match=r"must have 2 coordinates, got shape"):
+                form(prior, 1.0, x, 0.5)
+        assert form(prior, 1.0, np.array([[1.0, 2.0]]), 0.5).shape == (1, 2)
+        assert form(GaussianPrior(c=[0.5], sigma_c=1.0), 1.0, np.ones((2, 3)), 0.5).shape == (2, 3)
+
     def test_flow_endpoint_maps_observation_onto_prior(self):
         """Pushing y ~ N(c, sigma_c^2 + sigma_n^2) through the t = 0 map
         gives samples distributed as the prior."""

@@ -1,7 +1,8 @@
 """The package's public surface: one list of names, and demos that import
 only names that exist (the demos take seconds to run, so they are checked
 here by parsing, not by running them).  No source file imports a name it
-does not use, and the package does not import ``scipy.stats``."""
+does not use, no private module-level name goes unread, and the package
+does not import ``scipy.stats``."""
 
 import ast
 import importlib
@@ -91,3 +92,31 @@ def test_no_unused_imports(source):
         ):
             used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
     assert imported <= used, f"{source}: unused {sorted(imported - used)}"
+
+
+def test_private_module_names_are_read():
+    """Every module-level private function, class or constant of the package
+    is read somewhere in ``src/restep``, so a helper a refactor leaves
+    behind fails here."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in (ROOT / "src" / "restep").glob("*.py")}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [f"{module}: {name}" for name in names
+                       if name.startswith("_") and not name.startswith("__") and name not in read]
+    assert not unread, unread
