@@ -38,7 +38,6 @@ import json
 import sys
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -526,6 +525,8 @@ def emit_report(report: RunReport, formats=("csv", "json")) -> list:
 def _execute_cells(fn, cells, jobs: int):
     if jobs <= 1 or len(cells) <= 1:
         return [fn(c) for c in cells]
+    from concurrent.futures import ProcessPoolExecutor  # jobs = 1 runs never load the pool
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
         return list(pool.map(fn, cells))
 

@@ -5,6 +5,11 @@ distributional side, which at scale would use learned perceptual metrics,
 is covered here by exact proxies: batch nearest-mode assignment against a
 known mixture prior, and the Kolmogorov-Smirnov distance from a known
 Gaussian prior, computed in closed form over ``scipy.special.ndtr``.
+
+scipy is imported at the first KS call, not with this module.  Only a
+Gaussian-world batch has a KS column (``sweep_steps`` in its default world;
+``gauss1d`` restores a single probe), so ``import restep`` needs numpy
+alone and a mixture-world run never loads scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 from .degradation import as_scalar, as_state
 from .oracles import GaussianMixturePrior, _mode_distances_sq
@@ -70,6 +74,8 @@ def empirical_distribution_stats(samples, ref_mean, ref_std) -> np.ndarray:
         raise ValueError("need at least 2 samples")
     ref_mean = as_state(np.broadcast_to(ref_mean, (d,)), "ref_mean")
     ref_std = as_scalar(ref_std, "ref_std", positive=True)
+    from scipy.special import ndtr  # the first KS call loads scipy, not the import
+
     cdf = ndtr((np.sort(samples, axis=0) - ref_mean) / ref_std)
     d_plus = np.max(np.arange(1.0, n + 1)[:, None] / n - cdf, axis=0)
     d_minus = np.max(cdf - np.arange(0.0, n)[:, None] / n, axis=0)

@@ -173,6 +173,36 @@ def _mode_distances_sq(x: np.ndarray, centers: np.ndarray, scale: float = 1.0) -
     return _sum_axis(u, 0)
 
 
+# A row whose every log term lies below -_FAR_LOG = -(2^16)^2 / 2 is far
+# from every mode; see mixture_posterior_mean.
+_FAR_LOG = 2.0**31
+
+
+def _far_field_weights(x: np.ndarray, centers: np.ndarray, log_w: np.ndarray,
+                       sigma_t: float) -> np.ndarray:
+    """The (m, n) posterior weights of the n rows of ``x`` from the log terms
+    relative to mode 0,
+
+        (x . (C_i - C_0) - (||C_i||^2 - ||C_0||^2) / 2) / sigma_t^2 + log w_i,
+
+    which hold no squared distance, so they keep the modes apart where the
+    squared distances tie or overflow.  Each row is first divided by a power
+    of two s > max|x| / 2, which keeps every term finite; multiplying by s
+    again once the max is subtracted is exact, or sends a term to -inf, a
+    weight of 0.  The caller ignores that overflow."""
+    scale = np.ldexp(0.5, np.frexp(np.max(np.abs(x), axis=1))[1])   # (n,)
+    offsets = 0.5 * (np.sum(centers * centers, axis=1) - centers[0] @ centers[0])
+    rel = (centers - centers[0]) @ (x / scale[:, None]).T           # (m, n)
+    rel -= offsets[:, None] / scale
+    rel /= sigma_t * sigma_t
+    rel += log_w[:, None] / scale
+    rel -= np.max(rel, axis=0)
+    rel *= scale
+    np.exp(rel, out=rel)
+    rel /= np.sum(rel, axis=0)
+    return rel
+
+
 def blended_operator(deg: LinearDegradation, t: float) -> np.ndarray:
     """The interpolated operator ``H_t = (1 - t) I + t H``."""
     t = float(t)
@@ -210,23 +240,31 @@ def mixture_posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation,
             "need deg.sigma > 0 or extra_noise_std > 0"
         )
     centers = prior.modes @ blended_operator(deg, t).T          # (m, d)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(prior.weights)                           # -inf for w = 0
-    # log(w_i) - ||u_i||^2 / 2 in place: adding -b is subtracting b, bit for bit
-    log_terms = _mode_distances_sq(x_t.reshape(-1, prior.dim), centers, sigma_t)
-    log_terms *= -0.5
-    log_terms += log_w[:, None]
+    rows = x_t.reshape(-1, prior.dim)
     # Max-subtraction: at least one term becomes exp(0) = 1, so the weights
     # do not underflow to 0 / 0 far from the modes.  That holds only while
-    # the squared distances still tell the modes apart in float64.  With
-    # modes -1 and +1, sigma 1 and t = 0.5, x_t = 1e15 gives [1.] (one-hot
-    # on the closest kernel); from 1e16 the log terms tie and the result is
-    # the weighted mean of the modes, [0.]; from 1e154 u * u overflows, every
-    # log term is -inf and the result is [nan], which the samplers flag.
-    post = log_terms
-    post -= np.max(log_terms, axis=0)
-    np.exp(post, out=post)
-    post /= _sum_axis(post, 0)
+    # the squared distances still tell the modes apart in float64: with
+    # modes -1 and +1, sigma 1 and t = 0.5 the log terms tie from x_t = 1e16
+    # (the weighted mean of the modes, [0.]), and from 1e154 u * u overflows
+    # (every term -inf, [nan]).  So a row whose every term is below
+    # -_FAR_LOG, about 2^16 sigma_t from every mode, takes its weights from
+    # _far_field_weights instead, and gets [1.] at any finite x_t > 0 there.
+    # The golden and benchmark runs stay within about 1,000 sigma_t of a
+    # mode, so their rows never switch.  The errstate covers log(0) for a
+    # zero weight and the overflows in the rows that switch.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_w = np.log(prior.weights)                           # -inf for w = 0
+        # log(w_i) - ||u_i||^2 / 2 in place: adding -b is subtracting b, bit for bit
+        post = _mode_distances_sq(rows, centers, sigma_t)
+        post *= -0.5
+        post += log_w[:, None]
+        top = post.max(axis=0)
+        post -= top
+        np.exp(post, out=post)
+        post /= _sum_axis(post, 0)
+        if top.min() < -_FAR_LOG:
+            far = top < -_FAR_LOG
+            post[:, far] = _far_field_weights(rows[far], centers, log_w, sigma_t)
     # The product takes the (..., m) weights in C order: matmul's kernel
     # depends on the layout, and a transposed view changes the bits.
     post = np.ascontiguousarray(post.T).reshape(x_t.shape[:-1] + (prior.n_modes,))

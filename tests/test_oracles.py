@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from restep.oracles import (
     GaussianPrior,
     LinearDegradation,
     MixturePosteriorOracle,
+    _FAR_LOG,
     _sum_axis,
     blended_operator,
     gaussian_flow_trajectory,
@@ -34,14 +37,19 @@ def random_mixture(rng, dim, n_modes):
     return GaussianMixturePrior(modes=modes, weights=w)
 
 
-def _reference_mixture_posterior_mean(prior, deg, x_t, t, extra_noise_std):
-    """The posterior mean as first written, with numpy's own reductions."""
+def _reference_log_terms(prior, deg, x_t, t, extra_noise_std):
+    """log(w_i) - ||u_i||^2 / 2 as first written, modes on the last axis."""
     sigma_t = t * float(np.hypot(deg.sigma, extra_noise_std))
     centers = prior.modes @ blended_operator(deg, t).T
     u = (x_t[..., None, :] - centers) / sigma_t
     with np.errstate(divide="ignore"):
         log_w = np.log(prior.weights)
-    log_terms = log_w - 0.5 * np.sum(u * u, axis=-1)
+    return log_w - 0.5 * np.sum(u * u, axis=-1)
+
+
+def _reference_mixture_posterior_mean(prior, deg, x_t, t, extra_noise_std):
+    """The posterior mean as first written, with numpy's own reductions."""
+    log_terms = _reference_log_terms(prior, deg, x_t, t, extra_noise_std)
     post = np.exp(log_terms - np.max(log_terms, axis=-1, keepdims=True))
     post /= np.sum(post, axis=-1, keepdims=True)
     return post @ prior.modes
@@ -103,12 +111,48 @@ class TestMixturePosteriorMean:
         got = mixture_posterior_mean(prior, deg, np.array([50.0]), 1.0)
         assert_allclose(got, [0.0], atol=1e-12)
 
-    def test_far_field_snaps_to_nearest_mode_without_nan(self):
+    @pytest.mark.parametrize("x", [1e8, 1e15, 1e16, 1e150, 1e155, 1e300, np.finfo(float).max])
+    def test_far_field_snaps_to_nearest_mode_without_nan(self, x):
+        """Where the squared distances tie (from 1e16) or overflow (from
+        1e154) the mode-relative terms still pick the closer mode."""
         prior = two_point_prior()
         deg = LinearDegradation(H=[[1.0]], sigma=1.0)
-        got = mixture_posterior_mean(prior, deg, np.array([1e8]), 0.5)
+        got = mixture_posterior_mean(prior, deg, np.array([[x], [-x]]), 0.5)
+        assert_array_equal(got, [[1.0], [-1.0]])
+
+    def test_far_field_keeps_the_blend_on_a_bisector(self):
+        """Far out along the line equidistant from two modes the posterior
+        weights are the prior's, however far the row is."""
+        prior = GaussianMixturePrior(modes=[[1.0, 0.0], [-1.0, 0.0]], weights=[0.25, 0.75])
+        deg = LinearDegradation(H=np.eye(2), sigma=1.0)
+        got = mixture_posterior_mean(prior, deg, np.array([[0.0, 1e200], [0.0, -1e300]]), 0.5)
+        assert_allclose(got, [[-0.5, 0.0], [-0.5, 0.0]], rtol=1e-15, atol=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), h=st.floats(0.5, 2.0), t=st.floats(0.05, 1.0),
+           sigma=st.floats(0.1, 2.0), x=st.floats(allow_nan=False, allow_infinity=False))
+    def test_far_field_takes_the_mode_with_the_largest_relative_log_term(
+            self, data, h, t, sigma, x):
+        """Any finite x_t gives a finite mean.  Beyond the far-field radius
+        it is the mode whose log term relative to mode 0,
+        (x (C_i - C_0) - (C_i^2 - C_0^2) / 2) / sigma_t^2 + log w_i, is
+        largest, with the terms taken here in exact arithmetic."""
+        quarters = data.draw(st.lists(st.integers(-16, 16), min_size=2, max_size=4, unique=True))
+        raw = np.array(data.draw(st.lists(st.integers(1, 9), min_size=len(quarters),
+                                          max_size=len(quarters))), dtype=float)
+        prior = GaussianMixturePrior(np.array(quarters, dtype=float)[:, None] / 4.0,
+                                     raw / raw.sum())
+        deg = LinearDegradation([[h]], sigma)
+        got = mixture_posterior_mean(prior, deg, np.array([x]), t)
         assert np.isfinite(got).all()
-        assert_allclose(got, [1.0])
+        with np.errstate(over="ignore"):
+            top = np.max(_reference_log_terms(prior, deg, np.array([x]), t, 0.0))
+        if top < -_FAR_LOG:
+            centers = [Fraction(c) for c in (prior.modes @ blended_operator(deg, t).T)[:, 0]]
+            sigma_sq = Fraction(t * sigma) ** 2
+            rel = [(Fraction(x) * (c - centers[0]) - (c * c - centers[0] ** 2) / 2) / sigma_sq
+                   + Fraction(float(np.log(w))) for c, w in zip(centers, prior.weights)]
+            assert got[0] == prior.modes[rel.index(max(rel)), 0]
 
     def test_extra_noise_matches_inflated_sigma_world(self):
         """Schedule noise folded in via extra_noise_std must equal a world
@@ -144,11 +188,12 @@ class TestMixturePosteriorMean:
            t=st.floats(0.01, 1.0), sigma=st.floats(0.01, 3.0),
            extra=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
            lead=st.sampled_from([(), (1,), (20,), (257,), (3, 5)]))
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # far-field squares that overflow
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference's squares that overflow
     def test_mixture_posterior_mean_keeps_every_bit(self, data, dm, t, sigma, extra, lead):
         """Against the formula with numpy's reductions, for vectors and
-        batches, zero-weight modes, schedule noise and the far field; past
-        8 and 128 modes numpy's pairwise sum works in blocks."""
+        batches, zero-weight modes and schedule noise, on every row inside
+        the far-field radius (the tests above cover the rows beyond it);
+        past 8 and 128 modes numpy's pairwise sum works in blocks."""
         d, m = dm
         coords = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e150, 1e150))
         modes = data.draw(arrays(np.float64, (m, d), elements=coords))
@@ -161,7 +206,8 @@ class TestMixturePosteriorMean:
         got = mixture_posterior_mean(prior, deg, x_t, t, extra_noise_std=extra)
         want = _reference_mixture_posterior_mean(prior, deg, x_t, t, extra)
         assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        near = ~(np.max(_reference_log_terms(prior, deg, x_t, t, extra), axis=-1) < -_FAR_LOG)
+        assert got[near].tobytes() == want[near].tobytes()
 
     def test_blended_operator_endpoints(self):
         deg = LinearDegradation(H=[[2.0, 0.0], [0.0, 3.0]], sigma=1.0)

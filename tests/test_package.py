@@ -2,10 +2,11 @@
 only names that exist (the demos take seconds to run, so they are checked
 here by parsing, not by running them).  No source file imports a name it
 does not use, no private module-level name goes unread, and the package
-does not import ``scipy.stats``."""
+imports numpy and the standard library alone."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -50,14 +51,49 @@ def test_deleted_names_are_gone():
             assert not hasattr(world, name), f"{world.__name__}.{name}"
 
 
-def test_import_loads_no_scipy_stats():
-    """``import restep`` stays light: the KS metric needs only
-    ``scipy.special.ndtr``, not ``scipy.stats``."""
+def run_fresh(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter that imports restep from this
+    checkout; it prints one JSON object as its last line, returned here."""
     env = {**os.environ, "PYTHONPATH": str(Path(restep.__file__).resolve().parent.parent)}
-    code = "import sys, restep; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_import_loads_numpy_and_the_standard_library_only():
+    """``import restep`` adds no top-level module but numpy, restep and the
+    standard library's, and no process pool: scipy loads at the first KS
+    call, and ``concurrent.futures.process`` only under ``jobs > 1``."""
+    loaded = run_fresh(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import restep\n"
+        "added = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(json.dumps({'outside': sorted(added - set(sys.stdlib_module_names)),\n"
+        "                  'scipy.stats': 'scipy.stats' in sys.modules,\n"
+        "                  'pool': 'concurrent.futures.process' in sys.modules}))\n"
+    )
+    assert loaded == {"outside": ["numpy", "restep"], "scipy.stats": False, "pool": False}
+
+
+def test_scipy_loads_at_the_first_ks_call():
+    """A mixture-world run has no KS column and never loads scipy; a
+    Gaussian-world sweep loads it for its finite KS column."""
+    loaded = run_fresh(
+        "import json, math, sys\n"
+        "import restep\n"
+        "restep.run_experiment({'kind': 'toy2d_a', 'seed': 5, 'eval': {'n_inputs': 60},\n"
+        "                       'sampler': {'steps': 6}}, write=False)\n"
+        "mixture = 'scipy' in sys.modules\n"
+        "report = restep.run_experiment({'kind': 'sweep_steps', 'seed': 5,\n"
+        "                                'eval': {'n_inputs': 80, 'step_grid': [1, 3]}},\n"
+        "                               write=False)\n"
+        "print(json.dumps({'mixture': mixture, 'gaussian': 'scipy' in sys.modules,\n"
+        "                  'ks_finite': [math.isfinite(r['ks']) for r in report.rows]}))\n"
+    )
+    assert loaded["mixture"] is False
+    assert loaded["gaussian"] is True
+    assert loaded["ks_finite"] and all(loaded["ks_finite"])
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
