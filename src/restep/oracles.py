@@ -21,21 +21,23 @@ ground truth for the samplers and the trained regressor.
 
 The mixture posterior runs mode-major: a batch of n states against m
 modes in d dimensions is held as d contiguous (m, n) blocks, one per
-coordinate, so every elementwise step runs along the n rows.  Broadcasting
-``x_t[..., None, :] - centers`` instead runs n * m inner loops of length d.
-The squared norms (over d) and the normaliser (over m) are sums over short
-axes, and :func:`_sum_axis` gives them numpy's pairwise-summation bits,
-those of ``np.sum`` over a contiguous last axis: below 8 terms that order
-is left to right, so the helper adds whole slices in place; from 8 terms
-up numpy sums in blocks, and the helper calls ``np.sum`` on a copy with
-the axis last.  The final product takes the weights as a C-ordered
-(n, m) copy, because matmul chooses its kernel by memory layout and a
-transposed view gives different last bits.
+coordinate and filled from ``x_t``'s columns, so every elementwise step runs
+along the n rows; broadcasting ``x_t[..., None, :] - centers`` instead runs
+n * m inner loops of length d.  The squared norms (over d) and the
+normaliser (over m) are sums over short axes of terms that are never -0.0,
+and :func:`_sum_axis` gives them the bits of ``np.sum`` over a contiguous
+last axis: below 8 terms numpy adds left to right from +0.0, which changes
+no such term, so the helper adds whole slices in place from the first two;
+from 8 terms up it calls ``np.sum`` on a copy with the axis last.  The
+final product takes the weights as a C-ordered (n, m) copy, because matmul
+chooses its kernel by memory layout and a transposed view gives different
+last bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -103,6 +105,15 @@ class GaussianMixturePrior:
     def n_modes(self) -> int:
         return self.modes.shape[0]
 
+    @cached_property
+    def log_weights(self) -> np.ndarray:
+        """``log(weights)`` (-inf at w = 0), taken once; not in ``==``, ``repr`` or pickles."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.weights)
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "log_weights"}
+
 
 @dataclass(frozen=True)
 class LinearDegradation:
@@ -148,26 +159,26 @@ _SHORT_AXIS = 8
 
 
 def _sum_axis(a: np.ndarray, axis: int = -1):
-    """The sum over ``axis`` with numpy's pairwise-summation bits: those of
-    ``np.sum`` over a C-ordered copy with that axis last.  Below
-    ``_SHORT_AXIS`` terms the slices along ``axis`` are added left to right
-    in place, with no copy."""
+    """The sum over ``axis`` with the bits of ``np.sum`` over a C-ordered copy with that
+    axis last, unless 2 to 7 terms are all -0.0 (-0.0, not 0.0): below ``_SHORT_AXIS``
+    terms numpy adds left to right from +0.0, and this adds in place from ``a0 + a1``."""
     axis %= a.ndim
     n = a.shape[axis]
     if not 0 < n < _SHORT_AXIS:
         return np.sum(np.ascontiguousarray(np.moveaxis(a, axis, -1)), axis=-1)
     lead = (slice(None),) * axis  # a[lead + (j,)] is slice j along axis
-    out = a[lead + (0,)] + 0.0  # numpy's sum starts from +0.0, which makes -0.0 0.0
-    for j in range(1, n):
+    out = a[lead + (0,)] + (a[lead + (1,)] if n > 1 else 0.0)
+    for j in range(2, n):
         out += a[lead + (j,)]
     return out
 
 
 def _mode_distances_sq(x: np.ndarray, centers: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """The (m, n) block ``||(x_j - centers_i) / scale||^2`` for the n rows of
-    ``x`` (n, d) and m ``centers`` (m, d), summed mode-major by :func:`_sum_axis`."""
-    rows = np.ascontiguousarray(x.T)                        # (d, n)
-    u = rows[:, None, :] - centers.T[:, :, None]            # (d, m, n)
+    """The (m, n) block ``||(x_j - centers_i) / scale||^2`` for the n rows of ``x`` (n, d)
+    and m ``centers`` (m, d), filled from ``x``'s columns and summed by :func:`_sum_axis`."""
+    u = np.empty((x.shape[1], centers.shape[0], x.shape[0]))
+    for j in range(x.shape[1]):
+        np.subtract(x[:, j], centers[:, j, None], out=u[j])
     u /= scale
     u *= u
     return _sum_axis(u, 0)
@@ -186,18 +197,22 @@ def _far_field_weights(x: np.ndarray, centers: np.ndarray, log_w: np.ndarray,
         (x . (C_i - C_0) - (||C_i||^2 - ||C_0||^2) / 2) / sigma_t^2 + log w_i,
 
     which hold no squared distance, so they keep the modes apart where the
-    squared distances tie or overflow.  Each row is first divided by a power
-    of two s > max|x| / 2, which keeps every term finite; multiplying by s
-    again once the max is subtracted is exact, or sends a term to -inf, a
-    weight of 0.  The caller ignores that overflow."""
-    scale = np.ldexp(0.5, np.frexp(np.max(np.abs(x), axis=1))[1])   # (n,)
-    offsets = 0.5 * (np.sum(centers * centers, axis=1) - centers[0] @ centers[0])
-    rel = (centers - centers[0]) @ (x / scale[:, None]).T           # (m, n)
-    rel -= offsets[:, None] / scale
-    rel /= sigma_t * sigma_t
-    rel += log_w[:, None] / scale
+    squared distances tie or overflow.  Dividing the centres, rows and sigma_t
+    by powers of two is exact and keeps every term finite, or inf where no x
+    term offsets it; the max is subtracted before they are put back, which is
+    exact or sends a term to -inf (a weight of 0), then log w_i is added."""
+    e_c = np.frexp(np.max(np.abs(centers)))[1]
+    e_x = np.frexp(np.max(np.abs(x), axis=1))[1]                     # (n,)
+    m_s, e_s = np.frexp(sigma_t)
+    c = np.ldexp(centers, -e_c)
+    half_sq = 0.5 * np.sum(c * c, axis=1)
+    rel = (c - c[0]) @ np.ldexp(x, -e_x[:, None]).T                   # (m, n)
+    rel -= np.ldexp((half_sq - half_sq[log_w > -np.inf].min())[:, None], e_c - e_x)
+    rel /= m_s * m_s
+    rel[log_w == -np.inf] = -np.inf
     rel -= np.max(rel, axis=0)
-    rel *= scale
+    rel = np.ldexp(rel, e_c + e_x - 2 * e_s) + log_w[:, None]
+    rel -= np.max(rel, axis=0)
     np.exp(rel, out=rel)
     rel /= np.sum(rel, axis=0)
     return rel
@@ -248,23 +263,22 @@ def mixture_posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation,
     # (the weighted mean of the modes, [0.]), and from 1e154 u * u overflows
     # (every term -inf, [nan]).  So a row whose every term is below
     # -_FAR_LOG, about 2^16 sigma_t from every mode, takes its weights from
-    # _far_field_weights instead, and gets [1.] at any finite x_t > 0 there.
-    # The golden and benchmark runs stay within about 1,000 sigma_t of a
-    # mode, so their rows never switch.  The errstate covers log(0) for a
-    # zero weight and the overflows in the rows that switch.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_w = np.log(prior.weights)                           # -inf for w = 0
+    # _far_field_weights instead, which scales the modes as well as x_t and
+    # so stays finite at any finite x_t and modes.  The golden and benchmark
+    # runs stay within about 1,000 sigma_t of a mode, so their rows never
+    # switch.  The errstate covers the overflows in the rows that switch.
+    with np.errstate(over="ignore", invalid="ignore"):
         # log(w_i) - ||u_i||^2 / 2 in place: adding -b is subtracting b, bit for bit
         post = _mode_distances_sq(rows, centers, sigma_t)
         post *= -0.5
-        post += log_w[:, None]
+        post += prior.log_weights[:, None]
         top = post.max(axis=0)
         post -= top
         np.exp(post, out=post)
         post /= _sum_axis(post, 0)
         if top.min() < -_FAR_LOG:
             far = top < -_FAR_LOG
-            post[:, far] = _far_field_weights(rows[far], centers, log_w, sigma_t)
+            post[:, far] = _far_field_weights(rows[far], centers, prior.log_weights, sigma_t)
     # The product takes the (..., m) weights in C order: matmul's kernel
     # depends on the layout, and a transposed view changes the bits.
     post = np.ascontiguousarray(post.T).reshape(x_t.shape[:-1] + (prior.n_modes,))

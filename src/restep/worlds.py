@@ -177,7 +177,7 @@ class DivergenceGuard:
         # The largest row norm: sqrt is correctly rounded and monotone, so
         # this is max(np.linalg.norm(x, axis=-1)) to the bit.
         x = np.atleast_2d(np.asarray(x_t, float))
-        worst = float(np.sqrt(np.max(_sum_axis(x * x))))
+        worst = float(np.sqrt(_sum_axis(x * x).max()))
         if self.baseline is None:
             self.baseline = max(worst, 1e-12)
         elif worst > self.FACTOR * self.baseline:

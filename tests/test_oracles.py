@@ -1,8 +1,10 @@
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
@@ -15,6 +17,7 @@ from restep.oracles import (
     LinearDegradation,
     MixturePosteriorOracle,
     _FAR_LOG,
+    _mode_distances_sq,
     _sum_axis,
     blended_operator,
     gaussian_flow_trajectory,
@@ -111,6 +114,17 @@ class TestMixturePosteriorMean:
         got = mixture_posterior_mean(prior, deg, np.array([50.0]), 1.0)
         assert_allclose(got, [0.0], atol=1e-12)
 
+    def test_log_weights_are_kept_out_of_eq_repr_and_pickles(self):
+        """Taken once per prior, -inf for a zero weight without a warning."""
+        prior = GaussianMixturePrior(modes=[[0.0], [1.0]], weights=[1.0, 0.0])
+        assert_array_equal(prior.log_weights, [0.0, -np.inf])
+        assert prior.log_weights is prior.log_weights
+        assert [f.name for f in dataclasses.fields(prior)] == ["modes", "weights"]
+        assert "log_weights" not in repr(prior)
+        restored = pickle.loads(pickle.dumps(prior))
+        assert "log_weights" not in vars(restored)
+        assert_array_equal(restored.log_weights, [0.0, -np.inf])
+
     @pytest.mark.parametrize("x", [1e8, 1e15, 1e16, 1e150, 1e155, 1e300, np.finfo(float).max])
     def test_far_field_snaps_to_nearest_mode_without_nan(self, x):
         """Where the squared distances tie (from 1e16) or overflow (from
@@ -119,6 +133,23 @@ class TestMixturePosteriorMean:
         deg = LinearDegradation(H=[[1.0]], sigma=1.0)
         got = mixture_posterior_mean(prior, deg, np.array([[x], [-x]]), 0.5)
         assert_array_equal(got, [[1.0], [-1.0]])
+
+    @pytest.mark.parametrize("mode, x", [(1e155, 3e154), (1e300, 1.0), (1e300, 1e-30),
+                                         (1e308, 1e-300)])
+    def test_far_field_keeps_huge_modes_apart(self, mode, x):
+        """Where ||C_i||^2 overflows, the centre terms are scaled too: modes
+        +-1e155 at x_t = +-3e154 and +-1e300 at x_t = +-1 were [nan]."""
+        prior = GaussianMixturePrior(modes=[[-mode], [mode]], weights=[0.5, 0.5])
+        deg = LinearDegradation(H=[[1.0]], sigma=1.0)
+        got = mixture_posterior_mean(prior, deg, np.array([[x], [-x]]), 0.5)
+        assert_array_equal(got, [[mode], [-mode]])
+
+    def test_far_field_zero_weight_mode_never_contributes(self):
+        """The closest mode has weight 0, so the next one takes the row."""
+        prior = GaussianMixturePrior(modes=[[1e300], [0.0], [-1e300]], weights=[0.0, 0.5, 0.5])
+        deg = LinearDegradation(H=[[1.0]], sigma=1.0)
+        got = mixture_posterior_mean(prior, deg, np.array([[1e300], [1e20], [-9e299]]), 0.5)
+        assert_array_equal(got, [[0.0], [0.0], [-1e300]])
 
     def test_far_field_keeps_the_blend_on_a_bisector(self):
         """Far out along the line equidistant from two modes the posterior
@@ -133,15 +164,15 @@ class TestMixturePosteriorMean:
            sigma=st.floats(0.1, 2.0), x=st.floats(allow_nan=False, allow_infinity=False))
     def test_far_field_takes_the_mode_with_the_largest_relative_log_term(
             self, data, h, t, sigma, x):
-        """Any finite x_t gives a finite mean.  Beyond the far-field radius
-        it is the mode whose log term relative to mode 0,
+        """Any finite x_t and modes up to +-1e300 give a finite mean.  Beyond
+        the far-field radius it is the mode whose log term relative to mode 0,
         (x (C_i - C_0) - (C_i^2 - C_0^2) / 2) / sigma_t^2 + log w_i, is
-        largest, with the terms taken here in exact arithmetic."""
-        quarters = data.draw(st.lists(st.integers(-16, 16), min_size=2, max_size=4, unique=True))
-        raw = np.array(data.draw(st.lists(st.integers(1, 9), min_size=len(quarters),
-                                          max_size=len(quarters))), dtype=float)
-        prior = GaussianMixturePrior(np.array(quarters, dtype=float)[:, None] / 4.0,
-                                     raw / raw.sum())
+        largest, with the terms taken here in exact arithmetic, wherever that
+        term leads the others by enough to take every bit of the weight."""
+        modes = data.draw(st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=4, unique=True))
+        raw = np.array(data.draw(st.lists(st.integers(1, 9), min_size=len(modes),
+                                          max_size=len(modes))), dtype=float)
+        prior = GaussianMixturePrior(np.array(modes)[:, None], raw / raw.sum())
         deg = LinearDegradation([[h]], sigma)
         got = mixture_posterior_mean(prior, deg, np.array([x]), t)
         assert np.isfinite(got).all()
@@ -150,9 +181,16 @@ class TestMixturePosteriorMean:
         if top < -_FAR_LOG:
             centers = [Fraction(c) for c in (prior.modes @ blended_operator(deg, t).T)[:, 0]]
             sigma_sq = Fraction(t * sigma) ** 2
-            rel = [(Fraction(x) * (c - centers[0]) - (c * c - centers[0] ** 2) / 2) / sigma_sq
-                   + Fraction(float(np.log(w))) for c, w in zip(centers, prior.weights)]
-            assert got[0] == prior.modes[rel.index(max(rel)), 0]
+            terms = [(Fraction(x) * (c - centers[0]), (c * c - centers[0] ** 2) / 2)
+                     for c in centers]
+            rel = [(a - b) / sigma_sq + Fraction(float(np.log(w)))
+                   for (a, b), w in zip(terms, prior.weights)]
+            # the mode is exact once the runner-up's weight is below exp(-746),
+            # with room for float64 rounding of the largest term
+            size = max(abs(a) + abs(b) for a, b in terms) / sigma_sq
+            first, second = sorted(rel)[-1], sorted(rel)[-2]
+            if first - second > 746 + size / 2**40:
+                assert got[0] == prior.modes[rel.index(first), 0]
 
     def test_extra_noise_matches_inflated_sigma_world(self):
         """Schedule noise folded in via extra_noise_std must equal a world
@@ -215,24 +253,58 @@ class TestMixturePosteriorMean:
         assert_allclose(blended_operator(deg, 1.0), deg.H)
 
 
+@st.composite
+def short_axis_sums(draw):
+    """An array of any floats and an axis to sum it over; in half the draws
+    the first sum's every term is -0.0."""
+    n = draw(st.integers(1, 12))
+    lead = draw(st.sampled_from([(), (1,), (37,), (9, 3)]))
+    axis = draw(st.integers(0, len(lead)))
+    a = draw(arrays(np.float64, lead[:axis] + (n,) + lead[axis:], elements=st.floats(width=64)))
+    if draw(st.booleans()):
+        np.moveaxis(a, axis, -1)[(0,) * len(lead)] = -0.0
+    return a, axis
+
+
 class TestShortAxisSum:
     @settings(max_examples=120, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 12), lead=st.sampled_from([(), (1,), (37,), (9, 3)]))
+    @given(case=short_axis_sums())
+    @example(case=(np.full((3, 4), -0.0), 1))
+    @example(case=(np.array([[-0.0, -0.0, 0.0], [-0.0, -0.0, -0.0]]), 1))
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf and the like
-    def test_sum_is_numpys_bit_for_bit(self, data, n, lead):
+    def test_sum_is_numpys_bit_for_bit(self, case):
         """Over any axis, np.sum of that axis laid out last and contiguous:
         left to right below 8 terms, numpy's own sum from 8 up; signed
-        zeros, infinities and nan included."""
-        axis = data.draw(st.integers(0, len(lead)))
-        shape = lead[:axis] + (n,) + lead[axis:]
-        a = data.draw(arrays(np.float64, shape, elements=st.floats(width=64)))
+        zeros, infinities and nan included.  The one exception is a sum of
+        2 to 7 terms that are all -0.0: numpy's starts from +0.0 and gives
+        0.0, the helper's from the first two terms and gives -0.0."""
+        a, axis = case
         got = np.asarray(_sum_axis(a, axis))
-        want = np.sum(np.ascontiguousarray(np.moveaxis(a, axis, -1)), axis=-1)
+        want = np.array(np.sum(np.ascontiguousarray(np.moveaxis(a, axis, -1)), axis=-1))
         assert got.shape == want.shape
+        if 1 < a.shape[axis] < 8:
+            want[np.all((a == 0.0) & np.signbit(a), axis=axis)] = -0.0
         nan = np.isnan(want)
         assert_array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == want[~nan].tobytes()
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 12), m=st.integers(1, 12), n=st.integers(0, 9),
+           scale=st.floats(1e-150, 1e150))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # squares that overflow
+    def test_mode_distances_keep_the_bits_of_a_transposed_copy(self, data, d, m, n, scale):
+        """||(x_j - c_i) / scale||^2 at any scale, squares that overflow
+        included, has the bits of the block built from a contiguous copy of
+        x.T and summed by np.sum over a contiguous copy; past 8 coordinates
+        numpy's pairwise sum works in blocks."""
+        coords = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e200, 1e200))
+        x = data.draw(arrays(np.float64, (n, d), elements=coords))
+        centers = data.draw(arrays(np.float64, (m, d), elements=coords))
+        got = _mode_distances_sq(x, centers, scale)
+        u = (np.ascontiguousarray(x.T)[:, None, :] - centers.T[:, :, None]) / scale
+        want = np.sum(np.ascontiguousarray(np.moveaxis(u * u, 0, -1)), axis=-1)
+        assert got.shape == want.shape == (m, n)
+        assert got.tobytes() == want.tobytes()
 
 class TestSlideToS:
     def test_identity_against_per_atom_average(self):
