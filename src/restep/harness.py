@@ -19,12 +19,14 @@ all come from that table; the README's kinds table says what each measures.
 
 A cell is one sampler run, ``(sampler name, estimator, y, SamplerConfig)``,
 with random sources derived from (master seed, variant index, replicate
-index) by the rule documented at :func:`restep.worlds.derive_rng`.  A kind
-with a trained estimator trains its models first, then runs its cells;
-with ``jobs > 1`` both the models and the cells run in a process pool, and
-the report is assembled in deterministic grid order either way.  A run
-that goes numerically wrong (an iterate beyond 1e6 times its initial norm,
-or a non-finite iterate, estimate or training loss) raises
+index) by the rule documented at :func:`restep.worlds.derive_rng`.  One
+function, ``_grid``, builds and runs the cells of every kind, and a runner
+only turns their results into rows.  A kind with a trained estimator
+trains its models first, then runs its cells; with ``jobs > 1`` both the
+models and the cells run in a process pool, and the report is assembled
+in deterministic grid order either way.  A run that goes numerically
+wrong (an iterate beyond 1e6 times the larger norm of its start and its
+first estimate, or a non-finite iterate, estimate or training loss) raises
 :class:`restep.worlds.DivergenceError`; the rows of the cells it hits are
 flagged and the rest continue.  Any other exception a cell raises ends
 the run, and it is the same exception, of the same type and message, at
@@ -187,7 +189,7 @@ def load_config(path) -> dict:
             raw = json.load(fh)
     except OSError as err:
         raise ConfigError(f"config: cannot read {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ConfigError(f"config: {path} is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be a JSON object")
@@ -365,12 +367,17 @@ _SCHEMA = {
 }
 
 # An eval list a kind sweeps replaces the one field its runner would
-# otherwise read, so a changed value there would be silently ignored.
+# otherwise read.
 _SWEPT_FIELDS = {
     "schedules": ("sampler", "schedule"),
     "step_grid": ("sampler", "steps"),
     "time_dists": ("train", "time_dist"),
 }
+
+
+def _estimator(cfg) -> str:
+    """What restores the run's cells: "oracle" (the world's) or "trained"."""
+    return cfg["eval"].get("estimator", "trained" if "train" in cfg else "oracle")
 
 
 def resolve_config(raw: dict) -> dict:
@@ -402,12 +409,20 @@ def resolve_config(raw: dict) -> dict:
         "sampler.record_trajectory",
         "trajectory recording is only supported for the single-probe gauss1d kind",
     )
+    # A field the run never reads must keep its default: a changed value
+    # there would be silently ignored.
+    unread = {
+        f"{section}.{key}": f"eval.{swept} is swept; set eval.{swept}"
+        for swept, (section, key) in _SWEPT_FIELDS.items() if swept in ev
+    }
+    if "train" in cfg and _estimator(cfg) == "oracle":
+        unread.update((f"train.{key}", "eval.estimator is oracle") for key in cfg["train"])
+    if "a" in ev and "linear_a" not in ev["time_dists"]:
+        unread["eval.a"] = "eval.time_dists has no linear_a"
     defaults = _KINDS[kind].sections
-    for swept, (section, key) in _SWEPT_FIELDS.items():
-        _require(
-            swept not in ev or cfg[section][key] == defaults[section][key],
-            f"{section}.{key}", f"is unused when eval.{swept} is swept; set eval.{swept}",
-        )
+    for path, when in unread.items():
+        section, key = path.split(".")
+        _require(cfg[section][key] == defaults[section][key], path, f"is unused when {when}")
     dists = ev.get("time_dists", [])  # each entry trains one checkpoint_<kind>.bin
     for j, first in enumerate(dists.index(name) for name in dists):
         _require(first == j, f"eval.time_dists[{j}]", f"repeats eval.time_dists[{first}]")
@@ -416,7 +431,7 @@ def resolve_config(raw: dict) -> dict:
             len(ev["probe_y"]) == len(world["c"]),
             "eval.probe_y", f"must have {len(world['c'])} entries to match the world",
         )
-    if world["type"] == "mixture" and ("train" not in cfg or ev.get("estimator") == "oracle"):
+    if world["type"] == "mixture" and _estimator(cfg) == "oracle":
         # The oracle's posterior has std t * hypot(sigma, eps(t)); eps never
         # rises with t, so a schedule with eps(1) = 0 makes it a point mass.
         # A subnormal std is one too: t * 5e-324 rounds to 0 at t = 0.5.
@@ -603,8 +618,9 @@ def _train_model(cell):
 
 # ---- the runners: (cfg, jobs, write) -> (rows, total steps, trajectory) ---- #
 
-# ``_run_grid`` runs every kind whose rows are the cells of one grid; gauss1d
-# (a probe and its flow limit) and generate_from_noise (a row per mode) do not.
+# ``_grid`` builds and runs the restore cells of every kind; a runner only
+# formats rows.  ``_run_grid`` writes a row per cell; gauss1d (a probe and its
+# flow limit) and generate_from_noise (a row per mode) run a one-cell grid.
 
 
 def _row(cfg, variant, **fields) -> dict:
@@ -623,13 +639,6 @@ def _inputs(cfg):
     world = world_from_config(cfg["world"])
     x, y = world.sample_pairs(derive_rng(cfg["seed"], "inputs"), cfg["eval"]["n_inputs"])
     return world, x, y
-
-
-def _cell(cfg, variant, name, estimator, y, steps, schedule):
-    """Variant ``variant``'s restore cell, seeded by the cell rule."""
-    seed = derive_seed(cfg["seed"], variant, 0)
-    config = SamplerConfig(steps, schedule, seed, cfg["sampler"]["record_trajectory"])
-    return name, estimator, y, config
 
 
 def _models(cfg, world, jobs, write):
@@ -665,25 +674,23 @@ def _models(cfg, world, jobs, write):
     ]
 
 
-def _run_grid(cfg, jobs, write):
-    """Models x schedules x samplers x step counts on one shared batch, a cell each.
+def _grid(cfg, world, y, jobs, write):
+    """Models x schedules x samplers x step counts on the one input ``y``, a
+    restore cell each, run under ``jobs``: (head, grid columns, tail) per
+    cell, the results, and the run's total steps.
 
-    ``eval.schedules``, ``eval.samplers`` and ``eval.step_grid`` default to
-    ``sampler.schedule``, the iterative sampler and ``sampler.steps``, so
-    toy2d is the one-cell grid.  The estimator is the world's oracle or each
-    model of :func:`_models`: every model trains first, then every restore
-    cell fans out under ``jobs``.  The cells of a model whose training
-    diverged take that divergence as their result.
+    The eval lists default to ``sampler.schedule``, the iterative sampler
+    and ``sampler.steps``, so a kind that sweeps none of them is one cell.
+    The estimator is the world's oracle or each model of :func:`_models`,
+    trained first; a model whose training diverged gives its cells that error.
     """
-    world, x, y = _inputs(cfg)
     ev = cfg["eval"]
-    grid = [int(n) for n in ev.get("step_grid", [cfg["sampler"]["steps"]])]
-    estimator_name = ev.get("estimator", "trained" if "train" in cfg else "oracle")
+    estimator_name = _estimator(cfg)
     models, train_steps = [(None, {}, {})], 0
     if estimator_name == "trained":
         models = _models(cfg, world, jobs, write)
         train_steps = len(models) * cfg["train"]["steps"]
-    cells, rows, tails = [], [], []
+    cells, rows = [], []
     for model, head, tail in models:
         for sd in ev.get("schedules", [cfg["sampler"]["schedule"]]):
             schedule = schedule_from_config(sd)
@@ -693,29 +700,35 @@ def _run_grid(cfg, jobs, write):
                 if "schedules" in ev else {}
             )
             for name in ev.get("samplers", ["iterative"]):
-                for n in grid:
-                    variant = len(cells)
-                    cells.append(_cell(cfg, variant, name, estimator, y, n, schedule))
-                    rows.append(_row(
-                        cfg, variant, **head, sampler=name, estimator=estimator_name,
-                        **swept, N=n, n_inputs=ev["n_inputs"],
-                    ))
-                    tails.append(tail)
-    for row, tail, result in zip(rows, tails, _execute_cells(_restore_cell, cells, jobs)):
-        row.update(_metrics(cfg, world, x, result), **tail)
-    return rows, train_steps + sum(config.steps for *_, config in cells), None
+                for n in map(int, ev.get("step_grid", [cfg["sampler"]["steps"]])):
+                    seed = derive_seed(cfg["seed"], len(cells), 0)
+                    config = SamplerConfig(n, schedule, seed, cfg["sampler"]["record_trajectory"])
+                    cells.append((name, estimator, y, config))
+                    columns = {"sampler": name, "estimator": estimator_name, **swept, "N": n}
+                    rows.append((head, columns, tail))
+    results = _execute_cells(_restore_cell, cells, jobs)
+    return rows, results, train_steps + sum(config.steps for *_, config in cells)
+
+
+def _run_grid(cfg, jobs, write):
+    """A row per cell of the grid on one shared batch, scored by :func:`_metrics`."""
+    world, x, y = _inputs(cfg)
+    rows, results, steps = _grid(cfg, world, y, jobs, write)
+    return [
+        _row(cfg, variant, **head, **columns, n_inputs=cfg["eval"]["n_inputs"],
+             **_metrics(cfg, world, x, result), **tail)
+        for variant, ((head, columns, tail), result) in enumerate(zip(rows, results))
+    ], steps, None
 
 
 def _run_gauss1d(cfg, jobs, write):
     world = world_from_config(cfg["world"])
-    schedule = schedule_from_config(cfg["sampler"]["schedule"])
-    steps = cfg["sampler"]["steps"]
     y = np.asarray(cfg["eval"]["probe_y"], dtype=np.float64)
     target = gaussian_flow_trajectory(world.prior, world.sigma_n, y, 0.0)
-    result = _restore_cell(_cell(cfg, 0, "iterative", world.oracle(schedule), y, steps, schedule))
+    [(_, columns, _)], [result], steps = _grid(cfg, world, y, jobs, write)
     metrics = _metrics(cfg, world, None, result)
     out, traj = (None, None) if metrics["divergent"] else result
-    row = _row(cfg, 0, sampler="iterative", estimator="oracle", N=steps)
+    row = _row(cfg, 0, **columns)
     for prefix, values in (("y", y), ("output", out), ("limit", target)):
         for j in range(world.dim):
             row[f"{prefix}_{j}"] = None if values is None else float(values[j])
@@ -735,10 +748,8 @@ def _run_gauss1d(cfg, jobs, write):
 
 def _run_generate_from_noise(cfg, jobs, write):
     world, _, y = _inputs(cfg)
-    schedule = schedule_from_config(cfg["sampler"]["schedule"])
-    steps = cfg["sampler"]["steps"]
     n = cfg["eval"]["n_inputs"]
-    result = _restore_cell(_cell(cfg, 0, "iterative", world.oracle(schedule), y, steps, schedule))
+    [(_, columns, _)], [result], steps = _grid(cfg, world, y, jobs, write)
     nearest, counts = None, None
     if not isinstance(result, DivergenceError):
         nearest = nearest_modes(result[0], world.prior)
@@ -749,7 +760,7 @@ def _run_generate_from_noise(cfg, jobs, write):
         freq = None if counts is None else counts[mode_index] / n
         std_err = float(np.sqrt(w * (1.0 - w) / n))
         rows.append(_row(
-            cfg, mode_index, sampler="iterative", estimator="oracle", N=steps,
+            cfg, mode_index, **columns,
             n_inputs=n, mode_index=mode_index, prior_weight=w, frequency=freq,
             std_err=std_err,
             z_score=None if freq is None or std_err == 0.0 else (freq - w) / std_err,
@@ -765,7 +776,7 @@ def _run_generate_from_noise(cfg, jobs, write):
 class _Kind:
     sections: dict  # default world/sampler/[train]/eval sections
     world: str | None  # the world type the kind needs; None accepts either
-    run: Callable  # the runner: _run_grid, unless the rows are not grid cells
+    run: Callable  # formats _grid's results: _run_grid, unless the rows are not its cells
 
 
 _MIXTURE_A = _mixture_world(_IDENTITY_2D, 1.0)

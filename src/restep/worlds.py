@@ -161,9 +161,11 @@ class DivergenceGuard:
 
     Every state a discrete sampler produces is the input of the next
     estimator call, so wrapping the estimator sees the whole trajectory.
-    The first call fixes the baseline norm (the t = 1 state); any later
-    call whose largest per-sample norm exceeds FACTOR times the baseline
-    raises :class:`DivergenceError` with the step index.
+    The first call fixes the baseline norm: the larger of the t = 1 state's
+    and of its estimate's, so a start at 0 does not make any step away from
+    it a blow-up.  Any later call whose largest per-sample norm exceeds
+    FACTOR times the baseline raises :class:`DivergenceError` with the step
+    index.
     """
 
     FACTOR = 1e6
@@ -174,14 +176,19 @@ class DivergenceGuard:
         self.baseline = None
 
     def __call__(self, x_t, t):
-        # The largest row norm: sqrt is correctly rounded and monotone, so
-        # this is max(np.linalg.norm(x, axis=-1)) to the bit.
-        x = np.atleast_2d(np.asarray(x_t, float))
-        worst = float(np.sqrt(_sum_axis(x * x).max()))
-        if self.baseline is None:
-            self.baseline = max(worst, 1e-12)
-        elif worst > self.FACTOR * self.baseline:
+        worst = _worst_row_norm(x_t)
+        if self.baseline is not None and worst > self.FACTOR * self.baseline:
             raise DivergenceError(self.calls, t, f"iterate norm {worst:.3g} exceeded "
                                   f"{self.FACTOR:.0e} x initial norm {self.baseline:.3g}")
         self.calls += 1
-        return self.estimator(x_t, t)
+        estimate = self.estimator(x_t, t)
+        if self.baseline is None:
+            self.baseline = max(worst, _worst_row_norm(estimate), 1e-12)
+        return estimate
+
+
+def _worst_row_norm(x) -> float:
+    """The largest row norm: sqrt is correctly rounded and monotone, so this
+    is max(np.linalg.norm(x, axis=-1)) to the bit."""
+    x = np.atleast_2d(np.asarray(x, float))
+    return float(np.sqrt(_sum_axis(x * x).max()))

@@ -127,10 +127,13 @@ FIELD_PATHS = _field_paths()
 
 def _base_config(kind):
     """The kind's resolved small test config; a kind that has a ``train``
-    section trains the small network, whichever estimator it is given."""
+    section trains the small network, under the trained estimator where it
+    has a choice (the oracle reads no train field)."""
     cfg = tiny_config(kind)
     if "train" in default_config(kind):
         cfg["train"] = dict(TINY_TRAIN)
+        if "estimator" in cfg.get("eval", {}):
+            cfg["eval"]["estimator"] = "trained"
     return resolve_config(cfg)
 
 

@@ -242,6 +242,30 @@ class TestConfigValidation:
         default = default_config(kind)[section][field]
         resolve_config({"kind": kind, section: {field: default}})
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"kind": "sampler_compare", "eval": {"estimator": "oracle"}, "train": {"steps": 7}},
+         "train.steps: is unused when eval.estimator is oracle"),
+        ({"kind": "sampler_compare", "eval": {"estimator": "oracle"},
+          "train": {"steps": 7, "learning_rate": 5.0, "hidden": [3]}},
+         "train.hidden: is unused when eval.estimator is oracle"),
+        ({"kind": "sweep_pt", "eval": {"time_dists": ["linear_0", "bias_t1"], "a": 5.0}},
+         "eval.a: is unused when eval.time_dists has no linear_a"),
+    ], ids=["oracle-train-steps", "oracle-train", "sweep_pt-a"])
+    def test_unread_fields_are_refused(self, raw, message):
+        """The oracle reads no train field, and eval.a sets only the linear_a
+        model: a changed value there gave the rows of the default."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            resolve_config(raw)
+
+    @pytest.mark.parametrize("raw", [
+        {"kind": "sampler_compare", "eval": {"estimator": "trained"}, "train": {"steps": 7}},
+        {"kind": "sampler_compare", "eval": {"estimator": "oracle"},
+         "train": default_config("sampler_compare")["train"]},
+        {"kind": "sweep_pt", "eval": {"time_dists": ["linear_a", "bias_t1"], "a": 5.0}},
+    ], ids=["trained-train", "oracle-default-train", "sweep_pt-linear_a"])
+    def test_fields_the_run_reads_may_change(self, raw):
+        resolve_config(raw)
+
     @pytest.mark.parametrize("path, value", [
         ("world.sigma", "0.5"), ("world.sigma", True),
         ("sampler.schedule.epsilon", "0.1"), ("train.time_dist.a", "0.5"),
@@ -365,10 +389,44 @@ class TestExperimentRuns:
 
         monkeypatch.setattr(harness, "train", counted)
         cfg = tiny_config(kind) if estimator is None else tiny_config(kind, estimator=estimator)
-        cfg["train"] = dict(TINY_TRAIN)
+        if estimator != "oracle":  # the oracle reads no train field
+            cfg["train"] = dict(TINY_TRAIN)
         report = run_experiment(cfg, jobs=1, write=False)
         assert len(calls) == models
         assert len(report.rows) == rows
+
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_every_restore_cell_runs_in_one_grid(self, kind, monkeypatch):
+        """Every kind hands its restore cells to _execute_cells in one call,
+        models x schedules x samplers x step counts of them: the one cell of
+        gauss1d and generate_from_noise too (they ran theirs directly)."""
+        batches = []
+
+        def counted(fn, cells, jobs):
+            if fn is harness._restore_cell:
+                batches.append(len(cells))
+            return _execute_cells(fn, cells, jobs)
+
+        monkeypatch.setattr(harness, "_execute_cells", counted)
+        cfg = tiny_config(kind)
+        ev = resolve_config(cfg)["eval"]
+        axes = ("time_dists", "schedules", "samplers", "step_grid")
+        run_experiment(cfg, write=False)
+        assert batches == [math.prod(len(ev.get(axis, [None])) for axis in axes)]
+
+    @pytest.mark.parametrize("probe", [0.0, 1e-9])
+    def test_gauss1d_from_zero_is_not_divergent(self, probe):
+        """A probe at 0 starts the guard at norm 0 (floored at 1e-12), so the
+        first step toward the posterior mean read as a blow-up (flagged at
+        step 1, or step 3 from 1e-9); the first estimate now sets the
+        baseline when it is the larger."""
+        cfg = tiny_config("gauss1d", probe_y=[probe])
+        cfg["world"] = {**default_config("gauss1d")["world"], "c": [1.0]}
+        cfg["sampler"]["steps"] = 1000
+        row = run_experiment(cfg, write=False).rows[0]
+        assert row["divergent"] == 0
+        assert row["limit_0"] == pytest.approx(1.0 - math.sqrt(0.5))
+        assert row["abs_error"] < 5e-4
 
     def test_jobs_do_not_change_results(self, tmp_path):
         cfg = tiny_config("sweep_steps")
@@ -578,6 +636,13 @@ class TestCli:
 
     def test_missing_config_file_is_usage_error(self, capsys):
         assert cli_main(["run", "--config", "/nonexistent/x.json"]) == 2
+
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        """A file that is not UTF-8 text raised a UnicodeDecodeError traceback."""
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert cli_main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: config:")
 
     def test_kind_mismatch_is_usage_error(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path, tiny_config("toy2d_a"))

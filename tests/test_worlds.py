@@ -177,6 +177,16 @@ class TestDivergenceGuard:
         with pytest.raises(DivergenceError):
             guard(np.full((1, 2), 0.1), 0.9)   # 0.1 / 1e-12 >> 1e6
 
+    def test_baseline_takes_the_first_estimate_when_larger(self):
+        """A start at 0 whose estimate is not: the baseline is the estimate's
+        norm, so stepping toward it is no blow-up."""
+        guard = DivergenceGuard(lambda x_t, t: np.full(np.shape(x_t), 0.5))
+        guard(np.zeros((1, 2)), 1.0)
+        assert guard.baseline == np.sqrt(0.5)
+        guard(np.full((1, 2), 0.25), 0.9)
+        with pytest.raises(DivergenceError):
+            guard(np.full((1, 2), 1e6), 0.8)
+
     def test_batch_norm_is_worst_row(self):
         guard = DivergenceGuard(self.toy_estimator(1.0))
         x = np.array([[1.0, 0.0], [0.5, 0.5]])
