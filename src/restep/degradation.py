@@ -17,7 +17,7 @@ keeps injecting fresh noise along the way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -88,6 +88,25 @@ def as_time(t, name: str = "t"):
     if not inside:
         raise ValueError(f"{name} must lie in [0, 1]")
     return t
+
+
+def _same(u, v) -> bool:
+    if isinstance(u, list):
+        return isinstance(v, list) and len(u) == len(v) and all(map(_same, u, v))
+    if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
+        return np.array_equal(u, v)
+    return u == v
+
+
+def _fields_eq(self, other):
+    """``==`` for a dataclass holding arrays: the same class, and each
+    compared field equal whole (arrays, also inside lists, by
+    ``np.array_equal``), where the generated ``==`` would ask an array for
+    its truth value."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(_same(getattr(self, f.name), getattr(other, f.name))
+               for f in fields(self) if f.compare)
 
 
 # ---- noise schedules ---- #

@@ -11,6 +11,10 @@ timing, so identical configs and seeds yield byte-identical CSV files.
 
 Each config field is checked by its row of one table, ``_SCHEMA``, and
 ``resolve_config`` then applies the few rules that tie fields together.
+Those rules ask which fields a config has, never which kind it is: a
+field that the run never reads (a swept one, ``train.*`` under the
+oracle, ``sampler.record_trajectory`` without an ``eval.probe_y``) must
+keep its kind's default.
 
 Experiment kinds are defined once, in ``_KINDS``: each entry holds the
 kind's default config sections, the world type it needs and its runner.
@@ -310,8 +314,8 @@ def _tagged(d, path: str, tag: str, variants: dict, build):
 
 def _build_schedule(kind, d):
     if kind == "table":
-        return TableSchedule(tuple(d["times"]), tuple(d["epsilons"]))
-    return (ConstantSchedule if kind == "constant" else BrownianSchedule)(float(d["epsilon"]))
+        return TableSchedule(d["times"], d["epsilons"])
+    return (ConstantSchedule if kind == "constant" else BrownianSchedule)(d["epsilon"])
 
 
 def schedule_from_config(d, path: str = "schedule"):
@@ -321,8 +325,8 @@ def schedule_from_config(d, path: str = "schedule"):
 def _build_world(wtype, d):
     if wtype == "mixture":
         prior = GaussianMixturePrior(d["modes"], d["weights"])
-        return MixtureWorld(prior, LinearDegradation(d["H"], float(d["sigma"])))
-    return GaussianWorld(GaussianPrior(d["c"], float(d["sigma_c"])), float(d["sigma_n"]))
+        return MixtureWorld(prior, LinearDegradation(d["H"], d["sigma"]))
+    return GaussianWorld(GaussianPrior(d["c"], d["sigma_c"]), d["sigma_n"])
 
 
 def world_from_config(d, path: str = "world"):
@@ -333,7 +337,7 @@ def _time_dist_from_config(d, path: str = "train.time_dist"):
     if isinstance(d, dict):
         d = {"a": 0.0, **d}  # ``a`` may be left out
     return _tagged(
-        d, path, "kind", _TIME_DISTS, lambda kind, d: TimeDistribution(kind, float(d["a"])),
+        d, path, "kind", _TIME_DISTS, lambda kind, d: TimeDistribution(kind, d["a"]),
     )
 
 
@@ -404,11 +408,6 @@ def resolve_config(raw: dict) -> dict:
         wtype is None or world["type"] == wtype,
         "world.type", f"{kind} needs a {wtype} world",
     )
-    _require(
-        not sampler["record_trajectory"] or kind == "gauss1d",
-        "sampler.record_trajectory",
-        "trajectory recording is only supported for the single-probe gauss1d kind",
-    )
     # A field the run never reads must keep its default: a changed value
     # there would be silently ignored.
     unread = {
@@ -419,6 +418,8 @@ def resolve_config(raw: dict) -> dict:
         unread.update((f"train.{key}", "eval.estimator is oracle") for key in cfg["train"])
     if "a" in ev and "linear_a" not in ev["time_dists"]:
         unread["eval.a"] = "eval.time_dists has no linear_a"
+    if "probe_y" not in ev:
+        unread["sampler.record_trajectory"] = "the kind restores no single probe"
     defaults = _KINDS[kind].sections
     for path, when in unread.items():
         section, key = path.split(".")
@@ -426,7 +427,7 @@ def resolve_config(raw: dict) -> dict:
     dists = ev.get("time_dists", [])  # each entry trains one checkpoint_<kind>.bin
     for j, first in enumerate(dists.index(name) for name in dists):
         _require(first == j, f"eval.time_dists[{j}]", f"repeats eval.time_dists[{first}]")
-    if kind == "gauss1d":
+    if "probe_y" in ev:
         _require(
             len(ev["probe_y"]) == len(world["c"]),
             "eval.probe_y", f"must have {len(world['c'])} entries to match the world",
@@ -467,8 +468,6 @@ class RunReport:
 def _format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -599,7 +598,7 @@ def _train_model(cell):
     )
     config = TrainConfig(
         p_norm=section["p_norm"],
-        learning_rate=float(section["learning_rate"]),
+        learning_rate=section["learning_rate"],
         batch_size=section["batch_size"],
         steps=section["steps"],
         time_dist=time_dist,
@@ -652,7 +651,7 @@ def _models(cfg, world, jobs, write):
     """
     ev, tr = cfg["eval"], cfg["train"]
     if "time_dists" in ev:
-        dists = [TimeDistribution(kind, a=float(ev["a"])) for kind in ev["time_dists"]]
+        dists = [TimeDistribution(kind, ev["a"]) for kind in ev["time_dists"]]
         names = [f"checkpoint_{kind}.bin" for kind in ev["time_dists"]]
     else:
         dists, names = [_time_dist_from_config(tr["time_dist"])], ["checkpoint.bin"]
@@ -700,7 +699,7 @@ def _grid(cfg, world, y, jobs, write):
                 if "schedules" in ev else {}
             )
             for name in ev.get("samplers", ["iterative"]):
-                for n in map(int, ev.get("step_grid", [cfg["sampler"]["steps"]])):
+                for n in ev.get("step_grid", [cfg["sampler"]["steps"]]):
                     seed = derive_seed(cfg["seed"], len(cells), 0)
                     config = SamplerConfig(n, schedule, seed, cfg["sampler"]["record_trajectory"])
                     cells.append((name, estimator, y, config))

@@ -45,6 +45,7 @@ import numpy as np
 from .degradation import (
     ConstantSchedule,
     NoiseSchedule,
+    _fields_eq,
     as_scalar,
     as_state,
     as_time,
@@ -84,6 +85,7 @@ class GaussianMixturePrior:
 
     modes: np.ndarray
     weights: np.ndarray
+    __eq__ = _fields_eq
 
     def __post_init__(self):
         modes = as_state(np.atleast_2d(self.modes), "modes")
@@ -126,6 +128,7 @@ class LinearDegradation:
 
     H: np.ndarray
     sigma: float
+    __eq__ = _fields_eq
 
     def __post_init__(self):
         H = as_state(np.atleast_2d(self.H), "H")
@@ -141,6 +144,7 @@ class GaussianPrior:
 
     c: np.ndarray
     sigma_c: float
+    __eq__ = _fields_eq
 
     def __post_init__(self):
         c = as_state(np.atleast_1d(self.c), "c")
@@ -225,13 +229,6 @@ def blended_operator(deg: LinearDegradation, t: float) -> np.ndarray:
     return (1.0 - t) * np.eye(d) + t * deg.H
 
 
-def _effective_sigma_t(deg: LinearDegradation, t: float, extra_noise_std: float) -> float:
-    # Schedule noise enters the state with std t * eps_t, independent of the
-    # observation noise's t * sigma, so the stds add in quadrature.
-    extra_noise_std = as_scalar(extra_noise_std, "extra_noise_std")
-    return t * float(np.hypot(deg.sigma, extra_noise_std))
-
-
 def mixture_posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation,
                            x_t, t, extra_noise_std: float = 0.0) -> np.ndarray:
     """Posterior mean E[x | x_t] under the mixture prior.
@@ -248,7 +245,9 @@ def mixture_posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation,
     t = as_time(float(t))
     if t == 0.0:
         raise ValueError("need t in (0, 1]")
-    sigma_t = _effective_sigma_t(deg, t, extra_noise_std)
+    # Schedule noise enters the state with std t * eps_t, independent of the
+    # observation noise's t * sigma, so the stds add in quadrature.
+    sigma_t = t * float(np.hypot(deg.sigma, as_scalar(extra_noise_std, "extra_noise_std")))
     if sigma_t <= 0.0:
         raise ValueError(
             "posterior degenerates to a point mass at sigma_t = 0; "

@@ -34,6 +34,7 @@ import numpy as np
 from .degradation import (
     ConstantSchedule,
     NoiseSchedule,
+    _fields_eq,
     as_count,
     as_scalar,
     as_state,
@@ -41,7 +42,7 @@ from .degradation import (
     forward_interpolate,
     forward_noise_std,
 )
-from .worlds import DivergenceError
+from .worlds import DivergenceError, _check_finite
 
 __all__ = [
     "TIME_DISTRIBUTION_KINDS",
@@ -151,6 +152,7 @@ class MlpRegressor:
     training_seed: Optional[int] = None
     _work: Optional[_Workspace] = field(default=None, init=False, repr=False,
                                         compare=False)
+    __eq__ = _fields_eq
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
@@ -350,8 +352,8 @@ def train(model: MlpRegressor, data, config: TrainConfig):
             cx, cy = np.asarray(chunk[0], np.float64), np.asarray(chunk[1], np.float64)
             if cx.shape != cy.shape or cx.shape[1:] != (dim,):
                 raise ValueError(f"pair chunks {cx.shape}, {cy.shape} need shape (rows, {dim})")
-            if not (np.all(np.isfinite(cx)) and np.all(np.isfinite(cy))):
-                raise DivergenceError(step, None, "non-finite training pair")
+            _check_finite(cx, step, None, "training pair")
+            _check_finite(cy, step, None, "training pair")
             left_x, left_y = np.concatenate([left_x, cx]), np.concatenate([left_y, cy])
         x, left_x = left_x[:size], left_x[size:]
         y, left_y = left_y[:size], left_y[size:]

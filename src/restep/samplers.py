@@ -56,7 +56,7 @@ from .degradation import (
     schedule_epsilon,
 )
 from .oracles import Estimator
-from .worlds import DivergenceError
+from .worlds import _check_finite
 
 __all__ = [
     "SamplerConfig",
@@ -79,13 +79,6 @@ class SamplerConfig:
 
     def __post_init__(self):
         as_count(self.steps, "steps")
-
-
-def _check_finite(values, step, t, what):
-    values = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(values).all():
-        raise DivergenceError(step, t, f"non-finite {what}")
-    return values
 
 
 def _steps(n: int, schedule: NoiseSchedule) -> list:

@@ -156,6 +156,15 @@ class DivergenceError(RuntimeError):
         return f"{self.what} at step {self.step_index}{where}"
 
 
+def _check_finite(values, step: int, t, what: str) -> np.ndarray:
+    """``values`` as a float64 array, or a :class:`DivergenceError` at
+    ``step`` and ``t`` saying the ``what`` is non-finite."""
+    values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise DivergenceError(step, t, f"non-finite {what}")
+    return values
+
+
 class DivergenceGuard:
     """Estimator wrapper that watches the iterates a sampler feeds it.
 

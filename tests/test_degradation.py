@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from restep.degradation import (
     ConstantSchedule,
     ScheduleInvariantError,
     TableSchedule,
+    as_state,
     forward_interpolate,
     forward_noise_std,
     injected_noise_std,
@@ -24,7 +28,8 @@ from restep.oracles import (
     mixture_posterior_mean,
     score_from_denoiser,
 )
-from restep.regressor import TimeDistribution, TrainConfig
+from restep.regressor import MlpRegressor, TimeDistribution, TrainConfig, load_checkpoint
+from restep.samplers import SamplerConfig, iterative_restore
 from restep.worlds import GaussianWorld
 
 
@@ -128,6 +133,65 @@ class TestScalarRule:
         call(1.0)
         if not positive:
             call(0.0)
+
+
+def _mlp(sizes=(3, 2), weights=(np.zeros((2, 3)),), biases=(np.zeros(2),), **kw):
+    return MlpRegressor(sizes, list(weights), list(biases), **kw)
+
+
+def _one_size_checkpoint():
+    """A checkpoint file, in the working directory, that names one layer size."""
+    with open("one_size.bin", "wb") as fh:
+        fh.write(b"RSTEPMLP" + struct.pack("<2I", 1, 1))
+    return "one_size.bin"
+
+
+# (call site, the call, its exception and message): refusals of malformed
+# input, each made by one check
+_REFUSALS = [
+    ("as_state-scalar", lambda: as_state(1.0), ValueError,
+     "state must have at least one axis, got a scalar"),
+    ("TableSchedule-order", lambda: TableSchedule((0.0, 0.6, 0.4, 1.0), (0.0,) * 4),
+     ValueError, "table times must be strictly increasing"),
+    ("schedule_epsilon-type", lambda: schedule_epsilon(0.5, 0.5), TypeError,
+     "unknown schedule type float"),
+    ("injected_noise_std-nan", lambda: injected_noise_std(ConstantSchedule(0.0), np.nan, 0.1),
+     ValueError, "t and delta must be finite"),
+    ("GaussianMixturePrior-empty", lambda: GaussianMixturePrior(np.empty((0, 2)), []),
+     ValueError, "modes must be a non-empty (m, d) array"),
+    ("GaussianMixturePrior-negative", lambda: GaussianMixturePrior([[0.0], [1.0]], [1.5, -0.5]),
+     ValueError, "weights must be >= 0"),
+    ("LinearDegradation-square", lambda: LinearDegradation([[1.0, 0.0]], 1.0),
+     ValueError, "H must be square"),
+    ("GaussianPrior-2d", lambda: GaussianPrior([[0.0]], 1.0), ValueError, "c must be a vector"),
+    ("MlpRegressor-sizes", lambda: _mlp(sizes=(3,)), ValueError,
+     "layer_sizes needs >= 2 positive entries"),
+    ("MlpRegressor-activation", lambda: _mlp(activation="gelu"), ValueError,
+     "activation must be one of ('tanh', 'relu'), got 'gelu'"),
+    ("MlpRegressor-pairs", lambda: _mlp(weights=()), ValueError,
+     "need one weight/bias pair per layer"),
+    ("MlpRegressor-shapes", lambda: _mlp(weights=(np.zeros((3, 2)),)), ValueError,
+     "layer 0 parameter shapes do not match layer_sizes"),
+    ("MlpRegressor-finite", lambda: _mlp(biases=(np.array([0.0, np.inf]),)), ValueError,
+     "layer 0 parameters contain non-finite values"),
+    ("predict-3d", lambda: _mlp().predict(np.zeros((1, 1, 2)), 0.5), ValueError,
+     "x_t must be (d,) or (n, d), got shape (1, 1, 2)"),
+    ("predict-nan-t", lambda: _mlp().predict(np.zeros(2), np.nan), ValueError,
+     "t must be finite"),
+    ("load_checkpoint-sizes", lambda: load_checkpoint(_one_size_checkpoint()), ValueError,
+     "implausible layer count 1"),
+    ("iterative_restore-scalar", lambda: iterative_restore(_mlp(), 1.0, SamplerConfig(1)),
+     ValueError, "y must have at least one axis, got a scalar"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [row[1:] for row in _REFUSALS],
+                         ids=[row[0] for row in _REFUSALS])
+def test_malformed_input_is_refused_with_its_message(call, error, message,
+                                                     tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestForwardInterpolate:

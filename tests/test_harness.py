@@ -613,6 +613,16 @@ class TestReportEmission:
         emit_report(report, formats=("csv",))
         assert (tmp_path / "toy2d_a.csv").read_text() == "a,b\n"
 
+    def test_a_write_failure_names_the_directory(self, tmp_path):
+        from restep.harness import RunReport
+        (tmp_path / "toy2d_a.csv").mkdir()
+        report = RunReport(kind="toy2d_a", config={"out_dir": str(tmp_path)},
+                           columns=["a"], rows=[{"a": 1}])
+        want = f"^cannot write report under {re.escape(str(tmp_path))}: \\[Errno 21\\] Is a dir"
+        with pytest.raises(OSError, match=want):
+            emit_report(report)
+        assert report.output_paths == []
+
 
 class TestCli:
     def write_config(self, tmp_path, cfg):
@@ -696,6 +706,22 @@ class TestCli:
             tiny_config("toy2d_a", out_dir="/proc/nonexistent/out"),
         )
         assert cli_main(["run", "--config", cfg_path]) == 1
+
+    def test_a_report_path_that_is_a_directory_is_io_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "toy2d_a.csv").mkdir(parents=True)
+        cfg_path = self.write_config(tmp_path, tiny_config("toy2d_a", out_dir=out))
+        assert cli_main(["run", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write report under {out}: ")
+        assert "Is a directory" in err
+
+    def test_a_named_subcommand_runs_its_defaults_without_config(self, tmp_path):
+        assert cli_main(["sweep-steps", "--out", str(tmp_path / "cli")]) == 0
+        run_experiment({**default_config("sweep_steps"), "out_dir": str(tmp_path / "run")},
+                       formats=("csv",))
+        assert (tmp_path / "cli" / "sweep_steps.csv").read_bytes() == \
+            (tmp_path / "run" / "sweep_steps.csv").read_bytes()
 
     def test_jobs_flag(self, tmp_path):
         cfg_path = self.write_config(

@@ -8,6 +8,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -156,3 +157,22 @@ def test_private_module_names_are_read():
             unread += [f"{module}: {name}" for name in names
                        if name.startswith("_") and not name.startswith("__") and name not in read]
     assert not unread, unread
+
+
+def _readme_section(title: str) -> str:
+    """The README's text from the ``## title`` heading to the next one."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_lists_what_the_code_has():
+    """The kinds table, the CLI block and the demos block name exactly the
+    experiment kinds, the subcommands and the demo scripts there are."""
+    from restep import cli
+
+    kinds = re.findall(r"^\| `(\w+)` ", _readme_section("CLI"), re.M)
+    assert kinds == list(harness.EXPERIMENT_KINDS)
+    commands = re.findall(r"^restep ([\w-]+) ", _readme_section("CLI"), re.M)
+    assert sorted(commands) == sorted(cli._SUBCOMMANDS)
+    demos = re.findall(r"^python3 demos/(\S+\.py) ", _readme_section("Demos"), re.M)
+    assert sorted(demos) == sorted(p.name for p in DEMOS.glob("*.py"))

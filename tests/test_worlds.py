@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
+from restep.degradation import ConstantSchedule
 from restep.oracles import GaussianMixturePrior, GaussianPrior, LinearDegradation
+from restep.regressor import MlpRegressor
 from restep.worlds import (
     DivergenceError,
     DivergenceGuard,
@@ -217,3 +219,49 @@ class TestDivergenceGuard:
                 guard(y, 0.5)
         else:
             guard(y, 0.5)
+
+
+class TestEquality:
+    """``==`` compares array fields whole, so equal values built apart are
+    equal (the generated ``==`` raised ValueError on their arrays), and the
+    worlds and oracles compare through those fields."""
+
+    @staticmethod
+    def mixture(weights=(0.25, 0.75), sigma=0.5):
+        prior = GaussianMixturePrior([[0.0, 1.0], [2.0, 3.0]], list(weights))
+        return MixtureWorld(prior, LinearDegradation([[1.0, 0.0], [0.0, 0.5]], sigma))
+
+    @staticmethod
+    def gaussian(c=(1.0, 2.0)):
+        return GaussianWorld(GaussianPrior(list(c), 1.0), 0.5)
+
+    def test_equal_values_built_apart_are_equal(self):
+        a, b = self.mixture(), self.mixture()
+        assert a.prior == b.prior and a.degradation == b.degradation
+        assert a == b and a.oracle(ConstantSchedule(0.1)) == b.oracle(ConstantSchedule(0.1))
+        assert self.gaussian().prior == self.gaussian().prior
+        assert self.gaussian() == self.gaussian()
+        assert self.gaussian().oracle() == self.gaussian().oracle()
+        model = MlpRegressor.create(2, [4, 3], np.random.default_rng(0))
+        assert model == model.copy()
+        assert not model != model.copy()
+
+    def test_a_changed_value_or_type_is_unequal(self):
+        assert self.mixture().prior != self.mixture(weights=(0.75, 0.25)).prior
+        assert self.mixture() != self.mixture(sigma=0.6)
+        assert self.gaussian() != self.gaussian(c=(1.0, 2.5))
+        assert self.gaussian().prior != self.gaussian(c=(1.0, 2.0, 3.0)).prior
+        assert self.mixture().prior != self.gaussian().prior
+        assert self.mixture().degradation != "H"
+        model = MlpRegressor.create(2, [4, 3], np.random.default_rng(0))
+        other = model.copy()
+        other.biases[-1][0] = 1.0
+        assert model != other
+        assert model != MlpRegressor.create(2, [4], np.random.default_rng(0))
+
+    def test_arrays_keep_the_classes_unhashable(self):
+        for value in (self.mixture().prior, self.mixture().degradation,
+                      self.gaussian().prior,
+                      MlpRegressor.create(2, [4], np.random.default_rng(0))):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(value)
