@@ -12,7 +12,6 @@ from restep.oracles import (
     GaussianPrior,
     gaussian_flow_trajectory,
     gaussian_posterior_mean,
-    score_from_denoiser,
 )
 from restep.samplers import SamplerConfig, iterative_restore
 from restep.worlds import derive_rng
@@ -52,7 +51,7 @@ print("score consistency at a few (t, x_t) points; the denoiser and the")
 print("score of the noisy marginal are two views of one object:")
 for t, x_t in ((0.9, 1.4), (0.5, -0.3), (0.2, 0.7)):
     pm = gaussian_posterior_mean(prior, sigma_n, np.array([x_t]), t)
-    score = score_from_denoiser(pm, np.array([x_t]), t * sigma_n)
+    score = (pm - x_t) / (t * sigma_n) ** 2  # Tweedie: E[x|x_t] = x_t + sigma_t^2 * score
     analytic = -(x_t - prior.c[0]) / (prior.sigma_c ** 2 + (t * sigma_n) ** 2)
     print(f"  t={t:.1f} x_t={x_t:+.1f}: score {score[0]:+.6f} "
           f"analytic {analytic:+.6f}")

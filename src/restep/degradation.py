@@ -67,21 +67,29 @@ def as_count(value, name: str, lo: int = 1) -> int:
 
 
 def as_scalar(value, name: str, positive: bool = False) -> float:
-    """Return ``value`` as a finite float that is >= 0, or > 0 when ``positive``."""
-    value = float(value)
-    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
-        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0")
-    return value
+    """Return ``value`` as a finite float that is >= 0, or > 0 when
+    ``positive``; a bool, a string or an array is refused.  A Python float
+    passes first, cheap on the per-call paths."""
+    if type(value) is float or (isinstance(value, (int, float, np.integer, np.floating))
+                                and not isinstance(value, bool)):
+        value = float(value)
+        if math.isfinite(value) and (value > 0.0 if positive else value >= 0.0):
+            return value
+    raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0")
 
 
 def as_time(t, name: str = "t"):
-    """Return a time in [0, 1]: a scalar ``t`` as a Python float (cheap on
-    the per-call paths), anything with an axis as a float64 array."""
-    if isinstance(t, float) or np.ndim(t) == 0:
-        t = float(t)
+    """Return a time in [0, 1]: a scalar ``t`` as a Python float (which
+    passes first, cheap on the per-call paths), anything with an axis as a
+    float64 array.  Bools and strings, alone or in an array, are refused."""
+    if type(t) is not float:
+        arr = np.asarray(t)
+        if arr.dtype.kind not in "iuf":
+            raise ValueError(f"{name} must be a number, got {t!r}")
+        t = float(arr) if arr.ndim == 0 else arr.astype(np.float64, copy=False)
+    if isinstance(t, float):
         finite, inside = math.isfinite(t), 0.0 <= t <= 1.0
     else:
-        t = np.asarray(t, dtype=np.float64)
         finite, inside = np.isfinite(t).all(), ((0.0 <= t) & (t <= 1.0)).all()
     if not finite:
         raise ValueError(f"{name} must be finite")
@@ -234,11 +242,8 @@ def injected_noise_std(schedule: NoiseSchedule, t, delta):
     ``eps^2`` overflows it is ``(t - delta) * eps(t-delta) * sqrt(1 -
     (eps(t)/eps(t-delta))^2)``, which is nan when both epsilons are inf.
     """
-    t, delta = np.broadcast_arrays(np.asarray(t, dtype=np.float64),
-                                   np.asarray(delta, dtype=np.float64))
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(delta))):
-        raise ValueError("t and delta must be finite")
-    if not np.all((0.0 < delta) & (delta <= t) & (t <= 1.0)):
+    t, delta = np.broadcast_arrays(np.asarray(as_time(t)), np.asarray(as_time(delta, "delta")))
+    if not np.all((0.0 < delta) & (delta <= t)):
         raise ValueError("need 0 < delta <= t <= 1")
     out = np.array(t - delta)  # t - delta >= 0, and each entry at 0 stays 0.0
     lands = out > 0.0

@@ -63,7 +63,6 @@ __all__ = [
     "gaussian_posterior_mean",
     "mixture_posterior_mean",
     "posterior_mean_at_s",
-    "score_from_denoiser",
 ]
 
 # Anything mapping (x_t, t) -> estimate of the clean signal: the analytic
@@ -224,7 +223,7 @@ def _far_field_weights(x: np.ndarray, centers: np.ndarray, log_w: np.ndarray,
 
 def blended_operator(deg: LinearDegradation, t: float) -> np.ndarray:
     """The interpolated operator ``H_t = (1 - t) I + t H``."""
-    t = float(t)
+    t = as_time(t)
     d = deg.H.shape[0]
     return (1.0 - t) * np.eye(d) + t * deg.H
 
@@ -242,7 +241,7 @@ def mixture_posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation,
     posterior is then a point mass and the ratio form is undefined.
     """
     x_t = as_state(x_t, "x_t", dim=prior.dim)
-    t = as_time(float(t))
+    t = as_time(t)
     if t == 0.0:
         raise ValueError("need t in (0, 1]")
     # Schedule noise enters the state with std t * eps_t, independent of the
@@ -296,12 +295,9 @@ def posterior_mean_at_s(x0_estimate, x_t, s, t) -> np.ndarray:
     """
     x0_estimate = as_state(x0_estimate, "x0_estimate")
     x_t = as_state(x_t, "x_t", like=x0_estimate)
-    s = float(s)
-    t = float(t)
-    if t <= 0.0:
-        raise ValueError("need t > 0")
-    if not 0.0 <= s <= t <= 1.0:
-        raise ValueError("need 0 <= s <= t <= 1")
+    s, t = as_time(s, "s"), as_time(t)
+    if s > t or t == 0.0:
+        raise ValueError("need 0 <= s <= t <= 1 and t > 0")
     ratio = s / t
     return (1.0 - ratio) * x0_estimate + ratio * x_t
 
@@ -322,7 +318,7 @@ def gaussian_posterior_mean(prior: GaussianPrior, sigma_n: float, x_t, t,
     sigma_n = as_scalar(sigma_n, "sigma_n", positive=True)
     extra_noise_std = as_scalar(extra_noise_std, "extra_noise_std")
     x_t = as_state(x_t, "x_t", dim=prior.dim if prior.dim > 1 else None)
-    t = as_time(float(t))
+    t = as_time(t)
     # squares overflow to inf (Python's ** raises); where one variance is inf
     # the mean is its limit, and where both are, inf / inf is a nan samplers flag
     with np.errstate(over="ignore", invalid="ignore"):
@@ -350,26 +346,13 @@ def gaussian_flow_trajectory(prior: GaussianPrior, sigma_n: float, y, t) -> np.n
     """
     sigma_n = as_scalar(sigma_n, "sigma_n", positive=True)
     y = as_state(y, "y", dim=prior.dim if prior.dim > 1 else None)
-    t = as_time(float(t))
+    t = as_time(t)
     with np.errstate(over="ignore"):
         alpha_sq = np.float64(prior.sigma_c / sigma_n) ** 2  # inf, not OverflowError
     if np.isinf(alpha_sq):  # the scale below tends to 1, where inf / inf is nan
         return y.copy()
     scale = np.sqrt((t * t + alpha_sq) / (1.0 + alpha_sq))
     return prior.c + (y - prior.c) * scale
-
-
-def score_from_denoiser(estimate, x_t, sigma_t: float) -> np.ndarray:
-    """Score of the noisy marginal from a posterior-mean estimate.
-
-    For x_t = (signal) + sigma_t * n the score of the marginal satisfies
-    grad log p_t(x_t) = (E[x|x_t] - x_t) / sigma_t^2, so a posterior-mean
-    estimator doubles as a score estimator.
-    """
-    sigma_t = as_scalar(sigma_t, "sigma_t", positive=True)
-    estimate = as_state(estimate, "estimate")
-    x_t = as_state(x_t, "x_t", like=estimate)
-    return (estimate - x_t) / (sigma_t * sigma_t)
 
 
 # ---- estimator wrappers ---- #
@@ -388,7 +371,7 @@ class MixturePosteriorOracle:
     schedule: NoiseSchedule = ConstantSchedule(0.0)
 
     def __call__(self, x_t, t):
-        extra = schedule_epsilon(self.schedule, float(t))
+        extra = schedule_epsilon(self.schedule, t)
         return mixture_posterior_mean(
             self.prior, self.degradation, x_t, t, extra_noise_std=extra
         )
@@ -403,7 +386,7 @@ class GaussianDenoisingOracle:
     schedule: NoiseSchedule = ConstantSchedule(0.0)
 
     def __call__(self, x_t, t):
-        extra = schedule_epsilon(self.schedule, float(t))
+        extra = schedule_epsilon(self.schedule, t)
         return gaussian_posterior_mean(
             self.prior, self.sigma_n, x_t, t, extra_noise_std=extra
         )

@@ -42,7 +42,7 @@ from .degradation import (
     forward_interpolate,
     forward_noise_std,
 )
-from .worlds import DivergenceError, _check_finite
+from .worlds import DivergenceError, _check_finite, derive_rng
 
 __all__ = [
     "TIME_DISTRIBUTION_KINDS",
@@ -155,8 +155,8 @@ class MlpRegressor:
     __eq__ = _fields_eq
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.layer_sizes)
-        if len(sizes) < 2 or any(s < 1 for s in sizes):
+        sizes = tuple(as_count(s, "layer_sizes") for s in self.layer_sizes)
+        if len(sizes) < 2:
             raise ValueError("layer_sizes needs >= 2 positive entries")
         if sizes[0] != sizes[-1] + 1:
             raise ValueError(
@@ -179,7 +179,8 @@ class MlpRegressor:
     def create(cls, state_dim: int, hidden: Iterable[int], rng,
                activation: str = "tanh") -> "MlpRegressor":
         """Fresh model with 1/sqrt(fan_in) Gaussian weights and zero biases."""
-        sizes = (int(state_dim) + 1, *(int(h) for h in hidden), int(state_dim))
+        state_dim = as_count(state_dim, "state_dim")
+        sizes = (state_dim + 1, *(as_count(h, "hidden") for h in hidden), state_dim)
         weights = []
         biases = []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -297,10 +298,10 @@ def loss_and_gradients(model: MlpRegressor, inputs, targets, p_norm: int, out=No
 class TrainConfig:
     """Hyperparameters for :func:`train`.
 
-    ``seed`` drives everything the trainer draws itself (times and forward
-    noise); the pair stream's randomness belongs to whoever built the
-    generator.  Step k's draws come from a generator seeded with the
-    entropy tuple (seed, k), which is what a divergence diagnostic reports.
+    ``seed``, an integer >= 0, drives everything the trainer draws itself
+    (times and forward noise); the pair stream's randomness belongs to
+    whoever built the generator.  Step k draws from ``derive_rng(seed, k)``,
+    whose entropy tuple (seed, k) is what a divergence diagnostic reports.
     """
 
     p_norm: int = 1
@@ -318,6 +319,7 @@ class TrainConfig:
                            as_scalar(self.learning_rate, "learning_rate", positive=True))
         as_count(self.batch_size, "batch_size")
         as_count(self.steps, "steps", 0)
+        as_count(self.seed, "seed", 0)
 
 
 def train(model: MlpRegressor, data, config: TrainConfig):
@@ -343,7 +345,7 @@ def train(model: MlpRegressor, data, config: TrainConfig):
     size, dim = config.batch_size, trained.state_dim
     left_x = left_y = np.empty((0, dim))  # rows drawn but not yet trained on
     for step in range(config.steps):
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, step)))
+        rng = derive_rng(config.seed, step)
         while len(left_x) < size:
             chunk = next(chunks, None)
             if chunk is None:

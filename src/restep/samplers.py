@@ -52,11 +52,12 @@ from .degradation import (
     ConstantSchedule,
     NoiseSchedule,
     as_count,
+    as_time,
     injected_noise_std,
     schedule_epsilon,
 )
 from .oracles import Estimator
-from .worlds import _check_finite
+from .worlds import _check_finite, derive_rng
 
 __all__ = [
     "SamplerConfig",
@@ -69,8 +70,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Step count N (grid delta = 1/N), noise schedule, seed, and whether
-    to record the full trajectory."""
+    """Step count N (grid delta = 1/N), noise schedule, seed (an integer
+    >= 0; a run draws from ``derive_rng(seed)``), and whether to record
+    the full trajectory."""
 
     steps: int
     schedule: NoiseSchedule = ConstantSchedule(0.0)
@@ -79,6 +81,7 @@ class SamplerConfig:
 
     def __post_init__(self):
         as_count(self.steps, "steps")
+        as_count(self.seed, "seed", 0)
 
 
 def _steps(n: int, schedule: NoiseSchedule) -> list:
@@ -100,7 +103,7 @@ def _restore(estimator: Estimator, y, config: SamplerConfig, rule, steps=None):
     y = np.asarray(y, dtype=np.float64)
     if y.ndim == 0:
         raise ValueError("y must have at least one axis, got a scalar")
-    rng = np.random.default_rng(config.seed)
+    rng = derive_rng(config.seed)
     x = np.array(y, copy=True)
     eps1 = schedule_epsilon(config.schedule, 1.0)
     if eps1 > 0.0:
@@ -177,8 +180,8 @@ def ode_restore(estimator: Estimator, y, method: str = "euler",
     if method not in ("euler", "heun"):
         raise ValueError(f"method must be 'euler' or 'heun', got {method!r}")
     n = as_count(n_steps, "n_steps")
-    t_min = 1.0 / n if t_min is None else float(t_min)
-    if not 0.0 < t_min <= 1.0:
+    t_min = 1.0 / n if t_min is None else as_time(t_min, "t_min")
+    if t_min == 0.0:
         raise ValueError("need 0 < t_min <= 1")
 
     # Full grid steps (std 0.0) from t = 1 while the next grid point stays >=

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degradation import ConstantSchedule, NoiseSchedule, as_scalar
+from .degradation import ConstantSchedule, NoiseSchedule, as_count, as_scalar
 from .oracles import (
     GaussianDenoisingOracle,
     GaussianMixturePrior,
@@ -43,7 +43,7 @@ __all__ = [
 
 
 def _label_to_int(part) -> int:
-    if isinstance(part, (int, np.integer)):
+    if isinstance(part, (int, np.integer)) and not isinstance(part, bool):
         if part < 0:
             raise ValueError("seed labels must be non-negative integers")
         return int(part)
@@ -54,7 +54,7 @@ def _label_to_int(part) -> int:
 
 
 def _sequence(seed: int, labels) -> np.random.SeedSequence:
-    return np.random.SeedSequence((int(seed), *(_label_to_int(p) for p in labels)))
+    return np.random.SeedSequence((as_count(seed, "seed", 0), *map(_label_to_int, labels)))
 
 
 def derive_rng(seed: int, *labels) -> np.random.Generator:
@@ -64,6 +64,8 @@ def derive_rng(seed: int, *labels) -> np.random.Generator:
     of their SHA-256, big-endian), integer labels pass through, and the
     resulting tuple seeds a ``numpy.random.SeedSequence``.  Hashing is
     stable across platforms and processes, unlike Python's builtin hash.
+    The seed is an integer >= 0 and a label an integer >= 0 or a string;
+    a bool is neither.  With no labels this is ``default_rng(seed)``.
     """
     return np.random.default_rng(_sequence(seed, labels))
 

@@ -13,6 +13,7 @@ from restep.degradation import (
     ScheduleInvariantError,
     TableSchedule,
     as_state,
+    as_time,
     forward_interpolate,
     forward_noise_std,
     injected_noise_std,
@@ -26,7 +27,6 @@ from restep.oracles import (
     gaussian_flow_trajectory,
     gaussian_posterior_mean,
     mixture_posterior_mean,
-    score_from_denoiser,
 )
 from restep.regressor import MlpRegressor, TimeDistribution, TrainConfig, load_checkpoint
 from restep.samplers import SamplerConfig, iterative_restore
@@ -109,7 +109,6 @@ _SCALAR_SITES = [
      lambda v: gaussian_posterior_mean(_GAUSS, 1.0, _X, 0.5, v)),
     ("gaussian_flow_trajectory", "sigma_n", True,
      lambda v: gaussian_flow_trajectory(_GAUSS, v, _X, 0.5)),
-    ("score_from_denoiser", "sigma_t", True, lambda v: score_from_denoiser(_X, _X, v)),
     ("TimeDistribution", "a", False, lambda v: TimeDistribution("linear_a", v)),
     ("TrainConfig", "learning_rate", True, lambda v: TrainConfig(learning_rate=v)),
     ("GaussianWorld", "sigma_n", True, lambda v: GaussianWorld(_GAUSS, v)),
@@ -123,9 +122,10 @@ class TestScalarRule:
     @pytest.mark.parametrize("name, positive, call", [row[1:] for row in _SCALAR_SITES],
                              ids=[f"{row[0]}.{row[1]}" for row in _SCALAR_SITES])
     def test_every_scalar_site_applies_one_rule(self, name, positive, call):
-        """Each scalar parameter refuses nan, +-inf and negatives (and 0 where
-        it must be > 0) with a message that starts with its name."""
-        bad = [np.nan, np.inf, -np.inf, -1.0] + ([0.0] if positive else [])
+        """Each scalar parameter refuses nan, +-inf, negatives, bools and
+        strings (and 0 where it must be > 0) with a message that starts with
+        its name."""
+        bad = [np.nan, np.inf, -np.inf, -1.0, True, "1.0"] + ([0.0] if positive else [])
         want = f"^{name} must be finite and {'>' if positive else '>='} 0$"
         for value in bad:
             with pytest.raises(ValueError, match=want):
@@ -151,12 +151,16 @@ def _one_size_checkpoint():
 _REFUSALS = [
     ("as_state-scalar", lambda: as_state(1.0), ValueError,
      "state must have at least one axis, got a scalar"),
+    ("as_time-bool", lambda: as_time(True), ValueError, "t must be a number, got True"),
+    ("as_time-string", lambda: as_time("1.0"), ValueError, "t must be a number, got '1.0'"),
+    ("as_time-string-array", lambda: as_time(["0.5"], "s"), ValueError,
+     "s must be a number, got ['0.5']"),
     ("TableSchedule-order", lambda: TableSchedule((0.0, 0.6, 0.4, 1.0), (0.0,) * 4),
      ValueError, "table times must be strictly increasing"),
     ("schedule_epsilon-type", lambda: schedule_epsilon(0.5, 0.5), TypeError,
      "unknown schedule type float"),
     ("injected_noise_std-nan", lambda: injected_noise_std(ConstantSchedule(0.0), np.nan, 0.1),
-     ValueError, "t and delta must be finite"),
+     ValueError, "t must be finite"),
     ("GaussianMixturePrior-empty", lambda: GaussianMixturePrior(np.empty((0, 2)), []),
      ValueError, "modes must be a non-empty (m, d) array"),
     ("GaussianMixturePrior-negative", lambda: GaussianMixturePrior([[0.0], [1.0]], [1.5, -0.5]),
@@ -166,6 +170,12 @@ _REFUSALS = [
     ("GaussianPrior-2d", lambda: GaussianPrior([[0.0]], 1.0), ValueError, "c must be a vector"),
     ("MlpRegressor-sizes", lambda: _mlp(sizes=(3,)), ValueError,
      "layer_sizes needs >= 2 positive entries"),
+    ("MlpRegressor-float-size", lambda: _mlp(sizes=(3.0, 2)), ValueError,
+     "layer_sizes must be an integer >= 1, got 3.0"),
+    ("create-float-hidden", lambda: MlpRegressor.create(2, [4.9], np.random.default_rng(0)),
+     ValueError, "hidden must be an integer >= 1, got 4.9"),
+    ("create-bool-sizes", lambda: MlpRegressor.create(True, [True], np.random.default_rng(0)),
+     ValueError, "state_dim must be an integer >= 1, got True"),
     ("MlpRegressor-activation", lambda: _mlp(activation="gelu"), ValueError,
      "activation must be one of ('tanh', 'relu'), got 'gelu'"),
     ("MlpRegressor-pairs", lambda: _mlp(weights=()), ValueError,

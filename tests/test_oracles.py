@@ -24,7 +24,6 @@ from restep.oracles import (
     gaussian_posterior_mean,
     mixture_posterior_mean,
     posterior_mean_at_s,
-    score_from_denoiser,
 )
 
 
@@ -502,16 +501,6 @@ class TestGaussianWorldForms:
             via_score = x_t + sigma_t**2 * score
             pm = gaussian_posterior_mean(prior, sigma_n, x_t, t)
             assert_allclose(via_score, pm, rtol=0, atol=1e-10)
-
-    def test_score_from_denoiser_inverts_the_relation(self):
-        prior = GaussianPrior(c=[-0.4], sigma_c=0.6)
-        sigma_n, t = 1.2, 0.45
-        x_t = np.array([0.9])
-        pm = gaussian_posterior_mean(prior, sigma_n, x_t, t)
-        sigma_t = t * sigma_n
-        score = score_from_denoiser(pm, x_t, sigma_t)
-        marg_var = prior.sigma_c**2 + t**2 * sigma_n**2
-        assert_allclose(score, -(x_t - prior.c) / marg_var, rtol=1e-12)
 
 
 class TestOracleWrappers:

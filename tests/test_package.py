@@ -21,7 +21,7 @@ from restep import degradation, harness, metrics, oracles, regressor, samplers, 
 MODULES = (degradation, harness, metrics, oracles, regressor, samplers, worlds)
 DELETED = ("Trajectory", "gaussian_mmse", "mixture_marginal_density", "residual_flow_rhs",
            "NonFiniteIterateError", "TrainingDivergenceError", "DistributionStats",
-           "forward_degrade_noisy", "nearest_mode", "MetricReport")
+           "forward_degrade_noisy", "nearest_mode", "MetricReport", "score_from_denoiser")
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 SOURCES = sorted(str(p.relative_to(ROOT)) for d in ("src", "tests", "demos")
@@ -157,6 +157,22 @@ def test_private_module_names_are_read():
             unread += [f"{module}: {name}" for name in names
                        if name.startswith("_") and not name.startswith("__") and name not in read]
     assert not unread, unread
+
+
+def test_generators_are_made_in_worlds_only():
+    """``default_rng`` and ``SeedSequence`` appear nowhere in ``src/restep``
+    but ``worlds.py``: every other generator comes from ``derive_rng``, so
+    the package has one seed-derivation rule."""
+    makers = {"default_rng", "SeedSequence"}
+    found = []
+    for path in sorted((ROOT / "src" / "restep").glob("*.py")):
+        if path.name == "worlds.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in makers:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, found
 
 
 def _readme_section(title: str) -> str:

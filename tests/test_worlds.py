@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from restep.degradation import ConstantSchedule
 from restep.oracles import GaussianMixturePrior, GaussianPrior, LinearDegradation
-from restep.regressor import MlpRegressor
+from restep.regressor import MlpRegressor, TrainConfig
+from restep.samplers import SamplerConfig
 from restep.worlds import (
     DivergenceError,
     DivergenceGuard,
@@ -50,6 +52,31 @@ class TestSeedDerivation:
             derive_rng(0, -1)
         with pytest.raises(TypeError):
             derive_rng(0, 1.5)
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: SamplerConfig(1, seed=1.5), ValueError, "seed must be an integer >= 0, got 1.5"),
+        (lambda: SamplerConfig(1, seed=-1), ValueError, "seed must be an integer >= 0, got -1"),
+        (lambda: TrainConfig(seed=-3), ValueError, "seed must be an integer >= 0, got -3"),
+        (lambda: derive_rng(1.5), ValueError, "seed must be an integer >= 0, got 1.5"),
+        (lambda: derive_seed(0, True), TypeError, "seed label must be int or str, got bool"),
+    ], ids=["SamplerConfig-float", "SamplerConfig-negative", "TrainConfig-negative",
+            "derive_rng-float", "derive_seed-bool-label"])
+    def test_seed_is_checked_where_it_comes_in(self, call, error, message):
+        """A seed is an integer >= 0 and a label an integer >= 0 or a string;
+        a config refuses a bad seed when built, not inside numpy on its
+        first run, and a bool label is not the label 1."""
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 2**64 - 1), max_size=3))
+    def test_derive_rng_is_the_documented_seed_sequence(self, seed, labels):
+        """With integer labels, derive_rng(seed, *labels) draws what
+        default_rng(SeedSequence((seed, *labels))) draws, and with none what
+        default_rng(seed) draws: the rule training and the samplers rely on."""
+        want = np.random.default_rng(np.random.SeedSequence((seed, *labels)))
+        assert_array_equal(derive_rng(seed, *labels).random(4), want.random(4))
+        assert_array_equal(derive_rng(seed).random(4), np.random.default_rng(seed).random(4))
 
 
 class TestMixtureWorld:
