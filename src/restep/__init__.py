@@ -8,7 +8,7 @@ for Gaussian-mixture and Gaussian worlds live in :mod:`restep.oracles`;
 a small trainable regressor with hand-rolled backprop and Adam lives in
 :mod:`restep.regressor`; samplers (including the ODE view of the
 noise-free limit) live in :mod:`restep.samplers`; experiment configs,
-runners, and CSV/JSON reports live in :mod:`restep.harness`.
+runs, and CSV/JSON reports live in :mod:`restep.harness`.
 """
 
 from . import degradation, harness, metrics, oracles, regressor, samplers, worlds

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import ConfigError, default_config, load_config, run_experiment
+from .harness import ConfigError, _require, default_config, load_config, run_experiment
 
 # subcommand -> (the kind it runs, None for any; its help text)
 _SUBCOMMANDS = {
@@ -58,11 +58,8 @@ def _resolve_args(args) -> tuple:
     else:
         raise ConfigError("config: the run subcommand requires --config")
     if fixed_kind is not None:
-        if "kind" in raw and raw["kind"] != fixed_kind:
-            raise ConfigError(
-                f"kind: config says {raw['kind']!r} but the "
-                f"{args.command} subcommand runs {fixed_kind!r}"
-            )
+        _require(raw.get("kind", fixed_kind) == fixed_kind, "kind", f"config says "
+                 f"{raw.get('kind')!r} but the {args.command} subcommand runs {fixed_kind!r}")
         raw["kind"] = fixed_kind
     if args.seed is not None:
         raw["seed"] = args.seed

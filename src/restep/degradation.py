@@ -39,15 +39,24 @@ class ScheduleInvariantError(RuntimeError):
     """A noise schedule violated its non-increasing invariant at runtime."""
 
 
+def as_numbers(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array; bools and strings, in arrays too, are refused."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf" and not (  # ints beyond int64 make an object array
+            arr.dtype.kind == "O" and all(type(v) in (int, float) for v in arr.flat)):
+        raise ValueError(f"{name} must be a number, got {values!r}")
+    return arr.astype(np.float64, copy=False)
+
+
 def as_state(values, name: str = "state", dim: int | None = None, like=None) -> np.ndarray:
-    """Coerce ``values`` to a float64 array and require every entry finite.
+    """Coerce ``values`` with :func:`as_numbers` and require every entry finite.
 
     Accepts a single signal vector of shape ``(d,)`` or a batch of signals
     with the signal dimension last, e.g. ``(n, d)``.  ``dim`` requires that
     last axis to have ``dim`` coordinates; ``like`` (an array) requires the
     whole shape to be ``like.shape``.
     """
-    arr = np.asarray(values, dtype=np.float64)
+    arr = as_numbers(values, name)
     if arr.ndim == 0:
         raise ValueError(f"{name} must have at least one axis, got a scalar")
     if not np.isfinite(arr).all():
@@ -59,10 +68,12 @@ def as_state(values, name: str = "state", dim: int | None = None, like=None) -> 
     return arr
 
 
-def as_count(value, name: str, lo: int = 1) -> int:
-    """Return ``value`` as an int >= ``lo``; bools and non-integers are refused."""
+def as_count(value, name: str, lo: int = 1, hi: float = math.inf) -> int:
+    """Return ``value`` as an int in [``lo``, ``hi``]; bools and non-integers are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
         raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
+    if value > hi:
+        raise ValueError(f"{name} must be <= {hi}, got {value!r}")
     return int(value)
 
 
@@ -83,10 +94,8 @@ def as_time(t, name: str = "t"):
     passes first, cheap on the per-call paths), anything with an axis as a
     float64 array.  Bools and strings, alone or in an array, are refused."""
     if type(t) is not float:
-        arr = np.asarray(t)
-        if arr.dtype.kind not in "iuf":
-            raise ValueError(f"{name} must be a number, got {t!r}")
-        t = float(arr) if arr.ndim == 0 else arr.astype(np.float64, copy=False)
+        t = as_numbers(t, name)
+        t = float(t) if t.ndim == 0 else t
     if isinstance(t, float):
         finite, inside = math.isfinite(t), 0.0 <= t <= 1.0
     else:

@@ -12,25 +12,27 @@ timing, so identical configs and seeds yield byte-identical CSV files.
 Each config field is checked by its row of one table, ``_SCHEMA``, and
 ``resolve_config`` then applies the few rules that tie fields together.
 Those rules ask which fields a config has, never which kind it is: a
-field that the run never reads (a swept one, ``train.*`` under the
-oracle, ``sampler.record_trajectory`` without an ``eval.probe_y``) must
-keep its kind's default.
+field the run never reads (a swept one, ``train.*`` under the oracle,
+``train.time_dist.a`` outside ``linear_a``, ``sampler.record_trajectory``
+without ``eval.probe_y``) must keep its default.
 
-Experiment kinds are defined once, in ``_KINDS``: each entry holds the
-kind's default config sections, the world type it needs and its runner.
-The kind list, the defaults, the world-type check and the runner dispatch
-all come from that table; the README's kinds table says what each measures.
+Experiment kinds are defined once, in ``_KINDS``: a kind is its default
+config sections and its row format.  The world type a kind needs follows
+from its eval fields (``eval.hit_threshold`` needs a mixture world,
+``eval.probe_y`` a Gaussian one); the README's kinds table says what each
+measures.
 
 A cell is one sampler run, ``(sampler name, estimator, y, SamplerConfig)``,
 with random sources derived from (master seed, variant index, replicate
-index) by the rule documented at :func:`restep.worlds.derive_rng`.  One
-function, ``_grid``, builds and runs the cells of every kind, and a runner
-only turns their results into rows.  A kind with a trained estimator
-trains its models first, then runs its cells; with ``jobs > 1`` both the
-models and the cells run in a process pool, and the report is assembled
-in deterministic grid order either way.  A run that goes numerically
-wrong (an iterate beyond 1e6 times the larger norm of its start and its
-first estimate, or a non-finite iterate, estimate or training loss) raises
+index) by the rule documented at :func:`restep.worlds.derive_rng`.
+:func:`run_experiment` runs the phases of every kind in one order: the
+world and its inputs (``_inputs``), the oracle or the trained models
+(``_models``), the cells (``_grid``), the kind's rows, the report
+(:func:`emit_report`).  With ``jobs > 1`` both the models and the cells
+run in a process pool, and the report is assembled in deterministic grid
+order either way.  A run that goes numerically wrong (an iterate beyond
+1e6 times the larger norm of its start and its first estimate, or a
+non-finite iterate, estimate or training loss) raises
 :class:`restep.worlds.DivergenceError`; the rows of the cells it hits are
 flagged and the rest continue.  Any other exception a cell raises ends
 the run, and it is the same exception, of the same type and message, at
@@ -172,8 +174,7 @@ def default_config(kind: str) -> dict:
     mode separation), 0.3 for the rank-deficient one, both package
     conventions.
     """
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(f"kind: must be one of {EXPERIMENT_KINDS}, got {kind!r}")
+    _require(kind in EXPERIMENT_KINDS, "kind", f"must be one of {EXPERIMENT_KINDS}, got {kind!r}")
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
@@ -195,8 +196,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"config: cannot read {path}: {err}") from err
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ConfigError(f"config: {path} is not valid JSON: {err}") from err
-    if not isinstance(raw, dict):
-        raise ConfigError("config: top level must be a JSON object")
+    _require(isinstance(raw, dict), "config", "top level must be a JSON object")
     return raw
 
 
@@ -205,10 +205,9 @@ def load_config(path) -> dict:
 _MERGE_SECTIONS = ("sampler", "eval", "train")
 
 
-def _merge(defaults: dict, override: dict) -> dict:
-    out = copy.deepcopy(defaults)
+def _merge(out: dict, override: dict) -> dict:  # out: a fresh defaults copy, merged in place
     for key, val in override.items():
-        _require(key in defaults, key, "unknown config field")
+        _require(key in out, key, "unknown config field")
         if key in _MERGE_SECTIONS:
             _require(isinstance(val, dict), key, "must be a mapping")
             section = out[key]
@@ -370,7 +369,7 @@ _SCHEMA = {
     "eval.probe_y": _list_of(_num()),
 }
 
-# An eval list a kind sweeps replaces the one field its runner would
+# An eval list a kind sweeps replaces the one field its cells would
 # otherwise read.
 _SWEPT_FIELDS = {
     "schedules": ("sampler", "schedule"),
@@ -387,7 +386,7 @@ def _estimator(cfg) -> str:
 def resolve_config(raw: dict) -> dict:
     """Merge ``raw`` over its kind's defaults and validate everything.
 
-    Returns the fully resolved dict that the runners consume and the
+    Returns the fully resolved dict that the run consumes and the
     report echoes.  Each field is checked by its ``_SCHEMA`` row, then the
     rules that tie fields together.  Unknown fields, missing fields, and
     out-of-range values raise :class:`ConfigError` with the offending
@@ -403,11 +402,10 @@ def resolve_config(raw: dict) -> dict:
         elif key != "kind":
             _SCHEMA[key](value, key)
     world, sampler, ev = cfg["world"], cfg["sampler"], cfg["eval"]
-    wtype = _KINDS[kind].world
-    _require(
-        wtype is None or world["type"] == wtype,
-        "world.type", f"{kind} needs a {wtype} world",
-    )
+    # Hit rates need a mixture's modes, a flow limit the Gaussian closed form.
+    for key, wtype in (("hit_threshold", "mixture"), ("probe_y", "gaussian")):
+        _require(key not in ev or world["type"] == wtype, "world.type",
+                 f"eval.{key} needs a {wtype} world")
     # A field the run never reads must keep its default: a changed value
     # there would be silently ignored.
     unread = {
@@ -424,6 +422,9 @@ def resolve_config(raw: dict) -> dict:
     for path, when in unread.items():
         section, key = path.split(".")
         _require(cfg[section][key] == defaults[section][key], path, f"is unused when {when}")
+    dist = cfg["train"]["time_dist"] if "train" in cfg else {"kind": "linear_a"}
+    _require(dist["kind"] == "linear_a" or dist.get("a", 0.0) == 0.0, "train.time_dist.a",
+             "is unused when train.time_dist.kind is not linear_a")
     dists = ev.get("time_dists", [])  # each entry trains one checkpoint_<kind>.bin
     for j, first in enumerate(dists.index(name) for name in dists):
         _require(first == j, f"eval.time_dists[{j}]", f"repeats eval.time_dists[{first}]")
@@ -615,11 +616,11 @@ def _train_model(cell):
     return model, float(np.mean(losses[:window])), float(np.mean(losses[-window:]))
 
 
-# ---- the runners: (cfg, jobs, write) -> (rows, total steps, trajectory) ---- #
+# ---- the phases of a run, in the order run_experiment calls them ---- #
 
-# ``_grid`` builds and runs the restore cells of every kind; a runner only
-# formats rows.  ``_run_grid`` writes a row per cell; gauss1d (a probe and its
-# flow limit) and generate_from_noise (a row per mode) run a one-cell grid.
+# Inputs, models, cells, then a kind's rows: a row format only formats the
+# cells' results.  ``_cell_rows`` writes a row per cell; gauss1d (a probe and
+# its flow limit) and generate_from_noise (a row per mode) run one cell.
 
 
 def _row(cfg, variant, **fields) -> dict:
@@ -634,21 +635,25 @@ def _row(cfg, variant, **fields) -> dict:
 
 
 def _inputs(cfg):
-    """The world and the shared batch of (clean, observed) inputs."""
+    """(world, x, y): the ``eval.probe_y`` probe and no x, else ``eval.n_inputs`` pairs."""
     world = world_from_config(cfg["world"])
+    if "probe_y" in cfg["eval"]:
+        return world, None, np.asarray(cfg["eval"]["probe_y"], dtype=np.float64)
     x, y = world.sample_pairs(derive_rng(cfg["seed"], "inputs"), cfg["eval"]["n_inputs"])
     return world, x, y
 
 
 def _models(cfg, world, jobs, write):
-    """The trained estimators as (model, head, tail): one per ``eval.time_dists``
-    entry, else the ``train.time_dist`` one, trained as cells under ``jobs``.
+    """The estimators as (model, head, tail): None for the oracle, else one
+    trained per ``eval.time_dists`` entry or the ``train.time_dist`` one, under ``jobs``.
 
     A training kind (a ``train`` section and no ``eval.estimator``) writes
     the checkpoints, and its rows put the model's time distribution and
     losses (``head``) before the grid's columns and the checkpoint
     (``tail``) after the metrics; other kinds' head and tail are empty.
     """
+    if _estimator(cfg) == "oracle":
+        return [(None, {}, {})]
     ev, tr = cfg["eval"], cfg["train"]
     if "time_dists" in ev:
         dists = [TimeDistribution(kind, ev["a"]) for kind in ev["time_dists"]]
@@ -673,23 +678,17 @@ def _models(cfg, world, jobs, write):
     ]
 
 
-def _grid(cfg, world, y, jobs, write):
+def _grid(cfg, world, y, models, jobs):
     """Models x schedules x samplers x step counts on the one input ``y``, a
     restore cell each, run under ``jobs``: (head, grid columns, tail) per
-    cell, the results, and the run's total steps.
+    cell, the results, and the run's planned steps, a diverged model's too.
 
     The eval lists default to ``sampler.schedule``, the iterative sampler
     and ``sampler.steps``, so a kind that sweeps none of them is one cell.
-    The estimator is the world's oracle or each model of :func:`_models`,
-    trained first; a model whose training diverged gives its cells that error.
+    A model of None is the world's oracle; a diverged one gives its cells its error.
     """
     ev = cfg["eval"]
-    estimator_name = _estimator(cfg)
-    models, train_steps = [(None, {}, {})], 0
-    if estimator_name == "trained":
-        models = _models(cfg, world, jobs, write)
-        train_steps = len(models) * cfg["train"]["steps"]
-    cells, rows = [], []
+    cells, labels = [], []
     for model, head, tail in models:
         for sd in ev.get("schedules", [cfg["sampler"]["schedule"]]):
             schedule = schedule_from_config(sd)
@@ -703,30 +702,27 @@ def _grid(cfg, world, y, jobs, write):
                     seed = derive_seed(cfg["seed"], len(cells), 0)
                     config = SamplerConfig(n, schedule, seed, cfg["sampler"]["record_trajectory"])
                     cells.append((name, estimator, y, config))
-                    columns = {"sampler": name, "estimator": estimator_name, **swept, "N": n}
-                    rows.append((head, columns, tail))
+                    columns = {"sampler": name, "estimator": _estimator(cfg), **swept, "N": n}
+                    labels.append((head, columns, tail))
+    train_steps = sum(cfg["train"]["steps"] for model, _, _ in models if model is not None)
     results = _execute_cells(_restore_cell, cells, jobs)
-    return rows, results, train_steps + sum(config.steps for *_, config in cells)
+    return labels, results, train_steps + sum(config.steps for *_, config in cells)
 
 
-def _run_grid(cfg, jobs, write):
+def _cell_rows(cfg, world, x, y, cells, results):
     """A row per cell of the grid on one shared batch, scored by :func:`_metrics`."""
-    world, x, y = _inputs(cfg)
-    rows, results, steps = _grid(cfg, world, y, jobs, write)
     return [
         _row(cfg, variant, **head, **columns, n_inputs=cfg["eval"]["n_inputs"],
              **_metrics(cfg, world, x, result), **tail)
-        for variant, ((head, columns, tail), result) in enumerate(zip(rows, results))
-    ], steps, None
+        for variant, ((head, columns, tail), result) in enumerate(zip(cells, results))
+    ]
 
 
-def _run_gauss1d(cfg, jobs, write):
-    world = world_from_config(cfg["world"])
-    y = np.asarray(cfg["eval"]["probe_y"], dtype=np.float64)
+def _gauss1d_rows(cfg, world, x, y, cells, results):
+    [(_, columns, _)], [result] = cells, results
     target = gaussian_flow_trajectory(world.prior, world.sigma_n, y, 0.0)
-    [(_, columns, _)], [result], steps = _grid(cfg, world, y, jobs, write)
-    metrics = _metrics(cfg, world, None, result)
-    out, traj = (None, None) if metrics["divergent"] else result
+    metrics = _metrics(cfg, world, x, result)
+    out = None if metrics["divergent"] else result[0]
     row = _row(cfg, 0, **columns)
     for prefix, values in (("y", y), ("output", out), ("limit", target)):
         for j in range(world.dim):
@@ -734,21 +730,12 @@ def _run_gauss1d(cfg, jobs, write):
     row["abs_error"] = None if out is None else float(np.max(np.abs(out - target)))
     row["divergent"] = metrics["divergent"]
     row["divergence_step"] = metrics["divergence_step"]
-    trajectory = None
-    if traj is not None:
-        trajectory = []
-        for i, (t, state) in enumerate(traj):
-            record = {"step_index": i, "t": float(t)}
-            for j, v in enumerate(np.asarray(state).ravel()):
-                record[f"state_{j}"] = float(v)
-            trajectory.append(record)
-    return [row], steps, trajectory
+    return [row]
 
 
-def _run_generate_from_noise(cfg, jobs, write):
-    world, _, y = _inputs(cfg)
+def _generate_from_noise_rows(cfg, world, x, y, cells, results):
     n = cfg["eval"]["n_inputs"]
-    [(_, columns, _)], [result], steps = _grid(cfg, world, y, jobs, write)
+    [(_, columns, _)], [result] = cells, results
     nearest, counts = None, None
     if not isinstance(result, DivergenceError):
         nearest = nearest_modes(result[0], world.prior)
@@ -765,7 +752,7 @@ def _run_generate_from_noise(cfg, jobs, write):
             z_score=None if freq is None or std_err == 0.0 else (freq - w) / std_err,
             mode_hit_rate=metrics["mode_hit_rate"], divergent=metrics["divergent"],
         ))
-    return rows, steps, None
+    return rows
 
 
 # ---- the kind table ---- #
@@ -774,37 +761,31 @@ def _run_generate_from_noise(cfg, jobs, write):
 @dataclass(frozen=True)
 class _Kind:
     sections: dict  # default world/sampler/[train]/eval sections
-    world: str | None  # the world type the kind needs; None accepts either
-    run: Callable  # formats _grid's results: _run_grid, unless the rows are not its cells
+    rows: Callable  # (cfg, world, x, y, cells, results) -> the report's rows
 
 
 _MIXTURE_A = _mixture_world(_IDENTITY_2D, 1.0)
 
 _KINDS = {
-    "toy2d_a": _Kind(
-        _sections(_MIXTURE_A, n_inputs=1000, hit_threshold=1e-2), "mixture", _run_grid,
-    ),
+    "toy2d_a": _Kind(_sections(_MIXTURE_A, n_inputs=1000, hit_threshold=1e-2), _cell_rows),
     "toy2d_b": _Kind(
         _sections(_mixture_world(_PROJECT_FIRST_2D, 0.3), n_inputs=1000, hit_threshold=1e-2),
-        "mixture", _run_grid,
+        _cell_rows,
     ),
-    "gauss1d": _Kind(
-        _sections(_GAUSS_WORLD, steps=1000, probe_y=[2.0]), "gaussian", _run_gauss1d,
-    ),
+    "gauss1d": _Kind(_sections(_GAUSS_WORLD, steps=1000, probe_y=[2.0]), _gauss1d_rows),
     "train_restore": _Kind(
         _sections(
             _MIXTURE_A, train=_train_section([128, 128], 20000, 256, "bias_t0_t1"),
             n_inputs=1000, hit_threshold=5e-2,
         ),
-        "mixture", _run_grid,
+        _cell_rows,
     ),
     "generate_from_noise": _Kind(
         _sections(_mixture_world(_ZERO_2D, 1.0), n_inputs=10000, hit_threshold=1e-2),
-        "mixture", _run_generate_from_noise,
+        _generate_from_noise_rows,
     ),
     "sweep_steps": _Kind(
-        _sections(_GAUSS_WORLD, n_inputs=2000, step_grid=[1, 2, 4, 10, 50, 100]),
-        None, _run_grid,
+        _sections(_GAUSS_WORLD, n_inputs=2000, step_grid=[1, 2, 4, 10, 50, 100]), _cell_rows,
     ),
     "sweep_pt": _Kind(
         _sections(
@@ -812,7 +793,7 @@ _KINDS = {
             n_inputs=1000, time_dists=list(TIME_DISTRIBUTION_KINDS), a=1.0,
             hit_threshold=5e-2,
         ),
-        "mixture", _run_grid,
+        _cell_rows,
     ),
     "sweep_noise": _Kind(
         _sections(
@@ -825,7 +806,7 @@ _KINDS = {
                 {"kind": "brownian", "epsilon": 0.1},
             ],
         ),
-        "mixture", _run_grid,
+        _cell_rows,
     ),
     # 3000 training steps leave the regressor slightly rough on purpose: the
     # sampler ordering under study only separates once estimator error is
@@ -836,7 +817,7 @@ _KINDS = {
             n_inputs=500, step_grid=[1, 2, 3, 10, 100, 1000],
             samplers=list(SAMPLER_NAMES), estimator="trained", hit_threshold=1e-2,
         ),
-        "mixture", _run_grid,
+        _cell_rows,
     ),
 }
 
@@ -848,8 +829,9 @@ def run_experiment(config: dict, jobs: int = 1, write: bool = True,
     """Resolve ``config``, run its experiment, and (unless ``write`` is
     False) emit the report files into the configured output directory.
 
-    Deterministic given the config and seed; wall-clock timing lives only
-    in the JSON meta block.
+    The phases run in order: the world and its inputs, the models, the
+    cells, the kind's rows, the report.  Deterministic given the config and
+    seed; wall-clock timing lives only in the JSON meta block.
     """
     _int(1)(jobs, "jobs")
     _check_formats(formats)
@@ -857,13 +839,21 @@ def run_experiment(config: dict, jobs: int = 1, write: bool = True,
     if write:
         Path(cfg["out_dir"]).mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    rows, total_steps, trajectory = _KINDS[cfg["kind"]].run(cfg, jobs, write)
+    world, x, y = _inputs(cfg)
+    models = _models(cfg, world, jobs, write)
+    cells, results, total_steps = _grid(cfg, world, y, models, jobs)
+    rows = _KINDS[cfg["kind"]].rows(cfg, world, x, y, cells, results)
+    recorded = None if isinstance(results[0], DivergenceError) else results[0][1]
     report = RunReport(
         kind=cfg["kind"],
         config=cfg,
         columns=list(rows[0]),
         rows=rows,
-        trajectory=trajectory,
+        trajectory=None if recorded is None else [
+            {"step_index": i, "t": float(t),
+             **{f"state_{j}": float(v) for j, v in enumerate(np.asarray(state).ravel())}}
+            for i, (t, state) in enumerate(recorded)
+        ],
         wall_clock_s=time.perf_counter() - start,
         total_steps=int(total_steps),
     )

@@ -36,6 +36,7 @@ from .degradation import (
     NoiseSchedule,
     _fields_eq,
     as_count,
+    as_numbers,
     as_scalar,
     as_state,
     as_time,
@@ -173,6 +174,8 @@ class MlpRegressor:
                 raise ValueError(f"layer {l} parameter shapes do not match layer_sizes")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {l} parameters contain non-finite values")
+        if self.training_seed is not None:
+            as_count(self.training_seed, "training_seed", 0, _SEED_MAX)
         self.layer_sizes = sizes
 
     @classmethod
@@ -237,7 +240,7 @@ class MlpRegressor:
             raise ValueError(f"x_t must be (d,) or (n, d), got shape {x.shape}")
         single = x.ndim == 1
         xb = x[None, :] if single else x
-        t_arr = np.asarray(t, dtype=np.float64)
+        t_arr = as_numbers(t, "t")
         if not np.all(np.isfinite(t_arr)):
             raise ValueError("t must be finite")
         if t_arr.ndim != 0 and t_arr.shape != (xb.shape[0],):
@@ -298,7 +301,7 @@ def loss_and_gradients(model: MlpRegressor, inputs, targets, p_norm: int, out=No
 class TrainConfig:
     """Hyperparameters for :func:`train`.
 
-    ``seed``, an integer >= 0, drives everything the trainer draws itself
+    ``seed``, an integer in [0, 2**64), drives everything the trainer draws itself
     (times and forward noise); the pair stream's randomness belongs to
     whoever built the generator.  Step k draws from ``derive_rng(seed, k)``,
     whose entropy tuple (seed, k) is what a divergence diagnostic reports.
@@ -319,7 +322,7 @@ class TrainConfig:
                            as_scalar(self.learning_rate, "learning_rate", positive=True))
         as_count(self.batch_size, "batch_size")
         as_count(self.steps, "steps", 0)
-        as_count(self.seed, "seed", 0)
+        as_count(self.seed, "seed", 0, _SEED_MAX)
 
 
 def train(model: MlpRegressor, data, config: TrainConfig):
@@ -409,6 +412,7 @@ def train(model: MlpRegressor, data, config: TrainConfig):
 
 _CHECKPOINT_MAGIC = b"RSTEPMLP"
 _CHECKPOINT_VERSION = 1
+_SEED_MAX = 2**64 - 1  # the training seed's uint64
 
 
 def save_checkpoint(model: MlpRegressor, path) -> None:

@@ -151,6 +151,11 @@ def _one_size_checkpoint():
 _REFUSALS = [
     ("as_state-scalar", lambda: as_state(1.0), ValueError,
      "state must have at least one axis, got a scalar"),
+    ("as_state-string", lambda: as_state(["0.5"]), ValueError,
+     "state must be a number, got ['0.5']"),
+    ("as_state-bool", lambda: as_state([True], "c"), ValueError, "c must be a number, got [True]"),
+    ("as_state-string-beside-wide-int", lambda: as_state([10**30, "0.5"]), ValueError,
+     "state must be a number, got [1000000000000000000000000000000, '0.5']"),
     ("as_time-bool", lambda: as_time(True), ValueError, "t must be a number, got True"),
     ("as_time-string", lambda: as_time("1.0"), ValueError, "t must be a number, got '1.0'"),
     ("as_time-string-array", lambda: as_time(["0.5"], "s"), ValueError,
@@ -188,11 +193,26 @@ _REFUSALS = [
      "x_t must be (d,) or (n, d), got shape (1, 1, 2)"),
     ("predict-nan-t", lambda: _mlp().predict(np.zeros(2), np.nan), ValueError,
      "t must be finite"),
+    ("predict-string-t", lambda: _mlp().predict(np.zeros(2), "0.5"), ValueError,
+     "t must be a number, got '0.5'"),
+    ("predict-bool-t", lambda: _mlp().predict(np.zeros(2), True), ValueError,
+     "t must be a number, got True"),
+    ("TrainConfig-seed-range", lambda: TrainConfig(seed=2**64), ValueError,
+     f"seed must be <= {2**64 - 1}, got {2**64}"),
+    ("MlpRegressor-training-seed-range", lambda: _mlp(training_seed=2**64), ValueError,
+     f"training_seed must be <= {2**64 - 1}, got {2**64}"),
     ("load_checkpoint-sizes", lambda: load_checkpoint(_one_size_checkpoint()), ValueError,
      "implausible layer count 1"),
     ("iterative_restore-scalar", lambda: iterative_restore(_mlp(), 1.0, SamplerConfig(1)),
      ValueError, "y must have at least one axis, got a scalar"),
 ]
+
+
+def test_integers_wider_than_int64_are_numbers():
+    """A JSON integer beyond int64 makes numpy build an object array; its
+    entries are still numbers, so a config that holds one keeps working."""
+    assert as_state([1.5, 10**30]).tolist() == [1.5, 1e30]
+    assert GaussianPrior([10**30], 1.0).c.tolist() == [1e30]
 
 
 @pytest.mark.parametrize("call, error, message", [row[1:] for row in _REFUSALS],

@@ -127,13 +127,23 @@ class TestConfigValidation:
         assert cfg["world"]["sigma_c"] == 2.0
         assert "modes" not in cfg["world"]
 
-    def test_world_kind_must_match_experiment(self):
-        with pytest.raises(ConfigError, match="mixture"):
-            resolve_config({
-                "kind": "toy2d_a",
-                "world": {"type": "gaussian", "c": [0.0], "sigma_c": 1.0,
-                          "sigma_n": 1.0},
-            })
+    @pytest.mark.parametrize("wtype", ["mixture", "gaussian"])
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_world_kind_must_match_experiment(self, kind, wtype):
+        """Mode hit rates (eval.hit_threshold) need a mixture world and
+        gauss1d's flow limit (eval.probe_y) a Gaussian one; sweep_steps,
+        with neither, runs in both."""
+        world = default_config("toy2d_a" if wtype == "mixture" else "gauss1d")["world"]
+        ev = default_config(kind)["eval"]
+        needs = [(key, need) for key, need in (("hit_threshold", "mixture"),
+                                               ("probe_y", "gaussian"))
+                 if key in ev and need != wtype]
+        if not needs:
+            resolve_config({"kind": kind, "world": world})
+            return
+        [(key, need)] = needs
+        with pytest.raises(ConfigError, match=f"^world.type: eval.{key} needs a {need} world$"):
+            resolve_config({"kind": kind, "world": world})
 
     def test_trajectory_only_for_gauss1d(self):
         with pytest.raises(ConfigError, match="record_trajectory"):
@@ -250,10 +260,13 @@ class TestConfigValidation:
          "train.hidden: is unused when eval.estimator is oracle"),
         ({"kind": "sweep_pt", "eval": {"time_dists": ["linear_0", "bias_t1"], "a": 5.0}},
          "eval.a: is unused when eval.time_dists has no linear_a"),
-    ], ids=["oracle-train-steps", "oracle-train", "sweep_pt-a"])
+        ({"kind": "train_restore", "train": {"time_dist": {"kind": "bias_t1", "a": 0.5}}},
+         "train.time_dist.a: is unused when train.time_dist.kind is not linear_a"),
+    ], ids=["oracle-train-steps", "oracle-train", "sweep_pt-a", "time_dist-a"])
     def test_unread_fields_are_refused(self, raw, message):
-        """The oracle reads no train field, and eval.a sets only the linear_a
-        model: a changed value there gave the rows of the default."""
+        """The oracle reads no train field, and eval.a and train.time_dist.a
+        set only a linear_a model: a changed value there gave the rows of
+        the default."""
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             resolve_config(raw)
 
@@ -490,6 +503,9 @@ class TestExperimentRuns:
             assert row["divergent"] == 1
             assert [row.get(c) for c in empty] == [None] * len(empty)
         assert sorted(p.name for p in tmp_path.iterdir()) == [f"{kind}.csv", f"{kind}.json"]
+        # the planned steps: train.steps per model, diverged or not, and each cell's N
+        assert report.total_steps == {"train_restore": 40 + 5, "sweep_pt": 2 * 40 + 2 * 5,
+                                      "sampler_compare": 40 + 3 * (1 + 4)}[kind]
 
     @pytest.mark.parametrize("kind, section, value", [
         ("toy2d_a", "world", {"sigma": 1.7e308}),

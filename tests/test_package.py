@@ -175,6 +175,25 @@ def test_generators_are_made_in_worlds_only():
     assert not found, found
 
 
+def test_config_rules_name_no_kind():
+    """``resolve_config`` holds no experiment-kind name and reads ``_KINDS``
+    only for a kind's ``.sections``, so its rules follow from which fields a
+    config has, never from which kind it is."""
+    tree = ast.parse(Path(harness.__file__).read_text(encoding="utf-8"))
+    [rules] = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "resolve_config"]
+    parent = {child: node for node in ast.walk(rules) for child in ast.iter_child_nodes(node)}
+    named = [node.value for node in ast.walk(rules)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and any(kind in node.value for kind in harness.EXPERIMENT_KINDS)]
+    reads = [node.lineno for node in ast.walk(rules)
+             if isinstance(node, ast.Name) and node.id == "_KINDS"
+             and not (isinstance(parent[node], ast.Subscript)
+                      and isinstance(parent[parent[node]], ast.Attribute)
+                      and parent[parent[node]].attr == "sections")]
+    assert not named and not reads, (named, reads)
+
+
 def _readme_section(title: str) -> str:
     """The README's text from the ``## title`` heading to the next one."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
