@@ -7,11 +7,12 @@ linear interpolation
 
 so ``t = 0`` is the clean end and ``t = 1`` the fully degraded end.  The
 stochastic variant adds zero-mean Gaussian noise whose per-coordinate
-standard deviation at time ``t`` is ``t * eps(t)`` for a non-negative,
-non-increasing schedule ``eps``.  Under the constant schedule the noise
-gap between adjacent times vanishes, so reverse-time inference only ever
-draws noise once, at ``t = 1``; the Brownian schedule ``eps / sqrt(t)``
-keeps injecting fresh noise along the way.
+standard deviation at time ``t`` is ``t * eps(t)`` for a finite, non-negative,
+non-increasing schedule ``eps``.  The schedule constructors guarantee that,
+so :func:`injected_noise_std` reads a negative radicand as knot rounding.
+Under the constant schedule the noise gap between adjacent times vanishes,
+so reverse-time inference only ever draws noise once, at ``t = 1``; the
+Brownian schedule ``eps / sqrt(t)`` keeps injecting fresh noise along the way.
 """
 
 from __future__ import annotations
@@ -26,17 +27,12 @@ __all__ = [
     "BrownianSchedule",
     "ConstantSchedule",
     "NoiseSchedule",
-    "ScheduleInvariantError",
     "TableSchedule",
     "forward_interpolate",
     "forward_noise_std",
     "injected_noise_std",
     "schedule_epsilon",
 ]
-
-
-class ScheduleInvariantError(RuntimeError):
-    """A noise schedule violated its non-increasing invariant at runtime."""
 
 
 def as_numbers(values, name: str) -> np.ndarray:
@@ -157,8 +153,9 @@ class BrownianSchedule:
 @dataclass(frozen=True)
 class TableSchedule:
     """Piecewise-linear eps(t) through the knots ``(times[i], epsilons[i])``,
-    whose times run from 0 to 1, so no query extrapolates: extrapolating could
-    silently break the non-increasing invariant the rest of the code relies on.
+    whose times run from 0 to 1 (no query extrapolates) and whose slopes are
+    finite (``np.interp`` never returns -inf): the constructor guarantees the
+    finite, non-increasing eps the rest of the code relies on.
     """
 
     times: tuple
@@ -177,6 +174,9 @@ class TableSchedule:
             raise ValueError("table epsilons must be >= 0")
         if np.any(np.diff(eps) > 0.0):
             raise ValueError("table epsilons must be non-increasing in t")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.diff(eps) / np.diff(times)).all():
+                raise ValueError("table slopes must be finite")
         object.__setattr__(self, "times", tuple(times.tolist()))
         object.__setattr__(self, "epsilons", tuple(eps.tolist()))
 
@@ -265,8 +265,6 @@ def injected_noise_std(schedule: NoiseSchedule, t, delta):
         big = ~np.isfinite(radicand)  # eps^2 overflowed: take eps_prev out of the root
         ratio = eps_cur[big] / eps_prev[big]
         radicand[big], scale[big] = 1.0 - ratio * ratio, eps_prev[big]
-    if np.any(bad := radicand < 0.0):
-        raise ScheduleInvariantError(
-            f"schedule increased between t={target[bad][0]} and t={t[bad][0]}")
+    np.maximum(radicand, 0.0, out=radicand)  # below 0 only by rounding at a table knot
     out[lands] = target * scale * np.sqrt(radicand)
     return float(out) if out.ndim == 0 else out

@@ -570,8 +570,10 @@ def _metrics(cfg, world, x, result, nearest=None) -> dict:
         row["divergence_step"] = None if result.t is None else int(result.step_index)
         return row
     out = np.atleast_2d(result[0])
-    if x is not None:
-        row["mse"], row["psnr"] = distortion_metrics(x, out, peak=world.signal_peak)
+    if x is not None:  # an overflowed signal peak leaves psnr empty
+        peak = world.signal_peak
+        row["mse"], psnr = distortion_metrics(x, out, peak=peak if np.isfinite(peak) else 1.0)
+        row["psnr"] = psnr if np.isfinite(peak) else None
     if isinstance(world, MixtureWorld):
         _, dists = nearest_modes(out, world.prior) if nearest is None else nearest
         if "hit_threshold" in cfg["eval"]:

@@ -32,18 +32,19 @@ def distortion_metrics(reference, estimate, peak: float = 1.0) -> tuple[float, f
     """``(mse, psnr)``: MSE over all elements and PSNR = 10 log10(peak^2 / mse).
 
     ``peak`` is the dynamic range of the signal convention in use (2.0 for
-    signals living in [-1, 1], for instance).  A zero-error batch reports
-    psnr = inf, and one whose squared error overflows to inf psnr = -inf.
+    signals in [-1, 1]).  A zero error gives psnr = inf, an overflowed one
+    -inf, and where peak^2 / mse leaves the floats the logs are taken apart.
     """
     reference = as_state(reference, "reference")
     estimate = as_state(estimate, "estimate", like=reference)
     peak = as_scalar(peak, "peak", positive=True)
     mse = float(np.mean((reference - estimate) ** 2))
-    if mse == math.inf:  # the squared error overflowed
-        psnr = -math.inf
-    else:
-        psnr = math.inf if mse == 0.0 else 10.0 * math.log10(peak * peak / mse)
-    return mse, psnr
+    if mse == 0.0:
+        return mse, math.inf
+    ratio = peak * peak / mse  # 0 or inf where peak^2 under- or overflowed, or mse did
+    if 0.0 < ratio < math.inf:
+        return mse, 10.0 * math.log10(ratio)
+    return mse, 20.0 * math.log10(peak) - 10.0 * math.log10(mse)
 
 
 def nearest_modes(xs, prior: GaussianMixturePrior):

@@ -52,6 +52,7 @@ from .degradation import (
     ConstantSchedule,
     NoiseSchedule,
     as_count,
+    as_numbers,
     as_time,
     injected_noise_std,
     schedule_epsilon,
@@ -100,7 +101,7 @@ def _restore(estimator: Estimator, y, config: SamplerConfig, rule, steps=None):
     last step's t - h.  A non-finite x_1 (an overflowed observation or start
     noise) diverges at step 0.
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = as_numbers(y, "y")  # not as_state: a non-finite y diverges at step 0
     if y.ndim == 0:
         raise ValueError("y must have at least one axis, got a scalar")
     rng = derive_rng(config.seed)

@@ -69,6 +69,52 @@ def _fail_at_cell_one(cell):
     return cell
 
 
+def _knot_rows(rows):
+    assert [r["divergent"] for r in rows] == [0]
+
+
+def _psnr_underflow_rows(rows):
+    """peak = 2 sigma_c = 1e-323, whose square is 0: the N = 3 row's psnr is
+    20 log10(peak) - 10 log10(mse)."""
+    assert [r["divergent"] for r in rows] == [0, 0, 0]
+    assert rows[1]["mse"] > 0.0
+    assert rows[1]["psnr"] == 20.0 * math.log10(1e-323) - 10.0 * math.log10(rows[1]["mse"])
+
+
+def _peak_overflow_rows(rows):
+    assert rows and all(r["psnr"] is None and r["mse"] is not None for r in rows)
+
+
+_MAX = 1.7976931348623157e308
+_SLOPE_TABLE = {"kind": "table", "times": [0.0, 0.5, 1.0], "epsilons": [_MAX, 1.0, 1.0]}
+_EXTREME = pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extreme values overflow
+# (config, the row check it runs to or the path its ConfigError names)
+_FAULT_CONFIGS = [
+    ({"kind": "toy2d_a", "eval": {"n_inputs": 20},
+      "sampler": {"steps": 10, "schedule": {
+          "kind": "table", "times": [0.0, 0.9000000000000001, 1.0],
+          "epsilons": [4.425398044605137, 0.09412864224039919, 0.09412864224039919]}}},
+     _knot_rows),
+    pytest.param(
+        {"kind": "sweep_steps", "seed": 5, "eval": {"n_inputs": 80, "step_grid": [1, 3, 9]},
+         "sampler": {"schedule": {"kind": "brownian", "epsilon": 1.0}},
+         "world": {"type": "gaussian", "c": [-3.0], "sigma_c": 5e-324, "sigma_n": 1e-300}},
+        _psnr_underflow_rows, marks=_EXTREME),
+    pytest.param(
+        {"kind": "toy2d_a", "eval": {"n_inputs": 20}, "sampler": {"steps": 4},
+         "world": {"type": "mixture", "modes": [[1e308, 0.0], [-1e308, 0.0]],
+                   "weights": [0.5, 0.5], "H": [[1.0, 0.0], [0.0, 1.0]], "sigma": 1.0}},
+        _peak_overflow_rows, marks=_EXTREME),
+    ({"kind": "toy2d_a", "eval": {"n_inputs": 20},
+      "sampler": {"steps": 6, "schedule": _SLOPE_TABLE}}, "sampler.schedule"),
+    ({"kind": "sweep_steps", "eval": {"n_inputs": 20, "step_grid": [4]},
+      "sampler": {"schedule": {**_SLOPE_TABLE, "epsilons": [_MAX, _MAX, 0.0]}}},
+     "sampler.schedule"),
+    ({"kind": "sweep_noise", "eval": {"n_inputs": 20, "schedules": [
+        {"kind": "constant", "epsilon": 0.0}, _SLOPE_TABLE]}}, "eval.schedules[1]"),
+]
+
+
 class TestConfigValidation:
     def test_defaults_resolve_for_every_kind(self):
         for kind in EXPERIMENT_KINDS:
@@ -522,6 +568,21 @@ class TestExperimentRuns:
         cfg[section] = {**default_config(kind)[section], **cfg.get(section, {}), **value}
         report = run_experiment(cfg, write=False)
         assert [r["divergent"] for r in report.rows] == [1] * len(report.rows)
+
+    @pytest.mark.parametrize("cfg, expect", _FAULT_CONFIGS,
+                             ids=["knot", "psnr-underflow", "peak-overflow", "slope",
+                                  "slope-sweep", "slope-swept"])
+    def test_fault_configs_run_or_are_refused_at_their_path(self, cfg, expect):
+        """Accepted configs that exited 1: a table knot one ulp above a grid
+        point (a negative radicand by rounding), peak^2 underflowing in
+        PSNR, a mixture whose signal peak overflows.  They run to rows.  A
+        table whose slope overflows float64 is refused at its path."""
+        if isinstance(expect, str):
+            message = f"^{re.escape(expect)}: table slopes must be finite$"
+            with pytest.raises(ConfigError, match=message):
+                run_experiment(cfg, write=False)
+        else:
+            expect(run_experiment(cfg, write=False).rows)
 
     def test_one_input_has_no_ks(self):
         report = run_experiment(tiny_config("sweep_steps", n_inputs=1), write=False)

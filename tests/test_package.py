@@ -5,6 +5,7 @@ does not use, no private module-level name goes unread, and the package
 imports numpy and the standard library alone."""
 
 import ast
+import builtins
 import importlib
 import json
 import os
@@ -21,7 +22,8 @@ from restep import degradation, harness, metrics, oracles, regressor, samplers, 
 MODULES = (degradation, harness, metrics, oracles, regressor, samplers, worlds)
 DELETED = ("Trajectory", "gaussian_mmse", "mixture_marginal_density", "residual_flow_rhs",
            "NonFiniteIterateError", "TrainingDivergenceError", "DistributionStats",
-           "forward_degrade_noisy", "nearest_mode", "MetricReport", "score_from_denoiser")
+           "forward_degrade_noisy", "nearest_mode", "MetricReport", "score_from_denoiser",
+           "ScheduleInvariantError")
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 SOURCES = sorted(str(p.relative_to(ROOT)) for d in ("src", "tests", "demos")
@@ -173,6 +175,25 @@ def test_generators_are_made_in_worlds_only():
             if name in makers:
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, found
+
+
+def test_a_run_is_refused_or_flagged():
+    """The only exception classes ``src/restep`` defines are ``ConfigError``
+    (a config is refused) and ``DivergenceError`` (a run is flagged), so no
+    third run-level exception comes back.  A class is an exception if one of
+    its bases is a builtin exception or an exception class defined here."""
+    bases = {}
+    for path in sorted((ROOT / "src" / "restep").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {getattr(b, "attr", getattr(b, "id", None))
+                                    for b in node.bases}
+    errors = {name for name in dir(builtins)
+              if isinstance(getattr(builtins, name), type)
+              and issubclass(getattr(builtins, name), BaseException)}
+    while new := {name for name, of in bases.items() if of & errors} - errors:
+        errors |= new
+    assert sorted(errors & set(bases)) == ["ConfigError", "DivergenceError"]
 
 
 def test_config_rules_name_no_kind():
