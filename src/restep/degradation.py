@@ -259,7 +259,7 @@ def injected_noise_std(schedule: NoiseSchedule, t, delta):
     target, t = out[lands], t[lands]
     eps_prev = schedule_epsilon(schedule, target)
     eps_cur = schedule_epsilon(schedule, t)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         radicand = eps_prev * eps_prev - eps_cur * eps_cur
         scale = np.ones_like(radicand)
         big = ~np.isfinite(radicand)  # eps^2 overflowed: take eps_prev out of the root

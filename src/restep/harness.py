@@ -30,13 +30,13 @@ world and its inputs (``_inputs``), the oracle or the trained models
 (``_models``), the cells (``_grid``), the kind's rows, the report
 (:func:`emit_report`).  With ``jobs > 1`` both the models and the cells
 run in a process pool, and the report is assembled in deterministic grid
-order either way.  A run that goes numerically wrong (an iterate beyond
-1e6 times the larger norm of its start and its first estimate, or a
-non-finite iterate, estimate or training loss) raises
-:class:`restep.worlds.DivergenceError`; the rows of the cells it hits are
-flagged and the rest continue.  Any other exception a cell raises ends
-the run, and it is the same exception, of the same type and message, at
-every ``jobs``.
+order either way.  A run that goes numerically wrong (an iterate whose
+largest absolute entry is beyond 1e6 times the larger of its start's
+and its first estimate's, or a non-finite iterate, estimate or training
+loss) raises :class:`restep.worlds.DivergenceError`; the rows of the
+cells it hits are flagged and the rest continue.  Any other exception a
+cell raises ends the run, and it is the same exception, of the same type
+and message, at every ``jobs``.
 """
 
 from __future__ import annotations

@@ -24,11 +24,11 @@ modes in d dimensions is held as d contiguous (m, n) blocks, one per
 coordinate and filled from ``x_t``'s columns, so every elementwise step runs
 along the n rows; broadcasting ``x_t[..., None, :] - centers`` instead runs
 n * m inner loops of length d.  The squared norms (over d) and the
-normaliser (over m) are sums over short axes of terms that are never -0.0,
-and :func:`_sum_axis` gives them the bits of ``np.sum`` over a contiguous
-last axis: below 8 terms numpy adds left to right from +0.0, which changes
-no such term, so the helper adds whole slices in place from the first two;
-from 8 terms up it calls ``np.sum`` on a copy with the axis last.  The
+normaliser (over m) are sums over the first, short axis of terms that are
+never -0.0, and :func:`_sum_axis` gives them the bits of ``np.sum`` over that
+axis laid out last: below 8 terms numpy adds left to right from +0.0, which
+changes no such term, so the helper adds whole slices in place from the first
+two; from 8 terms up it calls ``np.sum`` on a copy with the axis last.  The
 final product takes the weights as a C-ordered (n, m) copy, because matmul
 chooses its kernel by memory layout and a transposed view gives different
 last bits.
@@ -161,18 +161,16 @@ class GaussianPrior:
 _SHORT_AXIS = 8
 
 
-def _sum_axis(a: np.ndarray, axis: int = -1):
-    """The sum over ``axis`` with the bits of ``np.sum`` over a C-ordered copy with that
-    axis last, unless 2 to 7 terms are all -0.0 (-0.0, not 0.0): below ``_SHORT_AXIS``
+def _sum_axis(a: np.ndarray):
+    """The sum over the first axis with the bits of ``np.sum`` over a C-ordered copy with
+    that axis last, unless 2 to 7 terms are all -0.0 (-0.0, not 0.0): below ``_SHORT_AXIS``
     terms numpy adds left to right from +0.0, and this adds in place from ``a0 + a1``."""
-    axis %= a.ndim
-    n = a.shape[axis]
+    n = a.shape[0]
     if not 0 < n < _SHORT_AXIS:
-        return np.sum(np.ascontiguousarray(np.moveaxis(a, axis, -1)), axis=-1)
-    lead = (slice(None),) * axis  # a[lead + (j,)] is slice j along axis
-    out = a[lead + (0,)] + (a[lead + (1,)] if n > 1 else 0.0)
+        return np.sum(np.ascontiguousarray(np.moveaxis(a, 0, -1)), axis=-1)
+    out = a[0] + (a[1] if n > 1 else 0.0)
     for j in range(2, n):
-        out += a[lead + (j,)]
+        out += a[j]
     return out
 
 
@@ -184,7 +182,7 @@ def _mode_distances_sq(x: np.ndarray, centers: np.ndarray, scale: float = 1.0) -
         np.subtract(x[:, j], centers[:, j, None], out=u[j])
     u /= scale
     u *= u
-    return _sum_axis(u, 0)
+    return _sum_axis(u)
 
 
 # A row whose every log term lies below -_FAR_LOG = -(2^16)^2 / 2 is far
@@ -273,7 +271,7 @@ def mixture_posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation,
         top = post.max(axis=0)
         post -= top
         np.exp(post, out=post)
-        post /= _sum_axis(post, 0)
+        post /= _sum_axis(post)
         if top.min() < -_FAR_LOG:
             far = top < -_FAR_LOG
             post[:, far] = _far_field_weights(rows[far], centers, prior.log_weights, sigma_t)

@@ -43,7 +43,7 @@ from .degradation import (
     forward_interpolate,
     forward_noise_std,
 )
-from .worlds import DivergenceError, _check_finite, derive_rng
+from .worlds import _check_finite, derive_rng
 
 __all__ = [
     "TIME_DISTRIBUTION_KINDS",
@@ -369,9 +369,7 @@ def train(model: MlpRegressor, data, config: TrainConfig):
             x_t = x_t + std[:, None] * rng.standard_normal(x_t.shape)
         inputs = trained._inputs(x_t, t)
         loss, _, _ = loss_and_gradients(trained, inputs, x, config.p_norm, out=grads)
-        if not np.isfinite(loss):
-            raise DivergenceError(step, None, "non-finite loss (batch seed entropy "
-                                  f"{(config.seed, step)})")
+        _check_finite(loss, step, None, f"loss (batch seed entropy {(config.seed, step)})")
         correction1 = 1.0 - beta1 ** (step + 1)
         correction2 = 1.0 - beta2 ** (step + 1)
         for p, g, m1, m2, (u, v) in zip(params, grads, moment1, moment2, temps):

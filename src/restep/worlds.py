@@ -29,7 +29,6 @@ from .oracles import (
     GaussianPrior,
     LinearDegradation,
     MixturePosteriorOracle,
-    _sum_axis,
 )
 
 __all__ = [
@@ -172,11 +171,12 @@ class DivergenceGuard:
 
     Every state a discrete sampler produces is the input of the next
     estimator call, so wrapping the estimator sees the whole trajectory.
-    The first call fixes the baseline norm: the larger of the t = 1 state's
-    and of its estimate's, so a start at 0 does not make any step away from
-    it a blow-up.  Any later call whose largest per-sample norm exceeds
-    FACTOR times the baseline raises :class:`DivergenceError` with the step
-    index.
+    A state's norm here is its largest absolute entry, which never overflows
+    and is within a factor sqrt(d) of its largest row's Euclidean norm.  The
+    first call fixes the baseline norm: the larger of the t = 1 state's and
+    of its estimate's, so a start at 0 does not make any step away from it a
+    blow-up.  Any later call whose state's norm exceeds FACTOR times the
+    baseline raises :class:`DivergenceError` with the step index.
     """
 
     FACTOR = 1e6
@@ -187,19 +187,12 @@ class DivergenceGuard:
         self.baseline = None
 
     def __call__(self, x_t, t):
-        worst = _worst_row_norm(x_t)
+        worst = float(np.abs(x_t).max())
         if self.baseline is not None and worst > self.FACTOR * self.baseline:
             raise DivergenceError(self.calls, t, f"iterate norm {worst:.3g} exceeded "
                                   f"{self.FACTOR:.0e} x initial norm {self.baseline:.3g}")
         self.calls += 1
         estimate = self.estimator(x_t, t)
         if self.baseline is None:
-            self.baseline = max(worst, _worst_row_norm(estimate), 1e-12)
+            self.baseline = max(worst, float(np.abs(estimate).max()), 1e-12)
         return estimate
-
-
-def _worst_row_norm(x) -> float:
-    """The largest row norm: sqrt is correctly rounded and monotone, so this
-    is max(np.linalg.norm(x, axis=-1)) to the bit."""
-    x = np.atleast_2d(np.asarray(x, float))
-    return float(np.sqrt(_sum_axis(x * x).max()))

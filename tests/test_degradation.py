@@ -416,6 +416,7 @@ class TestInjectedNoiseOnGrids:
     @given(n=st.integers(2, 300), j=st.integers(0, 298),
            eps=st.lists(_EPSILONS, min_size=2, max_size=2))
     @example(n=10, j=0, eps=[4.425398044605137, 0.09412864224039919])
+    @example(n=162, j=0, eps=[1e155, 1e191])  # eps(t_j - 1/n) rounds to 0 below eps(t_j)
     def test_a_knot_just_above_a_grid_point_injects_nothing_below_zero(self, n, j, eps):
         """A table knot one ulp above the grid point t_j - 1/n, flat after it:
         np.interp can give eps(t_j - 1/n) below the flat value (12 ulps below

@@ -522,6 +522,16 @@ class TestExperimentRuns:
         assert (row["output_0"], row["limit_0"]) == (2.0, 2.0)
         assert (row["abs_error"], row["divergent"]) == (0.0, 0)
 
+    def test_gauss1d_far_from_the_origin_runs_unflagged(self):
+        """Prior mean and probe at 1e200: the guard's states square past the
+        float range (its baseline was inf, with an overflow warning), and
+        the probe runs to one unflagged row."""
+        cfg = tiny_config("gauss1d", probe_y=[1e200])
+        cfg["world"] = {"type": "gaussian", "c": [1e200], "sigma_c": 1.0, "sigma_n": 1.0}
+        report = run_experiment(cfg, write=False)
+        assert len(report.rows) == 1
+        assert report.rows[0]["divergent"] == 0
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_trained_estimator_reports_minus_infinite_psnr(self):
         """At N = 1 the stepwise rule returns the net's output unchecked by the

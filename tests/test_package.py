@@ -177,6 +177,21 @@ def test_generators_are_made_in_worlds_only():
     assert not found, found
 
 
+def test_divergence_is_raised_in_worlds_only():
+    """``DivergenceError(...)`` is called nowhere in ``src/restep`` but
+    ``worlds.py``: the guard and ``_check_finite`` are the one way a run is
+    flagged."""
+    found = []
+    for path in sorted((ROOT / "src" / "restep").glob("*.py")):
+        if path.name == "worlds.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)  # set on calls only
+            if getattr(func, "attr", getattr(func, "id", None)) == "DivergenceError":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_a_run_is_refused_or_flagged():
     """The only exception classes ``src/restep`` defines are ``ConfigError``
     (a config is refused) and ``DivergenceError`` (a run is flagged), so no

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
@@ -167,6 +167,17 @@ class TestGaussianWorld:
         assert self.world().signal_peak == 3.0
 
 
+@st.composite
+def guard_states(draw):
+    """A start and a later state of one shape: d from 1 to 12 coordinates,
+    no, one or 29 rows, any finite entries."""
+    d = draw(st.integers(1, 12))
+    lead = draw(st.sampled_from([(), (1,), (29,)]))
+    states = arrays(np.float64, lead + (d,), elements=st.floats(allow_nan=False,
+                                                                allow_infinity=False))
+    return draw(states), draw(states)
+
+
 class TestDivergenceGuard:
     def toy_estimator(self, factor):
         def estimate(x_t, t):
@@ -211,7 +222,7 @@ class TestDivergenceGuard:
         norm, so stepping toward it is no blow-up."""
         guard = DivergenceGuard(lambda x_t, t: np.full(np.shape(x_t), 0.5))
         guard(np.zeros((1, 2)), 1.0)
-        assert guard.baseline == np.sqrt(0.5)
+        assert guard.baseline == 0.5
         guard(np.full((1, 2), 0.25), 0.9)
         with pytest.raises(DivergenceError):
             guard(np.full((1, 2), 1e6), 0.8)
@@ -224,24 +235,31 @@ class TestDivergenceGuard:
         with pytest.raises(DivergenceError):
             guard(bad, 0.9)
 
+    def test_guard_reads_huge_states_without_overflow(self):
+        """A start at 1e200, whose squares overflow (the baseline was inf, so
+        the guard could never fire), sets a finite baseline, and a 1e7-fold
+        blow-up is flagged at step 1 with no warning."""
+        guard = DivergenceGuard(self.toy_estimator(1.0))
+        guard(np.array([[1e200, 0.0]]), 1.0)
+        assert guard.baseline == 1e200
+        with pytest.raises(DivergenceError) as info:
+            guard(np.array([[1e207, 0.0]]), 0.9)
+        assert info.value.step_index == 1
+
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), d=st.integers(1, 12), lead=st.sampled_from([(), (1,), (29,)]))
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # squares that overflow
-    def test_worst_row_is_the_largest_linalg_norm(self, data, d, lead):
-        """The baseline and the threshold test read max(np.linalg.norm(x,
-        axis=-1)) to the bit, so no flag can flip at the threshold; squares
-        that overflow included."""
-        states = arrays(np.float64, lead + (d,), elements=st.floats(allow_nan=False,
-                                                                    allow_infinity=False))
-        x, y = data.draw(states), data.draw(states)
-
-        def worst(v):
-            return float(np.max(np.linalg.norm(np.atleast_2d(v), axis=-1)))
-
+    @given(xy=guard_states())
+    @example(xy=(np.full((29, 3), 1e200), np.full((29, 3), -1e200)))
+    @example(xy=(np.array([1.7976931348623157e308, 1.0]),
+                 np.array([-1.7976931348623157e308, 0.0])))
+    def test_guard_reads_the_largest_absolute_entry(self, xy):
+        """The baseline and the threshold test read a state's largest absolute
+        entry, so any finite state, huge ones included, gives a finite
+        baseline and no warning."""
+        x, y = xy
         guard = DivergenceGuard(self.toy_estimator(1.0))
         guard(x, 1.0)
-        assert guard.baseline == max(worst(x), 1e-12)
-        if worst(y) > DivergenceGuard.FACTOR * guard.baseline:
+        assert guard.baseline == max(np.abs(x).max(), 1e-12)
+        if np.abs(y).max() > DivergenceGuard.FACTOR * guard.baseline:
             with pytest.raises(DivergenceError):
                 guard(y, 0.5)
         else:
