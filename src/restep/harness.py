@@ -14,7 +14,8 @@ Each config field is checked by its row of one table, ``_SCHEMA``, and
 Those rules ask which fields a config has, never which kind it is: a
 field the run never reads (a swept one, ``train.*`` under the oracle,
 ``train.time_dist.a`` outside ``linear_a``, ``sampler.record_trajectory``
-without ``eval.probe_y``) must keep its default.
+without ``eval.probe_y``) must keep its default.  None ties ``world.sigma``
+to the estimator: at sigma 0 the mixture oracle takes its point-mass limit.
 
 Experiment kinds are defined once, in ``_KINDS``: a kind is its default
 config sections and its row format.  The world type a kind needs follows
@@ -55,7 +56,6 @@ from .degradation import (
     BrownianSchedule,
     ConstantSchedule,
     TableSchedule,
-    schedule_epsilon,
 )
 from .metrics import distortion_metrics, empirical_distribution_stats, nearest_modes
 from .oracles import (
@@ -390,7 +390,7 @@ def resolve_config(raw: dict) -> dict:
     report echoes.  Each field is checked by its ``_SCHEMA`` row, then the
     rules that tie fields together.  Unknown fields, missing fields, and
     out-of-range values raise :class:`ConfigError` with the offending
-    field path.
+    field path.  ``world.sigma`` 0 is accepted under every estimator.
     """
     _require(isinstance(raw, dict), "config", "must be a mapping")
     kind = raw.get("kind")
@@ -401,7 +401,7 @@ def resolve_config(raw: dict) -> dict:
                 _SCHEMA[f"{key}.{sub}"](subval, f"{key}.{sub}")
         elif key != "kind":
             _SCHEMA[key](value, key)
-    world, sampler, ev = cfg["world"], cfg["sampler"], cfg["eval"]
+    world, ev = cfg["world"], cfg["eval"]
     # Hit rates need a mixture's modes, a flow limit the Gaussian closed form.
     for key, wtype in (("hit_threshold", "mixture"), ("probe_y", "gaussian")):
         _require(key not in ev or world["type"] == wtype, "world.type",
@@ -432,19 +432,6 @@ def resolve_config(raw: dict) -> dict:
         _require(
             len(ev["probe_y"]) == len(world["c"]),
             "eval.probe_y", f"must have {len(world['c'])} entries to match the world",
-        )
-    if world["type"] == "mixture" and _estimator(cfg) == "oracle":
-        # The oracle's posterior has std t * hypot(sigma, eps(t)); eps never
-        # rises with t, so a schedule with eps(1) = 0 makes it a point mass.
-        # A subnormal std is one too: t * 5e-324 rounds to 0 at t = 0.5.
-        tiny = np.finfo(np.float64).tiny
-        seen = ev.get("schedules", [sampler["schedule"]])
-        _require(
-            world["sigma"] >= tiny
-            or all(schedule_epsilon(schedule_from_config(sd), 1.0) >= tiny for sd in seen),
-            "world.sigma",
-            f"must be >= {tiny:.17g}, the smallest normal float, for the mixture oracle "
-            "unless every schedule's eps(1) is",
         )
     return cfg
 

@@ -38,7 +38,8 @@ def distortion_metrics(reference, estimate, peak: float = 1.0) -> tuple[float, f
     reference = as_state(reference, "reference")
     estimate = as_state(estimate, "estimate", like=reference)
     peak = as_scalar(peak, "peak", positive=True)
-    mse = float(np.mean((reference - estimate) ** 2))
+    with np.errstate(over="ignore"):  # an overflowed error is an inf mse
+        mse = float(np.mean((reference - estimate) ** 2))
     if mse == 0.0:
         return mse, math.inf
     ratio = peak * peak / mse  # 0 or inf where peak^2 under- or overflowed, or mse did
@@ -49,13 +50,22 @@ def distortion_metrics(reference, estimate, peak: float = 1.0) -> tuple[float, f
 
 def nearest_modes(xs, prior: GaussianMixturePrior):
     """Index and Euclidean distance of the prior mode closest to each row of
-    ``xs`` (a (d,) vector is one row); ties go to the lowest index."""
+    ``xs`` (a (d,) vector is one row); ties go to the lowest index.  Distances
+    have ``np.linalg.norm``'s bits unless every squared distance of a row
+    overflows: then the row and the modes are scaled by 2^-768 before they are
+    subtracted, which rounds off only coordinates too small to count (< 2^-306)."""
     xs = as_state(xs, "xs", dim=prior.dim)
     if xs.ndim > 2:
         raise ValueError(f"xs must be (d,) or (n, d), got shape {xs.shape}")
-    dists = np.sqrt(_mode_distances_sq(np.atleast_2d(xs), prior.modes))  # np.linalg.norm's bits
-    idx = np.argmin(dists, axis=0)
-    return idx, dists[idx, np.arange(dists.shape[1])]
+    rows = np.atleast_2d(xs)
+    with np.errstate(over="ignore"):  # squares, and distances beyond the largest float, go inf
+        dists = np.sqrt(_mode_distances_sq(rows, prior.modes))  # np.linalg.norm's bits
+        far = np.isinf(dists.min(axis=0))  # each distance is beyond 2^512
+        if far.any():
+            dists[:, far] = np.sqrt(_mode_distances_sq(np.ldexp(rows[far], -768),
+                                                       np.ldexp(prior.modes, -768)))
+        idx = np.argmin(dists, axis=0)
+        return idx, np.ldexp(dists[idx, np.arange(len(rows))], np.where(far, 768, 0))
 
 
 def empirical_distribution_stats(samples, ref_mean, ref_std) -> np.ndarray:

@@ -201,10 +201,13 @@ def _far_field_weights(x: np.ndarray, centers: np.ndarray, log_w: np.ndarray,
     squared distances tie or overflow.  Dividing the centres, rows and sigma_t
     by powers of two is exact and keeps every term finite, or inf where no x
     term offsets it; the max is subtracted before they are put back, which is
-    exact or sends a term to -inf (a weight of 0), then log w_i is added."""
+    exact or sends a term to -inf (a weight of 0), then log w_i is added.
+    At sigma_t = 0 this is the limit sigma_t -> 0: the modes whose linear term
+    is the row's largest (its nearest centres) share the weight by w_i."""
     e_c = np.frexp(np.max(np.abs(centers)))[1]
     e_x = np.frexp(np.max(np.abs(x), axis=1))[1]                     # (n,)
-    m_s, e_s = np.frexp(sigma_t)
+    # at sigma_t = 0, an exponent past every float's sends each term below the max to -inf
+    m_s, e_s = np.frexp(sigma_t) if sigma_t > 0.0 else (0.5, -2**14)
     c = np.ldexp(centers, -e_c)
     half_sq = 0.5 * np.sum(c * c, axis=1)
     rel = (c - c[0]) @ np.ldexp(x, -e_x[:, None]).T                   # (m, n)
@@ -235,8 +238,8 @@ def mixture_posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation,
     top of the observation noise; the two combine into an effective
     ``sigma_t = t * sqrt(sigma^2 + eps(t)^2)``.
 
-    Raises ValueError at t = 0 or when the effective sigma_t is 0: the
-    posterior is then a point mass and the ratio form is undefined.
+    At sigma_t = 0 a row gets the w-weighted mean of the modes with the nearest
+    centre ``H_t c_i``, the limit in :func:`_far_field_weights`.  t = 0 raises ValueError.
     """
     x_t = as_state(x_t, "x_t", dim=prior.dim)
     t = as_time(t)
@@ -245,11 +248,6 @@ def mixture_posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation,
     # Schedule noise enters the state with std t * eps_t, independent of the
     # observation noise's t * sigma, so the stds add in quadrature.
     sigma_t = t * float(np.hypot(deg.sigma, as_scalar(extra_noise_std, "extra_noise_std")))
-    if sigma_t <= 0.0:
-        raise ValueError(
-            "posterior degenerates to a point mass at sigma_t = 0; "
-            "need deg.sigma > 0 or extra_noise_std > 0"
-        )
     centers = prior.modes @ blended_operator(deg, t).T          # (m, d)
     rows = x_t.reshape(-1, prior.dim)
     # Max-subtraction: at least one term becomes exp(0) = 1, so the weights
@@ -260,21 +258,23 @@ def mixture_posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation,
     # (every term -inf, [nan]).  So a row whose every term is below
     # -_FAR_LOG, about 2^16 sigma_t from every mode, takes its weights from
     # _far_field_weights instead, which scales the modes as well as x_t and
-    # so stays finite at any finite x_t and modes.  The golden and benchmark
-    # runs stay within about 1,000 sigma_t of a mode, so their rows never
-    # switch.  The errstate covers the overflows in the rows that switch.
+    # so stays finite at any finite x_t and modes; at sigma_t = 0 every row
+    # does.  Golden and benchmark rows (sigma_t > 0) stay within about 1,000
+    # sigma_t of a mode, so they never switch.  The errstate covers the overflows.
     with np.errstate(over="ignore", invalid="ignore"):
-        # log(w_i) - ||u_i||^2 / 2 in place: adding -b is subtracting b, bit for bit
-        post = _mode_distances_sq(rows, centers, sigma_t)
-        post *= -0.5
-        post += prior.log_weights[:, None]
-        top = post.max(axis=0)
-        post -= top
-        np.exp(post, out=post)
-        post /= _sum_axis(post)
-        if top.min() < -_FAR_LOG:
-            far = top < -_FAR_LOG
-            post[:, far] = _far_field_weights(rows[far], centers, prior.log_weights, sigma_t)
+        if sigma_t == 0.0:  # the near field would divide by sigma_t
+            post = _far_field_weights(rows, centers, prior.log_weights, sigma_t)
+        else:  # log(w_i) - ||u_i||^2 / 2 in place: adding -b is subtracting b, bit for bit
+            post = _mode_distances_sq(rows, centers, sigma_t)
+            post *= -0.5
+            post += prior.log_weights[:, None]
+            top = post.max(axis=0)
+            post -= top
+            np.exp(post, out=post)
+            post /= _sum_axis(post)
+            if top.min() < -_FAR_LOG:
+                far = top < -_FAR_LOG
+                post[:, far] = _far_field_weights(rows[far], centers, prior.log_weights, sigma_t)
     # The product takes the (..., m) weights in C order: matmul's kernel
     # depends on the layout, and a transposed view changes the bits.
     post = np.ascontiguousarray(post.T).reshape(x_t.shape[:-1] + (prior.n_modes,))

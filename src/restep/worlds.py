@@ -94,7 +94,8 @@ class MixtureWorld:
     def signal_peak(self) -> float:
         """Dynamic range for PSNR: the span of the mode coordinates
         (falling back to 1.0 for a degenerate single-point prior)."""
-        span = float(np.ptp(self.prior.modes))
+        with np.errstate(over="ignore"):  # an overflowed span is an inf peak
+            span = float(np.ptp(self.prior.modes))
         return span if span > 0.0 else 1.0
 
     def sample_pairs(self, rng, n: int):

@@ -86,6 +86,8 @@ def _peak_overflow_rows(rows):
 
 
 _MAX = 1.7976931348623157e308
+_MIXTURE_WORLD = {"type": "mixture", "modes": [[1.0, 0.0], [-1.0, 0.0]], "weights": [0.5, 0.5],
+                  "H": [[1.0, 0.0], [0.0, 1.0]], "sigma": 1.0}
 _SLOPE_TABLE = {"kind": "table", "times": [0.0, 0.5, 1.0], "epsilons": [_MAX, 1.0, 1.0]}
 _EXTREME = pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extreme values overflow
 # (config, the row check it runs to or the path its ConfigError names)
@@ -100,11 +102,9 @@ _FAULT_CONFIGS = [
          "sampler": {"schedule": {"kind": "brownian", "epsilon": 1.0}},
          "world": {"type": "gaussian", "c": [-3.0], "sigma_c": 5e-324, "sigma_n": 1e-300}},
         _psnr_underflow_rows, marks=_EXTREME),
-    pytest.param(
-        {"kind": "toy2d_a", "eval": {"n_inputs": 20}, "sampler": {"steps": 4},
-         "world": {"type": "mixture", "modes": [[1e308, 0.0], [-1e308, 0.0]],
-                   "weights": [0.5, 0.5], "H": [[1.0, 0.0], [0.0, 1.0]], "sigma": 1.0}},
-        _peak_overflow_rows, marks=_EXTREME),
+    ({"kind": "toy2d_a", "eval": {"n_inputs": 20}, "sampler": {"steps": 4},
+      "world": {**_MIXTURE_WORLD, "modes": [[1e308, 0.0], [-1e308, 0.0]]}},
+     _peak_overflow_rows),
     ({"kind": "toy2d_a", "eval": {"n_inputs": 20},
       "sampler": {"steps": 6, "schedule": _SLOPE_TABLE}}, "sampler.schedule"),
     ({"kind": "sweep_steps", "eval": {"n_inputs": 20, "step_grid": [4]},
@@ -512,6 +512,36 @@ class TestExperimentRuns:
             assert math.isfinite(row["limit_0"])
             assert row["divergent"] == 1 or row["abs_error"] == 0.0
 
+    @pytest.mark.parametrize("steps", [1, 10, 100])
+    @pytest.mark.parametrize("kind, want", [
+        ("toy2d_a", (0.0, 1.0, 0.0)),
+        ("toy2d_b", (0.5, 0.0, 1.0)),  # the lost coordinate stays at its mean, 0
+    ])
+    def test_noiseless_world_under_the_oracle_is_exact(self, kind, want, steps):
+        """At world.sigma 0 the oracle's posterior is a point mass: (mse,
+        mode_hit_rate, mean_min_dist) are exact and no row is flagged."""
+        world = {**default_config(kind)["world"], "sigma": 0.0}
+        cfg = {"kind": kind, "world": world, "sampler": {"steps": steps}}
+        [row] = run_experiment(cfg, write=False).rows
+        assert (row["mse"], row["mode_hit_rate"], row["mean_min_dist"]) == want
+        assert row["divergent"] == 0
+
+    @pytest.mark.parametrize("cfg, want", [
+        ({"kind": "toy2d_a", "eval": {"n_inputs": 20}, "sampler": {"steps": 4},
+          "world": {**_MIXTURE_WORLD, "modes": [[1e308, 0.0], [-1e308, 0.0]]}},
+         (0.0, None, 1.0, 0.0)),
+        ({"kind": "toy2d_a", "eval": {"n_inputs": 4}, "sampler": {"steps": 1},
+          "world": {**_MIXTURE_WORLD, "modes": [[1e155, 0.0], [-1e155, 0.0]], "sigma": 3e155}},
+         (math.inf, -math.inf, 0.0, 8.086012903364665e154)),
+    ])
+    def test_extreme_mixture_world_raises_no_warning(self, cfg, want):
+        """Modes at +-1e308 overflow the signal span, and at +-1e155 the squared
+        error and every squared mode distance overflow; each warned, and
+        mean_min_dist was inf at +-1e155."""
+        [row] = run_experiment(cfg, write=False).rows
+        assert (row["mse"], row["psnr"], row["mode_hit_rate"], row["mean_min_dist"]) == want
+        assert row["divergent"] == 0
+
     def test_gauss1d_lands_on_its_limit_when_sigma_c_squared_overflows(self):
         """sigma_c = 1e200: the posterior mean is x_t and the flow is y (both
         were nan or warned), so the probe is not flagged and no warning is
@@ -829,8 +859,17 @@ class TestCli:
         pytest.param("toy2d_a", 5e-324, id="toy2d_a-subnormal"),  # t * 5e-324 rounds to 0
         pytest.param("sweep_noise", 5e-324, id="sweep_noise-subnormal"),
     ])
-    def test_zero_sigma_under_the_oracle_is_usage_error(self, kind, sigma, tmp_path, capsys):
+    def test_zero_sigma_under_the_oracle_runs(self, kind, sigma, tmp_path):
+        """These exited 2 at world.sigma: the oracle raised at sigma_t = 0."""
         cfg = tiny_config(kind, out_dir=tmp_path / "out")
         cfg["world"] = {**default_config(kind)["world"], "sigma": sigma}
+        assert cli_main(["run", "--config", self.write_config(tmp_path, cfg)]) == 0
+        with open(tmp_path / "out" / f"{kind}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(r["divergent"] == "0" for r in rows)
+
+    def test_weights_that_do_not_sum_to_one_are_usage_error(self, tmp_path, capsys):
+        cfg = tiny_config("toy2d_a", out_dir=tmp_path / "out")
+        cfg["world"] = {**default_config("toy2d_a")["world"], "weights": [0.3] * 4}
         assert cli_main(["run", "--config", self.write_config(tmp_path, cfg)]) == 2
-        assert "world.sigma" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: world: weights must sum to 1 within 1e-12\n"

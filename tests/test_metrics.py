@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -88,15 +89,24 @@ class TestNearestMode:
         idx, _ = nearest_modes(np.array([[0.0, 0.0]]), self.prior())
         assert_array_equal(idx, [0])
 
+    def test_distances_whose_squares_overflow(self):
+        """Every squared distance of the row overflows: it was index 0 at inf."""
+        prior = GaussianMixturePrior([[1e155, 0.0], [-1e155, 0.0]], [0.5, 0.5])
+        idx, dist = nearest_modes(np.array([[-2e154, 0.0], [0.0, 0.0]]), prior)
+        assert_array_equal(idx, [1, 0])
+        assert_array_equal(dist, [8e154, 1e155])
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(),
            dm=st.one_of(st.tuples(st.integers(1, 12), st.integers(1, 9)),
                         st.tuples(st.integers(1, 2), st.integers(10, 140))),
            lead=st.sampled_from([(), (1,), (13,)]))
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # squares that overflow
     def test_batch_keeps_every_bit_of_linalg_norm(self, data, dm, lead):
         """Indices and distances equal those of np.linalg.norm over the
-        differences, ties and overflowing squares included, up to 140 modes."""
+        differences, ties included, up to 140 modes, on every row whose
+        nearest linalg distance is finite.  A row whose every squared distance
+        overflows gets a mode and a distance within d + 2 ulps of the exact
+        nearest one, from Fractions."""
         d, m = dm
         coords = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e200, 1e200))
         prior = GaussianMixturePrior(data.draw(arrays(np.float64, (m, d), elements=coords)),
@@ -104,10 +114,22 @@ class TestNearestMode:
         xs = data.draw(arrays(np.float64, lead + (d,), elements=coords))
         idx, dists = nearest_modes(xs, prior)
         rows = np.atleast_2d(xs)
-        want = np.linalg.norm(rows[:, None, :] - prior.modes[None, :, :], axis=2)
+        with np.errstate(over="ignore"):  # the reference's squares and differences overflow
+            want = np.linalg.norm(rows[:, None, :] - prior.modes[None, :, :], axis=2)
         want_idx = np.argmin(want, axis=1)
-        assert_array_equal(idx, want_idx)
-        assert dists.tobytes() == want[np.arange(len(rows)), want_idx].tobytes()
+        want_dist = want[np.arange(len(rows)), want_idx]
+        near = np.isfinite(want_dist)
+        assert_array_equal(idx[near], want_idx[near])
+        assert dists[near].tobytes() == want_dist[near].tobytes()
+        tol = Fraction(d + 2, 2**52)
+        for row, i, dist in zip(rows[~near], idx[~near], dists[~near]):
+            exact = [sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(row, mode))
+                     for mode in prior.modes]  # squared distances
+            assert exact[i] <= min(exact) * ((1 + tol) / (1 - tol)) ** 2
+            if np.isinf(dist):  # beyond the largest float
+                assert exact[i] >= (Fraction(np.finfo(float).max) * (1 - tol)) ** 2
+            else:
+                assert (1 - tol) ** 2 <= Fraction(dist) ** 2 / exact[i] <= (1 + tol) ** 2
 
 
 class TestDistributionStats:

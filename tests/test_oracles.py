@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import pickle
 from fractions import Fraction
 
@@ -207,16 +208,81 @@ class TestMixturePosteriorMean:
         )
         assert_allclose(via_extra, via_sigma, rtol=1e-14)
 
-    def test_degenerate_sigma_rejected(self):
-        prior = two_point_prior()
-        deg = LinearDegradation(H=[[1.0]], sigma=0.0)
-        with pytest.raises(ValueError):
-            mixture_posterior_mean(prior, deg, np.array([0.5]), 0.5)
-        with pytest.raises(ValueError):
+    def test_time_zero_rejected(self):
+        with pytest.raises(ValueError, match=r"^need t in \(0, 1\]$"):
             mixture_posterior_mean(
-                prior, LinearDegradation(H=[[1.0]], sigma=1.0),
+                two_point_prior(), LinearDegradation(H=[[1.0]], sigma=1.0),
                 np.array([0.5]), 0.0,
             )
+
+    def test_weights_must_sum_to_one(self):
+        with pytest.raises(ValueError, match=r"^weights must sum to 1 within 1e-12$"):
+            GaussianMixturePrior([[0.0], [1.0]], [0.5, 0.5 + 2e-12])
+        GaussianMixturePrior([[0.0], [1.0]], [0.5, 0.5 + 5e-13])
+
+    @pytest.mark.parametrize("sigma, x, want", [
+        (0.0, 0.5, 1.0), (0.0, -1e-300, -1.0), (0.0, 0.0, 0.0), (0.0, 1e300, 1.0),
+        (5e-324, 0.25, 1.0),  # t * 5e-324 rounds to 0
+    ])
+    def test_noiseless_posterior_is_the_nearest_mode(self, sigma, x, want):
+        """At sigma_t = 0 the posterior is a point mass on the nearest mode;
+        a row equidistant from two modes keeps their prior blend."""
+        got = mixture_posterior_mean(two_point_prior(), LinearDegradation([[1.0]], sigma),
+                                     np.array([x]), 0.5)
+        assert_array_equal(got, [want])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), m=st.integers(2, 6), d=st.integers(1, 3),
+           t=st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.0, 1.0, exclude_min=True)))
+    def test_noiseless_posterior_is_the_limit_of_the_nearest_centres(self, data, m, d, t):
+        """At sigma_t = 0 a row gets the w-weighted mean of the positive-weight
+        modes whose centre H_t c_i is nearest (exactly, in Fractions), modes on a
+        shared centre included, wherever every other centre is farther by more
+        than 2^-30 of the squared scale; the outputs at sigma_t = t 2^-k tend to it."""
+        ints = st.integers(-3, 3).map(float)
+        modes = data.draw(arrays(np.float64, (m, d), elements=ints))
+        raw = np.array(data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)
+                                 .filter(any)), dtype=float)
+        prior = GaussianMixturePrior(modes, raw / raw.sum())
+        H = data.draw(arrays(np.float64, (d, d), elements=st.sampled_from(
+            [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])))
+        deg = LinearDegradation(H, 0.0)
+        centers = prior.modes @ blended_operator(deg, t).T  # as the oracle computes them
+        on_centre = data.draw(st.lists(st.integers(0, m - 1), max_size=3))
+        rows = np.vstack([centers[on_centre], data.draw(
+            arrays(np.float64, (data.draw(st.integers(int(not on_centre), 3)), d),
+                   elements=st.floats(-4.0, 4.0)))])
+        got = mixture_posterior_mean(prior, deg, rows, t)
+        live = np.flatnonzero(prior.weights)
+        for row, out in zip(rows, got):
+            dist_sq = {i: sum((Fraction(a) - Fraction(c)) ** 2 for a, c in zip(row, centers[i]))
+                       for i in live}
+            nearest = min(dist_sq.values())
+            group = [i for i in live if dist_sq[i] == nearest]
+            gap = min((v - nearest for v in dist_sq.values() if v > nearest), default=None)
+            margin = Fraction(max(np.abs(centers).max(), np.abs(row).max())) ** 2 / 2**30
+            if len({centers[i].tobytes() for i in group}) > 1 or (gap is not None
+                                                                 and gap <= margin):
+                continue  # distinct centres tie, or one is within rounding of the nearest
+            w = prior.weights[group]
+            if len(group) == 1:
+                assert_array_equal(out, prior.modes[group[0]])
+            else:
+                assert_allclose(out, w @ prior.modes[group] / w.sum(), rtol=1e-14, atol=1e-14)
+            if gap is None:
+                continue
+            # sigma_t^2 <= gap / 128 leaves the runner-up a weight below 4 e^-64.  Inside
+            # the far-field radius the log terms round to ulp(||u||^2 / 2), and so does
+            # the blend of modes that share a centre, so such a row off its centre is
+            # taken past the radius: ||u||^2 / 2 >= 2^32.
+            bound = gap / 128 if len(group) == 1 or nearest == 0 else min(gap / 128,
+                                                                            nearest / 2**33)
+            k = max(0, math.ceil(math.log2(t) - (math.log2(bound.numerator)
+                                                 - math.log2(bound.denominator)) / 2))
+            for j in (k, k + 8, k + 32):
+                approx = mixture_posterior_mean(prior, LinearDegradation(H, math.ldexp(1.0, -j)),
+                                                row, t)
+                assert_allclose(approx, out, rtol=0.0, atol=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(),
