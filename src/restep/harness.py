@@ -23,21 +23,22 @@ from its eval fields (``eval.hit_threshold`` needs a mixture world,
 ``eval.probe_y`` a Gaussian one); the README's kinds table says what each
 measures.
 
-A cell is one sampler run, ``(sampler name, estimator, y, SamplerConfig)``,
-with random sources derived from (master seed, variant index, replicate
-index) by the rule documented at :func:`restep.worlds.derive_rng`.
+A cell is one sampler run, ``(sampler name, estimator, y, SamplerConfig,
+guard floor)``, with random sources derived from (master seed, variant
+index, replicate index) by the rule documented at
+:func:`restep.worlds.derive_rng`.
 :func:`run_experiment` runs the phases of every kind in one order: the
 world and its inputs (``_inputs``), the oracle or the trained models
 (``_models``), the cells (``_grid``), the kind's rows, the report
 (:func:`emit_report`).  With ``jobs > 1`` both the models and the cells
 run in a process pool, and the report is assembled in deterministic grid
 order either way.  A run that goes numerically wrong (an iterate whose
-largest absolute entry is beyond 1e6 times the larger of its start's
-and its first estimate's, or a non-finite iterate, estimate or training
-loss) raises :class:`restep.worlds.DivergenceError`; the rows of the
-cells it hits are flagged and the rest continue.  Any other exception a
-cell raises ends the run, and it is the same exception, of the same type
-and message, at every ``jobs``.
+largest absolute entry is beyond 1e6 times the largest of its start's,
+its first estimate's and the world's own scale, or a non-finite iterate,
+estimate or training loss) raises :class:`restep.worlds.DivergenceError`;
+the rows of the cells it hits are flagged and the rest continue.  Any other
+exception a cell raises ends the run, and it is the same exception, of the
+same type and message, at every ``jobs``.
 """
 
 from __future__ import annotations
@@ -534,13 +535,13 @@ def _execute_cells(fn, cells, jobs: int):
 
 
 def _restore_cell(cell):
-    """Run one ``(sampler name, estimator, y, SamplerConfig)`` cell under a
-    divergence guard: (output, trajectory), or the run's DivergenceError."""
-    name, estimator, y, config = cell
+    """Run one ``(sampler name, estimator, y, SamplerConfig, guard floor)`` cell
+    under a divergence guard: (output, trajectory), or the run's DivergenceError."""
+    name, estimator, y, config, floor = cell
     if isinstance(estimator, DivergenceError):  # its model's training diverged
         return estimator
     try:
-        return _SAMPLER_FNS[name](DivergenceGuard(estimator), y, config)
+        return _SAMPLER_FNS[name](DivergenceGuard(estimator, floor), y, config)
     except DivergenceError as err:
         return err
 
@@ -675,9 +676,13 @@ def _grid(cfg, world, y, models, jobs):
     The eval lists default to ``sampler.schedule``, the iterative sampler
     and ``sampler.steps``, so a kind that sweeps none of them is one cell.
     A model of None is the world's oracle; a diverged one gives its cells its error.
+    Each guard's baseline is floored at the world's own scale (the largest |mode|
+    entry, or |c| and sigma_c), which a run may reach from any start.
     """
     ev = cfg["eval"]
     cells, labels = [], []
+    scale = (float(np.abs(world.prior.modes).max()) if isinstance(world, MixtureWorld)
+             else max(float(np.abs(world.prior.c).max()), world.prior.sigma_c))
     for model, head, tail in models:
         for sd in ev.get("schedules", [cfg["sampler"]["schedule"]]):
             schedule = schedule_from_config(sd)
@@ -690,12 +695,12 @@ def _grid(cfg, world, y, models, jobs):
                 for n in ev.get("step_grid", [cfg["sampler"]["steps"]]):
                     seed = derive_seed(cfg["seed"], len(cells), 0)
                     config = SamplerConfig(n, schedule, seed, cfg["sampler"]["record_trajectory"])
-                    cells.append((name, estimator, y, config))
+                    cells.append((name, estimator, y, config, scale))
                     columns = {"sampler": name, "estimator": _estimator(cfg), **swept, "N": n}
                     labels.append((head, columns, tail))
     train_steps = sum(cfg["train"]["steps"] for model, _, _ in models if model is not None)
     results = _execute_cells(_restore_cell, cells, jobs)
-    return labels, results, train_steps + sum(config.steps for *_, config in cells)
+    return labels, results, train_steps + sum(config.steps for *_, config, _ in cells)
 
 
 def _cell_rows(cfg, world, x, y, cells, results):

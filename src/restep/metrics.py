@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .degradation import as_scalar, as_state
-from .oracles import GaussianMixturePrior, _mode_distances_sq
+from .oracles import GaussianMixturePrior, _nearest, _sum_axis
 
 __all__ = [
     "distortion_metrics",
@@ -50,22 +50,19 @@ def distortion_metrics(reference, estimate, peak: float = 1.0) -> tuple[float, f
 
 def nearest_modes(xs, prior: GaussianMixturePrior):
     """Index and Euclidean distance of the prior mode closest to each row of
-    ``xs`` (a (d,) vector is one row); ties go to the lowest index.  Distances
-    have ``np.linalg.norm``'s bits unless every squared distance of a row
-    overflows: then the row and the modes are scaled by 2^-768 before they are
-    subtracted, which rounds off only coordinates too small to count (< 2^-306)."""
+    ``xs`` (a (d,) vector is one row), the index by the oracle's rule, so ties
+    go to the lowest index.  Distances have ``np.linalg.norm``'s bits wherever
+    the squared differences are normal floats: each row's difference is scaled
+    by a power of two, which moves no bit there and keeps the rest finite."""
     xs = as_state(xs, "xs", dim=prior.dim)
     if xs.ndim > 2:
         raise ValueError(f"xs must be (d,) or (n, d), got shape {xs.shape}")
     rows = np.atleast_2d(xs)
-    with np.errstate(over="ignore"):  # squares, and distances beyond the largest float, go inf
-        dists = np.sqrt(_mode_distances_sq(rows, prior.modes))  # np.linalg.norm's bits
-        far = np.isinf(dists.min(axis=0))  # each distance is beyond 2^512
-        if far.any():
-            dists[:, far] = np.sqrt(_mode_distances_sq(np.ldexp(rows[far], -768),
-                                                       np.ldexp(prior.modes, -768)))
-        idx = np.argmin(dists, axis=0)
-        return idx, np.ldexp(dists[idx, np.arange(len(rows))], np.where(far, 768, 0))
+    idx = _nearest(rows, prior.modes)[0]
+    with np.errstate(over="ignore"):  # a distance beyond the largest float is inf
+        diff = np.ascontiguousarray(rows.T) - prior.modes.T.take(idx, axis=1)   # (d, n)
+        e = np.frexp(np.max(np.abs(diff), axis=0))[1]
+        return idx, np.ldexp(np.sqrt(_sum_axis(np.square(np.ldexp(diff, -e)))), e)
 
 
 def empirical_distribution_stats(samples, ref_mean, ref_std) -> np.ndarray:

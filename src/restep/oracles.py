@@ -31,7 +31,8 @@ changes no such term, so the helper adds whole slices in place from the first
 two; from 8 terms up it calls ``np.sum`` on a copy with the axis last.  The
 final product takes the weights as a C-ordered (n, m) copy, because matmul
 chooses its kernel by memory layout and a transposed view gives different
-last bits.
+last bits.  Far from every mode, and at sigma_t = 0, the weights come from
+:func:`_nearest`, the one rule for "which centre is nearest", shared by metrics.
 """
 
 from __future__ import annotations
@@ -185,6 +186,29 @@ def _mode_distances_sq(x: np.ndarray, centers: np.ndarray, scale: float = 1.0) -
     return _sum_axis(u)
 
 
+def _nearest(x: np.ndarray, centers: np.ndarray):
+    """``(r, gaps, e)`` for the n rows of ``x`` (n, d) and m ``centers`` (m, d): each row's
+    nearest centre ``r``, ties to the lowest index, and the (m, n) gaps (d_r^2 - d_i^2) / 2
+    = (C_i - C_r) . (x - (C_i + C_r) / 2) = gaps * 2^e, 0 at ``r``, else at most 0.  No
+    ||C||^2 cancels and each row has its own power of two, so a gap rounds relative to
+    |C_i - C_r| (|x| + |C_i| + |C_r|) unless the centres span 2^950.  The pick by squared
+    distances (capped at 2^1000) moves to the largest positive gap from it until it stands."""
+    xt, ct = np.ascontiguousarray(x.T), np.ascontiguousarray(centers.T)  # (d, n), (d, m)
+    e_c = np.frexp(np.max(np.abs(ct)))[1]
+    # each row's power of two, or 2^-1000 of the centres' where that is larger
+    e = np.frexp(np.maximum(np.max(np.abs(xt), axis=0), np.ldexp(1.0, e_c - 1000)))[1]
+    xs, own = np.ldexp(xt, -e), np.ldexp(ct[:, :, None], -e)            # (d, n), (d, m, n)
+    r = np.argmin(_sum_axis(np.square(np.minimum(np.abs(xs[:, None] - own), 2.0**500))), axis=0)
+    c, x2, rows = np.ldexp(ct, -e_c), (xs + xs)[:, None], np.arange(len(x))
+    for _ in range(len(centers)):  # a pick still moving after m passes is within a tie
+        gaps = _sum_axis((c[:, :, None] - c[:, None, r]) * (x2 - (own + own[:, None, r, rows])))
+        pick = np.where(np.max(gaps, axis=0) > 0.0, np.argmax(gaps, axis=0), r)
+        if (pick == r).all():
+            break
+        r = pick
+    return r, np.minimum(gaps, 0.0), e + e_c - 1
+
+
 # A row whose every log term lies below -_FAR_LOG = -(2^16)^2 / 2 is far
 # from every mode; see mixture_posterior_mean.
 _FAR_LOG = 2.0**31
@@ -193,29 +217,15 @@ _FAR_LOG = 2.0**31
 def _far_field_weights(x: np.ndarray, centers: np.ndarray, log_w: np.ndarray,
                        sigma_t: float) -> np.ndarray:
     """The (m, n) posterior weights of the n rows of ``x`` from the log terms
-    relative to mode 0,
-
-        (x . (C_i - C_0) - (||C_i||^2 - ||C_0||^2) / 2) / sigma_t^2 + log w_i,
-
-    which hold no squared distance, so they keep the modes apart where the
-    squared distances tie or overflow.  Dividing the centres, rows and sigma_t
-    by powers of two is exact and keeps every term finite, or inf where no x
-    term offsets it; the max is subtracted before they are put back, which is
-    exact or sends a term to -inf (a weight of 0), then log w_i is added.
-    At sigma_t = 0 this is the limit sigma_t -> 0: the modes whose linear term
-    is the row's largest (its nearest centres) share the weight by w_i."""
-    e_c = np.frexp(np.max(np.abs(centers)))[1]
-    e_x = np.frexp(np.max(np.abs(x), axis=1))[1]                     # (n,)
-    # at sigma_t = 0, an exponent past every float's sends each term below the max to -inf
+    gap_i / sigma_t^2 + log w_i of the positive-weight modes, with the gaps of
+    :func:`_nearest`, put back with their powers of two (exact, or -inf: a weight
+    of 0).  At sigma_t = 0 the nearest centres share the weight by w_i."""
+    live = log_w > -np.inf
+    _, gaps, e = _nearest(x, centers[live])
+    # at sigma_t = 0, an exponent past every float's sends each gap below 0 to -inf
     m_s, e_s = np.frexp(sigma_t) if sigma_t > 0.0 else (0.5, -2**14)
-    c = np.ldexp(centers, -e_c)
-    half_sq = 0.5 * np.sum(c * c, axis=1)
-    rel = (c - c[0]) @ np.ldexp(x, -e_x[:, None]).T                   # (m, n)
-    rel -= np.ldexp((half_sq - half_sq[log_w > -np.inf].min())[:, None], e_c - e_x)
-    rel /= m_s * m_s
-    rel[log_w == -np.inf] = -np.inf
-    rel -= np.max(rel, axis=0)
-    rel = np.ldexp(rel, e_c + e_x - 2 * e_s) + log_w[:, None]
+    rel = np.full((len(centers), len(x)), -np.inf)
+    rel[live] = np.ldexp(gaps / (m_s * m_s), e - 2 * e_s) + log_w[live, None]
     rel -= np.max(rel, axis=0)
     np.exp(rel, out=rel)
     rel /= np.sum(rel, axis=0)
@@ -250,18 +260,11 @@ def mixture_posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation,
     sigma_t = t * float(np.hypot(deg.sigma, as_scalar(extra_noise_std, "extra_noise_std")))
     centers = prior.modes @ blended_operator(deg, t).T          # (m, d)
     rows = x_t.reshape(-1, prior.dim)
-    # Max-subtraction: at least one term becomes exp(0) = 1, so the weights
-    # do not underflow to 0 / 0 far from the modes.  That holds only while
-    # the squared distances still tell the modes apart in float64: with
-    # modes -1 and +1, sigma 1 and t = 0.5 the log terms tie from x_t = 1e16
-    # (the weighted mean of the modes, [0.]), and from 1e154 u * u overflows
-    # (every term -inf, [nan]).  So a row whose every term is below
-    # -_FAR_LOG, about 2^16 sigma_t from every mode, takes its weights from
-    # _far_field_weights instead, which scales the modes as well as x_t and
-    # so stays finite at any finite x_t and modes; at sigma_t = 0 every row
-    # does.  Golden and benchmark rows (sigma_t > 0) stay within about 1,000
-    # sigma_t of a mode, so they never switch.  The errstate covers the overflows.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # The log terms tell the modes apart only while the squared distances do (modes
+    # +-1, sigma 1, t = 0.5: they tie from x_t = 1e16, overflow from 1e154).  So a row
+    # whose every term is below -_FAR_LOG, about 2^16 sigma_t from every mode, or any
+    # row at sigma_t = 0, takes _nearest's gaps; golden and benchmark rows never do.
+    with np.errstate(over="ignore", invalid="ignore"):  # terms that overflow go to +-inf
         if sigma_t == 0.0:  # the near field would divide by sigma_t
             post = _far_field_weights(rows, centers, prior.log_weights, sigma_t)
         else:  # log(w_i) - ||u_i||^2 / 2 in place: adding -b is subtracting b, bit for bit
@@ -269,7 +272,7 @@ def mixture_posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation,
             post *= -0.5
             post += prior.log_weights[:, None]
             top = post.max(axis=0)
-            post -= top
+            post -= top  # one term becomes exp(0) = 1, so no weight is 0 / 0
             np.exp(post, out=post)
             post /= _sum_axis(post)
             if top.min() < -_FAR_LOG:

@@ -174,16 +174,18 @@ class DivergenceGuard:
     estimator call, so wrapping the estimator sees the whole trajectory.
     A state's norm here is its largest absolute entry, which never overflows
     and is within a factor sqrt(d) of its largest row's Euclidean norm.  The
-    first call fixes the baseline norm: the larger of the t = 1 state's and
-    of its estimate's, so a start at 0 does not make any step away from it a
-    blow-up.  Any later call whose state's norm exceeds FACTOR times the
-    baseline raises :class:`DivergenceError` with the step index.
+    first call fixes the baseline norm: the largest of the t = 1 state's, of
+    its estimate's and of ``floor``, a scale the run may reach legitimately, so
+    a start at 0 does not make any step away from it a blow-up.  Any later call
+    whose state's norm exceeds FACTOR times the baseline raises
+    :class:`DivergenceError` with the step index.
     """
 
     FACTOR = 1e6
 
-    def __init__(self, estimator):
+    def __init__(self, estimator, floor: float):
         self.estimator = estimator
+        self.floor = floor
         self.calls = 0
         self.baseline = None
 
@@ -195,5 +197,5 @@ class DivergenceGuard:
         self.calls += 1
         estimate = self.estimator(x_t, t)
         if self.baseline is None:
-            self.baseline = max(worst, float(np.abs(estimate).max()), 1e-12)
+            self.baseline = max(worst, float(np.abs(estimate).max()), self.floor, 1e-12)
         return estimate

@@ -85,6 +85,16 @@ def _peak_overflow_rows(rows):
     assert rows and all(r["psnr"] is None and r["mse"] is not None for r in rows)
 
 
+def _unflagged_rows(rows):
+    assert rows and [r["divergent"] for r in rows] == [0] * len(rows)
+
+
+def _even_mode_rows(rows):
+    """No row flagged, and each mode's frequency within 4 standard errors of 1/4."""
+    assert [r["divergent"] for r in rows] == [0, 0, 0, 0]
+    assert all(abs(r["frequency"] - 0.25) <= 4 * r["std_err"] for r in rows)
+
+
 _MAX = 1.7976931348623157e308
 _MIXTURE_WORLD = {"type": "mixture", "modes": [[1.0, 0.0], [-1.0, 0.0]], "weights": [0.5, 0.5],
                   "H": [[1.0, 0.0], [0.0, 1.0]], "sigma": 1.0}
@@ -112,6 +122,17 @@ _FAULT_CONFIGS = [
      "sampler.schedule"),
     ({"kind": "sweep_noise", "eval": {"n_inputs": 20, "schedules": [
         {"kind": "constant", "epsilon": 0.0}, _SLOPE_TABLE]}}, "eval.schedules[1]"),
+    ({"kind": "generate_from_noise", "seed": 1, "eval": {"n_inputs": 200},
+      "world": {**default_config("generate_from_noise")["world"], "sigma": 1e-7}},
+     _even_mode_rows),
+    ({"kind": "generate_from_noise", "seed": 1, "eval": {"n_inputs": 2000},
+      "world": {"type": "mixture", "weights": [0.25] * 4, "H": [[0.0, 0.0], [0.0, 0.0]],
+                "modes": [[1e-200, 1e-200], [1e-200, -1e-200], [-1e-200, 1e-200],
+                          [-1e-200, -1e-200]], "sigma": 1e-200}},
+     _even_mode_rows),
+    ({"kind": "train_restore", "seed": 1, "eval": {"n_inputs": 200}, "train": TINY_TRAIN,
+      "world": {**default_config("generate_from_noise")["world"], "sigma": 1e-7}},
+     _unflagged_rows),
 ]
 
 
@@ -611,12 +632,19 @@ class TestExperimentRuns:
 
     @pytest.mark.parametrize("cfg, expect", _FAULT_CONFIGS,
                              ids=["knot", "psnr-underflow", "peak-overflow", "slope",
-                                  "slope-sweep", "slope-swept"])
+                                  "slope-sweep", "slope-swept", "small-sigma", "tiny-world",
+                                  "small-sigma-trained"])
     def test_fault_configs_run_or_are_refused_at_their_path(self, cfg, expect):
         """Accepted configs that exited 1: a table knot one ulp above a grid
         point (a negative radicand by rounding), peak^2 underflowing in
         PSNR, a mixture whose signal peak overflows.  They run to rows.  A
-        table whose slope overflows float64 is refused at its path."""
+        table whose slope overflows float64 is refused at its path.  Configs
+        that exited 0 with wrong rows: generate_from_noise at sigma 1e-7, whose
+        every row the guard flagged (its baseline was about sigma, and the
+        path goes out to the modes at +-1), and the corners, H and sigma all
+        scaled by 1e-200, whose squared distances rounded to 0 and gave
+        frequencies (1, 0, 0, 0).  A trained model on the sigma 1e-7 world
+        has its guard floored at the world's scale too."""
         if isinstance(expect, str):
             message = f"^{re.escape(expect)}: table slopes must be finite$"
             with pytest.raises(ConfigError, match=message):

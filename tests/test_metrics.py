@@ -1,9 +1,10 @@
+import math
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
@@ -15,6 +16,19 @@ from restep.metrics import (
     nearest_modes,
 )
 from restep.oracles import GaussianMixturePrior
+from test_oracles import tie_margin
+
+
+@st.composite
+def modes_and_rows(draw):
+    """``(modes, xs)``: up to 12 coordinates and 9 modes, or up to 2 and 140, of
+    small integers and floats up to 1e200, and a vector or batch of rows."""
+    d, m = draw(st.one_of(st.tuples(st.integers(1, 12), st.integers(1, 9)),
+                          st.tuples(st.integers(1, 2), st.integers(10, 140))))
+    coords = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e200, 1e200))
+    lead = draw(st.sampled_from([(), (1,), (13,)]))
+    return (draw(arrays(np.float64, (m, d), elements=coords)),
+            draw(arrays(np.float64, lead + (d,), elements=coords)))
 
 
 class TestDistortion:
@@ -83,6 +97,10 @@ class TestNearestMode:
                            + re.escape(str(shape))):
             nearest_modes(xs, prior)
 
+    def test_empty_batch(self):
+        idx, dist = nearest_modes(np.zeros((0, 2)), self.prior())
+        assert idx.shape == dist.shape == (0,)
+
     def test_tie_goes_to_lowest_index(self):
         idx, _ = nearest_modes(np.array([[1.0, 0.0]]), self.prior())
         assert_array_equal(idx, [0])
@@ -96,36 +114,61 @@ class TestNearestMode:
         assert_array_equal(idx, [1, 0])
         assert_array_equal(dist, [8e154, 1e155])
 
+    @pytest.mark.parametrize("s", [1e-150, 1e-160, 1e-200])
+    def test_tiny_worlds_keep_their_nearest_mode_and_distance(self, s):
+        """Below about 1e-154 the squared differences are subnormal, and below
+        about 1e-162 they round to 0: at 1e-160 the distances lost digits
+        (1.4058e-161 for 1.4142e-161), and at 1e-200 every distance read 0 and
+        both rows took index 0."""
+        prior = GaussianMixturePrior(self.prior().modes * s, [0.25] * 4)
+        idx, dist = nearest_modes(np.array([[0.9, -1.1], [-1.0, -0.8]]) * s, prior)
+        assert_array_equal(idx, [1, 3])
+        assert_allclose(dist, [s * math.sqrt(0.02), s * 0.2], rtol=4 * 2**-52)
+
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(),
-           dm=st.one_of(st.tuples(st.integers(1, 12), st.integers(1, 9)),
-                        st.tuples(st.integers(1, 2), st.integers(10, 140))),
-           lead=st.sampled_from([(), (1,), (13,)]))
-    def test_batch_keeps_every_bit_of_linalg_norm(self, data, dm, lead):
-        """Indices and distances equal those of np.linalg.norm over the
-        differences, ties included, up to 140 modes, on every row whose
-        nearest linalg distance is finite.  A row whose every squared distance
-        overflows gets a mode and a distance within d + 2 ulps of the exact
-        nearest one, from Fractions."""
-        d, m = dm
-        coords = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e200, 1e200))
-        prior = GaussianMixturePrior(data.draw(arrays(np.float64, (m, d), elements=coords)),
-                                     np.full(m, 1.0 / m))
-        xs = data.draw(arrays(np.float64, lead + (d,), elements=coords))
+    @given(case=modes_and_rows())
+    @example(case=(np.array([[-1.0], [0.0]]), np.array([2.0**53])))
+    @example(case=(np.array([[0.0, 0.0], [0.0, -2.0], [0.0, -5.19343247e-20]]),
+                   np.array([0.0, -1.0])))
+    def test_batch_keeps_every_bit_of_linalg_norm(self, case):
+        """Up to 140 modes, for vectors and batches: the index is the exactly
+        nearest mode (in Fractions), exact ties to the lowest index, on every
+        row with no rival within the tie margin of ``test_oracles.tie_margin``.
+        The distance has the bits of np.linalg.norm over the chosen mode's
+        difference wherever its squares are normal floats (or 0), and is within
+        d + 2 ulps of the exact one elsewhere.  The pinned row is 1 from mode 1
+        and 2^53 + 1 from mode 0; both norms round to 2^53, so the argmin of
+        np.linalg.norm, which this test used to pin, takes mode 0.  In the second,
+        mode 2 is nearest, mode 1 is within rounding of a tie with it and exactly
+        tied with mode 0: a rule that moved to a lower index on a 0 gap cycled."""
+        modes, xs = case
+        d = modes.shape[1]
+        prior = GaussianMixturePrior(modes, np.full(len(modes), 1.0 / len(modes)))
         idx, dists = nearest_modes(xs, prior)
         rows = np.atleast_2d(xs)
         with np.errstate(over="ignore"):  # the reference's squares and differences overflow
-            want = np.linalg.norm(rows[:, None, :] - prior.modes[None, :, :], axis=2)
-        want_idx = np.argmin(want, axis=1)
-        want_dist = want[np.arange(len(rows)), want_idx]
-        near = np.isfinite(want_dist)
-        assert_array_equal(idx[near], want_idx[near])
-        assert dists[near].tobytes() == want_dist[near].tobytes()
+            diff = rows - modes[idx]
+            squares = diff * diff
+            want = np.linalg.norm(diff, axis=1)
+        normal = np.all((diff == 0) | ((squares >= np.finfo(float).tiny) & np.isfinite(squares)),
+                        axis=1) & np.isfinite(want)
+        assert dists[normal].tobytes() == want[normal].tobytes()
         tol = Fraction(d + 2, 2**52)
-        for row, i, dist in zip(rows[~near], idx[~near], dists[~near]):
-            exact = [sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(row, mode))
-                     for mode in prior.modes]  # squared distances
-            assert exact[i] <= min(exact) * ((1 + tol) / (1 - tol)) ** 2
+        with np.errstate(over="ignore"):
+            far = np.linalg.norm(rows[:, None, :] - modes[None, :, :], axis=2)
+        for row, i, dist, bits, row_far in zip(rows, idx, dists, normal, far):
+            # modes farther by 2^-20 in float64 are no rivals, unless the squares may be
+            # subnormal; the rest are compared exactly
+            rivals = np.flatnonzero(row_far <= max(row_far.min() * (1 + 2.0**-20), 2.0**-500))
+            exact = {k: sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(row, modes[k]))
+                     for k in set(rivals) | {i}}  # squared distances
+            nearest = min(exact, key=lambda k: (exact[k], k))
+            if i != nearest:  # a near-tie, never an exact one
+                assert exact[nearest] < exact[i]
+                margin = tie_margin(row, modes[nearest], modes[i], modes)
+                assert exact[i] - exact[nearest] <= 2 * margin
+            if bits:
+                continue
             if np.isinf(dist):  # beyond the largest float
                 assert exact[i] >= (Fraction(np.finfo(float).max) * (1 - tol)) ** 2
             else:

@@ -19,6 +19,7 @@ from restep.oracles import (
     MixturePosteriorOracle,
     _FAR_LOG,
     _mode_distances_sq,
+    _nearest,
     _sum_axis,
     blended_operator,
     gaussian_flow_trajectory,
@@ -38,6 +39,39 @@ def random_mixture(rng, dim, n_modes):
     w /= w.sum()
     w[-1] = 1.0 - w[:-1].sum()   # exact unit sum
     return GaussianMixturePrior(modes=modes, weights=w)
+
+
+def tie_margin(row, near, rival, modes) -> Fraction:
+    """The tie margin of the nearest-centre rule, in Fractions: 2^-40 |C_i - C_r|_1
+    (|x|_1 + |C_r|_1 + |C_i|_1), with |C_i - C_r|_1 taken as at least 2^-950 of the
+    largest |mode| entry.  A rival whose (d_i^2 - d_r^2) / 2 lies within it is within
+    the rule's rounding: the row is within about 2^-40 of the pair's size from their
+    bisector, or the modes are closer than the rule resolves in a set spanning 2^950."""
+    apart = sum(abs(Fraction(p) - Fraction(q)) for p, q in zip(rival, near))
+    size = sum(abs(Fraction(p)) for v in (row, near, rival) for p in v)
+    return max(apart, Fraction(np.abs(modes).max()) / 2**950) * size / 2**40
+
+
+@st.composite
+def scaled_mode_sets(draw):
+    """``(modes, rows)``: 2 to 6 modes in 1 to 3 dimensions about a common centre
+    at scale 2^k, k in [-1000, 1000], spread by 2^-s of it, s in [0, 40], and 1
+    to 6 rows spread as much among them, or 2^1 to 2^2000 farther out, or
+    within 2^-s' of the spread, s' in [0, 60], of two modes' midpoint."""
+    m, d = draw(st.integers(2, 6)), draw(st.integers(1, 3))
+    k, s = draw(st.integers(-1000, 1000)), draw(st.integers(0, 40))
+    unit = st.floats(-1.0, 1.0)
+    base = draw(arrays(np.float64, d, elements=unit))
+    modes = np.ldexp(base + np.ldexp(draw(arrays(np.float64, (m, d), elements=unit)), -s), k)
+    offsets = draw(arrays(np.float64, (draw(st.integers(1, 6)), d), elements=unit))
+    where = draw(st.sampled_from(["among", "far", "bisector"]))
+    if where == "far":
+        return modes, np.ldexp(offsets, min(k + draw(st.integers(1, 2000)), 1022))
+    if where == "bisector":
+        i, j = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+        mid = modes[i] / 2 + modes[j] / 2
+        return modes, mid + np.ldexp(offsets, k - s - draw(st.integers(0, 60)))
+    return modes, np.ldexp(base + np.ldexp(offsets, -s), k)
 
 
 def _reference_log_terms(prior, deg, x_t, t, extra_noise_std):
@@ -165,10 +199,12 @@ class TestMixturePosteriorMean:
     def test_far_field_takes_the_mode_with_the_largest_relative_log_term(
             self, data, h, t, sigma, x):
         """Any finite x_t and modes up to +-1e300 give a finite mean.  Beyond
-        the far-field radius it is the mode whose log term relative to mode 0,
-        (x (C_i - C_0) - (C_i^2 - C_0^2) / 2) / sigma_t^2 + log w_i, is
-        largest, with the terms taken here in exact arithmetic, wherever that
-        term leads the others by enough to take every bit of the weight."""
+        the far-field radius it is the mode whose log term, gap_i / sigma_t^2 +
+        log w_i with gap_i = (d_r^2 - d_i^2) / 2, is largest, wherever that term
+        leads the others by enough to take every bit of the weight.  The terms
+        are taken here in exact arithmetic relative to mode 0, (x (C_i - C_0) -
+        (C_i^2 - C_0^2) / 2) / sigma_t^2 + log w_i, which differ from them by
+        the same constant for every mode."""
         modes = data.draw(st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=4, unique=True))
         raw = np.array(data.draw(st.lists(st.integers(1, 9), min_size=len(modes),
                                           max_size=len(modes))), dtype=float)
@@ -219,6 +255,48 @@ class TestMixturePosteriorMean:
         with pytest.raises(ValueError, match=r"^weights must sum to 1 within 1e-12$"):
             GaussianMixturePrior([[0.0], [1.0]], [0.5, 0.5 + 2e-12])
         GaussianMixturePrior([[0.0], [1.0]], [0.5, 0.5 + 5e-13])
+
+    def test_noiseless_empty_batch(self):
+        got = mixture_posterior_mean(two_point_prior(), LinearDegradation([[1.0]], 0.0),
+                                     np.zeros((0, 1)), 0.5)
+        assert got.shape == (0, 1)
+
+    def test_noiseless_posterior_keeps_close_modes_apart(self):
+        """Modes 1 + 3e-9 and 1 - 1e-9 from the row 1: the far field formed
+        x (C_i - C_0) - (C_i^2 - C_0^2) / 2 from terms of size 1, whose
+        rounding swamped the gap of 4e-18, and returned the farther mode."""
+        prior = GaussianMixturePrior([[1 + 3e-9], [1 - 1e-9]], [0.5, 0.5])
+        got = mixture_posterior_mean(prior, LinearDegradation([[1.0]], 0.0), np.array([1.0]), 1.0)
+        assert got.tolist() == [1 - 1e-9]
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=scaled_mode_sets())
+    @example(case=(np.array([[1 + 3e-9], [1 - 1e-9]]), np.array([[1.0]])))
+    @example(case=(np.array([[-1.0], [0.0]]), np.array([[2.0**53]])))
+    @example(case=(np.array([[1.0], [2.0**-60], [2.0**-120], [0.0]]),
+                   np.array([[-2.0**200], [-1.0]])))
+    def test_nearest_is_the_exactly_nearest_centre(self, case):
+        """The shared nearest-centre rule, and the sigma_t = 0 oracle's mode,
+        against exact Fraction distances, wherever no rival is within the tie
+        margin of :func:`tie_margin`: modes and rows at common scales 2^-1000
+        to 2^1000 with relative spreads down to 2^-40, and rows far from a tiny
+        mode set.  The pinned rows are fault (a)'s; one 1 from mode 1 and
+        2^53 + 1 from mode 0, whose distances round to one float; and one far
+        from a set nested three deep, whose first pick moves three times."""
+        modes, rows = case
+        prior = GaussianMixturePrior(modes, np.full(len(modes), 1.0 / len(modes)))
+        picks = _nearest(rows, modes)[0]
+        outs = mixture_posterior_mean(prior, LinearDegradation(np.eye(modes.shape[1]), 0.0),
+                                      rows, 1.0)
+        for row, pick, out in zip(rows, picks, outs):
+            exact = [sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(row, mode))
+                     for mode in modes]  # squared distances; the centres are the modes
+            nearest = exact.index(min(exact))
+            if any(exact[i] - exact[nearest] <= 2 * tie_margin(row, modes[nearest], mode, modes)
+                   for i, mode in enumerate(modes) if i != nearest):
+                continue
+            assert pick == nearest
+            assert_array_equal(out, modes[nearest])
 
     @pytest.mark.parametrize("sigma, x, want", [
         (0.0, 0.5, 1.0), (0.0, -1e-300, -1.0), (0.0, 0.0, 0.0), (0.0, 1e300, 1.0),

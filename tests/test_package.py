@@ -192,6 +192,21 @@ def test_divergence_is_raised_in_worlds_only():
     assert not found, found
 
 
+def test_the_nearest_centre_is_decided_in_oracles_only():
+    """``argmin`` and ``argmax`` are called nowhere in ``src/restep`` but
+    ``oracles.py``, where ``_nearest`` decides which centre is nearest: a
+    second rule cannot return to ``metrics`` or ``harness``."""
+    found = []
+    for path in sorted((ROOT / "src" / "restep").glob("*.py")):
+        if path.name == "oracles.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)  # set on calls only
+            if getattr(func, "attr", getattr(func, "id", None)) in ("argmin", "argmax"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_a_run_is_refused_or_flagged():
     """The only exception classes ``src/restep`` defines are ``ConfigError``
     (a config is refused) and ``DivergenceError`` (a run is flagged), so no

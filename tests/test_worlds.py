@@ -185,14 +185,14 @@ class TestDivergenceGuard:
         return estimate
 
     def test_passthrough_below_threshold(self):
-        guard = DivergenceGuard(self.toy_estimator(2.0))
+        guard = DivergenceGuard(self.toy_estimator(2.0), 0.0)
         x = np.array([[1.0, 1.0]])
         out = guard(x, 1.0)
         assert_array_equal(out, 2.0 * x)
         assert guard.calls == 1
 
     def test_divergence_detected_with_step_index(self):
-        guard = DivergenceGuard(self.toy_estimator(1.0))
+        guard = DivergenceGuard(self.toy_estimator(1.0), 0.0)
         x = np.array([[1.0, 0.0]])
         guard(x, 1.0)                       # baseline norm 1
         guard(10.0 * x, 0.9)                # fine
@@ -211,7 +211,7 @@ class TestDivergenceGuard:
             assert str(back) == str(err)
 
     def test_baseline_floor_protects_tiny_starts(self):
-        guard = DivergenceGuard(self.toy_estimator(1.0))
+        guard = DivergenceGuard(self.toy_estimator(1.0), 0.0)
         x = np.zeros((1, 2))
         guard(x, 1.0)                       # baseline floored at 1e-12
         with pytest.raises(DivergenceError):
@@ -220,15 +220,26 @@ class TestDivergenceGuard:
     def test_baseline_takes_the_first_estimate_when_larger(self):
         """A start at 0 whose estimate is not: the baseline is the estimate's
         norm, so stepping toward it is no blow-up."""
-        guard = DivergenceGuard(lambda x_t, t: np.full(np.shape(x_t), 0.5))
+        guard = DivergenceGuard(lambda x_t, t: np.full(np.shape(x_t), 0.5), 0.0)
         guard(np.zeros((1, 2)), 1.0)
         assert guard.baseline == 0.5
         guard(np.full((1, 2), 0.25), 0.9)
         with pytest.raises(DivergenceError):
             guard(np.full((1, 2), 1e6), 0.8)
 
+    def test_floor_is_the_least_baseline(self):
+        """A start at 1e-7 whose estimate is 0, as in generate_from_noise at
+        sigma 1e-7: floored at the world's scale, 1, the path out to 0.3 is no
+        blow-up, and a state past 1e6 still is."""
+        guard = DivergenceGuard(lambda x_t, t: np.zeros(np.shape(x_t)), 1.0)
+        guard(np.full((1, 2), 1e-7), 1.0)
+        assert guard.baseline == 1.0
+        guard(np.full((1, 2), 0.3), 0.9)
+        with pytest.raises(DivergenceError):
+            guard(np.full((1, 2), 2e6), 0.8)
+
     def test_batch_norm_is_worst_row(self):
-        guard = DivergenceGuard(self.toy_estimator(1.0))
+        guard = DivergenceGuard(self.toy_estimator(1.0), 0.0)
         x = np.array([[1.0, 0.0], [0.5, 0.5]])
         guard(x, 1.0)
         bad = np.array([[0.1, 0.0], [3e6, 0.0]])
@@ -239,7 +250,7 @@ class TestDivergenceGuard:
         """A start at 1e200, whose squares overflow (the baseline was inf, so
         the guard could never fire), sets a finite baseline, and a 1e7-fold
         blow-up is flagged at step 1 with no warning."""
-        guard = DivergenceGuard(self.toy_estimator(1.0))
+        guard = DivergenceGuard(self.toy_estimator(1.0), 0.0)
         guard(np.array([[1e200, 0.0]]), 1.0)
         assert guard.baseline == 1e200
         with pytest.raises(DivergenceError) as info:
@@ -256,7 +267,7 @@ class TestDivergenceGuard:
         entry, so any finite state, huge ones included, gives a finite
         baseline and no warning."""
         x, y = xy
-        guard = DivergenceGuard(self.toy_estimator(1.0))
+        guard = DivergenceGuard(self.toy_estimator(1.0), 0.0)
         guard(x, 1.0)
         assert guard.baseline == max(np.abs(x).max(), 1e-12)
         if np.abs(y).max() > DivergenceGuard.FACTOR * guard.baseline:
