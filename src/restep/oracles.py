@@ -31,8 +31,8 @@ changes no such term, so the helper adds whole slices in place from the first
 two; from 8 terms up it calls ``np.sum`` on a copy with the axis last.  The
 final product takes the weights as a C-ordered (n, m) copy, because matmul
 chooses its kernel by memory layout and a transposed view gives different
-last bits.  Far from every mode, and at sigma_t = 0, the weights come from
-:func:`_nearest`, the one rule for "which centre is nearest", shared by metrics.
+last bits.  Far from every mode, and at sigma_t = 0, the log terms come from the gaps
+of :func:`_nearest`, the one "which centre is nearest" rule, shared by metrics.
 """
 
 from __future__ import annotations
@@ -195,8 +195,8 @@ def _nearest(x: np.ndarray, centers: np.ndarray):
     distances (capped at 2^1000) moves to the largest positive gap from it until it stands."""
     xt, ct = np.ascontiguousarray(x.T), np.ascontiguousarray(centers.T)  # (d, n), (d, m)
     e_c = np.frexp(np.max(np.abs(ct)))[1]
-    # each row's power of two, or 2^-1000 of the centres' where that is larger
-    e = np.frexp(np.maximum(np.max(np.abs(xt), axis=0), np.ldexp(1.0, e_c - 1000)))[1]
+    # each row's power of two, or 2^-1000 of the centres' (at least 2^-1074) where larger
+    e = np.frexp(np.maximum(np.max(np.abs(xt), axis=0), np.ldexp(1.0, max(e_c - 1000, -1074))))[1]
     xs, own = np.ldexp(xt, -e), np.ldexp(ct[:, :, None], -e)            # (d, n), (d, m, n)
     r = np.argmin(_sum_axis(np.square(np.minimum(np.abs(xs[:, None] - own), 2.0**500))), axis=0)
     c, x2, rows = np.ldexp(ct, -e_c), (xs + xs)[:, None], np.arange(len(x))
@@ -214,21 +214,18 @@ def _nearest(x: np.ndarray, centers: np.ndarray):
 _FAR_LOG = 2.0**31
 
 
-def _far_field_weights(x: np.ndarray, centers: np.ndarray, log_w: np.ndarray,
-                       sigma_t: float) -> np.ndarray:
-    """The (m, n) posterior weights of the n rows of ``x`` from the log terms
-    gap_i / sigma_t^2 + log w_i of the positive-weight modes, with the gaps of
-    :func:`_nearest`, put back with their powers of two (exact, or -inf: a weight
-    of 0).  At sigma_t = 0 the nearest centres share the weight by w_i."""
+def _far_field_log_terms(x: np.ndarray, centers: np.ndarray, log_w: np.ndarray,
+                         sigma_t: float) -> np.ndarray:
+    """The (m, n) log terms gap_i / sigma_t^2 + log w_i of the n rows of ``x``, with the
+    gaps of :func:`_nearest` over the positive-weight modes put back with their powers
+    of two (exact, or -inf: a weight of 0).  At sigma_t = 0 every gap below 0 is -inf,
+    so the nearest centres share the weight by w_i."""
     live = log_w > -np.inf
     _, gaps, e = _nearest(x, centers[live])
     # at sigma_t = 0, an exponent past every float's sends each gap below 0 to -inf
     m_s, e_s = np.frexp(sigma_t) if sigma_t > 0.0 else (0.5, -2**14)
     rel = np.full((len(centers), len(x)), -np.inf)
     rel[live] = np.ldexp(gaps / (m_s * m_s), e - 2 * e_s) + log_w[live, None]
-    rel -= np.max(rel, axis=0)
-    np.exp(rel, out=rel)
-    rel /= np.sum(rel, axis=0)
     return rel
 
 
@@ -248,36 +245,34 @@ def mixture_posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation,
     top of the observation noise; the two combine into an effective
     ``sigma_t = t * sqrt(sigma^2 + eps(t)^2)``.
 
-    At sigma_t = 0 a row gets the w-weighted mean of the modes with the nearest
-    centre ``H_t c_i``, the limit in :func:`_far_field_weights`.  t = 0 raises ValueError.
+    At sigma_t = 0, t = 0 included, a row gets the w-weighted mean of the modes with
+    the nearest centre ``H_t c_i``, the limit in :func:`_far_field_log_terms`.
     """
     x_t = as_state(x_t, "x_t", dim=prior.dim)
     t = as_time(t)
-    if t == 0.0:
-        raise ValueError("need t in (0, 1]")
     # Schedule noise enters the state with std t * eps_t, independent of the
     # observation noise's t * sigma, so the stds add in quadrature.
     sigma_t = t * float(np.hypot(deg.sigma, as_scalar(extra_noise_std, "extra_noise_std")))
-    centers = prior.modes @ blended_operator(deg, t).T          # (m, d)
     rows = x_t.reshape(-1, prior.dim)
     # The log terms tell the modes apart only while the squared distances do (modes
     # +-1, sigma 1, t = 0.5: they tie from x_t = 1e16, overflow from 1e154).  So a row
-    # whose every term is below -_FAR_LOG, about 2^16 sigma_t from every mode, or any
-    # row at sigma_t = 0, takes _nearest's gaps; golden and benchmark rows never do.
-    with np.errstate(over="ignore", invalid="ignore"):  # terms that overflow go to +-inf
-        if sigma_t == 0.0:  # the near field would divide by sigma_t
-            post = _far_field_weights(rows, centers, prior.log_weights, sigma_t)
-        else:  # log(w_i) - ||u_i||^2 / 2 in place: adding -b is subtracting b, bit for bit
-            post = _mode_distances_sq(rows, centers, sigma_t)
-            post *= -0.5
-            post += prior.log_weights[:, None]
-            top = post.max(axis=0)
-            post -= top  # one term becomes exp(0) = 1, so no weight is 0 / 0
-            np.exp(post, out=post)
-            post /= _sum_axis(post)
-            if top.min() < -_FAR_LOG:
-                far = top < -_FAR_LOG
-                post[:, far] = _far_field_weights(rows[far], centers, prior.log_weights, sigma_t)
+    # whose every term is below -_FAR_LOG, about 2^16 sigma_t from every mode, takes
+    # _nearest's gaps; at sigma_t = 0 every term is -inf or 0 / 0, so every row does.
+    # Golden and benchmark rows never do.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # to +-inf or nan
+        centers = prior.modes @ blended_operator(deg, t).T          # (m, d)
+        # log(w_i) - ||u_i||^2 / 2 in place: adding -b is subtracting b, bit for bit
+        post = _mode_distances_sq(rows, centers, sigma_t)
+        post *= -0.5
+        post += prior.log_weights[:, None]
+        top = post.max(axis=0)
+        far = ~(top >= -_FAR_LOG)  # a nan top (0 / 0 at sigma_t = 0) is far too
+        if far.any():
+            post[:, far] = _far_field_log_terms(rows[far], centers, prior.log_weights, sigma_t)
+            top[far] = post[:, far].max(axis=0)
+        post -= top  # one term becomes exp(0) = 1, so no weight is 0 / 0
+        np.exp(post, out=post)
+        post /= _sum_axis(post)
     # The product takes the (..., m) weights in C order: matmul's kernel
     # depends on the layout, and a transposed view changes the bits.
     post = np.ascontiguousarray(post.T).reshape(x_t.shape[:-1] + (prior.n_modes,))

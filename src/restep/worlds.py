@@ -102,7 +102,8 @@ class MixtureWorld:
         """``n`` clean mode draws ``x`` and their observations ``y``."""
         x = self.prior.modes[rng.choice(self.prior.n_modes, size=n, p=self.prior.weights)]
         noise = rng.standard_normal(x.shape)
-        return x, x @ self.degradation.H.T + self.degradation.sigma * noise
+        with np.errstate(over="ignore"):  # an overflowed y is a non-finite start, flagged
+            return x, x @ self.degradation.H.T + self.degradation.sigma * noise
 
     def pair_stream(self, rng, chunk: int = 256):
         """Endless stream of ``(x, y)`` draws of ``sample_pairs(rng, chunk)``."""
@@ -190,12 +191,12 @@ class DivergenceGuard:
         self.baseline = None
 
     def __call__(self, x_t, t):
-        worst = float(np.abs(x_t).max())
+        worst = float(np.abs(x_t).max(initial=0.0))
         if self.baseline is not None and worst > self.FACTOR * self.baseline:
             raise DivergenceError(self.calls, t, f"iterate norm {worst:.3g} exceeded "
                                   f"{self.FACTOR:.0e} x initial norm {self.baseline:.3g}")
         self.calls += 1
         estimate = self.estimator(x_t, t)
         if self.baseline is None:
-            self.baseline = max(worst, float(np.abs(estimate).max()), self.floor, 1e-12)
+            self.baseline = max(worst, float(np.abs(estimate).max(initial=0.0)), self.floor, 1e-12)
         return estimate

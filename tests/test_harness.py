@@ -534,14 +534,17 @@ class TestExperimentRuns:
             assert row["divergent"] == 1 or row["abs_error"] == 0.0
 
     @pytest.mark.parametrize("steps", [1, 10, 100])
-    @pytest.mark.parametrize("kind, want", [
-        ("toy2d_a", (0.0, 1.0, 0.0)),
-        ("toy2d_b", (0.5, 0.0, 1.0)),  # the lost coordinate stays at its mean, 0
+    @pytest.mark.parametrize("kind, world, want", [
+        ("toy2d_a", {}, (0.0, 1.0, 0.0)),
+        ("toy2d_b", {}, (0.5, 0.0, 1.0)),  # the lost coordinate stays at its mean, 0
+        # every mode below 2^-74, one at 0: the rows on it got a blend of 1e-196
+        ("toy2d_a", {"modes": [[1.43304907e-196, 0.0], [0.0, 0.0], [1.32348898e-23, 0.0]],
+                     "weights": [0.25, 0.5, 0.25]}, (0.0, 1.0, 0.0)),
     ])
-    def test_noiseless_world_under_the_oracle_is_exact(self, kind, want, steps):
+    def test_noiseless_world_under_the_oracle_is_exact(self, kind, world, want, steps):
         """At world.sigma 0 the oracle's posterior is a point mass: (mse,
         mode_hit_rate, mean_min_dist) are exact and no row is flagged."""
-        world = {**default_config(kind)["world"], "sigma": 0.0}
+        world = {**default_config(kind)["world"], **world, "sigma": 0.0}
         cfg = {"kind": kind, "world": world, "sampler": {"steps": steps}}
         [row] = run_experiment(cfg, write=False).rows
         assert (row["mse"], row["mode_hit_rate"], row["mean_min_dist"]) == want
@@ -562,6 +565,16 @@ class TestExperimentRuns:
         [row] = run_experiment(cfg, write=False).rows
         assert (row["mse"], row["psnr"], row["mode_hit_rate"], row["mean_min_dist"]) == want
         assert row["divergent"] == 0
+
+    def test_an_observation_that_overflows_is_flagged_without_a_warning(self):
+        """Modes at +-1e308 under H = diag(3, 1): the observations overflow
+        (the draw warned in the matmul), and the row is flagged at step 0."""
+        world = {**_MIXTURE_WORLD, "modes": [[1e308, 0.0], [-1e308, 0.0]],
+                 "H": [[3.0, 0.0], [0.0, 1.0]]}
+        cfg = {"kind": "toy2d_a", "eval": {"n_inputs": 20}, "sampler": {"steps": 4},
+               "world": world}
+        [row] = run_experiment(cfg, write=False).rows
+        assert (row["divergent"], row["divergence_step"]) == (1, 0)
 
     def test_gauss1d_lands_on_its_limit_when_sigma_c_squared_overflows(self):
         """sigma_c = 1e200: the posterior mean is x_t and the flow is y (both

@@ -130,15 +130,25 @@ class TestMixturePosteriorMean:
         analytic = mixture_posterior_mean(prior, deg, np.array([x_query]), t)[0]
         assert abs(mc_mean - analytic) < 3.0 * se + 0.005
 
-    def test_batch_matches_single_calls(self):
+    @pytest.mark.parametrize("sigma", [0.6, 0.0])
+    def test_batch_matches_single_calls(self, sigma):
+        """Bit for bit, in a batch mixing rows near the modes with the same rows
+        moved 1e6 along the normal v to every C_i - C_0, past the far-field radius
+        of 2^16 sigma_t (at sigma_t = 0 every row is far), and a row at 1e300.
+        Moving along v changes no gap, so the moved rows keep their weights.  The
+        modes are 2 e_i: the final product has the weights' bits whichever kernel
+        matmul picks for the batch's shape."""
         rng = np.random.default_rng(5)
-        prior = random_mixture(rng, dim=3, n_modes=4)
-        deg = LinearDegradation(H=rng.normal(size=(3, 3)), sigma=0.6)
-        xs = rng.normal(size=(8, 3))
+        prior = GaussianMixturePrior(2.0 * np.eye(4), random_mixture(rng, 1, 4).weights)
+        deg = LinearDegradation(H=rng.normal(size=(4, 4)), sigma=sigma)
+        centers = prior.modes @ blended_operator(deg, 0.7).T
+        v = np.linalg.svd(centers[1:] - centers[0])[2][-1]
+        near = rng.normal(size=(4, 4))
+        xs = np.vstack([near, near + 1e6 * v, 1e300 * rng.normal(size=(1, 4))])
         batch = mixture_posterior_mean(prior, deg, xs, 0.7)
-        for i in range(8):
-            single = mixture_posterior_mean(prior, deg, xs[i], 0.7)
-            assert_allclose(batch[i], single, rtol=1e-14)
+        for i, row in enumerate(xs):
+            assert batch[i].tobytes() == mixture_posterior_mean(prior, deg, row, 0.7).tobytes()
+        assert_allclose(batch[4:8], batch[:4], rtol=1e-6, atol=1e-12)
 
     def test_zero_weight_mode_never_contributes(self):
         prior = GaussianMixturePrior(
@@ -244,22 +254,35 @@ class TestMixturePosteriorMean:
         )
         assert_allclose(via_extra, via_sigma, rtol=1e-14)
 
-    def test_time_zero_rejected(self):
-        with pytest.raises(ValueError, match=r"^need t in \(0, 1\]$"):
-            mixture_posterior_mean(
-                two_point_prior(), LinearDegradation(H=[[1.0]], sigma=1.0),
-                np.array([0.5]), 0.0,
-            )
+    def test_time_zero_is_the_nearest_mode(self):
+        """At t = 0, H_t = I and sigma_t = 0: a row on a mode returns that mode
+        exactly, and a row equidistant from modes returns their w-weighted mean."""
+        prior = GaussianMixturePrior([[-1.0, 0.0], [1.0, 0.0], [0.3, 5.0]], [0.25, 0.5, 0.25])
+        deg = LinearDegradation(H=[[2.0, 1.0], [0.0, -3.0]], sigma=1.0)
+        rows = np.array([[-1.0, 0.0], [1.0, 0.0], [0.3, 5.0], [0.0, -1.0], [0.9, 0.1]])
+        got = mixture_posterior_mean(prior, deg, rows, 0.0)
+        assert_array_equal(got[:3], prior.modes)
+        assert_allclose(got[3], [1 / 3, 0.0], rtol=1e-15, atol=0.0)
+        assert_array_equal(got[4], [1.0, 0.0])
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match=r"^weights must sum to 1 within 1e-12$"):
             GaussianMixturePrior([[0.0], [1.0]], [0.5, 0.5 + 2e-12])
         GaussianMixturePrior([[0.0], [1.0]], [0.5, 0.5 + 5e-13])
 
-    def test_noiseless_empty_batch(self):
-        got = mixture_posterior_mean(two_point_prior(), LinearDegradation([[1.0]], 0.0),
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    def test_noiseless_empty_batch(self, sigma):
+        got = mixture_posterior_mean(two_point_prior(), LinearDegradation([[1.0]], sigma),
                                      np.zeros((0, 1)), 0.5)
         assert got.shape == (0, 1)
+
+    def test_centres_that_overflow_raise_no_warning(self):
+        """Modes at +-1e308 under H = diag(3, 1): the centres H_t c_i overflow,
+        which warned in the matmul, and the mean is non-finite."""
+        prior = GaussianMixturePrior([[1e308, 0.0], [-1e308, 0.0]], [0.5, 0.5])
+        got = mixture_posterior_mean(prior, LinearDegradation([[3.0, 0.0], [0.0, 1.0]], 1.0),
+                                     np.array([0.0, 0.0]), 1.0)
+        assert not np.isfinite(got).all()
 
     def test_noiseless_posterior_keeps_close_modes_apart(self):
         """Modes 1 + 3e-9 and 1 - 1e-9 from the row 1: the far field formed
@@ -275,14 +298,16 @@ class TestMixturePosteriorMean:
     @example(case=(np.array([[-1.0], [0.0]]), np.array([[2.0**53]])))
     @example(case=(np.array([[1.0], [2.0**-60], [2.0**-120], [0.0]]),
                    np.array([[-2.0**200], [-1.0]])))
+    @example(case=(np.array([[1.43304907e-196], [0.0], [1.32348898e-23]]), np.array([[0.0]])))
     def test_nearest_is_the_exactly_nearest_centre(self, case):
         """The shared nearest-centre rule, and the sigma_t = 0 oracle's mode,
         against exact Fraction distances, wherever no rival is within the tie
         margin of :func:`tie_margin`: modes and rows at common scales 2^-1000
         to 2^1000 with relative spreads down to 2^-40, and rows far from a tiny
         mode set.  The pinned rows are fault (a)'s; one 1 from mode 1 and
-        2^53 + 1 from mode 0, whose distances round to one float; and one far
-        from a set nested three deep, whose first pick moves three times."""
+        2^53 + 1 from mode 0, whose distances round to one float; one far
+        from a set nested three deep, whose first pick moves three times; and
+        0 on a set below 2^-74, whose frame's floor underflowed to 0."""
         modes, rows = case
         prior = GaussianMixturePrior(modes, np.full(len(modes), 1.0 / len(modes)))
         picks = _nearest(rows, modes)[0]

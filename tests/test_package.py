@@ -207,6 +207,15 @@ def test_the_nearest_centre_is_decided_in_oracles_only():
     assert not found, found
 
 
+def test_the_mixture_posterior_is_normalised_once():
+    """``exp`` is called once in ``oracles.py``: the near and far fields write
+    log terms into one block, and every row of it is normalised in one place."""
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    calls = [node.lineno for node in ast.walk(tree)
+             if getattr(getattr(node, "func", None), "attr", None) == "exp"]
+    assert len(calls) == 1, calls
+
+
 def test_a_run_is_refused_or_flagged():
     """The only exception classes ``src/restep`` defines are ``ConfigError``
     (a config is refused) and ``DivergenceError`` (a run is flagged), so no

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from restep.degradation import ConstantSchedule
 from restep.oracles import GaussianMixturePrior, GaussianPrior, LinearDegradation
 from restep.regressor import MlpRegressor, TrainConfig
-from restep.samplers import SamplerConfig
+from restep.samplers import SamplerConfig, iterative_restore
 from restep.worlds import (
     DivergenceError,
     DivergenceGuard,
@@ -118,6 +118,15 @@ class TestMixtureWorld:
         x, y = world.sample_pairs(derive_rng(3, "pairs"), 4)
         assert_array_equal(y[:, 0], x[:, 0])
         assert_array_equal(y[:, 1], np.zeros(4))
+
+    def test_an_observation_that_overflows_raises_no_warning(self):
+        """Modes at +-1e308 under H = diag(3, 1): x @ H.T overflows, which
+        warned in the matmul; the observation is non-finite, a start the
+        samplers flag."""
+        prior = GaussianMixturePrior([[1e308, 0.0], [-1e308, 0.0]], [0.5, 0.5])
+        world = MixtureWorld(prior, LinearDegradation([[3.0, 0.0], [0.0, 1.0]], 1.0))
+        y = world.sample_pairs(derive_rng(0, "pairs"), 4)[1]
+        assert not np.isfinite(y[:, 0]).any()
 
     def test_signal_peak_is_mode_span(self):
         assert self.world().signal_peak == 2.0
@@ -237,6 +246,14 @@ class TestDivergenceGuard:
         guard(np.full((1, 2), 0.3), 0.9)
         with pytest.raises(DivergenceError):
             guard(np.full((1, 2), 2e6), 0.8)
+
+    def test_an_empty_batch_passes(self):
+        """A (0, d) state has no largest entry: the guard reads 0 (numpy's
+        maximum raised on the zero-size array) and the run keeps its shape."""
+        world = TestMixtureWorld().world()
+        out, _ = iterative_restore(DivergenceGuard(world.oracle(), 1.0), np.empty((0, 2)),
+                                   SamplerConfig(steps=3))
+        assert out.shape == (0, 2)
 
     def test_batch_norm_is_worst_row(self):
         guard = DivergenceGuard(self.toy_estimator(1.0), 0.0)
