@@ -8,9 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy import stats
+from scipy import special, stats
 
 from restep.metrics import (
+    _ndtr,
     distortion_metrics,
     empirical_distribution_stats,
     nearest_modes,
@@ -175,6 +176,29 @@ class TestNearestMode:
                 assert (1 - tol) ** 2 <= Fraction(dist) ** 2 / exact[i] <= (1 + tol) ** 2
 
 
+# |a| = 1, sqrt2 and 8 sqrt2 as floats, and the |a| where a * sqrt(1/2) is
+# sqrt(1/2), 1 and 8 exactly: cephes's ndtr and erfc change branch there.
+BRANCH_EDGES = (1.0, math.sqrt(2), 8 * math.sqrt(2), 1.414213562373095, 11.31370849898476)
+# The largest |a| whose ndtr tail cephes still computes, and the next float:
+# beyond it (a / sqrt2)^2 exceeds MAXLOG and erfc underflows to 0.
+UNDERFLOW_EDGE = (37.67712072049518, 37.67712072049519)
+
+
+class TestNdtr:
+    @settings(max_examples=300)
+    @given(arrays(np.float64, st.integers(1, 30), elements=st.floats()))
+    @example(np.array(BRANCH_EDGES + tuple(-a for a in BRANCH_EDGES)))
+    @example(np.array(UNDERFLOW_EDGE + tuple(-a for a in UNDERFLOW_EDGE)))
+    @example(np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                       1.7976931348623157e308, -1.7976931348623157e308]))
+    def test_is_scipys_ndtr_bit_for_bit(self, a):
+        """Every float64, signed zeros, infinities, nan and subnormals too, at
+        the branch edges |a| = 1, sqrt2 and 8 sqrt2 and across the underflow."""
+        got, want = _ndtr(a), special.ndtr(a)
+        assert_array_equal(np.isnan(got), np.isnan(a))
+        assert got.tobytes() == np.where(np.isnan(a), got, want).tobytes()
+
+
 class TestDistributionStats:
     def test_ks_small_for_matching_reference(self):
         rng = np.random.default_rng(10)
@@ -209,6 +233,18 @@ class TestDistributionStats:
         samples = np.random.default_rng(13).standard_normal((50, 2))
         with pytest.raises(ValueError, match=f"^{name} "):
             empirical_distribution_stats(samples, ref_mean, ref_std)
+
+    @pytest.mark.parametrize("ref_mean, ref_std", [
+        (0.0, 5e-324), (-1e308, 1.0), (1e308, 5e-324),
+    ])
+    def test_standardised_samples_beyond_the_floats(self, ref_mean, ref_std):
+        """(x - mean) / std overflows to +-inf on some samples: their CDF is 0
+        or 1, with no warning, and the statistic is still scipy's."""
+        samples = np.array([[-1e308], [-2.0], [-5e-324], [0.0], [5e-324], [3.0], [1e308]])
+        ks = empirical_distribution_stats(samples, ref_mean, ref_std)
+        with np.errstate(over="ignore"):  # kstest warns of the overflow
+            want = stats.kstest(samples[:, 0], "norm", args=(ref_mean, ref_std)).statistic
+        assert ks.tobytes() == np.array([want]).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 2_000), d=st.integers(1, 3),

@@ -65,8 +65,8 @@ def run_fresh(code: str) -> dict:
 
 def test_import_loads_numpy_and_the_standard_library_only():
     """``import restep`` adds no top-level module but numpy, restep and the
-    standard library's, and no process pool: scipy loads at the first KS
-    call, and ``concurrent.futures.process`` only under ``jobs > 1``."""
+    standard library's, and no process pool: ``concurrent.futures.process``
+    loads only under ``jobs > 1``."""
     loaded = run_fresh(
         "import json, sys\n"
         "before = set(sys.modules)\n"
@@ -79,9 +79,9 @@ def test_import_loads_numpy_and_the_standard_library_only():
     assert loaded == {"outside": ["numpy", "restep"], "scipy.stats": False, "pool": False}
 
 
-def test_scipy_loads_at_the_first_ks_call():
-    """A mixture-world run has no KS column and never loads scipy; a
-    Gaussian-world sweep loads it for its finite KS column."""
+def test_no_run_loads_scipy():
+    """Neither a mixture-world run, which has no KS column, nor a
+    Gaussian-world sweep, whose KS column is finite, loads scipy."""
     loaded = run_fresh(
         "import json, math, sys\n"
         "import restep\n"
@@ -95,7 +95,7 @@ def test_scipy_loads_at_the_first_ks_call():
         "                  'ks_finite': [math.isfinite(r['ks']) for r in report.rows]}))\n"
     )
     assert loaded["mixture"] is False
-    assert loaded["gaussian"] is True
+    assert loaded["gaussian"] is False
     assert loaded["ks_finite"] and all(loaded["ks_finite"])
 
 
@@ -159,6 +159,18 @@ def test_private_module_names_are_read():
             unread += [f"{module}: {name}" for name in names
                        if name.startswith("_") and not name.startswith("__") and name not in read]
     assert not unread, unread
+
+
+def test_no_module_imports_scipy():
+    """No module in ``src/restep`` imports scipy, at its top or in a function:
+    the KS metric's normal CDF is ``metrics._ndtr``, and scipy serves the tests."""
+    found = []
+    for path in sorted((ROOT / "src" / "restep").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
+    assert not found, found
 
 
 def test_generators_are_made_in_worlds_only():
