@@ -540,8 +540,11 @@ def _restore_cell(cell):
     name, estimator, y, config, floor = cell
     if isinstance(estimator, DivergenceError):  # its model's training diverged
         return estimator
+    guard = DivergenceGuard(estimator, floor)
     try:
-        return _SAMPLER_FNS[name](DivergenceGuard(estimator, floor), y, config)
+        result = _SAMPLER_FNS[name](guard, y, config)
+        guard.check(result[0], 0.0)  # the output feeds no estimator call
+        return result
     except DivergenceError as err:
         return err
 

@@ -32,9 +32,10 @@ step, estimate, check, apply the routine's update rule, check.
 
       dx_t / dt = (x_t - F(x_t, t)) / t,
 
-  integrated from 1 down to ``t_min`` with one terminal estimator
-  application, since the field blows up at t = 0.  Euler is the iterative
-  rule without noise; Heun calls the estimator twice per step.
+  integrated from 1 down to 1/N on the same step list; the field blows up at
+  t = 0, so the last step, of weight h/t = 1, is the terminal map F(x, 1/N).
+  Euler is the iterative rule without noise; Heun calls the estimator twice
+  on every step but that last one.
 
 States may be single vectors ``(d,)`` or batches ``(n, d)``; every routine
 is deterministic given its seed, with noise drawn in a fixed order (after
@@ -44,7 +45,6 @@ the estimator call of each step, skipped entirely when its std is zero).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -53,7 +53,6 @@ from .degradation import (
     NoiseSchedule,
     as_count,
     as_numbers,
-    as_time,
     injected_noise_std,
     schedule_epsilon,
 )
@@ -93,13 +92,12 @@ def _steps(n: int, schedule: NoiseSchedule) -> list:
     return list(zip(t.tolist(), [1.0 / n] * n, injected_noise_std(schedule, t, 1.0 / n).tolist()))
 
 
-def _restore(estimator: Estimator, y, config: SamplerConfig, rule, steps=None):
+def _restore(estimator: Estimator, y, config: SamplerConfig, rule):
     """The one step loop: from x_1 = y + eps(1) * n (no draw when eps(1) = 0),
     estimate, check, ``rule(x, est, t, h, std, k, y, rng)`` and check again
-    for each step of ``steps`` (by default ``config``'s step list), recording
-    ``(t, state)`` for the state entering each step and for the output at the
-    last step's t - h.  A non-finite x_1 (an overflowed observation or start
-    noise) diverges at step 0.
+    for each step of ``config``'s step list, recording ``(t, state)`` for the
+    state entering each step and for the output at the last step's t - h.
+    A non-finite x_1 (an overflowed observation or start noise) diverges at step 0.
     """
     y = as_numbers(y, "y")  # not as_state: a non-finite y diverges at step 0
     if y.ndim == 0:
@@ -111,9 +109,7 @@ def _restore(estimator: Estimator, y, config: SamplerConfig, rule, steps=None):
         x += eps1 * rng.standard_normal(x.shape)
     x = _check_finite(x, 0, 1.0, "start")
     traj = [] if config.record_trajectory else None
-    if steps is None:
-        steps = _steps(config.steps, config.schedule)
-    for k, (t, h, std) in enumerate(steps):
+    for k, (t, h, std) in enumerate(_steps(config.steps, config.schedule)):
         if traj is not None:
             traj.append((t, x.copy()))
         est = _check_finite(estimator(x, t), k, t, "estimate")
@@ -166,35 +162,22 @@ def cold_diffusion_restore(estimator: Estimator, y, config: SamplerConfig):
     return _restore(estimator, y, config, _cold_diffusion_rule)
 
 
-def ode_restore(estimator: Estimator, y, method: str = "euler",
-                n_steps: int = 100, t_min: Optional[float] = None) -> np.ndarray:
-    """Integrate the residual flow from t = 1 down to ``t_min``, then apply
-    the estimator once at ``t_min`` as the terminal map.
+def ode_restore(estimator: Estimator, y, method: str = "euler", n_steps: int = 100) -> np.ndarray:
+    """Integrate the residual flow from t = 1 down to 1/N on the samplers'
+    step list; its last step, of weight h/t = 1, is the terminal map F(x, 1/N).
 
-    ``t_min`` defaults to 1/N, mirroring the discrete sampler whose final
-    step applies the estimator with full weight.  With the default grid,
-    explicit Euler reproduces :func:`iterative_restore` under a zero-noise
-    schedule exactly: the Euler step x - delta * (x - F)/t is evaluated in
-    the identical convex arrangement (delta/t) * F + (1 - delta/t) * x.
-    Heun averages the field at both ends of each step for second order.
+    Euler is :func:`iterative_restore` under a zero-noise schedule, evaluated
+    in the identical convex arrangement (delta/t) * F + (1 - delta/t) * x.
+    Heun averages the field at both ends of every step but the last (EDM's
+    Algorithm 1, Karras et al. 2022) for second order: 2N - 1 estimator calls.
     """
     if method not in ("euler", "heun"):
         raise ValueError(f"method must be 'euler' or 'heun', got {method!r}")
     n = as_count(n_steps, "n_steps")
-    t_min = 1.0 / n if t_min is None else as_time(t_min, "t_min")
-    if t_min == 0.0:
-        raise ValueError("need 0 < t_min <= 1")
-
-    # Full grid steps (std 0.0) from t = 1 while the next grid point stays >=
-    # t_min, the fudge keeping t_min = k/N on the grid; then a partial step.
-    config = SamplerConfig(steps=n)
-    n_full = int(np.floor((1.0 - t_min) * n + 1e-9))
-    steps = _steps(n, config.schedule)[:n_full]
-    t_reached = (n - n_full) / n
-    if t_reached - t_min > 1e-12:
-        steps.append((t_reached, t_reached - t_min, 0.0))
 
     def heun(x, est, t, h, std, k, y, rng):
+        if t == h:  # the last step: t = 1/n and h = 1.0/n exactly
+            return _stepwise_rule(x, est, t, h, std, k, y, rng)
         k1 = (x - est) / t
         t2 = t - h
         x_pred = x - h * k1
@@ -202,5 +185,5 @@ def ode_restore(estimator: Estimator, y, method: str = "euler",
         k2 = (x_pred - est2) / t2
         return x - 0.5 * h * (k1 + k2)
 
-    x, _ = _restore(estimator, y, config, heun if method == "heun" else _stepwise_rule, steps)
-    return _check_finite(estimator(x, t_min), len(steps), t_min, "estimate")
+    rule = heun if method == "heun" else _stepwise_rule
+    return _restore(estimator, y, SamplerConfig(steps=n), rule)[0]

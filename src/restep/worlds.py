@@ -105,10 +105,10 @@ class MixtureWorld:
         with np.errstate(over="ignore"):  # an overflowed y is a non-finite start, flagged
             return x, x @ self.degradation.H.T + self.degradation.sigma * noise
 
-    def pair_stream(self, rng, chunk: int = 256):
-        """Endless stream of ``(x, y)`` draws of ``sample_pairs(rng, chunk)``."""
+    def pair_stream(self, rng):
+        """Endless stream of ``(x, y)`` draws of ``sample_pairs(rng, 256)``."""
         while True:
-            yield self.sample_pairs(rng, chunk)
+            yield self.sample_pairs(rng, 256)
 
     def oracle(self, schedule: NoiseSchedule = ConstantSchedule(0.0)) -> MixturePosteriorOracle:
         return MixturePosteriorOracle(self.prior, self.degradation, schedule)
@@ -137,9 +137,9 @@ class GaussianWorld:
         x = self.prior.c + self.prior.sigma_c * rng.standard_normal((n, self.dim))
         return x, x + self.sigma_n * rng.standard_normal(x.shape)
 
-    def pair_stream(self, rng, chunk: int = 256):
+    def pair_stream(self, rng):
         while True:
-            yield self.sample_pairs(rng, chunk)
+            yield self.sample_pairs(rng, 256)
 
     def oracle(self, schedule: NoiseSchedule = ConstantSchedule(0.0)) -> GaussianDenoisingOracle:
         return GaussianDenoisingOracle(self.prior, self.sigma_n, schedule)
@@ -171,15 +171,15 @@ def _check_finite(values, step: int, t, what: str) -> np.ndarray:
 class DivergenceGuard:
     """Estimator wrapper that watches the iterates a sampler feeds it.
 
-    Every state a discrete sampler produces is the input of the next
-    estimator call, so wrapping the estimator sees the whole trajectory.
-    A state's norm here is its largest absolute entry, which never overflows
-    and is within a factor sqrt(d) of its largest row's Euclidean norm.  The
-    first call fixes the baseline norm: the largest of the t = 1 state's, of
-    its estimate's and of ``floor``, a scale the run may reach legitimately, so
-    a start at 0 does not make any step away from it a blow-up.  Any later call
-    whose state's norm exceeds FACTOR times the baseline raises
-    :class:`DivergenceError` with the step index.
+    Every state a discrete sampler produces but its output is the input of
+    the next estimator call, which the wrapper sees; the caller passes the
+    output to :meth:`check`.  A state's norm is its largest absolute entry,
+    which never overflows and is within a factor sqrt(d) of its largest row's
+    Euclidean norm.  The first call fixes the baseline norm: the largest of
+    the t = 1 state's, of its estimate's and of ``floor``, a scale the run may
+    reach legitimately, so a start at 0 does not make any step away from it a
+    blow-up.  A later state whose norm exceeds FACTOR times the baseline
+    raises :class:`DivergenceError` at step index = calls so far (N at output).
     """
 
     FACTOR = 1e6
@@ -190,11 +190,16 @@ class DivergenceGuard:
         self.calls = 0
         self.baseline = None
 
-    def __call__(self, x_t, t):
+    def check(self, x_t, t) -> float:
+        """The norm of ``x_t``, or the DivergenceError of a blown-up state."""
         worst = float(np.abs(x_t).max(initial=0.0))
         if self.baseline is not None and worst > self.FACTOR * self.baseline:
             raise DivergenceError(self.calls, t, f"iterate norm {worst:.3g} exceeded "
                                   f"{self.FACTOR:.0e} x initial norm {self.baseline:.3g}")
+        return worst
+
+    def __call__(self, x_t, t):
+        worst = self.check(x_t, t)
         self.calls += 1
         estimate = self.estimator(x_t, t)
         if self.baseline is None:

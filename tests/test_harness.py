@@ -3,6 +3,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -20,6 +21,8 @@ from restep.harness import (
 )
 from restep.metrics import nearest_modes
 from restep.regressor import load_checkpoint, train
+from restep.samplers import SamplerConfig
+from restep.worlds import DivergenceError
 
 TINY_TRAIN = {"hidden": [8], "steps": 40, "batch_size": 16,
               "learning_rate": 5e-3}
@@ -576,6 +579,22 @@ class TestExperimentRuns:
         [row] = run_experiment(cfg, write=False).rows
         assert (row["divergent"], row["divergence_step"]) == (1, 0)
 
+    @pytest.mark.parametrize("sampler", ["iterative", "naive", "cold_diffusion"])
+    def test_a_blown_up_output_is_flagged(self, sampler):
+        """An estimate of 1e12 on the last step of N = 2 blows up the output,
+        which feeds no estimator call: the cell checks it, at step N and t = 0.
+        The same blow-up on step 1 of N = 3 shows at step 2, whose call it feeds."""
+        def late(x, t):
+            return np.full(np.shape(x), 0.0 if t > 0.5 else 1e12)
+
+        def early(x, t):
+            return np.full(np.shape(x), 1e12 if t == 2 / 3 else 0.0)
+
+        for estimator, n, t in ((late, 2, 0.0), (early, 3, 1 / 3)):
+            err = harness._restore_cell((sampler, estimator, [[1.0, -1.0]], SamplerConfig(n), 1.0))
+            assert isinstance(err, DivergenceError)
+            assert (err.step_index, err.t) == (2, t)
+
     def test_gauss1d_lands_on_its_limit_when_sigma_c_squared_overflows(self):
         """sigma_c = 1e200: the posterior mean is x_t and the flow is y (both
         were nan or warned), so the probe is not flagged and no warning is
@@ -598,9 +617,9 @@ class TestExperimentRuns:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_trained_estimator_reports_minus_infinite_psnr(self):
-        """At N = 1 the stepwise rule returns the net's output unchecked by the
-        guard; a net trained at learning rate 1e300 outputs ~1e302, whose
-        squared error overflows."""
+        """At N = 1 the stepwise rule returns the net's estimate at t = 1, which
+        fixed the guard's baseline, so the output check passes it; a net trained
+        at learning rate 1e300 outputs ~1e302, whose squared error overflows."""
         cfg = tiny_config("sampler_compare", estimator="trained")
         cfg["train"] = {**TINY_TRAIN, "learning_rate": 1e300}
         report = run_experiment(cfg, write=False)

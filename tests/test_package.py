@@ -219,6 +219,26 @@ def test_the_nearest_centre_is_decided_in_oracles_only():
     assert not found, found
 
 
+def test_a_run_is_described_once():
+    """``_steps`` is called in ``samplers._restore`` only, and ``_restore``
+    takes no step list: every routine, ``ode_restore`` too, runs on the step
+    list its config describes."""
+    callers, restore_args = [], None
+    for path in sorted((ROOT / "src" / "restep").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            if fn.name == "_restore":
+                restore_args = [a.arg for a in fn.args.args + fn.args.kwonlyargs]
+            for node in ast.walk(fn):
+                func = getattr(node, "func", None)  # set on calls only
+                if getattr(func, "attr", getattr(func, "id", None)) == "_steps":
+                    callers.append(f"{path.name}:{fn.name}")
+    assert callers == ["samplers.py:_restore"], callers
+    assert restore_args == ["estimator", "y", "config", "rule"]
+
+
 def test_the_mixture_posterior_is_normalised_once():
     """``exp`` is called once in ``oracles.py``: the near and far fields write
     log terms into one block, and every row of it is normalised in one place."""

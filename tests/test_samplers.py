@@ -207,62 +207,36 @@ class TestOdeEquivalence:
 
     def test_heun_is_second_order(self):
         """Halving the step size cuts the Heun error by about four and the
-        Euler error by about two (both measured against the closed form at
-        a fixed t_min, excluding the shared terminal map)."""
+        Euler error by about two, both measured against the flow's exact
+        endpoint at t = 0 (the last step of each is the terminal map)."""
         prior = GaussianPrior(c=[0.0], sigma_c=1.0)
         world = GaussianWorld(prior, 1.0)
         oracle = world.oracle()
         y = np.array([2.0])
-        t_min = 0.1
 
-        from restep.oracles import gaussian_flow_trajectory, gaussian_posterior_mean
-        x_exact = gaussian_flow_trajectory(prior, 1.0, y, t_min)
-        want = gaussian_posterior_mean(prior, 1.0, x_exact, t_min)
+        from restep.oracles import gaussian_flow_trajectory
+        want = gaussian_flow_trajectory(prior, 1.0, y, 0.0)
 
         def err(method, n):
-            got = ode_restore(oracle, y, method=method, n_steps=n, t_min=t_min)
-            return float(np.abs(got - want).max())
+            return float(np.abs(ode_restore(oracle, y, method=method, n_steps=n) - want).max())
 
-        euler_ratio = err("euler", 20) / err("euler", 40)
-        heun_ratio = err("heun", 20) / err("heun", 40)
-        assert 1.6 < euler_ratio < 2.5
-        assert 3.2 < heun_ratio < 5.0
+        for n in (20, 40):
+            assert 1.6 < err("euler", n) / err("euler", 2 * n) < 2.5
+            assert 3.2 < err("heun", n) / err("heun", 2 * n) < 5.0
 
     def test_heun_beats_euler_at_equal_steps(self):
         prior = GaussianPrior(c=[0.0], sigma_c=1.0)
         oracle = GaussianWorld(prior, 1.0).oracle()
         y = np.array([2.0])
-        from restep.oracles import gaussian_flow_trajectory, gaussian_posterior_mean
-        x_exact = gaussian_flow_trajectory(prior, 1.0, y, 0.05)
-        want = gaussian_posterior_mean(prior, 1.0, x_exact, 0.05)
-        e_euler = abs(ode_restore(oracle, y, "euler", 50, t_min=0.05) - want).max()
-        e_heun = abs(ode_restore(oracle, y, "heun", 50, t_min=0.05) - want).max()
+        from restep.oracles import gaussian_flow_trajectory
+        want = gaussian_flow_trajectory(prior, 1.0, y, 0.0)
+        e_euler = abs(ode_restore(oracle, y, "euler", 50) - want).max()
+        e_heun = abs(ode_restore(oracle, y, "heun", 50) - want).max()
         assert e_heun < e_euler / 5
 
-    def test_partial_final_step_reaches_off_grid_t_min(self):
-        oracle = gauss_oracle()
-        y = np.array([2.0])
-        got = ode_restore(oracle, y, method="euler", n_steps=10, t_min=0.25)
-        # manual replay: full steps to t = 0.3, one 0.05 step, terminal map
-        x = y.copy()
-        for k in range(7):
-            t = (10 - k) / 10
-            coef = (1.0 / 10) / t
-            x = coef * oracle(x, t) + (1.0 - coef) * x
-        coef = 0.05 / 0.3
-        x = coef * oracle(x, 0.3) + (1.0 - coef) * x
-        want = oracle(x, 0.25)
-        assert_array_equal(got, want)
-
-    def test_t_min_validation(self):
-        oracle = gauss_oracle()
-        y = np.array([1.0])
-        with pytest.raises(ValueError):
-            ode_restore(oracle, y, n_steps=10, t_min=0.0)
-        with pytest.raises(ValueError):
-            ode_restore(oracle, y, n_steps=10, t_min=1.5)
-        with pytest.raises(ValueError):
-            ode_restore(oracle, y, method="rk4", n_steps=10)
+    def test_unknown_method_is_refused(self):
+        with pytest.raises(ValueError, match="method must be 'euler' or 'heun'"):
+            ode_restore(gauss_oracle(), np.array([1.0]), method="rk4", n_steps=10)
 
     @pytest.mark.parametrize("n_steps", [True, 10.0, 0])
     def test_step_count_must_be_an_integer(self, n_steps):
@@ -291,8 +265,49 @@ class TestStepList:
             assert calls == [(25,)], run.__name__
         for method in ("euler", "heun"):
             calls.clear()
-            ode_restore(oracle, y, method, n_steps=25, t_min=0.13)
+            ode_restore(oracle, y, method, n_steps=25)
             assert calls == [(25,)], method
+
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_estimators_are_called_at_the_step_list_times(self, n):
+        """The three samplers and Euler call their estimator once at each t
+        of the step list; Heun also at each t - h but on the last step, the
+        terminal map, so it makes 2N - 1 calls."""
+        oracle = gauss_oracle()
+        y = np.array([[2.0], [-1.0]])
+        cfg = SamplerConfig(steps=n, schedule=BrownianSchedule(0.3), seed=4)
+        grid = [t for t, _, _ in samplers._steps(n, cfg.schedule)]
+        times = []
+
+        def calls_of(run, *args):
+            def recording(x, t):
+                times.append(t)
+                return oracle(x, t)
+            times.clear()
+            run(recording, y, *args)
+            return list(times)
+
+        for run in (iterative_restore, naive_restore, cold_diffusion_restore):
+            assert calls_of(run, cfg) == grid, run.__name__
+        assert calls_of(ode_restore, "euler", n) == grid
+        heun = calls_of(ode_restore, "heun", n)
+        assert heun == [s for t in grid for s in (t, t - 1.0 / n)][:-1]
+        assert len(heun) == 2 * n - 1
+
+    @pytest.mark.parametrize("bad_call, step, t", [(2, 1, 0.75), (3, 1, 0.5), (6, 3, 0.25)])
+    def test_heun_divergence_names_its_step(self, bad_call, step, t):
+        """A non-finite estimate on a Heun step's first call, on its
+        predictor call or on the terminal map diverges at that step."""
+        calls = []
+
+        def estimate(x, s):
+            calls.append(s)
+            return np.full(np.shape(x), np.nan if len(calls) == bad_call + 1 else 0.5)
+
+        with pytest.raises(DivergenceError) as err:
+            ode_restore(estimate, np.array([1.0]), "heun", n_steps=4)
+        assert (err.value.step_index, err.value.t) == (step, t)
 
 
 # A single state (d,) or a batch (m, d), d in 1..3, with moderate entries.

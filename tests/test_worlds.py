@@ -136,8 +136,8 @@ class TestMixtureWorld:
         generator calls, so the items reproduce successive draws exactly."""
         world = self.world()
         rng = derive_rng(5, "s")
-        draws = [world.sample_pairs(rng, 8) for _ in range(3)]
-        stream = world.pair_stream(derive_rng(5, "s"), chunk=8)
+        draws = [world.sample_pairs(rng, 256) for _ in range(3)]
+        stream = world.pair_stream(derive_rng(5, "s"))
         for x, y in draws:
             got_x, got_y = next(stream)
             assert_array_equal(got_x, x)
