@@ -33,7 +33,7 @@ print()
 print("discrete sampler converges to that limit at first order:")
 print("    N     output      |error|")
 for n in (10, 100, 1000, 10000):
-    out, _ = iterative_restore(oracle, y, SamplerConfig(steps=n))
+    out = iterative_restore(oracle, y, SamplerConfig(steps=n))
     print(f"{n:5d}   {out[0]:.6f}   {abs(out[0] - limit):.2e}")
 
 print()
@@ -42,7 +42,7 @@ print("prior: restoring 20000 random observations and comparing moments,")
 rng = derive_rng(11, "demo", "gauss")
 ys = rng.normal(0.0, np.sqrt(prior.sigma_c ** 2 + sigma_n ** 2),
                 size=(20_000, 1))
-outs, _ = iterative_restore(oracle, ys, SamplerConfig(steps=500))
+outs = iterative_restore(oracle, ys, SamplerConfig(steps=500))
 print(f"  output mean {outs.mean():+.4f} (prior 0), "
       f"variance {outs.var(ddof=1):.4f} (prior 1)")
 

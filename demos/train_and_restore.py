@@ -63,7 +63,7 @@ def main() -> None:
     print("restoring 1000 fresh observations with the trained network:")
     print("   N    within 5e-2 of a mode   mean min dist")
     for n in (1, 10, 100):
-        out, _ = iterative_restore(trained, y, SamplerConfig(steps=n))
+        out = iterative_restore(trained, y, SamplerConfig(steps=n))
         _, dists = nearest_modes(out, prior)
         print(f"{n:4d}   {np.mean(dists <= 5e-2):21.1%}   {dists.mean():.4f}")
 

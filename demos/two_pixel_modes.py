@@ -31,14 +31,14 @@ print("400 noisy observations (sigma = 1):")
 print()
 print("   N    mean dist   within 1e-2")
 for n in (1, 2, 5, 20, 100):
-    out, _ = iterative_restore(oracle, y, SamplerConfig(steps=n))
+    out = iterative_restore(oracle, y, SamplerConfig(steps=n))
     _, dists = nearest_modes(out, prior)
     print(f"{n:4d}   {dists.mean():9.4f}   {np.mean(dists <= 1e-2):10.1%}")
 
 print()
 print("the perfectly ambiguous observation y = (0, 0):")
 for n in (1, 100):
-    out, _ = iterative_restore(oracle, np.zeros(2), SamplerConfig(steps=n))
+    out = iterative_restore(oracle, np.zeros(2), SamplerConfig(steps=n))
     print(f"  N = {n:3d} -> output {np.round(out, 6)}")
 print("one step returns the prior average (equidistant from every mode);")
 print("many steps cannot break the tie either, since nothing in the")
@@ -51,7 +51,7 @@ deg_b = LinearDegradation(np.array([[1.0, 0.0], [0.0, 0.0]]), 0.3)
 oracle_b = MixturePosteriorOracle(prior_b, deg_b)
 world_b = MixtureWorld(prior_b, deg_b)
 _, y_b = world_b.sample_pairs(derive_rng(3, "demo", "modes-b"), 400)
-out_b, _ = iterative_restore(oracle_b, y_b, SamplerConfig(steps=100))
+out_b = iterative_restore(oracle_b, y_b, SamplerConfig(steps=100))
 idx, dists_b = nearest_modes(out_b, prior_b)
 print()
 print("anisotropic world (second pixel never observed, sigma = 0.3):")

@@ -41,7 +41,10 @@ def as_numbers(values, name: str) -> np.ndarray:
     if arr.dtype.kind not in "iuf" and not (  # ints beyond int64 make an object array
             arr.dtype.kind == "O" and all(type(v) in (int, float) for v in arr.flat)):
         raise ValueError(f"{name} must be a number, got {values!r}")
-    return arr.astype(np.float64, copy=False)
+    try:
+        return arr.astype(np.float64, copy=False)
+    except OverflowError:  # an int beyond the float64 range
+        raise ValueError(f"{name} must be a number within the float64 range") from None
 
 
 def as_state(values, name: str = "state", dim: int | None = None, like=None) -> np.ndarray:
@@ -77,11 +80,14 @@ def as_scalar(value, name: str, positive: bool = False) -> float:
     """Return ``value`` as a finite float that is >= 0, or > 0 when
     ``positive``; a bool, a string or an array is refused.  A Python float
     passes first, cheap on the per-call paths."""
-    if type(value) is float or (isinstance(value, (int, float, np.integer, np.floating))
-                                and not isinstance(value, bool)):
-        value = float(value)
-        if math.isfinite(value) and (value > 0.0 if positive else value >= 0.0):
-            return value
+    try:
+        if type(value) is float or (isinstance(value, (int, float, np.integer, np.floating))
+                                    and not isinstance(value, bool)):
+            value = float(value)
+            if math.isfinite(value) and (value > 0.0 if positive else value >= 0.0):
+                return value
+    except OverflowError:  # an int beyond the float64 range is not finite
+        pass
     raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0")
 
 

@@ -535,18 +535,21 @@ def _execute_cells(fn, cells, jobs: int):
 
 
 def _restore_cell(cell):
-    """Run one ``(sampler name, estimator, y, SamplerConfig, guard floor)`` cell
-    under a divergence guard: (output, trajectory), or the run's DivergenceError."""
-    name, estimator, y, config, floor = cell
+    """Run one ``(sampler name, estimator, y, SamplerConfig, guard floor, record)``
+    cell under a divergence guard: (output, trajectory), or the run's DivergenceError.
+    A recorded trajectory is each estimator call's (t, state), one a step, and (0.0, output)."""
+    name, estimator, y, config, floor, record = cell
     if isinstance(estimator, DivergenceError):  # its model's training diverged
         return estimator
     guard = DivergenceGuard(estimator, floor)
+    seen = []
+    watched = (lambda x_t, t: seen.append((t, x_t.copy())) or guard(x_t, t)) if record else guard
     try:
-        result = _SAMPLER_FNS[name](guard, y, config)
-        guard.check(result[0], 0.0)  # the output feeds no estimator call
-        return result
+        output = _SAMPLER_FNS[name](watched, y, config)
+        guard.check(output, 0.0)  # the output feeds no estimator call
     except DivergenceError as err:
         return err
+    return output, [*seen, (0.0, output)] if record else None
 
 
 def _metrics(cfg, world, x, result, nearest=None) -> dict:
@@ -682,7 +685,7 @@ def _grid(cfg, world, y, models, jobs):
     Each guard's baseline is floored at the world's own scale (the largest |mode|
     entry, or |c| and sigma_c), which a run may reach from any start.
     """
-    ev = cfg["eval"]
+    ev, record = cfg["eval"], cfg["sampler"]["record_trajectory"]
     cells, labels = [], []
     scale = (float(np.abs(world.prior.modes).max()) if isinstance(world, MixtureWorld)
              else max(float(np.abs(world.prior.c).max()), world.prior.sigma_c))
@@ -697,13 +700,13 @@ def _grid(cfg, world, y, models, jobs):
             for name in ev.get("samplers", ["iterative"]):
                 for n in ev.get("step_grid", [cfg["sampler"]["steps"]]):
                     seed = derive_seed(cfg["seed"], len(cells), 0)
-                    config = SamplerConfig(n, schedule, seed, cfg["sampler"]["record_trajectory"])
-                    cells.append((name, estimator, y, config, scale))
+                    config = SamplerConfig(n, schedule, seed)
+                    cells.append((name, estimator, y, config, scale, record))
                     columns = {"sampler": name, "estimator": _estimator(cfg), **swept, "N": n}
                     labels.append((head, columns, tail))
     train_steps = sum(cfg["train"]["steps"] for model, _, _ in models if model is not None)
     results = _execute_cells(_restore_cell, cells, jobs)
-    return labels, results, train_steps + sum(config.steps for *_, config, _ in cells)
+    return labels, results, train_steps + sum(config.steps for *_, config, _, _ in cells)
 
 
 def _cell_rows(cfg, world, x, y, cells, results):

@@ -1,10 +1,11 @@
 """Reverse-time inference: three discrete samplers and an ODE integrator.
 
 All four routines are generic over an ``Estimator`` (anything mapping
-``(x_t, t)`` to a clean-signal estimate) and run one loop from the degraded
-observation at t = 1 over the run's step list (t, h, std), built once per run
-from t = k/N, h = 1/N and one grid call of ``injected_noise_std``: for each
-step, estimate, check, apply the routine's update rule, check.
+``(x_t, t)`` to a clean-signal estimate), return the output (an array of
+``y``'s shape) and run one loop from the degraded observation at t = 1 over
+the run's step list (t, h, std), built once per run from t = k/N, h = 1/N
+and one grid call of ``injected_noise_std``: for each step, estimate, check,
+apply the routine's update rule, check.
 
 * :func:`iterative_restore` - the small-step scheme.  Each step moves the
   iterate toward the current estimate by the convex weight h/t and,
@@ -70,14 +71,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Step count N (grid delta = 1/N), noise schedule, seed (an integer
-    >= 0; a run draws from ``derive_rng(seed)``), and whether to record
-    the full trajectory."""
+    """Step count N (grid delta = 1/N), noise schedule and seed (an integer
+    >= 0; a run draws from ``derive_rng(seed)``)."""
 
     steps: int
     schedule: NoiseSchedule = ConstantSchedule(0.0)
     seed: int = 0
-    record_trajectory: bool = False
 
     def __post_init__(self):
         as_count(self.steps, "steps")
@@ -95,9 +94,8 @@ def _steps(n: int, schedule: NoiseSchedule) -> list:
 def _restore(estimator: Estimator, y, config: SamplerConfig, rule):
     """The one step loop: from x_1 = y + eps(1) * n (no draw when eps(1) = 0),
     estimate, check, ``rule(x, est, t, h, std, k, y, rng)`` and check again
-    for each step of ``config``'s step list, recording ``(t, state)`` for the
-    state entering each step and for the output at the last step's t - h.
-    A non-finite x_1 (an overflowed observation or start noise) diverges at step 0.
+    for each step of ``config``'s step list; returns the output.  A non-finite
+    x_1 (an overflowed observation or start noise) diverges at step 0.
     """
     y = as_numbers(y, "y")  # not as_state: a non-finite y diverges at step 0
     if y.ndim == 0:
@@ -108,15 +106,10 @@ def _restore(estimator: Estimator, y, config: SamplerConfig, rule):
     if eps1 > 0.0:
         x += eps1 * rng.standard_normal(x.shape)
     x = _check_finite(x, 0, 1.0, "start")
-    traj = [] if config.record_trajectory else None
     for k, (t, h, std) in enumerate(_steps(config.steps, config.schedule)):
-        if traj is not None:
-            traj.append((t, x.copy()))
         est = _check_finite(estimator(x, t), k, t, "estimate")
         x = _check_finite(rule(x, est, t, h, std, k, y, rng), k, t, "iterate")
-    if traj is not None:
-        traj.append((t - h, x.copy()))
-    return x, traj
+    return x
 
 
 def _stepwise_rule(x, est, t, h, std, k, y, rng):
@@ -136,19 +129,16 @@ def _cold_diffusion_rule(x, est, t, h, std, k, y, rng):
     return x + h * (est - y)
 
 
-def iterative_restore(estimator: Estimator, y, config: SamplerConfig):
-    """Run the small-step sampler from observation ``y`` down to t = 0.
-
-    Returns ``(x0, trajectory)`` where ``trajectory`` is None unless
-    ``config.record_trajectory`` is set, and then a list of ``(t, state)``
-    pairs from t = 1 down to t = 0.  The final step has weight
-    delta/t = 1 exactly, so the output is a pure estimator application at
-    t = delta (plus terminal noise if the schedule still carries any).
+def iterative_restore(estimator: Estimator, y, config: SamplerConfig) -> np.ndarray:
+    """Run the small-step sampler from observation ``y`` down to t = 0 and
+    return the output x_0, an array of ``y``'s shape.  The final step has
+    weight delta/t = 1 exactly, so the output is a pure estimator application
+    at t = delta (plus terminal noise if the schedule still carries any).
     """
     return _restore(estimator, y, config, _stepwise_rule)
 
 
-def naive_restore(estimator: Estimator, y, config: SamplerConfig):
+def naive_restore(estimator: Estimator, y, config: SamplerConfig) -> np.ndarray:
     """Run the observation-anchored sampler; see the module docstring.
 
     Coincides with :func:`iterative_restore` at N = 1 (both reduce to a
@@ -157,7 +147,7 @@ def naive_restore(estimator: Estimator, y, config: SamplerConfig):
     return _restore(estimator, y, config, _naive_rule)
 
 
-def cold_diffusion_restore(estimator: Estimator, y, config: SamplerConfig):
+def cold_diffusion_restore(estimator: Estimator, y, config: SamplerConfig) -> np.ndarray:
     """Run the incremental-correction sampler; see the module docstring."""
     return _restore(estimator, y, config, _cold_diffusion_rule)
 
@@ -186,4 +176,4 @@ def ode_restore(estimator: Estimator, y, method: str = "euler", n_steps: int = 1
         return x - 0.5 * h * (k1 + k2)
 
     rule = heun if method == "heun" else _stepwise_rule
-    return _restore(estimator, y, SamplerConfig(steps=n), rule)[0]
+    return _restore(estimator, y, SamplerConfig(steps=n), rule)

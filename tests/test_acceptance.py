@@ -119,13 +119,13 @@ def test_criterion_02_gaussian_closed_form_limit():
     y = np.array([2.0])
     limit = 2.0 / np.sqrt(2.0)
 
-    out, _ = iterative_restore(oracle, y, SamplerConfig(steps=1000))
+    out = iterative_restore(oracle, y, SamplerConfig(steps=1000))
     point_err = abs(float(out[0]) - limit)
 
     grid = [10, 31, 100, 316, 1000, 3162, 10000]
     errs = []
     for n in grid:
-        o, _ = iterative_restore(oracle, y, SamplerConfig(steps=n))
+        o = iterative_restore(oracle, y, SamplerConfig(steps=n))
         errs.append(abs(float(o[0]) - limit))
     slope = float(np.polyfit(np.log(grid), np.log(errs), 1)[0])
 
@@ -145,7 +145,7 @@ def test_criterion_03_distribution_preservation():
     n = 10_000
     rng = derive_rng(0, "acceptance", "preservation")
     y = rng.normal(0.0, np.sqrt(2.0), size=(n, 1))
-    out, _ = iterative_restore(oracle, y, SamplerConfig(steps=1000))
+    out = iterative_restore(oracle, y, SamplerConfig(steps=1000))
     out = out[:, 0]
 
     mean_gap = abs(out.mean() - 0.0)
@@ -181,8 +181,7 @@ def test_criterion_04_toy_mode_convergence():
             np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]),
             np.full(4, 0.25))
         oracle = MixturePosteriorOracle(prior, LinearDegradation(H, sigma))
-        one_step, _ = iterative_restore(oracle, np.zeros(2),
-                                        SamplerConfig(steps=1))
+        one_step = iterative_restore(oracle, np.zeros(2), SamplerConfig(steps=1))
         dists = np.linalg.norm(prior.modes - one_step, axis=1)
         symmetric_ok = symmetric_ok and bool(np.all(dists > 0.0))
 
@@ -204,7 +203,7 @@ def test_criterion_05_sampler_matches_explicit_euler():
     y = derive_rng(0, "acceptance", "euler").normal(0.0, 1.2, size=(64, 2))
     all_equal = True
     for n in (5, 50):
-        stepped, _ = iterative_restore(oracle, y, SamplerConfig(steps=n))
+        stepped = iterative_restore(oracle, y, SamplerConfig(steps=n))
         integrated = ode_restore(oracle, y, method="euler", n_steps=n)
         try:
             assert_array_equal(stepped, integrated)

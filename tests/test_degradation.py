@@ -211,6 +211,31 @@ _REFUSALS = [
      ValueError, "y must be a number, got ['0.5']"),
     ("iterative_restore-bool", lambda: iterative_restore(_mlp(), [True], SamplerConfig(1)),
      ValueError, "y must be a number, got [True]"),
+    # an integer beyond the float64 range (it raised OverflowError)
+    ("ConstantSchedule-huge-int", lambda: ConstantSchedule(10**400), ValueError,
+     "epsilon must be finite and >= 0"),
+    ("TimeDistribution-huge-int", lambda: TimeDistribution("linear_a", 10**400), ValueError,
+     "a must be finite and >= 0"),
+    ("TrainConfig-huge-int", lambda: TrainConfig(learning_rate=10**400), ValueError,
+     "learning_rate must be finite and > 0"),
+    ("distortion_metrics-huge-int", lambda: distortion_metrics([1.0], [2.0], peak=10**400),
+     ValueError, "peak must be finite and > 0"),
+    ("GaussianMixturePrior-huge-int", lambda: GaussianMixturePrior([[10**400]], [1.0]),
+     ValueError, "modes must be a number within the float64 range"),
+    ("GaussianPrior-huge-int", lambda: GaussianPrior([0.0], 10**400), ValueError,
+     "sigma_c must be finite and > 0"),
+    ("TableSchedule-huge-int", lambda: TableSchedule([0, 1], [10**400, 0]), ValueError,
+     "table epsilons must be a number within the float64 range"),
+    ("iterative_restore-huge-int",
+     lambda: iterative_restore(_mlp(), [10**400], SamplerConfig(1)), ValueError,
+     "y must be a number within the float64 range"),
+    ("predict-huge-int-t", lambda: _mlp().predict(np.zeros(2), 10**400), ValueError,
+     "t must be a number within the float64 range"),
+    ("empirical_distribution_stats-huge-int",
+     lambda: empirical_distribution_stats([0.0, 1.0], 0.0, 10**400), ValueError,
+     "ref_std must be finite and > 0"),
+    ("as_state-huge-negative-int", lambda: as_state([-10**400, 0.0]), ValueError,
+     "state must be a number within the float64 range"),
 ]
 
 

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from restep import harness
 from restep.cli import main as cli_main
+from restep.degradation import ConstantSchedule
 from restep.harness import (
     EXPERIMENT_KINDS,
     ConfigError,
@@ -591,9 +592,40 @@ class TestExperimentRuns:
             return np.full(np.shape(x), 1e12 if t == 2 / 3 else 0.0)
 
         for estimator, n, t in ((late, 2, 0.0), (early, 3, 1 / 3)):
-            err = harness._restore_cell((sampler, estimator, [[1.0, -1.0]], SamplerConfig(n), 1.0))
+            cell = (sampler, estimator, [[1.0, -1.0]], SamplerConfig(n), 1.0, False)
+            err = harness._restore_cell(cell)
             assert isinstance(err, DivergenceError)
             assert (err.step_index, err.t) == (2, t)
+
+    @pytest.mark.parametrize("sampler", ["iterative", "naive", "cold_diffusion"])
+    def test_a_recording_cell_keeps_the_states_its_estimator_saw(self, sampler):
+        """Recording, the cell's trajectory is the (t, state) of each estimator
+        call, one a step, then (0.0, output); not recording, it is None."""
+        seen = []
+
+        def estimator(x, t):
+            seen.append((t, x.copy()))
+            return 0.5 * x + t
+
+        y = [[1.0, -1.0], [0.25, 2.0]]
+        config = SamplerConfig(4, ConstantSchedule(0.5), seed=3)
+        output, trajectory = harness._restore_cell((sampler, estimator, y, config, 1.0, True))
+        assert [t for t, _ in trajectory] == [1.0, 0.75, 0.5, 0.25, 0.0]
+        for (t, state), (t_seen, state_seen) in zip(trajectory, [*seen, (0.0, output)]):
+            assert t == t_seen
+            assert state.tobytes() == state_seen.tobytes()
+        seen.clear()
+        again, untraced = harness._restore_cell((sampler, estimator, y, config, 1.0, False))
+        assert untraced is None
+        assert again.tobytes() == output.tobytes()
+
+    def test_a_recording_cell_that_diverges_returns_its_error(self):
+        def blows_up(x, t):
+            return np.full(np.shape(x), 1e12 if t < 0.8 else 0.0)
+
+        err = harness._restore_cell(("iterative", blows_up, [[1.0]], SamplerConfig(4), 1.0, True))
+        assert isinstance(err, DivergenceError)
+        assert (err.step_index, err.t) == (2, 0.5)
 
     def test_gauss1d_lands_on_its_limit_when_sigma_c_squared_overflows(self):
         """sigma_c = 1e200: the posterior mean is x_t and the flow is y (both

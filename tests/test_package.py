@@ -1,8 +1,7 @@
-"""The package's public surface: one list of names, and demos that import
-only names that exist (the demos take seconds to run, so they are checked
-here by parsing, not by running them).  No source file imports a name it
-does not use, no private module-level name goes unread, and the package
-imports numpy and the standard library alone."""
+"""The package's public surface: one list of names, and demos and a README
+tour that import only names that exist and run.  No source file imports a
+name it does not use, no private module-level name goes unread, and the
+package imports numpy and the standard library alone."""
 
 import ast
 import builtins
@@ -28,6 +27,8 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 SOURCES = sorted(str(p.relative_to(ROOT)) for d in ("src", "tests", "demos")
                  for p in (ROOT / d).rglob("*.py"))
+# a fresh interpreter's environment, importing restep from this checkout
+ENV = {**os.environ, "PYTHONPATH": str(Path(restep.__file__).resolve().parent.parent)}
 
 
 def test_package_names_are_the_module_names():
@@ -57,8 +58,7 @@ def test_deleted_names_are_gone():
 def run_fresh(code: str) -> dict:
     """Run ``code`` in a fresh interpreter that imports restep from this
     checkout; it prints one JSON object as its last line, returned here."""
-    env = {**os.environ, "PYTHONPATH": str(Path(restep.__file__).resolve().parent.parent)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True,
                          text=True, check=True)
     return json.loads(out.stdout.splitlines()[-1])
 
@@ -111,6 +111,24 @@ def test_demo_imports_resolve(demo):
         module = importlib.import_module(node.module)
         for alias in node.names:
             assert hasattr(module, alias.name), f"{demo}: {node.module}.{alias.name}"
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_runs(demo, tmp_path):
+    """Each demo runs to exit 0 in a fresh interpreter, from an empty working
+    directory, with a RuntimeWarning or DeprecationWarning an error."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+         str(DEMOS / demo)], cwd=tmp_path, env=ENV, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_library_tour_runs():
+    """The README's one code sample runs and restores its 2-pixel input."""
+    [code] = re.findall(r"^```python\n(.*?)^```", _readme_section("Library tour"), re.M | re.S)
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["restored"].shape == (2,)
 
 
 @pytest.mark.parametrize("source", SOURCES)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,30 @@ def constant_estimator(value):
     return estimate
 
 
+def recording(estimator):
+    """``estimator``, keeping in ``.seen`` the ``(t, state)`` of each call."""
+    def estimate(x_t, t):
+        estimate.seen.append((t, x_t.copy()))
+        return estimator(x_t, t)
+    estimate.seen = []
+    return estimate
+
+
+class TestInterface:
+    @pytest.mark.parametrize("y", [[2.0], [[2.0], [-1.0]], [[0.5, 1.0, -3.0]]])
+    def test_every_routine_returns_an_array_of_the_input_shape(self, y):
+        est = constant_estimator(0.25)
+        outs = [run(est, y, SamplerConfig(steps=3))
+                for run in (iterative_restore, naive_restore, cold_diffusion_restore)]
+        outs += [ode_restore(est, y, method, n_steps=3) for method in ("euler", "heun")]
+        for out in outs:
+            assert isinstance(out, np.ndarray)
+            assert out.shape == np.shape(y)
+
+    def test_the_config_holds_steps_schedule_and_seed(self):
+        assert [f.name for f in fields(SamplerConfig)] == ["steps", "schedule", "seed"]
+
+
 class TestSingleStep:
     def test_all_samplers_coincide_at_one_step(self):
         """With N = 1 every update reduces to a single estimator call at
@@ -44,16 +70,16 @@ class TestSingleStep:
         oracle = gauss_oracle()
         y = np.array([2.0])
         cfg = SamplerConfig(steps=1)
-        out_iter, _ = iterative_restore(oracle, y, cfg)
-        out_naive, _ = naive_restore(oracle, y, cfg)
-        out_cold, _ = cold_diffusion_restore(oracle, y, cfg)
+        out_iter = iterative_restore(oracle, y, cfg)
+        out_naive = naive_restore(oracle, y, cfg)
+        out_cold = cold_diffusion_restore(oracle, y, cfg)
         assert_array_equal(out_iter, out_naive)
         assert_array_equal(out_iter, out_cold)
         assert_array_equal(out_iter, oracle(y, 1.0))
 
     def test_one_step_is_the_mmse_estimate(self):
         oracle = gauss_oracle()
-        out, _ = iterative_restore(oracle, np.array([2.0]), SamplerConfig(steps=1))
+        out = iterative_restore(oracle, np.array([2.0]), SamplerConfig(steps=1))
         assert_allclose(out, [1.0], rtol=1e-15)
 
 
@@ -61,8 +87,8 @@ class TestIterativeSampler:
     def test_zero_noise_runs_ignore_the_seed(self):
         oracle = gauss_oracle()
         y = np.array([1.5, -0.5])
-        a, _ = iterative_restore(oracle, y, SamplerConfig(steps=10, seed=1))
-        b, _ = iterative_restore(oracle, y, SamplerConfig(steps=10, seed=999))
+        a = iterative_restore(oracle, y, SamplerConfig(steps=10, seed=1))
+        b = iterative_restore(oracle, y, SamplerConfig(steps=10, seed=999))
         assert_array_equal(a, b)
 
     def test_constant_estimator_reached_exactly(self):
@@ -70,53 +96,49 @@ class TestIterativeSampler:
         the estimator's value with no roundoff residue of the iterate."""
         est = constant_estimator(0.75)
         y = np.array([10.0, -3.0])
-        out, _ = iterative_restore(est, y, SamplerConfig(steps=7))
+        out = iterative_restore(est, y, SamplerConfig(steps=7))
         assert_array_equal(out, np.full(2, 0.75))
 
     def test_trajectory_bookkeeping(self):
-        oracle = gauss_oracle()
+        """One estimator call a step, from y at t = 1 down to t = 1/n."""
+        oracle = recording(gauss_oracle())
         y = np.array([2.0])
         n = 5
-        cfg = SamplerConfig(steps=n, record_trajectory=True)
-        out, traj = iterative_restore(oracle, y, cfg)
-        assert len(traj) == n + 1
-        assert traj[0][0] == 1.0
-        assert_array_equal(traj[0][1], y)
-        assert traj[-1][0] == 0.0
-        assert_array_equal(traj[-1][1], out)
-        assert_allclose([t for t, _ in traj], [(n - k) / n for k in range(n + 1)])
+        iterative_restore(oracle, y, SamplerConfig(steps=n))
+        assert len(oracle.seen) == n
+        assert_array_equal(oracle.seen[0][1], y)
+        assert_allclose([t for t, _ in oracle.seen], [(n - k) / n for k in range(n)])
 
     def test_initial_noise_applied_once(self):
         """A constant eps > 0 schedule perturbs the start but injects no
         per-step noise afterwards, so the rest of the run is deterministic
         given that start."""
         sched = ConstantSchedule(0.5)
-        est = constant_estimator(0.0)
+        est = recording(constant_estimator(0.0))
         d = 20_000
         y = np.zeros(d)
-        cfg = SamplerConfig(steps=3, schedule=sched, seed=12, record_trajectory=True)
-        _, traj = iterative_restore(est, y, cfg)
-        start = traj[0][1]
+        cfg = SamplerConfig(steps=3, schedule=sched, seed=12)
+        iterative_restore(est, y, cfg)
+        start = est.seen[0][1]
         assert abs(start.std() - 0.5) < 0.02
-        rerun, _ = iterative_restore(est, y, cfg)
-        again, _ = iterative_restore(est, y, cfg)
+        rerun = iterative_restore(est, y, cfg)
+        again = iterative_restore(est, y, cfg)
         assert_array_equal(rerun, again)
 
     def test_brownian_noise_changes_with_seed(self):
         sched = BrownianSchedule(0.3)
         oracle = gauss_oracle()
         y = np.array([2.0])
-        a, _ = iterative_restore(oracle, y, SamplerConfig(steps=10, schedule=sched, seed=0))
-        b, _ = iterative_restore(oracle, y, SamplerConfig(steps=10, schedule=sched, seed=1))
+        a = iterative_restore(oracle, y, SamplerConfig(steps=10, schedule=sched, seed=0))
+        b = iterative_restore(oracle, y, SamplerConfig(steps=10, schedule=sched, seed=1))
         assert not np.array_equal(a, b)
 
     def test_brownian_noise_injected_where_epsilon_squared_overflows(self):
         """At epsilon 1e160 the first step still injects its noise (it
         injected none, its std being nan)."""
-        cfg = SamplerConfig(steps=4, schedule=BrownianSchedule(1e160), seed=2,
-                            record_trajectory=True)
-        _, traj = iterative_restore(constant_estimator(0.0), np.zeros(50), cfg)
-        injected = (traj[1][1] - 0.75 * traj[0][1]) / 1e160
+        est = recording(constant_estimator(0.0))
+        iterative_restore(est, np.zeros(50), SamplerConfig(4, BrownianSchedule(1e160), seed=2))
+        injected = (est.seen[1][1] - 0.75 * est.seen[0][1]) / 1e160
         assert np.all(injected != 0.0)
         assert 0.5 < injected.std() / np.sqrt(0.75 * 0.25) < 1.5
 
@@ -130,7 +152,7 @@ class TestIterativeSampler:
         sched = BrownianSchedule(1e160)
         oracle = GaussianWorld(GaussianPrior(c=[c], sigma_c=1.0), 0.5).oracle(sched)
         cfg = SamplerConfig(steps=4, schedule=sched, seed=1)
-        out, _ = iterative_restore(oracle, np.array([[0.3], [-1.0]]), cfg)
+        out = iterative_restore(oracle, np.array([[0.3], [-1.0]]), cfg)
         assert_array_equal(out, [[c], [c]])
 
     def test_non_finite_estimate_raises_with_step_index(self):
@@ -154,9 +176,9 @@ class TestIterativeSampler:
     def test_batch_input_runs_rowwise(self):
         oracle = gauss_oracle()
         ys = np.array([[2.0], [-1.0], [0.5]])
-        batch, _ = iterative_restore(oracle, ys, SamplerConfig(steps=8))
+        batch = iterative_restore(oracle, ys, SamplerConfig(steps=8))
         for i in range(3):
-            single, _ = iterative_restore(oracle, ys[i], SamplerConfig(steps=8))
+            single = iterative_restore(oracle, ys[i], SamplerConfig(steps=8))
             assert_allclose(batch[i], single, rtol=1e-15)
 
     def test_step_count_validated(self):
@@ -172,24 +194,21 @@ class TestIterativeSampler:
 
 
 class TestOtherSamplers:
-    def test_naive_records_trajectory(self):
-        oracle = gauss_oracle()
-        _, traj = naive_restore(
-            oracle, np.array([2.0]), SamplerConfig(steps=4, record_trajectory=True)
-        )
-        assert len(traj) == 5
-        assert traj[-1][0] == 0.0
+    def test_naive_calls_its_estimator_once_a_step(self):
+        oracle = recording(gauss_oracle())
+        naive_restore(oracle, np.array([2.0]), SamplerConfig(steps=4))
+        assert [t for t, _ in oracle.seen] == [1.0, 0.75, 0.5, 0.25]
 
     def test_cold_diffusion_first_step_formula(self):
         # One step of x + delta (F - y) from x = y.
         oracle = gauss_oracle()
         y = np.array([2.0])
-        out, _ = cold_diffusion_restore(oracle, y, SamplerConfig(steps=1))
+        out = cold_diffusion_restore(oracle, y, SamplerConfig(steps=1))
         assert_allclose(out, y + 1.0 * (oracle(y, 1.0) - y))
 
     def test_naive_final_step_is_full_estimator_weight(self):
         est = constant_estimator(0.25)
-        out, _ = naive_restore(est, np.array([4.0]), SamplerConfig(steps=6))
+        out = naive_restore(est, np.array([4.0]), SamplerConfig(steps=6))
         assert_array_equal(out, np.array([0.25]))
 
 
@@ -201,7 +220,7 @@ class TestOdeEquivalence:
         merely to rounding."""
         oracle = gauss_oracle(sigma_c=0.9, sigma_n=1.1, c=0.2)
         y = np.array([1.7, -2.3])
-        discrete, _ = iterative_restore(oracle, y, SamplerConfig(steps=n))
+        discrete = iterative_restore(oracle, y, SamplerConfig(steps=n))
         ode = ode_restore(oracle, y, method="euler", n_steps=n)
         assert_array_equal(discrete, ode)
 
@@ -328,12 +347,10 @@ class TestGeneratedInputs:
     @settings(max_examples=30, deadline=None)
     @given(y=_STATES, n=st.integers(1, 60))
     def test_euler_is_the_zero_noise_stepwise_rule(self, y, n):
-        oracle = _gauss_oracle_for(y)
-        out, traj = iterative_restore(
-            oracle, y, SamplerConfig(steps=n, record_trajectory=True))
+        oracle = recording(_gauss_oracle_for(y))
+        out = iterative_restore(oracle, y, SamplerConfig(steps=n))
         assert_array_equal(ode_restore(oracle, y, method="euler", n_steps=n), out)
-        assert [t for t, _ in traj] == [(n - k) / n for k in range(n + 1)]
-        assert_array_equal(traj[-1][1], out)
+        assert [t for t, _ in oracle.seen] == [(n - k) / n for k in range(n)] * 2
 
     @settings(max_examples=30, deadline=None)
     @given(y=_STATES)
@@ -344,9 +361,9 @@ class TestGeneratedInputs:
         oracle = _gauss_oracle_for(y)
         cfg = SamplerConfig(steps=1)
         want = oracle(y, 1.0)
-        assert_array_equal(iterative_restore(oracle, y, cfg)[0], want)
-        assert_array_equal(naive_restore(oracle, y, cfg)[0], want)
-        cold, _ = cold_diffusion_restore(oracle, y, cfg)
+        assert_array_equal(iterative_restore(oracle, y, cfg), want)
+        assert_array_equal(naive_restore(oracle, y, cfg), want)
+        cold = cold_diffusion_restore(oracle, y, cfg)
         assert np.all(np.abs(cold - want) <= np.spacing(2 * np.maximum(abs(y), abs(want))))
 
 
@@ -392,8 +409,9 @@ class TestStepListProperties:
         of the per-step loop bit for bit."""
         oracle = GaussianWorld(GaussianPrior(c=np.full(y.shape[-1], 0.2), sigma_c=0.9),
                                1.1).oracle(schedule)
-        cfg = SamplerConfig(steps=n, schedule=schedule, seed=seed, record_trajectory=True)
-        out, traj = iterative_restore(oracle, y, cfg)
+        watched = recording(oracle)
+        out = iterative_restore(watched, y, SamplerConfig(steps=n, schedule=schedule, seed=seed))
+        traj = [*watched.seen, (0.0, out)]
         want, want_traj = _reference_iterative(oracle, y, schedule, n, seed)
         assert_array_equal(out.view(np.uint64), want.view(np.uint64))
         assert [t for t, _ in traj] == [t for t, _ in want_traj]

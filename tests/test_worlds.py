@@ -251,8 +251,8 @@ class TestDivergenceGuard:
         """A (0, d) state has no largest entry: the guard reads 0 (numpy's
         maximum raised on the zero-size array) and the run keeps its shape."""
         world = TestMixtureWorld().world()
-        out, _ = iterative_restore(DivergenceGuard(world.oracle(), 1.0), np.empty((0, 2)),
-                                   SamplerConfig(steps=3))
+        out = iterative_restore(DivergenceGuard(world.oracle(), 1.0), np.empty((0, 2)),
+                                SamplerConfig(steps=3))
         assert out.shape == (0, 2)
 
     def test_batch_norm_is_worst_row(self):
