@@ -334,7 +334,8 @@ def train(model: MlpRegressor, data, config: TrainConfig):
     returns an identical copy and an empty loss curve).  Raises
     :class:`DivergenceError`, with ``t`` None, the moment a drawn pair or
     the batch loss goes non-finite.  Each step writes its batch, gradients
-    and Adam temporaries into arrays kept across steps.
+    and Adam temporaries into arrays kept across steps; the returned model
+    carries no scratch arrays, like one that has been pickled.
     """
     trained = model.copy()
     params = trained.weights + trained.biases
@@ -386,6 +387,7 @@ def train(model: MlpRegressor, data, config: TrainConfig):
         losses[step] = loss
     if config.steps > 0:
         trained.training_seed = config.seed
+    trained._work = None  # the batch-row workspace; predict makes its own
     return trained, losses
 
 

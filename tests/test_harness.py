@@ -1,7 +1,11 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -751,6 +755,31 @@ class TestReportEmission:
         run_experiment({**cfg, "out_dir": str(dir_b)})
         assert (dir_a / "sweep_steps.csv").read_bytes() == \
             (dir_b / "sweep_steps.csv").read_bytes()
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2 or not os.path.isdir("/proc/self/task"),
+                        reason="needs two CPUs, and /proc to count OpenBLAS's threads")
+    def test_csv_is_byte_identical_across_blas_thread_counts(self, tmp_path):
+        """A trained run (128-wide GEMMs, big enough for OpenBLAS to split)
+        writes the same bytes at one and two BLAS threads; each run is a
+        fresh interpreter, since OpenBLAS reads its thread count at load,
+        and prints its OS thread count to show the setting took."""
+        cfg = {"kind": "train_restore", "seed": 1, "train": {"steps": 300},
+               "eval": {"n_inputs": 1000}}
+        code = ("import json, os, sys\n"
+                "from restep import run_experiment\n"
+                "run_experiment(json.loads(sys.argv[1]), formats=('csv',))\n"
+                "print(len(os.listdir('/proc/self/task')))\n")
+        src = str(Path(harness.__file__).resolve().parent.parent)
+        threads = {}
+        for n in ("1", "2"):
+            run = subprocess.run(
+                [sys.executable, "-c", code, json.dumps({**cfg, "out_dir": str(tmp_path / n)})],
+                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": n},
+                capture_output=True, text=True, check=True)
+            threads[n] = int(run.stdout)
+        assert threads["1"] < threads["2"]
+        for name in ("train_restore.csv", "checkpoint.bin"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_csv_and_json_numerics_agree(self, tmp_path):
         run_experiment(tiny_config("sweep_steps", out_dir=tmp_path))

@@ -434,6 +434,12 @@ class TestWorkspace:
         assert repr(model) == repr(twin)
         assert model.copy()._work is None
 
+    def test_a_trained_model_leaves_the_workspace_behind(self):
+        """train() returns the model in the state a pickle round trip gives."""
+        x = np.random.default_rng(44).normal(size=(64, 2))
+        trained, _ = train(self.model(), [(x, x)], TrainConfig(batch_size=32, steps=2))
+        assert trained._work is None
+
 
 class TestAllocations:
     """A warm 1000-row forward pass and a warm training step make no array
@@ -478,6 +484,23 @@ class TestAllocations:
         finally:
             tracemalloc.stop()
         assert peak - held[0] < self.LIMIT
+
+    def test_training_keeps_only_the_trained_parameters(self):
+        """What train() leaves allocated is the returned weights and biases
+        and a little more: not the 256-row workspace (about 1 MB at 128
+        wide), which would stay resident while the model restores."""
+        model = MlpRegressor.create(2, [128, 128], np.random.default_rng(54))
+        rng = np.random.default_rng(55)
+        x, y = rng.normal(size=(768, 2)), rng.normal(size=(768, 2))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trained, _ = train(model, [(x, y)], TrainConfig(batch_size=256, steps=3))
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        params = sum(p.nbytes for p in trained.weights + trained.biases)
+        assert params <= kept < params + 64 * 1024
 
 
 class TestTraining:
