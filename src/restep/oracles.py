@@ -4,15 +4,14 @@ Both worlds observe ``y = H x + n`` with ``n ~ N(0, sigma^2 I)`` and embed
 the pair in the interpolation ``x_t = (1 - t) x + t y``.  Substituting the
 observation model gives
 
-    x_t = H_t x + t * n,    H_t = (1 - t) I + t H,    sigma_t = t * sigma,
+    x_t = (1 - t) x + t H x + t * n,    sigma_t = t * sigma,
 
-so conditioned on ``x`` the intermediate state is Gaussian with mean
-``H_t x`` and std ``sigma_t`` per coordinate.  For a discrete mixture
-prior over modes ``c_i`` with weights ``w_i`` the posterior mean of the
-clean signal is the kernel-weighted average
+so given ``x = c_i`` the state is Gaussian with mean ``(1 - t) c_i + t D_i``, where
+``D = C H^T`` is the table of degraded modes, and std ``sigma_t`` per coordinate.  Under
+a mixture prior over modes ``c_i`` with weights ``w_i`` the posterior mean of ``x`` is
 
     E[x | x_t] = sum_i c_i w_i G(u_i) / sum_i w_i G(u_i),
-    u_i = (x_t - H_t c_i) / sigma_t,   G(u) = exp(-||u||^2 / 2),
+    u_i = (x_t - (1 - t) c_i - t D_i) / sigma_t,   G(u) = exp(-||u||^2 / 2),
 
 and for a Gaussian prior ``N(c, sigma_c^2 I)`` (with ``H = I``) everything
 stays Gaussian and is available in closed form, including the whole
@@ -59,7 +58,6 @@ __all__ = [
     "GaussianPrior",
     "LinearDegradation",
     "MixturePosteriorOracle",
-    "blended_operator",
     "gaussian_flow_trajectory",
     "gaussian_posterior_mean",
     "mixture_posterior_mean",
@@ -121,9 +119,9 @@ class GaussianMixturePrior:
 class LinearDegradation:
     """Square observation operator ``H`` plus noise level ``sigma``.
 
-    Rectangular observations are emulated with zero rows so the state
-    dimension stays the same along a trajectory (e.g. H = [[1, 0], [0, 0]]
-    keeps only the first coordinate).
+    Rectangular observations are emulated with zero rows so the state dimension stays
+    the same along a trajectory (H = [[1, 0], [0, 0]] keeps only the first coordinate).
+    A mixture world and its oracle see ``H`` only through ``D = C H^T``, the degraded modes.
     """
 
     H: np.ndarray
@@ -229,24 +227,23 @@ def _far_field_log_terms(x: np.ndarray, centers: np.ndarray, log_w: np.ndarray,
     return rel
 
 
-def blended_operator(deg: LinearDegradation, t: float) -> np.ndarray:
-    """The interpolated operator ``H_t = (1 - t) I + t H``."""
-    t = as_time(t)
-    d = deg.H.shape[0]
-    return (1.0 - t) * np.eye(d) + t * deg.H
+def _degraded_modes(prior: GaussianMixturePrior, deg: LinearDegradation) -> np.ndarray:
+    """The (m, d) table ``D = C H^T`` of degraded modes; its callers let it overflow."""
+    return prior.modes @ deg.H.T
 
 
 def mixture_posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation,
                            x_t, t, extra_noise_std: float = 0.0) -> np.ndarray:
     """Posterior mean E[x | x_t] under the mixture prior.
 
-    ``x_t`` may be a single vector ``(d,)`` or a batch ``(n, d)``.
-    ``extra_noise_std`` is the schedule noise eps(t) present in ``x_t`` on
-    top of the observation noise; the two combine into an effective
-    ``sigma_t = t * sqrt(sigma^2 + eps(t)^2)``.
+    ``x_t`` may be a single vector ``(d,)`` or a batch ``(n, d)``.  ``extra_noise_std`` is
+    the schedule noise eps(t) present in ``x_t`` on top of the observation noise; the two
+    combine into an effective ``sigma_t = t * sqrt(sigma^2 + eps(t)^2)``.
 
-    At sigma_t = 0, t = 0 included, a row gets the w-weighted mean of the modes with
-    the nearest centre ``H_t c_i``, the limit in :func:`_far_field_log_terms`.
+    The centres are ``(1 - t) c_i + t D_i`` over the table ``D`` of :func:`_degraded_modes`,
+    and the modes at t = 0, where ``0 * inf`` would be nan: the mean is finite at any finite
+    ``x_t`` wherever ``D`` is finite, and at t = 0.  At sigma_t = 0, t = 0 included, a row gets
+    the w-weighted mean of the modes with the nearest centre (:func:`_far_field_log_terms`).
     """
     x_t = as_state(x_t, "x_t", dim=prior.dim)
     t = as_time(t)
@@ -260,7 +257,8 @@ def mixture_posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation,
     # _nearest's gaps; at sigma_t = 0 every term is -inf or 0 / 0, so every row does.
     # Golden and benchmark rows never do.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # to +-inf or nan
-        centers = prior.modes @ blended_operator(deg, t).T          # (m, d)
+        centers = (prior.modes if t == 0.0 else                     # (m, d)
+                   (1.0 - t) * prior.modes + t * _degraded_modes(prior, deg))
         # log(w_i) - ||u_i||^2 / 2 in place: adding -b is subtracting b, bit for bit
         post = _mode_distances_sq(rows, centers, sigma_t)
         post *= -0.5

@@ -29,6 +29,7 @@ from .oracles import (
     GaussianPrior,
     LinearDegradation,
     MixturePosteriorOracle,
+    _degraded_modes,
 )
 
 __all__ = [
@@ -99,11 +100,11 @@ class MixtureWorld:
         return span if span > 0.0 else 1.0
 
     def sample_pairs(self, rng, n: int):
-        """``n`` clean mode draws ``x`` and their observations ``y``."""
-        x = self.prior.modes[rng.choice(self.prior.n_modes, size=n, p=self.prior.weights)]
-        noise = rng.standard_normal(x.shape)
+        """``n`` mode draws ``C[idx]`` and observations ``D[idx] + sigma n``, D the oracle's."""
+        idx = rng.choice(self.prior.n_modes, size=n, p=self.prior.weights)
         with np.errstate(over="ignore"):  # an overflowed y is a non-finite start, flagged
-            return x, x @ self.degradation.H.T + self.degradation.sigma * noise
+            y = _degraded_modes(self.prior, self.degradation).take(idx, 0)  # faster than D[idx]
+            return self.prior.modes[idx], y + self.degradation.sigma * rng.standard_normal(y.shape)
 
     def pair_stream(self, rng):
         """Endless stream of ``(x, y)`` draws of ``sample_pairs(rng, 256)``."""

@@ -19,7 +19,6 @@ from restep.oracles import (
     GaussianPrior,
     LinearDegradation,
     MixturePosteriorOracle,
-    blended_operator,
     gaussian_posterior_mean,
     mixture_posterior_mean,
     posterior_mean_at_s,
@@ -72,8 +71,9 @@ def test_criterion_01_posterior_slide_identity():
         via_package = posterior_mean_at_s(pm, x_t, s, t)
 
         # independent route: posterior atom weights from first principles,
-        # then the per-atom slide averaged under them
-        H_t = blended_operator(deg, t)
+        # then the per-atom slide averaged under them; the centres H_t c_i
+        # use the blended matrix, not the oracle's table of degraded modes
+        H_t = (1.0 - t) * np.eye(dim) + t * deg.H
         sigma_t = t * deg.sigma
         resid = x_t[:, None, :] - prior.modes @ H_t.T
         logw = np.log(prior.weights) - \

@@ -584,6 +584,24 @@ class TestExperimentRuns:
         [row] = run_experiment(cfg, write=False).rows
         assert (row["divergent"], row["divergence_step"]) == (1, 0)
 
+    def test_a_mode_whose_observation_overflows_but_is_never_drawn(self):
+        """A mode at 1e308 of weight 1e-13 under H = diag(3, 1): its degraded mode
+        overflows, but no input comes from it, so the run restores every row onto
+        a mode unflagged; the oracle stays finite on rows near the drawn modes and
+        far out at 1e200 and 5e307, at t = 0 and where t D_i is inf."""
+        world = {**_MIXTURE_WORLD, "modes": [[1e308, 0.0], [0.0, 0.0], [0.0, 1.0]],
+                 "weights": [1e-13, 0.5, 0.5 - 1e-13], "H": [[3.0, 0.0], [0.0, 1.0]],
+                 "sigma": 0.5}
+        cfg = {"kind": "toy2d_a", "seed": 0, "eval": {"n_inputs": 50},
+               "sampler": {"steps": 50}, "world": world}
+        [row] = run_experiment(cfg, write=False).rows
+        assert (row["mse"], row["mode_hit_rate"], row["mean_min_dist"]) == (0.08, 1.0, 0.0)
+        assert row["divergent"] == 0
+        oracle = harness.world_from_config(world).oracle()
+        rows = np.array([[0.3, 0.2], [1e200, 0.0], [5e307, 0.0]])
+        for t in (0.0, 1e-3, 0.1, 0.5, 1.0):
+            assert np.isfinite(oracle(rows, t)).all(), t
+
     @pytest.mark.parametrize("sampler", ["iterative", "naive", "cold_diffusion"])
     def test_a_blown_up_output_is_flagged(self, sampler):
         """An estimate of 1e12 on the last step of N = 2 blows up the output,

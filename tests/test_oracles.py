@@ -21,7 +21,6 @@ from restep.oracles import (
     _mode_distances_sq,
     _nearest,
     _sum_axis,
-    blended_operator,
     gaussian_flow_trajectory,
     gaussian_posterior_mean,
     mixture_posterior_mean,
@@ -74,10 +73,16 @@ def scaled_mode_sets(draw):
     return modes, np.ldexp(base + np.ldexp(offsets, -s), k)
 
 
+def _table_centres(prior, deg, t):
+    """The centres (1 - t) c_i + t D_i over the table D = C H^T of degraded modes."""
+    return (1.0 - t) * prior.modes + t * (prior.modes @ deg.H.T)
+
+
 def _reference_log_terms(prior, deg, x_t, t, extra_noise_std):
-    """log(w_i) - ||u_i||^2 / 2 as first written, modes on the last axis."""
+    """log(w_i) - ||u_i||^2 / 2 as first written, modes on the last axis, with the
+    oracle's table-form centres."""
     sigma_t = t * float(np.hypot(deg.sigma, extra_noise_std))
-    centers = prior.modes @ blended_operator(deg, t).T
+    centers = _table_centres(prior, deg, t)
     u = (x_t[..., None, :] - centers) / sigma_t
     with np.errstate(divide="ignore"):
         log_w = np.log(prior.weights)
@@ -141,7 +146,7 @@ class TestMixturePosteriorMean:
         rng = np.random.default_rng(5)
         prior = GaussianMixturePrior(2.0 * np.eye(4), random_mixture(rng, 1, 4).weights)
         deg = LinearDegradation(H=rng.normal(size=(4, 4)), sigma=sigma)
-        centers = prior.modes @ blended_operator(deg, 0.7).T
+        centers = _table_centres(prior, deg, 0.7)
         v = np.linalg.svd(centers[1:] - centers[0])[2][-1]
         near = rng.normal(size=(4, 4))
         xs = np.vstack([near, near + 1e6 * v, 1e300 * rng.normal(size=(1, 4))])
@@ -225,7 +230,7 @@ class TestMixturePosteriorMean:
         with np.errstate(over="ignore"):
             top = np.max(_reference_log_terms(prior, deg, np.array([x]), t, 0.0))
         if top < -_FAR_LOG:
-            centers = [Fraction(c) for c in (prior.modes @ blended_operator(deg, t).T)[:, 0]]
+            centers = [Fraction(c) for c in _table_centres(prior, deg, t)[:, 0]]
             sigma_sq = Fraction(t * sigma) ** 2
             terms = [(Fraction(x) * (c - centers[0]), (c * c - centers[0] ** 2) / 2)
                      for c in centers]
@@ -255,8 +260,10 @@ class TestMixturePosteriorMean:
         assert_allclose(via_extra, via_sigma, rtol=1e-14)
 
     def test_time_zero_is_the_nearest_mode(self):
-        """At t = 0, H_t = I and sigma_t = 0: a row on a mode returns that mode
-        exactly, and a row equidistant from modes returns their w-weighted mean."""
+        """At t = 0 the centres are the modes and sigma_t = 0: a row on a mode returns
+        that mode exactly, and a row equidistant from modes returns their w-weighted
+        mean.  So do modes at +-1e308 under H = diag(3, 1), whose degraded modes
+        overflow: (1 - t) c_i + t D_i would be 0 * inf = nan there."""
         prior = GaussianMixturePrior([[-1.0, 0.0], [1.0, 0.0], [0.3, 5.0]], [0.25, 0.5, 0.25])
         deg = LinearDegradation(H=[[2.0, 1.0], [0.0, -3.0]], sigma=1.0)
         rows = np.array([[-1.0, 0.0], [1.0, 0.0], [0.3, 5.0], [0.0, -1.0], [0.9, 0.1]])
@@ -264,6 +271,10 @@ class TestMixturePosteriorMean:
         assert_array_equal(got[:3], prior.modes)
         assert_allclose(got[3], [1 / 3, 0.0], rtol=1e-15, atol=0.0)
         assert_array_equal(got[4], [1.0, 0.0])
+        huge = GaussianMixturePrior([[1e308, 0.0], [-1e308, 0.0]], [0.5, 0.5])
+        got = mixture_posterior_mean(huge, LinearDegradation([[3.0, 0.0], [0.0, 1.0]], 1.0),
+                                     huge.modes, 0.0)
+        assert got.tobytes() == huge.modes.tobytes()
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match=r"^weights must sum to 1 within 1e-12$"):
@@ -276,12 +287,16 @@ class TestMixturePosteriorMean:
                                      np.zeros((0, 1)), 0.5)
         assert got.shape == (0, 1)
 
-    def test_centres_that_overflow_raise_no_warning(self):
-        """Modes at +-1e308 under H = diag(3, 1): the centres H_t c_i overflow,
-        which warned in the matmul, and the mean is non-finite."""
+    @pytest.mark.parametrize("t", [1e-3, 0.1, 0.3, 1.0])
+    def test_centres_that_overflow_raise_no_warning(self, t):
+        """Modes at +-1e308 under H = diag(3, 1): the degraded modes D overflow,
+        which warned in the matmul, and at any t > 0 the term t D_i is inf, so
+        the mean is non-finite (it is finite wherever D is finite, and at t = 0).
+        Centres taken through the blended matrix (1 - t) I + t H were finite at
+        t 1e-3, 0.1 and 0.3, where the mean read [0, 0]."""
         prior = GaussianMixturePrior([[1e308, 0.0], [-1e308, 0.0]], [0.5, 0.5])
         got = mixture_posterior_mean(prior, LinearDegradation([[3.0, 0.0], [0.0, 1.0]], 1.0),
-                                     np.array([0.0, 0.0]), 1.0)
+                                     np.array([0.0, 0.0]), t)
         assert not np.isfinite(got).all()
 
     def test_noiseless_posterior_keeps_close_modes_apart(self):
@@ -350,7 +365,7 @@ class TestMixturePosteriorMean:
         H = data.draw(arrays(np.float64, (d, d), elements=st.sampled_from(
             [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])))
         deg = LinearDegradation(H, 0.0)
-        centers = prior.modes @ blended_operator(deg, t).T  # as the oracle computes them
+        centers = _table_centres(prior, deg, t)  # as the oracle computes them
         on_centre = data.draw(st.lists(st.integers(0, m - 1), max_size=3))
         rows = np.vstack([centers[on_centre], data.draw(
             arrays(np.float64, (data.draw(st.integers(int(not on_centre), 3)), d),
@@ -391,7 +406,7 @@ class TestMixturePosteriorMean:
     @given(data=st.data(),
            dm=st.one_of(st.tuples(st.integers(1, 10), st.integers(1, 9)),
                         st.tuples(st.just(1), st.integers(10, 140))),
-           t=st.floats(0.01, 1.0), sigma=st.floats(0.01, 3.0),
+           t=st.one_of(st.just(1.0), st.floats(0.01, 1.0)), sigma=st.floats(0.01, 3.0),
            extra=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
            lead=st.sampled_from([(), (1,), (20,), (257,), (3, 5)]))
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference's squares that overflow
@@ -399,7 +414,8 @@ class TestMixturePosteriorMean:
         """Against the formula with numpy's reductions, for vectors and
         batches, zero-weight modes and schedule noise, on every row inside
         the far-field radius (the tests above cover the rows beyond it);
-        past 8 and 128 modes numpy's pairwise sum works in blocks."""
+        past 8 and 128 modes numpy's pairwise sum works in blocks.  At t = 1
+        the centres are the table D itself."""
         d, m = dm
         coords = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e150, 1e150))
         modes = data.draw(arrays(np.float64, (m, d), elements=coords))
@@ -414,11 +430,6 @@ class TestMixturePosteriorMean:
         assert got.shape == want.shape
         near = ~(np.max(_reference_log_terms(prior, deg, x_t, t, extra), axis=-1) < -_FAR_LOG)
         assert got[near].tobytes() == want[near].tobytes()
-
-    def test_blended_operator_endpoints(self):
-        deg = LinearDegradation(H=[[2.0, 0.0], [0.0, 3.0]], sigma=1.0)
-        assert_allclose(blended_operator(deg, 0.0), np.eye(2))
-        assert_allclose(blended_operator(deg, 1.0), deg.H)
 
 
 @st.composite
@@ -486,7 +497,7 @@ class TestSlideToS:
             t = rng.uniform(0.1, 1.0)
             s = rng.uniform(0.0, t)
             # posterior weights, recomputed here by direct Bayes
-            h_t = blended_operator(deg, t)
+            h_t = (1.0 - t) * np.eye(dim) + t * deg.H
             u = (x_t - prior.modes @ h_t.T) / (t * 0.9)
             logp = np.log(prior.weights) - 0.5 * np.sum(u * u, axis=1)
             p = np.exp(logp - logp.max())

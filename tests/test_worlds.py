@@ -1,5 +1,6 @@
 import pickle
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -120,13 +121,50 @@ class TestMixtureWorld:
         assert_array_equal(y[:, 1], np.zeros(4))
 
     def test_an_observation_that_overflows_raises_no_warning(self):
-        """Modes at +-1e308 under H = diag(3, 1): x @ H.T overflows, which
-        warned in the matmul; the observation is non-finite, a start the
-        samplers flag."""
+        """Modes at +-1e308 under H = diag(3, 1): the degraded modes D = C H^T
+        overflow, which warned in the matmul; the observation is non-finite, a
+        start the samplers flag."""
         prior = GaussianMixturePrior([[1e308, 0.0], [-1e308, 0.0]], [0.5, 0.5])
         world = MixtureWorld(prior, LinearDegradation([[3.0, 0.0], [0.0, 1.0]], 1.0))
         y = world.sample_pairs(derive_rng(0, "pairs"), 4)[1]
         assert not np.isfinite(y[:, 0]).any()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 5), d=st.integers(1, 3), seed=st.integers(0, 99))
+    @example(data=None, m=4, d=2, seed=0)  # toy2d_b's modes, H projects on the first axis
+    def test_the_world_and_its_oracle_read_one_table(self, data, m, d, seed):
+        """At sigma = 0 a draw y is its mode's row of the table D = C H^T, and at
+        t = 1 the oracle maps it to the w-weighted mean of the modes whose row
+        of D equals that of x (exactly, in Fractions).  Where no other live mode
+        shares x's row, that is x bit for bit.  The modes and H are on a dyadic
+        grid, and rows of H are zeroed, so H is often many-to-one."""
+        if data is None:
+            modes = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+            H, raw = np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(4)
+        else:
+            grid = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+            modes = data.draw(arrays(np.float64, (m, d), elements=grid))
+            H = data.draw(arrays(np.float64, (d, d), elements=grid))
+            H[data.draw(arrays(bool, d))] = 0.0
+            raw = np.array(data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)
+                                     .filter(any)), dtype=float)
+        world = MixtureWorld(GaussianMixturePrior(modes, raw / raw.sum()),
+                             LinearDegradation(H, 0.0))
+        x, y = world.sample_pairs(derive_rng(seed, "table"), 20)
+        got = world.oracle()(y, 1.0)
+
+        def row_of_d(c):
+            return tuple(sum(Fraction(h) * Fraction(v) for h, v in zip(hr, c)) for hr in H)
+
+        w = world.prior.weights
+        for xi, yi, out in zip(x, y, got):
+            assert row_of_d(xi) == tuple(map(Fraction, yi))
+            group = [i for i, c in enumerate(modes) if w[i] > 0 and row_of_d(c) == row_of_d(xi)]
+            if len(group) == 1:
+                assert out.tobytes() == xi.tobytes()
+            else:
+                assert_allclose(out, w[group] @ modes[group] / w[group].sum(),
+                                rtol=1e-15, atol=1e-15)
 
     def test_signal_peak_is_mode_span(self):
         assert self.world().signal_peak == 2.0
