@@ -124,15 +124,16 @@ _ACTIVATIONS = {
 
 class _Workspace:
     """Kept arrays for one row count n: the (n, d + 1) input batch, each
-    hidden layer's activations, and the backprop delta of each hidden layer.
-    Reusing them spares every call the page faults of fresh arrays above
-    the allocator's mmap threshold."""
+    hidden layer's activations, and the backprop delta of each hidden layer,
+    made at the first backward pass so that a model that only predicts
+    never holds them.  Reusing them spares every call the page faults of
+    fresh arrays above the allocator's mmap threshold."""
 
     def __init__(self, sizes: tuple, rows: int):
         self.rows = rows
         self.inputs = np.empty((rows, sizes[0]))
         self.hidden = [np.empty((rows, s)) for s in sizes[1:-1]]
-        self.deltas = [np.empty((rows, s)) for s in sizes[1:-1]]
+        self.deltas = None
 
 
 @dataclass
@@ -282,7 +283,9 @@ def loss_and_gradients(model: MlpRegressor, inputs, targets, p_norm: int, out=No
         delta = np.sign(diff, out=diff)
         delta /= n_elems
     _, act_deriv = _ACTIVATIONS[model.activation]
-    deltas = model._workspace(len(inputs)).deltas
+    work = model._workspace(len(inputs))
+    if work.deltas is None:
+        work.deltas = [np.empty_like(h) for h in work.hidden]
     n_layers = len(model.weights)
     if out is None:
         out = [np.empty(p.shape) for p in model.weights + model.biases]
@@ -292,7 +295,7 @@ def loss_and_gradients(model: MlpRegressor, inputs, targets, p_norm: int, out=No
         np.sum(delta, axis=0, out=grads_b[l])
         if l > 0:
             deriv = act_deriv(outs[l])  # outs[l] is not read again
-            delta = np.matmul(delta, model.weights[l], out=deltas[l - 1])
+            delta = np.matmul(delta, model.weights[l], out=work.deltas[l - 1])
             delta *= deriv
     return loss, grads_w, grads_b
 
@@ -334,16 +337,31 @@ def train(model: MlpRegressor, data, config: TrainConfig):
     returns an identical copy and an empty loss curve).  Raises
     :class:`DivergenceError`, with ``t`` None, the moment a drawn pair or
     the batch loss goes non-finite.  Each step writes its batch, gradients
-    and Adam temporaries into arrays kept across steps; the returned model
-    carries no scratch arrays, like one that has been pickled.
+    and Adam temporaries into arrays kept across steps.  The weights and
+    biases are views of one flat buffer and the gradients of another, so
+    Adam, whose operations are all elementwise, updates every parameter at
+    once with the bits it would give array by array.  Under the zero
+    schedule ``ConstantSchedule(0.0)`` no step computes a noise std, which
+    would be zero.  The returned model owns its parameters and carries no
+    scratch arrays, like one that has been pickled.
     """
     trained = model.copy()
-    params = trained.weights + trained.biases
-    moment1 = [np.zeros_like(p) for p in params]
-    moment2 = [np.zeros_like(p) for p in params]
-    grads = [np.empty_like(p) for p in params]
-    temps = [(np.empty_like(p), np.empty_like(p)) for p in params]
+    n_layers = len(trained.weights)
+    shapes = [p.shape for p in trained.weights + trained.biases]
+    offsets = np.cumsum([np.prod(shape, dtype=int) for shape in shapes])[:-1]
+
+    def views(flat):
+        return [part.reshape(shape) for part, shape in zip(np.split(flat, offsets), shapes)]
+
+    params = np.concatenate([p.ravel() for p in trained.weights + trained.biases])
+    layers = views(params)
+    trained.weights, trained.biases = layers[:n_layers], layers[n_layers:]
+    grad = np.empty_like(params)
+    grads = views(grad)
+    moment1, moment2 = np.zeros_like(params), np.zeros_like(params)
+    u, v = np.empty_like(params), np.empty_like(params)
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
+    noisy = config.schedule != ConstantSchedule(0.0)
     losses = np.empty(config.steps)
     chunks = iter(data)
     size, dim = config.batch_size, trained.state_dim
@@ -365,28 +383,30 @@ def train(model: MlpRegressor, data, config: TrainConfig):
         y, left_y = left_y[:size], left_y[size:]
         t = sample_times(config.time_dist, rng, size=x.shape[0])
         x_t = forward_interpolate(x, y, t)
-        std = forward_noise_std(config.schedule, t)
-        if np.any(std > 0.0):
-            x_t = x_t + std[:, None] * rng.standard_normal(x_t.shape)
+        if noisy:
+            std = forward_noise_std(config.schedule, t)
+            if np.any(std > 0.0):
+                x_t = x_t + std[:, None] * rng.standard_normal(x_t.shape)
         inputs = trained._inputs(x_t, t)
         loss, _, _ = loss_and_gradients(trained, inputs, x, config.p_norm, out=grads)
         _check_finite(loss, step, None, f"loss (batch seed entropy {(config.seed, step)})")
         correction1 = 1.0 - beta1 ** (step + 1)
         correction2 = 1.0 - beta2 ** (step + 1)
-        for p, g, m1, m2, (u, v) in zip(params, grads, moment1, moment2, temps):
-            m1 *= beta1
-            m1 += np.multiply(1.0 - beta1, g, out=u)
-            m2 *= beta2
-            m2 += np.multiply(1.0 - beta2, np.multiply(g, g, out=u), out=u)
-            # p -= learning_rate * (m1 / correction1) / (sqrt(m2 / correction2) + adam_eps)
-            np.multiply(config.learning_rate, np.divide(m1, correction1, out=u), out=u)
-            np.sqrt(np.divide(m2, correction2, out=v), out=v)
-            v += adam_eps
-            u /= v
-            p -= u
+        moment1 *= beta1
+        moment1 += np.multiply(1.0 - beta1, grad, out=u)
+        moment2 *= beta2
+        moment2 += np.multiply(1.0 - beta2, np.multiply(grad, grad, out=u), out=u)
+        # params -= learning_rate * (m1 / correction1) / (sqrt(m2 / correction2) + adam_eps)
+        np.multiply(config.learning_rate, np.divide(moment1, correction1, out=u), out=u)
+        np.sqrt(np.divide(moment2, correction2, out=v), out=v)
+        v += adam_eps
+        u /= v
+        params -= u
         losses[step] = loss
     if config.steps > 0:
         trained.training_seed = config.seed
+    trained.weights = [w.copy() for w in trained.weights]  # off the flat buffer
+    trained.biases = [b.copy() for b in trained.biases]
     trained._work = None  # the batch-row workspace; predict makes its own
     return trained, losses
 

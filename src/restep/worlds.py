@@ -103,8 +103,9 @@ class MixtureWorld:
         """``n`` mode draws ``C[idx]`` and observations ``D[idx] + sigma n``, D the oracle's."""
         idx = rng.choice(self.prior.n_modes, size=n, p=self.prior.weights)
         with np.errstate(over="ignore"):  # an overflowed y is a non-finite start, flagged
-            y = _degraded_modes(self.prior, self.degradation).take(idx, 0)  # faster than D[idx]
-            return self.prior.modes[idx], y + self.degradation.sigma * rng.standard_normal(y.shape)
+            x = self.prior.modes.take(idx, 0)  # take is ~10x faster than modes[idx]
+            y = _degraded_modes(self.prior, self.degradation).take(idx, 0)
+            return x, y + self.degradation.sigma * rng.standard_normal(y.shape)
 
     def pair_stream(self, rng):
         """Endless stream of ``(x, y)`` draws of ``sample_pairs(rng, 256)``."""

@@ -13,9 +13,11 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
+from restep import regressor
 from restep.degradation import (
     BrownianSchedule,
     ConstantSchedule,
+    TableSchedule,
     forward_interpolate,
     forward_noise_std,
 )
@@ -299,14 +301,20 @@ class TestInPlaceActivation:
            hidden=st.lists(st.integers(1, 40), min_size=1, max_size=2),
            batch_size=st.sampled_from([1, 7, 32, 64]), steps=st.integers(1, 20),
            activation=st.sampled_from(["tanh", "relu"]), p_norm=st.sampled_from([1, 2]),
-           brownian=st.booleans(), eps=st.sampled_from([0.0, 0.3]),
+           schedule=st.sampled_from([
+               ConstantSchedule(0.0), ConstantSchedule(0.3),
+               BrownianSchedule(0.0), BrownianSchedule(0.3),
+               TableSchedule((0.0, 1.0), (0.0, 0.0)),
+               TableSchedule((0.0, 0.5, 1.0), (0.3, 0.0, 0.0))]),
            kind=st.sampled_from(TIME_DISTRIBUTION_KINDS))
     def test_training_keeps_every_bit(self, data, seed, dim, hidden, batch_size, steps,
-                                      activation, p_norm, brownian, eps, kind):
-        """train() with its kept batch, gradient and Adam arrays equals a
-        fresh-array training loop bit for bit: every weight, bias and loss.
-        The stream is cut anywhere, batch boundaries and empty chunks (a
-        zero-size last chunk among them) included."""
+                                      activation, p_norm, schedule, kind):
+        """train() with its flat parameter, gradient and Adam buffers equals
+        a fresh-array, array-by-array training loop bit for bit: every
+        weight, bias and loss.  The stream is cut anywhere, batch boundaries
+        and empty chunks (a zero-size last chunk among them) included; the
+        schedules include tables that are zero everywhere or on part of
+        (0, 1], which take the per-step noise path."""
         rng = np.random.default_rng(seed)
         model = MlpRegressor.create(dim, hidden, rng, activation=activation)
         total = steps * batch_size
@@ -316,7 +324,6 @@ class TestInPlaceActivation:
             st.integers(0, steps).map(lambda k: k * batch_size)), max_size=6))
         edges = [0, *sorted(cuts), total]
         chunks = [(x[a:b], y[a:b]) for a, b in zip(edges[:-1], edges[1:])]
-        schedule = BrownianSchedule(eps) if brownian else ConstantSchedule(eps)
         cfg = TrainConfig(p_norm=p_norm, learning_rate=1e-2, batch_size=batch_size,
                           steps=steps, time_dist=TimeDistribution(kind, a=1.0),
                           schedule=schedule, seed=seed % 1000)
@@ -435,10 +442,13 @@ class TestWorkspace:
         assert model.copy()._work is None
 
     def test_a_trained_model_leaves_the_workspace_behind(self):
-        """train() returns the model in the state a pickle round trip gives."""
+        """train() returns the model in the state a pickle round trip gives:
+        no workspace, and parameters that own their memory, not views of
+        the training buffer."""
         x = np.random.default_rng(44).normal(size=(64, 2))
         trained, _ = train(self.model(), [(x, x)], TrainConfig(batch_size=32, steps=2))
         assert trained._work is None
+        assert all(p.flags.owndata for p in trained.weights + trained.biases)
 
 
 class TestAllocations:
@@ -485,6 +495,21 @@ class TestAllocations:
             tracemalloc.stop()
         assert peak - held[0] < self.LIMIT
 
+    def test_predicting_makes_no_backprop_scratch(self):
+        """A model that only predicts never makes the backprop deltas (2 MB
+        here): a fresh 128x128 model's first 1000-row predict peaks at its
+        input and hidden arrays and its output, plus under 64 KiB."""
+        model = MlpRegressor.create(2, [128, 128], np.random.default_rng(56))
+        rng = np.random.default_rng(57)
+        x, t = rng.normal(size=(1000, 2)), rng.uniform(size=1000)
+        tracemalloc.start()
+        try:
+            model.predict(x, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 1000 * sum(model.layer_sizes) + 64 * 1024
+
     def test_training_keeps_only_the_trained_parameters(self):
         """What train() leaves allocated is the returned weights and biases
         and a little more: not the 256-row workspace (about 1 MB at 128
@@ -519,6 +544,22 @@ class TestTraining:
         assert losses.shape == (400,)
         assert losses[-50:].mean() < 0.5 * losses[:50].mean()
         assert trained.training_seed == cfg.seed
+
+    @pytest.mark.parametrize("schedule, calls", [
+        (ConstantSchedule(0.0), 0), (ConstantSchedule(0.1), 3),
+        (BrownianSchedule(0.0), 3), (TableSchedule((0.0, 1.0), (0.0, 0.0)), 3)])
+    def test_only_the_zero_constant_schedule_skips_the_noise_std(self, monkeypatch,
+                                                                 schedule, calls):
+        """Each step computes the forward noise std, except under
+        ConstantSchedule(0.0), whose std is zero at every t; a schedule that
+        only happens to be zero keeps the per-step path."""
+        seen = []
+        monkeypatch.setattr(regressor, "forward_noise_std",
+                            lambda s, t: seen.append(s) or forward_noise_std(s, t))
+        x = np.random.default_rng(45).normal(size=(96, 2))
+        model = MlpRegressor.create(2, [8], np.random.default_rng(46))
+        train(model, [(x, x)], TrainConfig(batch_size=32, steps=3, schedule=schedule))
+        assert len(seen) == calls
 
     @pytest.mark.parametrize("field, value", [
         ("batch_size", 2.5), ("batch_size", True), ("batch_size", 0),
