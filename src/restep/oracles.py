@@ -20,17 +20,21 @@ ground truth for the samplers and the trained regressor.
 
 The mixture posterior runs mode-major: a batch of n states against m
 modes in d dimensions is held as d contiguous (m, n) blocks, one per
-coordinate and filled from ``x_t``'s columns, so every elementwise step runs
-along the n rows; broadcasting ``x_t[..., None, :] - centers`` instead runs
-n * m inner loops of length d.  The squared norms (over d) and the
-normaliser (over m) are sums over the first, short axis of terms that are
-never -0.0, and :func:`_sum_axis` gives them the bits of ``np.sum`` over that
-axis laid out last: below 8 terms numpy adds left to right from +0.0, which
-changes no such term, so the helper adds whole slices in place from the first
-two; from 8 terms up it calls ``np.sum`` on a copy with the axis last.  The
-final product takes the weights as a C-ordered (n, m) copy, because matmul
-chooses its kernel by memory layout and a transposed view gives different
-last bits.  Far from every mode, and at sigma_t = 0, the log terms come from the gaps
+coordinate, filled by one subtraction of the transposed rows and centres into
+a C-ordered (d, m, n) array, so every elementwise step runs along the n rows;
+broadcasting ``x_t[..., None, :] - centers`` instead runs n * m inner loops of
+length d, and letting the subtraction allocate takes its inputs' transposed
+layout, which is slower.  The squared norms (over d) and the normaliser (over
+m) are sums over the first, short axis of terms that are never -0.0, and
+:func:`_sum_axis` gives them the bits of ``np.sum`` over that axis laid out
+last: below 8 terms numpy adds left to right from +0.0, which changes no such
+term, so the helper adds whole slices in place from the first two; from 8
+terms up it calls ``np.sum`` on a copy with the axis last.  The exponentials
+are divided by the normaliser straight into C-ordered (n, m) weights (written
+through their transpose), because the final product's matmul chooses its
+kernel by memory layout and a transposed view gives different last bits.
+The table ``D`` depends on no call's input: an oracle forms it once and keeps
+it.  Far from every mode, and at sigma_t = 0, the log terms come from the gaps
 of :func:`_nearest`, the one "which centre is nearest" rule, shared by metrics.
 """
 
@@ -175,10 +179,9 @@ def _sum_axis(a: np.ndarray):
 
 def _mode_distances_sq(x: np.ndarray, centers: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """The (m, n) block ``||(x_j - centers_i) / scale||^2`` for the n rows of ``x`` (n, d)
-    and m ``centers`` (m, d), filled from ``x``'s columns and summed by :func:`_sum_axis`."""
-    u = np.empty((x.shape[1], centers.shape[0], x.shape[0]))
-    for j in range(x.shape[1]):
-        np.subtract(x[:, j], centers[:, j, None], out=u[j])
+    and m ``centers`` (m, d), filled by one subtraction and summed by :func:`_sum_axis`."""
+    u = np.empty((x.shape[1], centers.shape[0], x.shape[0]))  # C order, not the inputs'
+    np.subtract(x.T[:, None, :], centers.T[:, :, None], out=u)
     u /= scale
     u *= u
     return _sum_axis(u)
@@ -228,8 +231,12 @@ def _far_field_log_terms(x: np.ndarray, centers: np.ndarray, log_w: np.ndarray,
 
 
 def _degraded_modes(prior: GaussianMixturePrior, deg: LinearDegradation) -> np.ndarray:
-    """The (m, d) table ``D = C H^T`` of degraded modes; its callers let it overflow."""
-    return prior.modes @ deg.H.T
+    """The (m, d) table ``D = C H^T`` of degraded modes, whose entries may overflow to
+    +-inf (or nan, inf - inf) here without a warning.  A :class:`MixturePosteriorOracle`
+    forms it once; :func:`mixture_posterior_mean` and ``MixtureWorld.sample_pairs`` form
+    it on every call."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return prior.modes @ deg.H.T
 
 
 def mixture_posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation,
@@ -245,6 +252,12 @@ def mixture_posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation,
     ``x_t`` wherever ``D`` is finite, and at t = 0.  At sigma_t = 0, t = 0 included, a row gets
     the w-weighted mean of the modes with the nearest centre (:func:`_far_field_log_terms`).
     """
+    return _posterior_mean(prior, deg, _degraded_modes(prior, deg), x_t, t, extra_noise_std)
+
+
+def _posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation, table: np.ndarray,
+                    x_t, t, extra_noise_std) -> np.ndarray:
+    """:func:`mixture_posterior_mean` over the table ``D`` of :func:`_degraded_modes`."""
     x_t = as_state(x_t, "x_t", dim=prior.dim)
     t = as_time(t)
     # Schedule noise enters the state with std t * eps_t, independent of the
@@ -257,24 +270,23 @@ def mixture_posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation,
     # _nearest's gaps; at sigma_t = 0 every term is -inf or 0 / 0, so every row does.
     # Golden and benchmark rows never do.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # to +-inf or nan
-        centers = (prior.modes if t == 0.0 else                     # (m, d)
-                   (1.0 - t) * prior.modes + t * _degraded_modes(prior, deg))
+        centers = prior.modes if t == 0.0 else (1.0 - t) * prior.modes + t * table  # (m, d)
         # log(w_i) - ||u_i||^2 / 2 in place: adding -b is subtracting b, bit for bit
         post = _mode_distances_sq(rows, centers, sigma_t)
         post *= -0.5
         post += prior.log_weights[:, None]
         top = post.max(axis=0)
-        far = ~(top >= -_FAR_LOG)  # a nan top (0 / 0 at sigma_t = 0) is far too
-        if far.any():
+        near = top >= -_FAR_LOG  # a nan top (0 / 0 at sigma_t = 0) is far too
+        if not near.all():
+            far = ~near
             post[:, far] = _far_field_log_terms(rows[far], centers, prior.log_weights, sigma_t)
             top[far] = post[:, far].max(axis=0)
         post -= top  # one term becomes exp(0) = 1, so no weight is 0 / 0
         np.exp(post, out=post)
-        post /= _sum_axis(post)
-    # The product takes the (..., m) weights in C order: matmul's kernel
-    # depends on the layout, and a transposed view changes the bits.
-    post = np.ascontiguousarray(post.T).reshape(x_t.shape[:-1] + (prior.n_modes,))
-    return post @ prior.modes
+        # normalised straight into the (n, m) C-ordered weights the product takes
+        weights = np.empty((len(rows), prior.n_modes))
+        np.divide(post, _sum_axis(post), out=weights.T)
+    return weights.reshape(x_t.shape[:-1] + (prior.n_modes,)) @ prior.modes
 
 
 def posterior_mean_at_s(x0_estimate, x_t, s, t) -> np.ndarray:
@@ -364,11 +376,18 @@ class MixturePosteriorOracle:
     degradation: LinearDegradation
     schedule: NoiseSchedule = ConstantSchedule(0.0)
 
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """The table ``D`` of :func:`_degraded_modes`, formed once; not in ``==``,
+        ``repr`` or pickles."""
+        return _degraded_modes(self.prior, self.degradation)
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_table"}
+
     def __call__(self, x_t, t):
         extra = schedule_epsilon(self.schedule, t)
-        return mixture_posterior_mean(
-            self.prior, self.degradation, x_t, t, extra_noise_std=extra
-        )
+        return _posterior_mean(self.prior, self.degradation, self._table, x_t, t, extra)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ reported (seed, label...) tuple reproduces its stream exactly.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,8 +181,9 @@ class DivergenceGuard:
     Euclidean norm.  The first call fixes the baseline norm: the largest of
     the t = 1 state's, of its estimate's and of ``floor``, a scale the run may
     reach legitimately, so a start at 0 does not make any step away from it a
-    blow-up.  A later state whose norm exceeds FACTOR times the baseline
-    raises :class:`DivergenceError` at step index = calls so far (N at output).
+    blow-up.  A non-finite state, and a later state whose norm exceeds FACTOR
+    times the baseline, raise :class:`DivergenceError` at step index = calls
+    so far (N at output).
     """
 
     FACTOR = 1e6
@@ -193,8 +195,10 @@ class DivergenceGuard:
         self.baseline = None
 
     def check(self, x_t, t) -> float:
-        """The norm of ``x_t``, or the DivergenceError of a blown-up state."""
+        """The norm of ``x_t``, or the DivergenceError of a non-finite or blown-up state."""
         worst = float(np.abs(x_t).max(initial=0.0))
+        if not math.isfinite(worst):  # a nan baseline would pass every later state
+            raise DivergenceError(self.calls, t, "non-finite state")
         if self.baseline is not None and worst > self.FACTOR * self.baseline:
             raise DivergenceError(self.calls, t, f"iterate norm {worst:.3g} exceeded "
                                   f"{self.FACTOR:.0e} x initial norm {self.baseline:.3g}")

@@ -5,12 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
-from restep.degradation import BrownianSchedule, ConstantSchedule
+from restep.degradation import (
+    BrownianSchedule,
+    ConstantSchedule,
+    TableSchedule,
+    schedule_epsilon,
+)
 from restep.oracles import (
     GaussianDenoisingOracle,
     GaussianMixturePrior,
@@ -164,7 +169,8 @@ class TestMixturePosteriorMean:
         assert_allclose(got, [0.0], atol=1e-12)
 
     def test_log_weights_are_kept_out_of_eq_repr_and_pickles(self):
-        """Taken once per prior, -inf for a zero weight without a warning."""
+        """Taken once per prior, -inf for a zero weight without a warning; and
+        so is an oracle's table of degraded modes, once per oracle."""
         prior = GaussianMixturePrior(modes=[[0.0], [1.0]], weights=[1.0, 0.0])
         assert_array_equal(prior.log_weights, [0.0, -np.inf])
         assert prior.log_weights is prior.log_weights
@@ -173,6 +179,14 @@ class TestMixturePosteriorMean:
         restored = pickle.loads(pickle.dumps(prior))
         assert "log_weights" not in vars(restored)
         assert_array_equal(restored.log_weights, [0.0, -np.inf])
+        oracle = MixturePosteriorOracle(prior, LinearDegradation([[2.0]], 0.5))
+        assert_array_equal(oracle._table, [[0.0], [2.0]])
+        assert oracle._table is oracle._table
+        assert oracle == MixturePosteriorOracle(prior, LinearDegradation([[2.0]], 0.5))
+        assert "_table" not in repr(oracle)
+        restored = pickle.loads(pickle.dumps(oracle))
+        assert "_table" not in vars(restored)
+        assert_array_equal(restored._table, [[0.0], [2.0]])
 
     @pytest.mark.parametrize("x", [1e8, 1e15, 1e16, 1e150, 1e155, 1e300, np.finfo(float).max])
     def test_far_field_snaps_to_nearest_mode_without_nan(self, x):
@@ -682,6 +696,35 @@ class TestGaussianWorldForms:
 
 
 class TestOracleWrappers:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 6), d=st.integers(1, 3),
+           schedule=st.one_of(st.builds(ConstantSchedule, st.sampled_from([0.0, 0.3])),
+                              st.builds(BrownianSchedule, st.sampled_from([0.0, 0.2])),
+                              st.just(TableSchedule((0.0, 0.5, 1.0), (0.4, 0.1, 0.0)))),
+           sigma=st.sampled_from([0.0, 0.5, 1.7]),
+           t=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+           lead=st.sampled_from([(0,), (), (1,), (7,)]))
+    def test_the_oracle_is_the_public_function_bit_for_bit(self, data, m, d, schedule, sigma,
+                                                           t, lead):
+        """The oracle's table, formed once, gives the bits of mixture_posterior_mean,
+        which forms it on every call: for a fresh oracle, and for one called and then
+        sent through a pickle, which forms it again.  Zero weights, sigma = 0 (every row
+        in the far field), t = 0 and 1, and empty, single and batched states included."""
+        assume(t > 0.0 or not isinstance(schedule, BrownianSchedule))
+        coords = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e150, 1e150))
+        modes = data.draw(arrays(np.float64, (m, d), elements=coords))
+        raw = data.draw(arrays(np.float64, m, elements=st.sampled_from([0.0, 0.3, 1.0])))
+        raw[data.draw(st.integers(0, m - 1))] = 1.0
+        prior = GaussianMixturePrior(modes, raw / raw.sum())
+        H = data.draw(arrays(np.float64, (d, d), elements=st.floats(-2.0, 2.0)))
+        deg = LinearDegradation(H, sigma)
+        x_t = data.draw(arrays(np.float64, lead + (d,), elements=coords))
+        want = mixture_posterior_mean(prior, deg, x_t, t, schedule_epsilon(schedule, t))
+        oracle = MixturePosteriorOracle(prior, deg, schedule)
+        assert oracle(x_t, t).tobytes() == want.tobytes()
+        restored = pickle.loads(pickle.dumps(oracle))
+        assert restored(x_t, t).tobytes() == want.tobytes()
+
     def test_mixture_oracle_with_schedule_folds_epsilon(self):
         rng = np.random.default_rng(31)
         prior = random_mixture(rng, dim=2, n_modes=3)

@@ -301,6 +301,19 @@ class TestDivergenceGuard:
         with pytest.raises(DivergenceError):
             guard(bad, 0.9)
 
+    def test_a_non_finite_state_raises(self):
+        """A nan first state made the baseline nan (Python's max keeps a leading
+        nan), after which every state passed, one at 1e300 included."""
+        guard = DivergenceGuard(self.toy_estimator(0.5), 1.0)
+        with pytest.raises(DivergenceError, match="^non-finite state at step 0 "):
+            guard(np.array([[np.nan, 1.0]]), 1.0)
+        assert guard.baseline is None
+        guard(np.array([[1.0, 0.0]]), 1.0)
+        with pytest.raises(DivergenceError, match="^non-finite state at step 1 "):
+            guard.check(np.array([[np.inf, 0.0]]), 0.5)
+        with pytest.raises(DivergenceError, match="^iterate norm 1e\\+300 exceeded"):
+            guard(np.array([[1e300, 0.0]]), 0.5)
+
     def test_guard_reads_huge_states_without_overflow(self):
         """A start at 1e200, whose squares overflow (the baseline was inf, so
         the guard could never fire), sets a finite baseline, and a 1e7-fold
