@@ -7,27 +7,23 @@ discrete sampler against pencil-and-paper answers at every stage.
 
 import numpy as np
 
-from restep.oracles import (
-    GaussianDenoisingOracle,
-    GaussianPrior,
-    gaussian_flow_trajectory,
-    gaussian_posterior_mean,
-)
+from restep.oracles import GaussianPrior, gaussian_flow_trajectory, gaussian_posterior_mean
 from restep.samplers import SamplerConfig, iterative_restore
-from restep.worlds import derive_rng
+from restep.worlds import GaussianWorld, derive_rng
 
 prior = GaussianPrior([0.0], sigma_c=1.0)
 sigma_n = 1.0
-oracle = GaussianDenoisingOracle(prior, sigma_n)
+world = GaussianWorld(prior, sigma_n)
+oracle = world.oracle()
 y = np.array([2.0])
 
 print("observation y = 2.0 with c = 0, sigma_c = sigma_n = 1")
 print()
 print("single-shot posterior mean (best mse, no distribution match):")
-print(f"  E[x|y] = {gaussian_posterior_mean(prior, sigma_n, y, 1.0)[0]:.6f}")
+print(f"  E[x|y] = {gaussian_posterior_mean(world, y, 1.0)[0]:.6f}")
 print()
 print("continuum limit of the stepwise path at t -> 0:")
-limit = gaussian_flow_trajectory(prior, sigma_n, y, 0.0)[0]
+limit = gaussian_flow_trajectory(world, y, 0.0)[0]
 print(f"  x_0 = y * sqrt(sigma_c^2 / (sigma_c^2 + sigma_n^2)) = {limit:.6f}")
 print()
 print("discrete sampler converges to that limit at first order:")
@@ -50,7 +46,7 @@ print()
 print("score consistency at a few (t, x_t) points; the denoiser and the")
 print("score of the noisy marginal are two views of one object:")
 for t, x_t in ((0.9, 1.4), (0.5, -0.3), (0.2, 0.7)):
-    pm = gaussian_posterior_mean(prior, sigma_n, np.array([x_t]), t)
+    pm = gaussian_posterior_mean(world, np.array([x_t]), t)
     score = (pm - x_t) / (t * sigma_n) ** 2  # Tweedie: E[x|x_t] = x_t + sigma_t^2 * score
     analytic = -(x_t - prior.c[0]) / (prior.sigma_c ** 2 + (t * sigma_n) ** 2)
     print(f"  t={t:.1f} x_t={x_t:+.1f}: score {score[0]:+.6f} "

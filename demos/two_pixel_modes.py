@@ -8,20 +8,15 @@ inside the stepwise sampler walks the iterate onto one mode.
 import numpy as np
 
 from restep.metrics import nearest_modes
-from restep.oracles import (
-    GaussianMixturePrior,
-    LinearDegradation,
-    MixturePosteriorOracle,
-)
+from restep.oracles import GaussianMixturePrior, LinearDegradation
 from restep.samplers import SamplerConfig, iterative_restore
 from restep.worlds import MixtureWorld, derive_rng
 
 CORNERS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 
 prior = GaussianMixturePrior(CORNERS, np.full(4, 0.25))
-deg = LinearDegradation(np.eye(2), 1.0)
-oracle = MixturePosteriorOracle(prior, deg)
-world = MixtureWorld(prior, deg)
+world = MixtureWorld(prior, LinearDegradation(np.eye(2), 1.0))
+oracle = world.oracle()
 
 rng = derive_rng(3, "demo", "modes")
 x_clean, y = world.sample_pairs(rng, 400)
@@ -47,9 +42,8 @@ print("exactly symmetric, so in practice every input lands somewhere:")
 
 # the anisotropic variant: second pixel unobserved, milder noise
 prior_b = GaussianMixturePrior(CORNERS, np.full(4, 0.25))
-deg_b = LinearDegradation(np.array([[1.0, 0.0], [0.0, 0.0]]), 0.3)
-oracle_b = MixturePosteriorOracle(prior_b, deg_b)
-world_b = MixtureWorld(prior_b, deg_b)
+world_b = MixtureWorld(prior_b, LinearDegradation(np.array([[1.0, 0.0], [0.0, 0.0]]), 0.3))
+oracle_b = world_b.oracle()
 _, y_b = world_b.sample_pairs(derive_rng(3, "demo", "modes-b"), 400)
 out_b = iterative_restore(oracle_b, y_b, SamplerConfig(steps=100))
 idx, dists_b = nearest_modes(out_b, prior_b)

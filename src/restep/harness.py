@@ -720,7 +720,7 @@ def _cell_rows(cfg, world, x, y, cells, results):
 
 def _gauss1d_rows(cfg, world, x, y, cells, results):
     [(_, columns, _)], [result] = cells, results
-    target = gaussian_flow_trajectory(world.prior, world.sigma_n, y, 0.0)
+    target = gaussian_flow_trajectory(world, y, 0.0)
     metrics = _metrics(cfg, world, x, result)
     out = None if metrics["divergent"] else result[0]
     row = _row(cfg, 0, **columns)

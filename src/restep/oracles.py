@@ -33,16 +33,16 @@ terms up it calls ``np.sum`` on a copy with the axis last.  The exponentials
 are divided by the normaliser straight into C-ordered (n, m) weights (written
 through their transpose), because the final product's matmul chooses its
 kernel by memory layout and a transposed view gives different last bits.
-The table ``D`` depends on no call's input: an oracle forms it once and keeps
-it.  Far from every mode, and at sigma_t = 0, the log terms come from the gaps
-of :func:`_nearest`, the one "which centre is nearest" rule, shared by metrics.
+The table ``D`` and ``log w`` depend on no call's input: the world forms them
+once, and its closed form and oracle read them.  Far from every mode, and at
+sigma_t = 0, the log terms come from the gaps of :func:`_nearest`, the one
+"which centre is nearest" rule, shared by metrics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -55,6 +55,9 @@ from .degradation import (
     as_time,
     schedule_epsilon,
 )
+
+if TYPE_CHECKING:  # the worlds hand out these oracles, so they import this module
+    from .worlds import GaussianWorld, MixtureWorld
 
 __all__ = [
     "GaussianDenoisingOracle",
@@ -109,15 +112,6 @@ class GaussianMixturePrior:
     def n_modes(self) -> int:
         return self.modes.shape[0]
 
-    @cached_property
-    def log_weights(self) -> np.ndarray:
-        """``log(weights)`` (-inf at w = 0), taken once; not in ``==``, ``repr`` or pickles."""
-        with np.errstate(divide="ignore"):
-            return np.log(self.weights)
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "log_weights"}
-
 
 @dataclass(frozen=True)
 class LinearDegradation:
@@ -125,7 +119,8 @@ class LinearDegradation:
 
     Rectangular observations are emulated with zero rows so the state dimension stays
     the same along a trajectory (H = [[1, 0], [0, 0]] keeps only the first coordinate).
-    A mixture world and its oracle see ``H`` only through ``D = C H^T``, the degraded modes.
+    A mixture world's closed forms see ``H`` only through its table ``D = C H^T`` of
+    degraded modes (``MixtureWorld.degraded_modes``).
     """
 
     H: np.ndarray
@@ -230,39 +225,26 @@ def _far_field_log_terms(x: np.ndarray, centers: np.ndarray, log_w: np.ndarray,
     return rel
 
 
-def _degraded_modes(prior: GaussianMixturePrior, deg: LinearDegradation) -> np.ndarray:
-    """The (m, d) table ``D = C H^T`` of degraded modes, whose entries may overflow to
-    +-inf (or nan, inf - inf) here without a warning.  A :class:`MixturePosteriorOracle`
-    forms it once; :func:`mixture_posterior_mean` and ``MixtureWorld.sample_pairs`` form
-    it on every call."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return prior.modes @ deg.H.T
-
-
-def mixture_posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation,
-                           x_t, t, extra_noise_std: float = 0.0) -> np.ndarray:
-    """Posterior mean E[x | x_t] under the mixture prior.
+def mixture_posterior_mean(world: MixtureWorld, x_t, t, extra_noise_std: float = 0.0
+                           ) -> np.ndarray:
+    """Posterior mean E[x | x_t] in the mixture world.
 
     ``x_t`` may be a single vector ``(d,)`` or a batch ``(n, d)``.  ``extra_noise_std`` is
     the schedule noise eps(t) present in ``x_t`` on top of the observation noise; the two
     combine into an effective ``sigma_t = t * sqrt(sigma^2 + eps(t)^2)``.
 
-    The centres are ``(1 - t) c_i + t D_i`` over the table ``D`` of :func:`_degraded_modes`,
+    The centres are ``(1 - t) c_i + t D_i`` over the world's table ``D`` of degraded modes,
     and the modes at t = 0, where ``0 * inf`` would be nan: the mean is finite at any finite
     ``x_t`` wherever ``D`` is finite, and at t = 0.  At sigma_t = 0, t = 0 included, a row gets
     the w-weighted mean of the modes with the nearest centre (:func:`_far_field_log_terms`).
     """
-    return _posterior_mean(prior, deg, _degraded_modes(prior, deg), x_t, t, extra_noise_std)
-
-
-def _posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation, table: np.ndarray,
-                    x_t, t, extra_noise_std) -> np.ndarray:
-    """:func:`mixture_posterior_mean` over the table ``D`` of :func:`_degraded_modes`."""
+    prior, log_w = world.prior, world.log_weights
     x_t = as_state(x_t, "x_t", dim=prior.dim)
     t = as_time(t)
     # Schedule noise enters the state with std t * eps_t, independent of the
     # observation noise's t * sigma, so the stds add in quadrature.
-    sigma_t = t * float(np.hypot(deg.sigma, as_scalar(extra_noise_std, "extra_noise_std")))
+    sigma_t = t * float(np.hypot(world.degradation.sigma,
+                                 as_scalar(extra_noise_std, "extra_noise_std")))
     rows = x_t.reshape(-1, prior.dim)
     # The log terms tell the modes apart only while the squared distances do (modes
     # +-1, sigma 1, t = 0.5: they tie from x_t = 1e16, overflow from 1e154).  So a row
@@ -270,16 +252,16 @@ def _posterior_mean(prior: GaussianMixturePrior, deg: LinearDegradation, table: 
     # _nearest's gaps; at sigma_t = 0 every term is -inf or 0 / 0, so every row does.
     # Golden and benchmark rows never do.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # to +-inf or nan
-        centers = prior.modes if t == 0.0 else (1.0 - t) * prior.modes + t * table  # (m, d)
+        centers = prior.modes if t == 0.0 else (1.0 - t) * prior.modes + t * world.degraded_modes
         # log(w_i) - ||u_i||^2 / 2 in place: adding -b is subtracting b, bit for bit
         post = _mode_distances_sq(rows, centers, sigma_t)
         post *= -0.5
-        post += prior.log_weights[:, None]
+        post += log_w[:, None]
         top = post.max(axis=0)
         near = top >= -_FAR_LOG  # a nan top (0 / 0 at sigma_t = 0) is far too
         if not near.all():
             far = ~near
-            post[:, far] = _far_field_log_terms(rows[far], centers, prior.log_weights, sigma_t)
+            post[:, far] = _far_field_log_terms(rows[far], centers, log_w, sigma_t)
             top[far] = post[:, far].max(axis=0)
         post -= top  # one term becomes exp(0) = 1, so no weight is 0 / 0
         np.exp(post, out=post)
@@ -311,9 +293,9 @@ def posterior_mean_at_s(x0_estimate, x_t, s, t) -> np.ndarray:
 # ---- Gaussian-prior world (everything in closed form) ---- #
 
 
-def gaussian_posterior_mean(prior: GaussianPrior, sigma_n: float, x_t, t,
-                            extra_noise_std: float = 0.0) -> np.ndarray:
-    """E[x | x_t] at time t for the Gaussian world:
+def gaussian_posterior_mean(world: GaussianWorld, x_t, t, extra_noise_std: float = 0.0
+                            ) -> np.ndarray:
+    """E[x | x_t] at time t in the Gaussian world:
 
         (sigma_c^2 x_t + t^2 sigma_n'^2 c) / (sigma_c^2 + t^2 sigma_n'^2)
 
@@ -321,7 +303,7 @@ def gaussian_posterior_mean(prior: GaussianPrior, sigma_n: float, x_t, t,
     present in x_t.  At t = 0 this is the identity, as it should be.
     ``x_t``'s rows have the prior's width; a 1-d prior's c spans any width.
     """
-    sigma_n = as_scalar(sigma_n, "sigma_n", positive=True)
+    prior, sigma_n = world.prior, world.sigma_n
     extra_noise_std = as_scalar(extra_noise_std, "extra_noise_std")
     x_t = as_state(x_t, "x_t", dim=prior.dim if prior.dim > 1 else None)
     t = as_time(t)
@@ -337,8 +319,8 @@ def gaussian_posterior_mean(prior: GaussianPrior, sigma_n: float, x_t, t,
         return (vc * x_t + vt * prior.c) / (vc + vt)
 
 
-def gaussian_flow_trajectory(prior: GaussianPrior, sigma_n: float, y, t) -> np.ndarray:
-    """Exact reverse-time trajectory through y for the Gaussian world.
+def gaussian_flow_trajectory(world: GaussianWorld, y, t) -> np.ndarray:
+    """Exact reverse-time trajectory through y in the Gaussian world.
 
     With alpha = sigma_c / sigma_n the small-step iteration's continuum
     limit is a separable ODE whose solution through x_1 = y is
@@ -350,7 +332,7 @@ def gaussian_flow_trajectory(prior: GaussianPrior, sigma_n: float, y, t) -> np.n
     N(c, (sigma_c^2 + sigma_n^2) I) exactly onto the prior N(c, sigma_c^2 I).
     ``y``'s rows have the prior's width; a 1-d prior's c spans any width.
     """
-    sigma_n = as_scalar(sigma_n, "sigma_n", positive=True)
+    prior, sigma_n = world.prior, world.sigma_n
     y = as_state(y, "y", dim=prior.dim if prior.dim > 1 else None)
     t = as_time(t)
     with np.errstate(over="ignore"):
@@ -372,34 +354,19 @@ class MixturePosteriorOracle:
     oracle stays exact for noisy trajectories; the default adds none.
     """
 
-    prior: GaussianMixturePrior
-    degradation: LinearDegradation
+    world: MixtureWorld
     schedule: NoiseSchedule = ConstantSchedule(0.0)
 
-    @cached_property
-    def _table(self) -> np.ndarray:
-        """The table ``D`` of :func:`_degraded_modes`, formed once; not in ``==``,
-        ``repr`` or pickles."""
-        return _degraded_modes(self.prior, self.degradation)
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_table"}
-
     def __call__(self, x_t, t):
-        extra = schedule_epsilon(self.schedule, t)
-        return _posterior_mean(self.prior, self.degradation, self._table, x_t, t, extra)
+        return mixture_posterior_mean(self.world, x_t, t, schedule_epsilon(self.schedule, t))
 
 
 @dataclass(frozen=True)
 class GaussianDenoisingOracle:
     """Ideal estimator for the Gaussian world: (x_t, t) -> E[x | x_t]."""
 
-    prior: GaussianPrior
-    sigma_n: float
+    world: GaussianWorld
     schedule: NoiseSchedule = ConstantSchedule(0.0)
 
     def __call__(self, x_t, t):
-        extra = schedule_epsilon(self.schedule, t)
-        return gaussian_posterior_mean(
-            self.prior, self.sigma_n, x_t, t, extra_noise_std=extra
-        )
+        return gaussian_posterior_mean(self.world, x_t, t, schedule_epsilon(self.schedule, t))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .oracles import (
     GaussianPrior,
     LinearDegradation,
     MixturePosteriorOracle,
-    _degraded_modes,
 )
 
 __all__ = [
@@ -79,14 +78,23 @@ def derive_seed(seed: int, *labels) -> int:
 
 @dataclass(frozen=True)
 class MixtureWorld:
-    """Discrete multimodal prior observed through ``y = H x + n``."""
+    """Discrete multimodal prior observed through ``y = H x + n``.
+
+    It forms the two tables its draws and closed form read once, outside ``==`` and
+    ``repr``: ``degraded_modes``, the (m, d) table ``D = C H^T`` whose entries may overflow
+    to +-inf (or nan, inf - inf) without a warning, and ``log_weights`` (-inf at w = 0)."""
 
     prior: GaussianMixturePrior
     degradation: LinearDegradation
+    degraded_modes: np.ndarray = field(init=False, repr=False, compare=False)
+    log_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.prior.dim != self.degradation.H.shape[0]:
             raise ValueError("prior and degradation dimensions differ")
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            object.__setattr__(self, "degraded_modes", self.prior.modes @ self.degradation.H.T)
+            object.__setattr__(self, "log_weights", np.log(self.prior.weights))
 
     @property
     def dim(self) -> int:
@@ -101,11 +109,11 @@ class MixtureWorld:
         return span if span > 0.0 else 1.0
 
     def sample_pairs(self, rng, n: int):
-        """``n`` mode draws ``C[idx]`` and observations ``D[idx] + sigma n``, D the oracle's."""
+        """``n`` mode draws ``C[idx]`` and observations ``D[idx] + sigma n``."""
         idx = rng.choice(self.prior.n_modes, size=n, p=self.prior.weights)
         with np.errstate(over="ignore"):  # an overflowed y is a non-finite start, flagged
             x = self.prior.modes.take(idx, 0)  # take is ~10x faster than modes[idx]
-            y = _degraded_modes(self.prior, self.degradation).take(idx, 0)
+            y = self.degraded_modes.take(idx, 0)
             return x, y + self.degradation.sigma * rng.standard_normal(y.shape)
 
     def pair_stream(self, rng):
@@ -114,7 +122,7 @@ class MixtureWorld:
             yield self.sample_pairs(rng, 256)
 
     def oracle(self, schedule: NoiseSchedule = ConstantSchedule(0.0)) -> MixturePosteriorOracle:
-        return MixturePosteriorOracle(self.prior, self.degradation, schedule)
+        return MixturePosteriorOracle(self, schedule)
 
 
 @dataclass(frozen=True)
@@ -145,7 +153,7 @@ class GaussianWorld:
             yield self.sample_pairs(rng, 256)
 
     def oracle(self, schedule: NoiseSchedule = ConstantSchedule(0.0)) -> GaussianDenoisingOracle:
-        return GaussianDenoisingOracle(self.prior, self.sigma_n, schedule)
+        return GaussianDenoisingOracle(self, schedule)
 
 
 class DivergenceError(RuntimeError):
@@ -183,7 +191,8 @@ class DivergenceGuard:
     reach legitimately, so a start at 0 does not make any step away from it a
     blow-up.  A non-finite state, and a later state whose norm exceeds FACTOR
     times the baseline, raise :class:`DivergenceError` at step index = calls
-    so far (N at output).
+    so far (N at output); a non-finite first estimate raises at its own call's
+    step, as the samplers' estimate check does, before it could set the baseline.
     """
 
     FACTOR = 1e6
@@ -209,5 +218,8 @@ class DivergenceGuard:
         self.calls += 1
         estimate = self.estimator(x_t, t)
         if self.baseline is None:
-            self.baseline = max(worst, float(np.abs(estimate).max(initial=0.0)), self.floor, 1e-12)
+            top = float(np.abs(estimate).max(initial=0.0))
+            if not math.isfinite(top):  # an inf baseline would pass every later state
+                raise DivergenceError(self.calls - 1, t, "non-finite estimate")
+            self.baseline = max(worst, top, self.floor, 1e-12)
         return estimate

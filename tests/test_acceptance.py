@@ -14,11 +14,9 @@ from numpy.testing import assert_array_equal
 
 from restep.harness import default_config, run_experiment
 from restep.oracles import (
-    GaussianDenoisingOracle,
     GaussianMixturePrior,
     GaussianPrior,
     LinearDegradation,
-    MixturePosteriorOracle,
     gaussian_posterior_mean,
     mixture_posterior_mean,
     posterior_mean_at_s,
@@ -32,7 +30,7 @@ from restep.regressor import (
     time_distribution_cdf,
 )
 from restep.samplers import SamplerConfig, iterative_restore, ode_restore
-from restep.worlds import derive_rng
+from restep.worlds import GaussianWorld, MixtureWorld, derive_rng
 
 
 def _verdict(num, label, ok, detail):
@@ -67,7 +65,7 @@ def test_criterion_01_posterior_slide_identity():
         s = float(rng.uniform(0.0, 1.0)) * t
         x_t = rng.normal(0.0, 2.0, size=(100, dim))
 
-        pm = mixture_posterior_mean(prior, deg, x_t, t)
+        pm = mixture_posterior_mean(MixtureWorld(prior, deg), x_t, t)
         via_package = posterior_mean_at_s(pm, x_t, s, t)
 
         # independent route: posterior atom weights from first principles,
@@ -99,7 +97,7 @@ def test_criterion_01_posterior_slide_identity():
     keep = np.abs(x_t - probe) <= half_width
     x_s = (1.0 - s) * x[keep] + s * y[keep]
     se = x_s.std(ddof=1) / np.sqrt(keep.sum())
-    pm_probe = mixture_posterior_mean(prior, deg, np.array([probe]), t)
+    pm_probe = mixture_posterior_mean(MixtureWorld(prior, deg), np.array([probe]), t)
     target = posterior_mean_at_s(pm_probe, np.array([probe]), s, t)[0]
     mc_gap = abs(x_s.mean() - target)
 
@@ -115,7 +113,7 @@ def test_criterion_02_gaussian_closed_form_limit():
     """Oracle-driven restoration of y=2 on the unit Gaussian world lands on
     2/sqrt(2) and converges at first order in the step count."""
     t0 = time.perf_counter()
-    oracle = GaussianDenoisingOracle(GaussianPrior([0.0], 1.0), 1.0)
+    oracle = GaussianWorld(GaussianPrior([0.0], 1.0), 1.0).oracle()
     y = np.array([2.0])
     limit = 2.0 / np.sqrt(2.0)
 
@@ -141,7 +139,7 @@ def test_criterion_03_distribution_preservation():
     marginal returns samples whose mean and variance match the prior."""
     t0 = time.perf_counter()
     prior = GaussianPrior([0.0], 1.0)
-    oracle = GaussianDenoisingOracle(prior, sigma_n=1.0)
+    oracle = GaussianWorld(prior, sigma_n=1.0).oracle()
     n = 10_000
     rng = derive_rng(0, "acceptance", "preservation")
     y = rng.normal(0.0, np.sqrt(2.0), size=(n, 1))
@@ -180,7 +178,7 @@ def test_criterion_04_toy_mode_convergence():
         prior = GaussianMixturePrior(
             np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]),
             np.full(4, 0.25))
-        oracle = MixturePosteriorOracle(prior, LinearDegradation(H, sigma))
+        oracle = MixtureWorld(prior, LinearDegradation(H, sigma)).oracle()
         one_step = iterative_restore(oracle, np.zeros(2), SamplerConfig(steps=1))
         dists = np.linalg.norm(prior.modes - one_step, axis=1)
         symmetric_ok = symmetric_ok and bool(np.all(dists > 0.0))
@@ -199,7 +197,7 @@ def test_criterion_05_sampler_matches_explicit_euler():
     prior = GaussianMixturePrior(
         np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]),
         np.full(4, 0.25))
-    oracle = MixturePosteriorOracle(prior, LinearDegradation(np.eye(2), 1.0))
+    oracle = MixtureWorld(prior, LinearDegradation(np.eye(2), 1.0)).oracle()
     y = derive_rng(0, "acceptance", "euler").normal(0.0, 1.2, size=(64, 2))
     all_equal = True
     for n in (5, 50):
@@ -221,6 +219,7 @@ def test_criterion_06_score_consistency():
     t0 = time.perf_counter()
     prior = GaussianPrior([0.4], 1.3)
     sigma_n = 0.8
+    world = GaussianWorld(prior, sigma_n)
     rng = derive_rng(0, "acceptance", "score")
     t = rng.uniform(0.05, 1.0, size=1000)
     x_t = rng.normal(0.0, 2.0, size=1000)
@@ -229,7 +228,7 @@ def test_criterion_06_score_consistency():
     score = -(x_t - prior.c[0]) / sigma_marg2
     via_score = x_t + (t * sigma_n) ** 2 * score
     direct = np.array([
-        gaussian_posterior_mean(prior, sigma_n, np.array([xv]), tv)[0]
+        gaussian_posterior_mean(world, np.array([xv]), tv)[0]
         for xv, tv in zip(x_t, t)
     ])
     worst = float(np.max(np.abs(via_score - direct)))

@@ -29,7 +29,7 @@ from restep.oracles import (
 )
 from restep.regressor import MlpRegressor, TimeDistribution, TrainConfig, load_checkpoint
 from restep.samplers import SamplerConfig, iterative_restore
-from restep.worlds import GaussianWorld
+from restep.worlds import GaussianWorld, MixtureWorld
 
 
 class TestSchedules:
@@ -90,8 +90,10 @@ class TestSchedules:
         assert_allclose(batch, singles)
 
 
-_MIX = GaussianMixturePrior([[-1.0], [1.0]], [0.5, 0.5])
+_MIX = MixtureWorld(GaussianMixturePrior([[-1.0], [1.0]], [0.5, 0.5]),
+                    LinearDegradation([[1.0]], 1.0))
 _GAUSS = GaussianPrior([0.0], 1.0)
+_GAUSS_WORLD = GaussianWorld(_GAUSS, 1.0)
 _X = np.zeros(1)
 
 # (call site, parameter, needs > 0, call with the parameter set to v)
@@ -101,13 +103,14 @@ _SCALAR_SITES = [
     ("LinearDegradation", "sigma", False, lambda v: LinearDegradation([[1.0]], v)),
     ("GaussianPrior", "sigma_c", True, lambda v: GaussianPrior([0.0], v)),
     ("mixture_posterior_mean", "extra_noise_std", False,
-     lambda v: mixture_posterior_mean(_MIX, LinearDegradation([[1.0]], 1.0), _X, 0.5, v)),
+     lambda v: mixture_posterior_mean(_MIX, _X, 0.5, v)),
+    # the closed forms read sigma_n from their world, so it meets the rule on the way in
     ("gaussian_posterior_mean", "sigma_n", True,
-     lambda v: gaussian_posterior_mean(_GAUSS, v, _X, 0.5)),
+     lambda v: gaussian_posterior_mean(GaussianWorld(_GAUSS, v), _X, 0.5)),
     ("gaussian_posterior_mean", "extra_noise_std", False,
-     lambda v: gaussian_posterior_mean(_GAUSS, 1.0, _X, 0.5, v)),
+     lambda v: gaussian_posterior_mean(_GAUSS_WORLD, _X, 0.5, v)),
     ("gaussian_flow_trajectory", "sigma_n", True,
-     lambda v: gaussian_flow_trajectory(_GAUSS, v, _X, 0.5)),
+     lambda v: gaussian_flow_trajectory(GaussianWorld(_GAUSS, v), _X, 0.5)),
     ("TimeDistribution", "a", False, lambda v: TimeDistribution("linear_a", v)),
     ("TrainConfig", "learning_rate", True, lambda v: TrainConfig(learning_rate=v)),
     ("GaussianWorld", "sigma_n", True, lambda v: GaussianWorld(_GAUSS, v)),

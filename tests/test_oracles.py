@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import pickle
 from fractions import Fraction
@@ -31,6 +30,7 @@ from restep.oracles import (
     mixture_posterior_mean,
     posterior_mean_at_s,
 )
+from restep.worlds import GaussianWorld, MixtureWorld
 
 
 def two_point_prior():
@@ -108,7 +108,7 @@ class TestMixturePosteriorMean:
         the posterior mean is tanh(2) = 0.9640275800758169."""
         prior = two_point_prior()
         deg = LinearDegradation(H=[[1.0]], sigma=1.0)
-        got = mixture_posterior_mean(prior, deg, np.array([0.5]), 0.5)
+        got = mixture_posterior_mean(MixtureWorld(prior, deg), np.array([0.5]), 0.5)
         assert_allclose(got, [0.9640275800758169], rtol=0, atol=1e-12)
 
     def test_matches_tanh_closed_form_on_grid(self):
@@ -119,7 +119,7 @@ class TestMixturePosteriorMean:
             h_t = 1.0   # (1-t) + t for the identity observation
             sigma_t = t * 0.8
             xs = np.linspace(-3.0, 3.0, 41)[:, None]
-            got = mixture_posterior_mean(prior, deg, xs, t)
+            got = mixture_posterior_mean(MixtureWorld(prior, deg), xs, t)
             want = np.tanh(h_t * xs / sigma_t**2)
             assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -137,7 +137,7 @@ class TestMixturePosteriorMean:
         mask = np.abs(x_t - x_query) < 0.005
         mc_mean = x[mask].mean()
         se = x[mask].std(ddof=1) / np.sqrt(mask.sum())
-        analytic = mixture_posterior_mean(prior, deg, np.array([x_query]), t)[0]
+        analytic = mixture_posterior_mean(MixtureWorld(prior, deg), np.array([x_query]), t)[0]
         assert abs(mc_mean - analytic) < 3.0 * se + 0.005
 
     @pytest.mark.parametrize("sigma", [0.6, 0.0])
@@ -155,9 +155,10 @@ class TestMixturePosteriorMean:
         v = np.linalg.svd(centers[1:] - centers[0])[2][-1]
         near = rng.normal(size=(4, 4))
         xs = np.vstack([near, near + 1e6 * v, 1e300 * rng.normal(size=(1, 4))])
-        batch = mixture_posterior_mean(prior, deg, xs, 0.7)
+        world = MixtureWorld(prior, deg)
+        batch = mixture_posterior_mean(world, xs, 0.7)
         for i, row in enumerate(xs):
-            assert batch[i].tobytes() == mixture_posterior_mean(prior, deg, row, 0.7).tobytes()
+            assert batch[i].tobytes() == mixture_posterior_mean(world, row, 0.7).tobytes()
         assert_allclose(batch[4:8], batch[:4], rtol=1e-6, atol=1e-12)
 
     def test_zero_weight_mode_never_contributes(self):
@@ -165,28 +166,8 @@ class TestMixturePosteriorMean:
             modes=[[0.0], [100.0]], weights=[1.0, 0.0]
         )
         deg = LinearDegradation(H=[[1.0]], sigma=1.0)
-        got = mixture_posterior_mean(prior, deg, np.array([50.0]), 1.0)
+        got = mixture_posterior_mean(MixtureWorld(prior, deg), np.array([50.0]), 1.0)
         assert_allclose(got, [0.0], atol=1e-12)
-
-    def test_log_weights_are_kept_out_of_eq_repr_and_pickles(self):
-        """Taken once per prior, -inf for a zero weight without a warning; and
-        so is an oracle's table of degraded modes, once per oracle."""
-        prior = GaussianMixturePrior(modes=[[0.0], [1.0]], weights=[1.0, 0.0])
-        assert_array_equal(prior.log_weights, [0.0, -np.inf])
-        assert prior.log_weights is prior.log_weights
-        assert [f.name for f in dataclasses.fields(prior)] == ["modes", "weights"]
-        assert "log_weights" not in repr(prior)
-        restored = pickle.loads(pickle.dumps(prior))
-        assert "log_weights" not in vars(restored)
-        assert_array_equal(restored.log_weights, [0.0, -np.inf])
-        oracle = MixturePosteriorOracle(prior, LinearDegradation([[2.0]], 0.5))
-        assert_array_equal(oracle._table, [[0.0], [2.0]])
-        assert oracle._table is oracle._table
-        assert oracle == MixturePosteriorOracle(prior, LinearDegradation([[2.0]], 0.5))
-        assert "_table" not in repr(oracle)
-        restored = pickle.loads(pickle.dumps(oracle))
-        assert "_table" not in vars(restored)
-        assert_array_equal(restored._table, [[0.0], [2.0]])
 
     @pytest.mark.parametrize("x", [1e8, 1e15, 1e16, 1e150, 1e155, 1e300, np.finfo(float).max])
     def test_far_field_snaps_to_nearest_mode_without_nan(self, x):
@@ -194,7 +175,7 @@ class TestMixturePosteriorMean:
         1e154) the mode-relative terms still pick the closer mode."""
         prior = two_point_prior()
         deg = LinearDegradation(H=[[1.0]], sigma=1.0)
-        got = mixture_posterior_mean(prior, deg, np.array([[x], [-x]]), 0.5)
+        got = mixture_posterior_mean(MixtureWorld(prior, deg), np.array([[x], [-x]]), 0.5)
         assert_array_equal(got, [[1.0], [-1.0]])
 
     @pytest.mark.parametrize("mode, x", [(1e155, 3e154), (1e300, 1.0), (1e300, 1e-30),
@@ -204,14 +185,15 @@ class TestMixturePosteriorMean:
         +-1e155 at x_t = +-3e154 and +-1e300 at x_t = +-1 were [nan]."""
         prior = GaussianMixturePrior(modes=[[-mode], [mode]], weights=[0.5, 0.5])
         deg = LinearDegradation(H=[[1.0]], sigma=1.0)
-        got = mixture_posterior_mean(prior, deg, np.array([[x], [-x]]), 0.5)
+        got = mixture_posterior_mean(MixtureWorld(prior, deg), np.array([[x], [-x]]), 0.5)
         assert_array_equal(got, [[mode], [-mode]])
 
     def test_far_field_zero_weight_mode_never_contributes(self):
         """The closest mode has weight 0, so the next one takes the row."""
         prior = GaussianMixturePrior(modes=[[1e300], [0.0], [-1e300]], weights=[0.0, 0.5, 0.5])
         deg = LinearDegradation(H=[[1.0]], sigma=1.0)
-        got = mixture_posterior_mean(prior, deg, np.array([[1e300], [1e20], [-9e299]]), 0.5)
+        got = mixture_posterior_mean(MixtureWorld(prior, deg),
+                                     np.array([[1e300], [1e20], [-9e299]]), 0.5)
         assert_array_equal(got, [[0.0], [0.0], [-1e300]])
 
     def test_far_field_keeps_the_blend_on_a_bisector(self):
@@ -219,7 +201,8 @@ class TestMixturePosteriorMean:
         weights are the prior's, however far the row is."""
         prior = GaussianMixturePrior(modes=[[1.0, 0.0], [-1.0, 0.0]], weights=[0.25, 0.75])
         deg = LinearDegradation(H=np.eye(2), sigma=1.0)
-        got = mixture_posterior_mean(prior, deg, np.array([[0.0, 1e200], [0.0, -1e300]]), 0.5)
+        got = mixture_posterior_mean(MixtureWorld(prior, deg),
+                                     np.array([[0.0, 1e200], [0.0, -1e300]]), 0.5)
         assert_allclose(got, [[-0.5, 0.0], [-0.5, 0.0]], rtol=1e-15, atol=0.0)
 
     @settings(max_examples=300, deadline=None)
@@ -239,7 +222,7 @@ class TestMixturePosteriorMean:
                                           max_size=len(modes))), dtype=float)
         prior = GaussianMixturePrior(np.array(modes)[:, None], raw / raw.sum())
         deg = LinearDegradation([[h]], sigma)
-        got = mixture_posterior_mean(prior, deg, np.array([x]), t)
+        got = mixture_posterior_mean(MixtureWorld(prior, deg), np.array([x]), t)
         assert np.isfinite(got).all()
         with np.errstate(over="ignore"):
             top = np.max(_reference_log_terms(prior, deg, np.array([x]), t, 0.0))
@@ -266,10 +249,10 @@ class TestMixturePosteriorMean:
         H = np.eye(2)
         sigma, eps, t = 0.5, 0.3, 0.6
         via_extra = mixture_posterior_mean(
-            prior, LinearDegradation(H, sigma), xs, t, extra_noise_std=eps
+            MixtureWorld(prior, LinearDegradation(H, sigma)), xs, t, extra_noise_std=eps
         )
         via_sigma = mixture_posterior_mean(
-            prior, LinearDegradation(H, float(np.hypot(sigma, eps))), xs, t
+            MixtureWorld(prior, LinearDegradation(H, float(np.hypot(sigma, eps)))), xs, t
         )
         assert_allclose(via_extra, via_sigma, rtol=1e-14)
 
@@ -281,13 +264,13 @@ class TestMixturePosteriorMean:
         prior = GaussianMixturePrior([[-1.0, 0.0], [1.0, 0.0], [0.3, 5.0]], [0.25, 0.5, 0.25])
         deg = LinearDegradation(H=[[2.0, 1.0], [0.0, -3.0]], sigma=1.0)
         rows = np.array([[-1.0, 0.0], [1.0, 0.0], [0.3, 5.0], [0.0, -1.0], [0.9, 0.1]])
-        got = mixture_posterior_mean(prior, deg, rows, 0.0)
+        got = mixture_posterior_mean(MixtureWorld(prior, deg), rows, 0.0)
         assert_array_equal(got[:3], prior.modes)
         assert_allclose(got[3], [1 / 3, 0.0], rtol=1e-15, atol=0.0)
         assert_array_equal(got[4], [1.0, 0.0])
         huge = GaussianMixturePrior([[1e308, 0.0], [-1e308, 0.0]], [0.5, 0.5])
-        got = mixture_posterior_mean(huge, LinearDegradation([[3.0, 0.0], [0.0, 1.0]], 1.0),
-                                     huge.modes, 0.0)
+        world = MixtureWorld(huge, LinearDegradation([[3.0, 0.0], [0.0, 1.0]], 1.0))
+        got = mixture_posterior_mean(world, huge.modes, 0.0)
         assert got.tobytes() == huge.modes.tobytes()
 
     def test_weights_must_sum_to_one(self):
@@ -297,8 +280,8 @@ class TestMixturePosteriorMean:
 
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
     def test_noiseless_empty_batch(self, sigma):
-        got = mixture_posterior_mean(two_point_prior(), LinearDegradation([[1.0]], sigma),
-                                     np.zeros((0, 1)), 0.5)
+        world = MixtureWorld(two_point_prior(), LinearDegradation([[1.0]], sigma))
+        got = mixture_posterior_mean(world, np.zeros((0, 1)), 0.5)
         assert got.shape == (0, 1)
 
     @pytest.mark.parametrize("t", [1e-3, 0.1, 0.3, 1.0])
@@ -309,8 +292,8 @@ class TestMixturePosteriorMean:
         Centres taken through the blended matrix (1 - t) I + t H were finite at
         t 1e-3, 0.1 and 0.3, where the mean read [0, 0]."""
         prior = GaussianMixturePrior([[1e308, 0.0], [-1e308, 0.0]], [0.5, 0.5])
-        got = mixture_posterior_mean(prior, LinearDegradation([[3.0, 0.0], [0.0, 1.0]], 1.0),
-                                     np.array([0.0, 0.0]), t)
+        world = MixtureWorld(prior, LinearDegradation([[3.0, 0.0], [0.0, 1.0]], 1.0))
+        got = mixture_posterior_mean(world, np.array([0.0, 0.0]), t)
         assert not np.isfinite(got).all()
 
     def test_noiseless_posterior_keeps_close_modes_apart(self):
@@ -318,7 +301,8 @@ class TestMixturePosteriorMean:
         x (C_i - C_0) - (C_i^2 - C_0^2) / 2 from terms of size 1, whose
         rounding swamped the gap of 4e-18, and returned the farther mode."""
         prior = GaussianMixturePrior([[1 + 3e-9], [1 - 1e-9]], [0.5, 0.5])
-        got = mixture_posterior_mean(prior, LinearDegradation([[1.0]], 0.0), np.array([1.0]), 1.0)
+        world = MixtureWorld(prior, LinearDegradation([[1.0]], 0.0))
+        got = mixture_posterior_mean(world, np.array([1.0]), 1.0)
         assert got.tolist() == [1 - 1e-9]
 
     @settings(max_examples=200, deadline=None)
@@ -340,8 +324,8 @@ class TestMixturePosteriorMean:
         modes, rows = case
         prior = GaussianMixturePrior(modes, np.full(len(modes), 1.0 / len(modes)))
         picks = _nearest(rows, modes)[0]
-        outs = mixture_posterior_mean(prior, LinearDegradation(np.eye(modes.shape[1]), 0.0),
-                                      rows, 1.0)
+        world = MixtureWorld(prior, LinearDegradation(np.eye(modes.shape[1]), 0.0))
+        outs = mixture_posterior_mean(world, rows, 1.0)
         for row, pick, out in zip(rows, picks, outs):
             exact = [sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(row, mode))
                      for mode in modes]  # squared distances; the centres are the modes
@@ -359,8 +343,8 @@ class TestMixturePosteriorMean:
     def test_noiseless_posterior_is_the_nearest_mode(self, sigma, x, want):
         """At sigma_t = 0 the posterior is a point mass on the nearest mode;
         a row equidistant from two modes keeps their prior blend."""
-        got = mixture_posterior_mean(two_point_prior(), LinearDegradation([[1.0]], sigma),
-                                     np.array([x]), 0.5)
+        world = MixtureWorld(two_point_prior(), LinearDegradation([[1.0]], sigma))
+        got = mixture_posterior_mean(world, np.array([x]), 0.5)
         assert_array_equal(got, [want])
 
     @settings(max_examples=200, deadline=None)
@@ -384,7 +368,7 @@ class TestMixturePosteriorMean:
         rows = np.vstack([centers[on_centre], data.draw(
             arrays(np.float64, (data.draw(st.integers(int(not on_centre), 3)), d),
                    elements=st.floats(-4.0, 4.0)))])
-        got = mixture_posterior_mean(prior, deg, rows, t)
+        got = mixture_posterior_mean(MixtureWorld(prior, deg), rows, t)
         live = np.flatnonzero(prior.weights)
         for row, out in zip(rows, got):
             dist_sq = {i: sum((Fraction(a) - Fraction(c)) ** 2 for a, c in zip(row, centers[i]))
@@ -412,8 +396,8 @@ class TestMixturePosteriorMean:
             k = max(0, math.ceil(math.log2(t) - (math.log2(bound.numerator)
                                                  - math.log2(bound.denominator)) / 2))
             for j in (k, k + 8, k + 32):
-                approx = mixture_posterior_mean(prior, LinearDegradation(H, math.ldexp(1.0, -j)),
-                                                row, t)
+                noisy = MixtureWorld(prior, LinearDegradation(H, math.ldexp(1.0, -j)))
+                approx = mixture_posterior_mean(noisy, row, t)
                 assert_allclose(approx, out, rtol=0.0, atol=1e-12)
 
     @settings(max_examples=100, deadline=None)
@@ -439,7 +423,7 @@ class TestMixturePosteriorMean:
         H = data.draw(arrays(np.float64, (d, d), elements=st.floats(-2.0, 2.0)))
         deg = LinearDegradation(H, sigma)
         x_t = data.draw(arrays(np.float64, lead + (d,), elements=coords))
-        got = mixture_posterior_mean(prior, deg, x_t, t, extra_noise_std=extra)
+        got = mixture_posterior_mean(MixtureWorld(prior, deg), x_t, t, extra_noise_std=extra)
         want = _reference_mixture_posterior_mean(prior, deg, x_t, t, extra)
         assert got.shape == want.shape
         near = ~(np.max(_reference_log_terms(prior, deg, x_t, t, extra), axis=-1) < -_FAR_LOG)
@@ -517,7 +501,7 @@ class TestSlideToS:
             p = np.exp(logp - logp.max())
             p /= p.sum()
             atomwise = p @ ((1.0 - s / t) * prior.modes + (s / t) * x_t)
-            pm = mixture_posterior_mean(prior, deg, x_t, t)
+            pm = mixture_posterior_mean(MixtureWorld(prior, deg), x_t, t)
             got = posterior_mean_at_s(pm, x_t, s, t)
             assert_allclose(got, atomwise, rtol=1e-10, atol=1e-10)
 
@@ -540,7 +524,7 @@ class TestSlideToS:
         mask = np.abs(x_t - 0.4) < 0.01
         prior = two_point_prior()
         deg = LinearDegradation(H=[[1.0]], sigma=sigma)
-        pm = mixture_posterior_mean(prior, deg, np.array([0.4]), t)
+        pm = mixture_posterior_mean(MixtureWorld(prior, deg), np.array([0.4]), t)
         pred = posterior_mean_at_s(pm, np.array([0.4]), s, t)[0]
         resid = x_s[mask] - pred
         se = resid.std(ddof=1) / np.sqrt(mask.sum())
@@ -561,7 +545,7 @@ class TestSlideToS:
         sigma_n^2, a route that uses nothing from the package."""
         s = frac * t
         prior = GaussianPrior(c=[c], sigma_c=sigma_c)
-        pm = gaussian_posterior_mean(prior, sigma_n, np.array([x_t]), t)
+        pm = gaussian_posterior_mean(GaussianWorld(prior, sigma_n), np.array([x_t]), t)
         got = posterior_mean_at_s(pm, np.array([x_t]), s, t)[0]
         vc, vn = sigma_c**2, sigma_n**2
         want = c + (vc + s * t * vn) / (vc + t * t * vn) * (x_t - c)
@@ -579,22 +563,22 @@ class TestSlideToS:
 class TestGaussianWorldForms:
     def test_frozen_posterior_mean_at_t_one(self):
         prior = GaussianPrior(c=[0.0], sigma_c=1.0)
-        got = gaussian_posterior_mean(prior, 1.0, np.array([2.0]), 1.0)
+        got = gaussian_posterior_mean(GaussianWorld(prior, 1.0), np.array([2.0]), 1.0)
         assert_allclose(got, [1.0], rtol=1e-15)
 
     def test_posterior_mean_is_identity_at_t_zero(self):
         prior = GaussianPrior(c=[0.3], sigma_c=0.5)
         x = np.array([1.7])
-        assert_allclose(gaussian_posterior_mean(prior, 2.0, x, 0.0), x)
+        assert_allclose(gaussian_posterior_mean(GaussianWorld(prior, 2.0), x, 0.0), x)
 
     def test_posterior_mean_is_the_prior_mean_when_the_noise_variance_overflows(self):
         """t^2 (sigma_n^2 + eps^2) overflows to inf: the weight on x_t tends to
         0, so the mean is c (it was inf / inf = nan)."""
-        oracle = GaussianDenoisingOracle(GaussianPrior([0.0], 1.0), 0.5, BrownianSchedule(1e160))
+        oracle = GaussianWorld(GaussianPrior([0.0], 1.0), 0.5).oracle(BrownianSchedule(1e160))
         assert_array_equal(oracle(np.array([0.3]), 0.5), [0.0])
         prior = GaussianPrior(c=[0.5, -2.0], sigma_c=1.0)
         x = np.array([[0.3, 1.0], [4.0, -1.0], [0.0, 0.0]])
-        got = gaussian_posterior_mean(prior, 1e200, x, 0.5)
+        got = gaussian_posterior_mean(GaussianWorld(prior, 1e200), x, 0.5)
         assert_array_equal(got, np.broadcast_to(prior.c, x.shape))
         got[0, 0] = 9.0  # a fresh array, not a view of the prior
         assert_array_equal(prior.c, [0.5, -2.0])
@@ -605,7 +589,7 @@ class TestGaussianWorldForms:
         prior = GaussianPrior(c=[0.5], sigma_c=1e200)
         x = np.array([[0.3], [-7.0]])
         for t in (0.25, 1.0):
-            got = gaussian_posterior_mean(prior, 0.5, x, t, extra_noise_std=1e3)
+            got = gaussian_posterior_mean(GaussianWorld(prior, 0.5), x, t, extra_noise_std=1e3)
             assert_array_equal(got, x)
             assert got is not x
 
@@ -618,14 +602,15 @@ class TestGaussianWorldForms:
         sigma_n (0 * inf made it nan)."""
         x = np.array([[0.3], [-7.0]])
         for prior in (GaussianPrior(c=[0.5], sigma_c=1.0), GaussianPrior(c=[0.5], sigma_c=1e200)):
-            got = gaussian_posterior_mean(prior, sigma_n, x, 0.0, extra_noise_std=extra)
-            assert got.tobytes() == gaussian_posterior_mean(prior, 1.0, x, 0.0).tobytes()
+            got = gaussian_posterior_mean(GaussianWorld(prior, sigma_n), x, 0.0, extra)
+            want = gaussian_posterior_mean(GaussianWorld(prior, 1.0), x, 0.0)
+            assert got.tobytes() == want.tobytes()
             assert_array_equal(got, x)
 
     def test_posterior_mean_is_nan_when_both_variances_overflow(self):
         """Both limits compete; the nan is kept so samplers flag the row."""
         prior = GaussianPrior(c=[0.5], sigma_c=1e200)
-        got = gaussian_posterior_mean(prior, 1e200, np.array([0.3]), 0.5)
+        got = gaussian_posterior_mean(GaussianWorld(prior, 1e200), np.array([0.3]), 0.5)
         assert np.isnan(got).all()
 
     def test_frozen_flow_values(self):
@@ -633,13 +618,13 @@ class TestGaussianWorldForms:
         passes through sqrt(2.5) at t = 0.5 and ends at sqrt(2)."""
         prior = GaussianPrior(c=[0.0], sigma_c=1.0)
         y = np.array([2.0])
-        assert_allclose(gaussian_flow_trajectory(prior, 1.0, y, 1.0), [2.0])
+        assert_allclose(gaussian_flow_trajectory(GaussianWorld(prior, 1.0), y, 1.0), [2.0])
         assert_allclose(
-            gaussian_flow_trajectory(prior, 1.0, y, 0.5),
+            gaussian_flow_trajectory(GaussianWorld(prior, 1.0), y, 0.5),
             [1.5811388300841898], rtol=1e-15,
         )
         assert_allclose(
-            gaussian_flow_trajectory(prior, 1.0, y, 0.0),
+            gaussian_flow_trajectory(GaussianWorld(prior, 1.0), y, 0.0),
             [1.4142135623730951], rtol=1e-15,
         )
 
@@ -651,7 +636,7 @@ class TestGaussianWorldForms:
         prior = GaussianPrior(c=[0.5], sigma_c=sigma_c)
         y = np.array([2.0])
         for t in (0.0, 0.5, 1.0):
-            assert_array_equal(gaussian_flow_trajectory(prior, sigma_n, y, t), y)
+            assert_array_equal(gaussian_flow_trajectory(GaussianWorld(prior, sigma_n), y, t), y)
 
     @pytest.mark.parametrize("form", [gaussian_posterior_mean, gaussian_flow_trajectory])
     def test_a_batch_of_the_wrong_width_is_refused(self, form):
@@ -661,9 +646,10 @@ class TestGaussianWorldForms:
         prior = GaussianPrior(c=[0.0, 3.0], sigma_c=1.0)
         for x in (np.array([[1.0], [2.0]]), np.array([1.0, 2.0, 3.0])):
             with pytest.raises(ValueError, match=r"must have 2 coordinates, got shape"):
-                form(prior, 1.0, x, 0.5)
-        assert form(prior, 1.0, np.array([[1.0, 2.0]]), 0.5).shape == (1, 2)
-        assert form(GaussianPrior(c=[0.5], sigma_c=1.0), 1.0, np.ones((2, 3)), 0.5).shape == (2, 3)
+                form(GaussianWorld(prior, 1.0), x, 0.5)
+        assert form(GaussianWorld(prior, 1.0), np.array([[1.0, 2.0]]), 0.5).shape == (1, 2)
+        world = GaussianWorld(GaussianPrior(c=[0.5], sigma_c=1.0), 1.0)
+        assert form(world, np.ones((2, 3)), 0.5).shape == (2, 3)
 
     def test_flow_endpoint_maps_observation_onto_prior(self):
         """Pushing y ~ N(c, sigma_c^2 + sigma_n^2) through the t = 0 map
@@ -673,7 +659,7 @@ class TestGaussianWorldForms:
         sigma_n = 0.4
         n = 100_000
         y = prior.c + np.hypot(0.9, sigma_n) * rng.standard_normal((n, 1))
-        x0 = gaussian_flow_trajectory(prior, sigma_n, y, 0.0)
+        x0 = gaussian_flow_trajectory(GaussianWorld(prior, sigma_n), y, 0.0)
         assert abs(x0.mean() - 0.7) < 3.0 * 0.9 / np.sqrt(n)
         assert abs(x0.std(ddof=1) - 0.9) < 3.0 * 0.9 / np.sqrt(2 * n)
 
@@ -691,7 +677,7 @@ class TestGaussianWorldForms:
             score = -(x_t - prior.c) / marg_var
             sigma_t = t * sigma_n
             via_score = x_t + sigma_t**2 * score
-            pm = gaussian_posterior_mean(prior, sigma_n, x_t, t)
+            pm = gaussian_posterior_mean(GaussianWorld(prior, sigma_n), x_t, t)
             assert_allclose(via_score, pm, rtol=0, atol=1e-10)
 
 
@@ -706,10 +692,10 @@ class TestOracleWrappers:
            lead=st.sampled_from([(0,), (), (1,), (7,)]))
     def test_the_oracle_is_the_public_function_bit_for_bit(self, data, m, d, schedule, sigma,
                                                            t, lead):
-        """The oracle's table, formed once, gives the bits of mixture_posterior_mean,
-        which forms it on every call: for a fresh oracle, and for one called and then
-        sent through a pickle, which forms it again.  Zero weights, sigma = 0 (every row
-        in the far field), t = 0 and 1, and empty, single and batched states included."""
+        """The oracle gives the bits of mixture_posterior_mean on its world's tables: a
+        fresh oracle, and one called and then sent through a pickle with its world.  Zero
+        weights, sigma = 0 (every row in the far field), t = 0 and 1, and empty, single
+        and batched states included."""
         assume(t > 0.0 or not isinstance(schedule, BrownianSchedule))
         coords = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e150, 1e150))
         modes = data.draw(arrays(np.float64, (m, d), elements=coords))
@@ -717,10 +703,10 @@ class TestOracleWrappers:
         raw[data.draw(st.integers(0, m - 1))] = 1.0
         prior = GaussianMixturePrior(modes, raw / raw.sum())
         H = data.draw(arrays(np.float64, (d, d), elements=st.floats(-2.0, 2.0)))
-        deg = LinearDegradation(H, sigma)
         x_t = data.draw(arrays(np.float64, lead + (d,), elements=coords))
-        want = mixture_posterior_mean(prior, deg, x_t, t, schedule_epsilon(schedule, t))
-        oracle = MixturePosteriorOracle(prior, deg, schedule)
+        world = MixtureWorld(prior, LinearDegradation(H, sigma))
+        want = mixture_posterior_mean(world, x_t, t, schedule_epsilon(schedule, t))
+        oracle = world.oracle(schedule)
         assert oracle(x_t, t).tobytes() == want.tobytes()
         restored = pickle.loads(pickle.dumps(oracle))
         assert restored(x_t, t).tobytes() == want.tobytes()
@@ -728,18 +714,17 @@ class TestOracleWrappers:
     def test_mixture_oracle_with_schedule_folds_epsilon(self):
         rng = np.random.default_rng(31)
         prior = random_mixture(rng, dim=2, n_modes=3)
-        deg = LinearDegradation(H=np.eye(2), sigma=0.5)
-        sched = BrownianSchedule(0.2)
-        oracle = MixturePosteriorOracle(prior, deg, sched)
+        world = MixtureWorld(prior, LinearDegradation(H=np.eye(2), sigma=0.5))
+        oracle = MixturePosteriorOracle(world, BrownianSchedule(0.2))
         xs = rng.normal(size=(4, 2))
         t = 0.4
         eps_t = 0.2 / np.sqrt(t)
-        want = mixture_posterior_mean(prior, deg, xs, t, extra_noise_std=eps_t)
+        want = mixture_posterior_mean(world, xs, t, extra_noise_std=eps_t)
         assert_allclose(oracle(xs, t), want, rtol=1e-14)
 
     def test_gaussian_oracle_without_schedule(self):
         prior = GaussianPrior(c=[0.0], sigma_c=1.0)
-        oracle = GaussianDenoisingOracle(prior, 1.0)
+        oracle = GaussianDenoisingOracle(GaussianWorld(prior, 1.0))
         assert oracle.schedule == ConstantSchedule(0.0)
         xs = np.array([[2.0]])
         assert_allclose(oracle(xs, 1.0), [[1.0]])
@@ -749,8 +734,9 @@ class TestOracleWrappers:
         means without extra noise, bit for bit."""
         prior = GaussianPrior(c=[0.0], sigma_c=1.0)
         xs = np.array([[0.3], [-1.0]])
-        got = GaussianDenoisingOracle(prior, 1.0)(xs, 0.6)
-        assert got.tobytes() == gaussian_posterior_mean(prior, 1.0, xs, 0.6).tobytes()
-        mix, deg = two_point_prior(), LinearDegradation(H=[[1.0]], sigma=0.5)
-        got = MixturePosteriorOracle(mix, deg)(xs, 0.6)
-        assert got.tobytes() == mixture_posterior_mean(mix, deg, xs, 0.6).tobytes()
+        world = GaussianWorld(prior, 1.0)
+        got = GaussianDenoisingOracle(world)(xs, 0.6)
+        assert got.tobytes() == gaussian_posterior_mean(world, xs, 0.6).tobytes()
+        mix = MixtureWorld(two_point_prior(), LinearDegradation(H=[[1.0]], sigma=0.5))
+        got = MixturePosteriorOracle(mix)(xs, 0.6)
+        assert got.tobytes() == mixture_posterior_mean(mix, xs, 0.6).tobytes()

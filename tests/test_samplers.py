@@ -234,7 +234,7 @@ class TestOdeEquivalence:
         y = np.array([2.0])
 
         from restep.oracles import gaussian_flow_trajectory
-        want = gaussian_flow_trajectory(prior, 1.0, y, 0.0)
+        want = gaussian_flow_trajectory(world, y, 0.0)
 
         def err(method, n):
             return float(np.abs(ode_restore(oracle, y, method=method, n_steps=n) - want).max())
@@ -244,11 +244,11 @@ class TestOdeEquivalence:
             assert 3.2 < err("heun", n) / err("heun", 2 * n) < 5.0
 
     def test_heun_beats_euler_at_equal_steps(self):
-        prior = GaussianPrior(c=[0.0], sigma_c=1.0)
-        oracle = GaussianWorld(prior, 1.0).oracle()
+        world = GaussianWorld(GaussianPrior(c=[0.0], sigma_c=1.0), 1.0)
+        oracle = world.oracle()
         y = np.array([2.0])
         from restep.oracles import gaussian_flow_trajectory
-        want = gaussian_flow_trajectory(prior, 1.0, y, 0.0)
+        want = gaussian_flow_trajectory(world, y, 0.0)
         e_euler = abs(ode_restore(oracle, y, "euler", 50) - want).max()
         e_heun = abs(ode_restore(oracle, y, "heun", 50) - want).max()
         assert e_heun < e_euler / 5

@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import re
 from fractions import Fraction
@@ -191,10 +192,30 @@ class TestMixtureWorld:
         oracle = world.oracle()
         from restep.oracles import mixture_posterior_mean
         xs = derive_rng(6, "probe").normal(size=(5, 2))
-        assert_allclose(
-            oracle(xs, 0.7),
-            mixture_posterior_mean(world.prior, world.degradation, xs, 0.7),
-        )
+        assert_allclose(oracle(xs, 0.7), mixture_posterior_mean(world, xs, 0.7))
+
+    def test_the_tables_are_formed_once_outside_eq_and_repr(self):
+        """degraded_modes (C H^T) and log_weights (-inf at w = 0, without a warning)
+        are set when the world is built, left out of == (two arrays there would make
+        == ambiguous) and repr, kept by a pickle round trip and formed again by
+        dataclasses.replace; the world's oracle holds the world itself."""
+        prior = GaussianMixturePrior(modes=[[0.0], [1.0]], weights=[1.0, 0.0])
+        world = MixtureWorld(prior, LinearDegradation([[2.0]], 0.5))
+        assert_array_equal(world.degraded_modes, [[0.0], [2.0]])
+        assert_array_equal(world.log_weights, [0.0, -np.inf])
+        assert world == MixtureWorld(prior, LinearDegradation([[2.0]], 0.5))
+        assert "degraded_modes" not in repr(world) and "log_weights" not in repr(world)
+        restored = pickle.loads(pickle.dumps(world))
+        assert restored == world
+        assert restored.degraded_modes.tobytes() == world.degraded_modes.tobytes()
+        assert restored.log_weights.tobytes() == world.log_weights.tobytes()
+        moved = dataclasses.replace(world, degradation=LinearDegradation([[-3.0]], 0.5))
+        assert_array_equal(moved.degraded_modes, [[0.0], [-3.0]])
+        assert_array_equal(moved.log_weights, [0.0, -np.inf])
+        schedule = ConstantSchedule(0.3)
+        for w in (world, GaussianWorld(GaussianPrior(c=[0.5], sigma_c=1.5), 0.5)):
+            oracle = w.oracle(schedule)
+            assert oracle.world is w and oracle.schedule is schedule
 
 
 class TestGaussianWorld:
@@ -313,6 +334,24 @@ class TestDivergenceGuard:
             guard.check(np.array([[np.inf, 0.0]]), 0.5)
         with pytest.raises(DivergenceError, match="^iterate norm 1e\\+300 exceeded"):
             guard(np.array([[1e300, 0.0]]), 0.5)
+
+    def test_a_non_finite_first_estimate_raises(self):
+        """An inf first estimate made the baseline inf, after which no state could
+        trip the guard.  It raises at the step, and with the message, of the sampler's
+        own estimate check, so a guarded run reports what an unguarded one does."""
+        def blown(x, t):
+            return np.full(np.shape(x), np.inf)
+
+        guard = DivergenceGuard(blown, 1.0)
+        with pytest.raises(DivergenceError, match=r"^non-finite estimate at step 0 \(t = 1\)$"):
+            guard([[1.0, 0.0]], 1.0)
+        assert guard.baseline is None
+        errors = []
+        for estimator in (blown, DivergenceGuard(blown, 1.0)):
+            with pytest.raises(DivergenceError) as info:
+                iterative_restore(estimator, np.array([[1.0, 0.0]]), SamplerConfig(steps=4))
+            errors.append(info.value.args)
+        assert errors[0] == errors[1]
 
     def test_guard_reads_huge_states_without_overflow(self):
         """A start at 1e200, whose squares overflow (the baseline was inf, so
