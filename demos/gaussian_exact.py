@@ -7,13 +7,11 @@ discrete sampler against pencil-and-paper answers at every stage.
 
 import numpy as np
 
-from restep.oracles import GaussianPrior, gaussian_flow_trajectory, gaussian_posterior_mean
+from restep.oracles import gaussian_flow_trajectory, gaussian_posterior_mean
 from restep.samplers import SamplerConfig, iterative_restore
 from restep.worlds import GaussianWorld, derive_rng
 
-prior = GaussianPrior([0.0], sigma_c=1.0)
-sigma_n = 1.0
-world = GaussianWorld(prior, sigma_n)
+world = GaussianWorld([0.0], sigma_c=1.0, sigma_n=1.0)
 oracle = world.oracle()
 y = np.array([2.0])
 
@@ -36,7 +34,7 @@ print()
 print("the flow map pushes the whole observation marginal onto the")
 print("prior: restoring 20000 random observations and comparing moments,")
 rng = derive_rng(11, "demo", "gauss")
-ys = rng.normal(0.0, np.sqrt(prior.sigma_c ** 2 + sigma_n ** 2),
+ys = rng.normal(0.0, np.sqrt(world.sigma_c ** 2 + world.sigma_n ** 2),
                 size=(20_000, 1))
 outs = iterative_restore(oracle, ys, SamplerConfig(steps=500))
 print(f"  output mean {outs.mean():+.4f} (prior 0), "
@@ -47,7 +45,7 @@ print("score consistency at a few (t, x_t) points; the denoiser and the")
 print("score of the noisy marginal are two views of one object:")
 for t, x_t in ((0.9, 1.4), (0.5, -0.3), (0.2, 0.7)):
     pm = gaussian_posterior_mean(world, np.array([x_t]), t)
-    score = (pm - x_t) / (t * sigma_n) ** 2  # Tweedie: E[x|x_t] = x_t + sigma_t^2 * score
-    analytic = -(x_t - prior.c[0]) / (prior.sigma_c ** 2 + (t * sigma_n) ** 2)
+    score = (pm - x_t) / (t * world.sigma_n) ** 2  # Tweedie: E[x|x_t] = x_t + sigma_t^2 * score
+    analytic = -(x_t - world.c[0]) / (world.sigma_c ** 2 + (t * world.sigma_n) ** 2)
     print(f"  t={t:.1f} x_t={x_t:+.1f}: score {score[0]:+.6f} "
           f"analytic {analytic:+.6f}")

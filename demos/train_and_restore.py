@@ -12,7 +12,6 @@ import argparse
 import numpy as np
 
 from restep.metrics import nearest_modes
-from restep.oracles import GaussianMixturePrior, LinearDegradation
 from restep.regressor import (
     MlpRegressor,
     TimeDistribution,
@@ -32,10 +31,9 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    prior = GaussianMixturePrior(
+    world = MixtureWorld(
         np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]),
-        np.full(4, 0.25))
-    world = MixtureWorld(prior, LinearDegradation(np.eye(2), 1.0))
+        np.full(4, 0.25), np.eye(2), 1.0)
 
     model = MlpRegressor.create(
         2, args.hidden, derive_rng(args.seed, "demo-init"))
@@ -64,7 +62,7 @@ def main() -> None:
     print("   N    within 5e-2 of a mode   mean min dist")
     for n in (1, 10, 100):
         out = iterative_restore(trained, y, SamplerConfig(steps=n))
-        _, dists = nearest_modes(out, prior)
+        _, dists = nearest_modes(out, world)
         print(f"{n:4d}   {np.mean(dists <= 5e-2):21.1%}   {dists.mean():.4f}")
 
 

@@ -8,14 +8,12 @@ inside the stepwise sampler walks the iterate onto one mode.
 import numpy as np
 
 from restep.metrics import nearest_modes
-from restep.oracles import GaussianMixturePrior, LinearDegradation
 from restep.samplers import SamplerConfig, iterative_restore
 from restep.worlds import MixtureWorld, derive_rng
 
 CORNERS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 
-prior = GaussianMixturePrior(CORNERS, np.full(4, 0.25))
-world = MixtureWorld(prior, LinearDegradation(np.eye(2), 1.0))
+world = MixtureWorld(CORNERS, np.full(4, 0.25), np.eye(2), 1.0)
 oracle = world.oracle()
 
 rng = derive_rng(3, "demo", "modes")
@@ -27,7 +25,7 @@ print()
 print("   N    mean dist   within 1e-2")
 for n in (1, 2, 5, 20, 100):
     out = iterative_restore(oracle, y, SamplerConfig(steps=n))
-    _, dists = nearest_modes(out, prior)
+    _, dists = nearest_modes(out, world)
     print(f"{n:4d}   {dists.mean():9.4f}   {np.mean(dists <= 1e-2):10.1%}")
 
 print()
@@ -41,12 +39,11 @@ print("noiseless dynamics picks a side. Real observations are never")
 print("exactly symmetric, so in practice every input lands somewhere:")
 
 # the anisotropic variant: second pixel unobserved, milder noise
-prior_b = GaussianMixturePrior(CORNERS, np.full(4, 0.25))
-world_b = MixtureWorld(prior_b, LinearDegradation(np.array([[1.0, 0.0], [0.0, 0.0]]), 0.3))
+world_b = MixtureWorld(CORNERS, np.full(4, 0.25), np.array([[1.0, 0.0], [0.0, 0.0]]), 0.3)
 oracle_b = world_b.oracle()
 _, y_b = world_b.sample_pairs(derive_rng(3, "demo", "modes-b"), 400)
 out_b = iterative_restore(oracle_b, y_b, SamplerConfig(steps=100))
-idx, dists_b = nearest_modes(out_b, prior_b)
+idx, dists_b = nearest_modes(out_b, world_b)
 print()
 print("anisotropic world (second pixel never observed, sigma = 0.3):")
 print(f"  within 1e-2 of a mode: {np.mean(dists_b <= 1e-2):.1%}")

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .degradation import as_scalar, as_state
-from .oracles import GaussianMixturePrior, _nearest, _sum_axis
+from .oracles import _nearest, _sum_axis
 
 __all__ = [
     "distortion_metrics",
@@ -45,19 +45,19 @@ def distortion_metrics(reference, estimate, peak: float = 1.0) -> tuple[float, f
     return mse, 20.0 * math.log10(peak) - 10.0 * math.log10(mse)
 
 
-def nearest_modes(xs, prior: GaussianMixturePrior):
-    """Index and Euclidean distance of the prior mode closest to each row of
-    ``xs`` (a (d,) vector is one row), the index by the oracle's rule, so ties
-    go to the lowest index.  Distances have ``np.linalg.norm``'s bits wherever
+def nearest_modes(xs, world):
+    """Index and Euclidean distance of the mixture ``world``'s mode closest to
+    each row of ``xs`` (a (d,) vector is one row), the index by the oracle's
+    rule, so ties go to the lowest index.  Distances have ``np.linalg.norm``'s bits wherever
     the squared differences are normal floats: each row's difference is scaled
     by a power of two, which moves no bit there and keeps the rest finite."""
-    xs = as_state(xs, "xs", dim=prior.dim)
+    xs = as_state(xs, "xs", dim=world.dim)
     if xs.ndim > 2:
         raise ValueError(f"xs must be (d,) or (n, d), got shape {xs.shape}")
     rows = np.atleast_2d(xs)
-    idx = _nearest(rows, prior.modes)[0]
+    idx = _nearest(rows, world.modes)[0]
     with np.errstate(over="ignore"):  # a distance beyond the largest float is inf
-        diff = np.ascontiguousarray(rows.T) - prior.modes.T.take(idx, axis=1)   # (d, n)
+        diff = np.ascontiguousarray(rows.T) - world.modes.T.take(idx, axis=1)   # (d, n)
         e = np.frexp(np.max(np.abs(diff), axis=0))[1]
         return idx, np.ldexp(np.sqrt(_sum_axis(np.square(np.ldexp(diff, -e)))), e)
 

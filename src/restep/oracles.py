@@ -49,7 +49,6 @@ import numpy as np
 from .degradation import (
     ConstantSchedule,
     NoiseSchedule,
-    _fields_eq,
     as_scalar,
     as_state,
     as_time,
@@ -61,9 +60,6 @@ if TYPE_CHECKING:  # the worlds hand out these oracles, so they import this modu
 
 __all__ = [
     "GaussianDenoisingOracle",
-    "GaussianMixturePrior",
-    "GaussianPrior",
-    "LinearDegradation",
     "MixturePosteriorOracle",
     "gaussian_flow_trajectory",
     "gaussian_posterior_mean",
@@ -74,85 +70,6 @@ __all__ = [
 # Anything mapping (x_t, t) -> estimate of the clean signal: the analytic
 # oracles below and the trained regressor all satisfy this.
 Estimator = Callable[[np.ndarray, float], np.ndarray]
-
-
-@dataclass(frozen=True)
-class GaussianMixturePrior:
-    """Discrete prior: point masses at ``modes`` with the given weights.
-
-    Parameters
-    ----------
-    modes : array_like, shape (m, d)
-        Mode locations, one row per mode.
-    weights : array_like, shape (m,)
-        Non-negative weights summing to 1 (within 1e-12).
-    """
-
-    modes: np.ndarray
-    weights: np.ndarray
-    __eq__ = _fields_eq
-
-    def __post_init__(self):
-        modes = as_state(np.atleast_2d(self.modes), "modes")
-        if modes.ndim != 2 or 0 in modes.shape:
-            raise ValueError("modes must be a non-empty (m, d) array")
-        weights = as_state(self.weights, "weights", like=modes[:, 0])  # one per mode
-        if np.any(weights < 0.0):
-            raise ValueError("weights must be >= 0")
-        if abs(float(weights.sum()) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1 within 1e-12")
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def dim(self) -> int:
-        return self.modes.shape[1]
-
-    @property
-    def n_modes(self) -> int:
-        return self.modes.shape[0]
-
-
-@dataclass(frozen=True)
-class LinearDegradation:
-    """Square observation operator ``H`` plus noise level ``sigma``.
-
-    Rectangular observations are emulated with zero rows so the state dimension stays
-    the same along a trajectory (H = [[1, 0], [0, 0]] keeps only the first coordinate).
-    A mixture world's closed forms see ``H`` only through its table ``D = C H^T`` of
-    degraded modes (``MixtureWorld.degraded_modes``).
-    """
-
-    H: np.ndarray
-    sigma: float
-    __eq__ = _fields_eq
-
-    def __post_init__(self):
-        H = as_state(np.atleast_2d(self.H), "H")
-        if H.ndim != 2 or H.shape[0] != H.shape[1]:
-            raise ValueError("H must be square")
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "sigma", as_scalar(self.sigma, "sigma"))
-
-
-@dataclass(frozen=True)
-class GaussianPrior:
-    """Gaussian prior N(c, sigma_c^2 I) for the fully tractable world."""
-
-    c: np.ndarray
-    sigma_c: float
-    __eq__ = _fields_eq
-
-    def __post_init__(self):
-        c = as_state(np.atleast_1d(self.c), "c")
-        if c.ndim != 1:
-            raise ValueError("c must be a vector")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "sigma_c", as_scalar(self.sigma_c, "sigma_c", positive=True))
-
-    @property
-    def dim(self) -> int:
-        return self.c.shape[0]
 
 
 # numpy's pairwise summation adds fewer terms than this left to right.
@@ -238,21 +155,20 @@ def mixture_posterior_mean(world: MixtureWorld, x_t, t, extra_noise_std: float =
     ``x_t`` wherever ``D`` is finite, and at t = 0.  At sigma_t = 0, t = 0 included, a row gets
     the w-weighted mean of the modes with the nearest centre (:func:`_far_field_log_terms`).
     """
-    prior, log_w = world.prior, world.log_weights
-    x_t = as_state(x_t, "x_t", dim=prior.dim)
+    modes, log_w = world.modes, world.log_weights
+    x_t = as_state(x_t, "x_t", dim=world.dim)
     t = as_time(t)
     # Schedule noise enters the state with std t * eps_t, independent of the
     # observation noise's t * sigma, so the stds add in quadrature.
-    sigma_t = t * float(np.hypot(world.degradation.sigma,
-                                 as_scalar(extra_noise_std, "extra_noise_std")))
-    rows = x_t.reshape(-1, prior.dim)
+    sigma_t = t * float(np.hypot(world.sigma, as_scalar(extra_noise_std, "extra_noise_std")))
+    rows = x_t.reshape(-1, world.dim)
     # The log terms tell the modes apart only while the squared distances do (modes
     # +-1, sigma 1, t = 0.5: they tie from x_t = 1e16, overflow from 1e154).  So a row
     # whose every term is below -_FAR_LOG, about 2^16 sigma_t from every mode, takes
     # _nearest's gaps; at sigma_t = 0 every term is -inf or 0 / 0, so every row does.
     # Golden and benchmark rows never do.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # to +-inf or nan
-        centers = prior.modes if t == 0.0 else (1.0 - t) * prior.modes + t * world.degraded_modes
+        centers = modes if t == 0.0 else (1.0 - t) * modes + t * world.degraded_modes
         # log(w_i) - ||u_i||^2 / 2 in place: adding -b is subtracting b, bit for bit
         post = _mode_distances_sq(rows, centers, sigma_t)
         post *= -0.5
@@ -266,9 +182,9 @@ def mixture_posterior_mean(world: MixtureWorld, x_t, t, extra_noise_std: float =
         post -= top  # one term becomes exp(0) = 1, so no weight is 0 / 0
         np.exp(post, out=post)
         # normalised straight into the (n, m) C-ordered weights the product takes
-        weights = np.empty((len(rows), prior.n_modes))
+        weights = np.empty((len(rows), len(modes)))
         np.divide(post, _sum_axis(post), out=weights.T)
-    return weights.reshape(x_t.shape[:-1] + (prior.n_modes,)) @ prior.modes
+    return weights.reshape(x_t.shape[:-1] + (len(modes),)) @ modes
 
 
 def posterior_mean_at_s(x0_estimate, x_t, s, t) -> np.ndarray:
@@ -303,20 +219,19 @@ def gaussian_posterior_mean(world: GaussianWorld, x_t, t, extra_noise_std: float
     present in x_t.  At t = 0 this is the identity, as it should be.
     ``x_t``'s rows have the prior's width; a 1-d prior's c spans any width.
     """
-    prior, sigma_n = world.prior, world.sigma_n
     extra_noise_std = as_scalar(extra_noise_std, "extra_noise_std")
-    x_t = as_state(x_t, "x_t", dim=prior.dim if prior.dim > 1 else None)
+    x_t = as_state(x_t, "x_t", dim=world.dim if world.dim > 1 else None)
     t = as_time(t)
     # squares overflow to inf (Python's ** raises); where one variance is inf
     # the mean is its limit, and where both are, inf / inf is a nan samplers flag
     with np.errstate(over="ignore", invalid="ignore"):
-        vc = np.float64(prior.sigma_c) ** 2
-        vt = (t * t) * (np.float64(sigma_n) ** 2 + np.float64(extra_noise_std) ** 2)
+        vc = np.float64(world.sigma_c) ** 2
+        vt = (t * t) * (np.float64(world.sigma_n) ** 2 + np.float64(extra_noise_std) ** 2)
         if t == 0.0:  # 0 * inf is nan; at t = 0 the noise variance is 0 for any sigma_n
             vt = 0.0
         if np.isinf(vc) != np.isinf(vt):
-            return x_t.copy() if np.isinf(vc) else np.broadcast_to(prior.c, x_t.shape).copy()
-        return (vc * x_t + vt * prior.c) / (vc + vt)
+            return x_t.copy() if np.isinf(vc) else np.broadcast_to(world.c, x_t.shape).copy()
+        return (vc * x_t + vt * world.c) / (vc + vt)
 
 
 def gaussian_flow_trajectory(world: GaussianWorld, y, t) -> np.ndarray:
@@ -332,15 +247,14 @@ def gaussian_flow_trajectory(world: GaussianWorld, y, t) -> np.ndarray:
     N(c, (sigma_c^2 + sigma_n^2) I) exactly onto the prior N(c, sigma_c^2 I).
     ``y``'s rows have the prior's width; a 1-d prior's c spans any width.
     """
-    prior, sigma_n = world.prior, world.sigma_n
-    y = as_state(y, "y", dim=prior.dim if prior.dim > 1 else None)
+    y = as_state(y, "y", dim=world.dim if world.dim > 1 else None)
     t = as_time(t)
     with np.errstate(over="ignore"):
-        alpha_sq = np.float64(prior.sigma_c / sigma_n) ** 2  # inf, not OverflowError
+        alpha_sq = np.float64(world.sigma_c / world.sigma_n) ** 2  # inf, not OverflowError
     if np.isinf(alpha_sq):  # the scale below tends to 1, where inf / inf is nan
         return y.copy()
     scale = np.sqrt((t * t + alpha_sq) / (1.0 + alpha_sq))
-    return prior.c + (y - prior.c) * scale
+    return world.c + (y - world.c) * scale
 
 
 # ---- estimator wrappers ---- #

@@ -1,10 +1,11 @@
 """Synthetic observation worlds and reproducibility plumbing.
 
-A world bundles a prior with a degradation.  ``sample_pairs`` is its one
-draw of matched (clean, degraded) pairs: the clean signals first, then the
-observation noise.  It also hands out its ideal estimator and streams
-training data.  Two kinds exist, mirroring the two analytically solvable
-setups in :mod:`restep.oracles`:
+A world is a prior and a degradation in one record, whose fields are its
+config section's.  ``sample_pairs`` is its one draw of matched (clean,
+degraded) pairs: the clean signals first, then the observation noise.  It
+also hands out its ideal estimator and streams training data.  Two kinds
+exist, mirroring the two analytically solvable setups in
+:mod:`restep.oracles`:
 
 * :class:`MixtureWorld` - discrete modes, observed through ``y = H x + n``.
 * :class:`GaussianWorld` - Gaussian prior, observed through ``y = x + n``.
@@ -23,14 +24,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .degradation import ConstantSchedule, NoiseSchedule, as_count, as_scalar
-from .oracles import (
-    GaussianDenoisingOracle,
-    GaussianMixturePrior,
-    GaussianPrior,
-    LinearDegradation,
-    MixturePosteriorOracle,
+from .degradation import (
+    ConstantSchedule,
+    NoiseSchedule,
+    _fields_eq,
+    as_count,
+    as_scalar,
+    as_state,
 )
+from .oracles import GaussianDenoisingOracle, MixturePosteriorOracle
 
 __all__ = [
     "DivergenceError",
@@ -78,43 +80,65 @@ def derive_seed(seed: int, *labels) -> int:
 
 @dataclass(frozen=True)
 class MixtureWorld:
-    """Discrete multimodal prior observed through ``y = H x + n``.
+    """Point masses at ``modes`` (m, d) with ``weights`` (m,), non-negative and summing
+    to 1 within 1e-12, observed through ``y = H x + n`` with square ``H`` and noise std
+    ``sigma``.
 
-    It forms the two tables its draws and closed form read once, outside ``==`` and
-    ``repr``: ``degraded_modes``, the (m, d) table ``D = C H^T`` whose entries may overflow
-    to +-inf (or nan, inf - inf) without a warning, and ``log_weights`` (-inf at w = 0)."""
+    Rectangular observations are emulated with zero rows so the state dimension stays
+    the same along a trajectory (H = [[1, 0], [0, 0]] keeps only the first coordinate).
+    The world forms the two tables its draws and closed form read once, outside ``==``
+    and ``repr``: ``degraded_modes``, the (m, d) table ``D = C H^T`` whose entries may
+    overflow to +-inf (or nan, inf - inf) without a warning, and ``log_weights`` (-inf
+    at w = 0).  The closed forms see ``H`` only through ``D``."""
 
-    prior: GaussianMixturePrior
-    degradation: LinearDegradation
+    modes: np.ndarray
+    weights: np.ndarray
+    H: np.ndarray
+    sigma: float
     degraded_modes: np.ndarray = field(init=False, repr=False, compare=False)
     log_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    __eq__ = _fields_eq
 
     def __post_init__(self):
-        if self.prior.dim != self.degradation.H.shape[0]:
+        modes = as_state(np.atleast_2d(self.modes), "modes")
+        if modes.ndim != 2 or 0 in modes.shape:
+            raise ValueError("modes must be a non-empty (m, d) array")
+        weights = as_state(self.weights, "weights", like=modes[:, 0])  # one per mode
+        if np.any(weights < 0.0):
+            raise ValueError("weights must be >= 0")
+        if abs(float(weights.sum()) - 1.0) > 1e-12:
+            raise ValueError("weights must sum to 1 within 1e-12")
+        H = as_state(np.atleast_2d(self.H), "H")
+        if H.ndim != 2 or H.shape[0] != H.shape[1]:
+            raise ValueError("H must be square")
+        sigma = as_scalar(self.sigma, "sigma")
+        if modes.shape[1] != H.shape[0]:
             raise ValueError("prior and degradation dimensions differ")
+        for name, value in (("modes", modes), ("weights", weights), ("H", H), ("sigma", sigma)):
+            object.__setattr__(self, name, value)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            object.__setattr__(self, "degraded_modes", self.prior.modes @ self.degradation.H.T)
-            object.__setattr__(self, "log_weights", np.log(self.prior.weights))
+            object.__setattr__(self, "degraded_modes", modes @ H.T)
+            object.__setattr__(self, "log_weights", np.log(weights))
 
     @property
     def dim(self) -> int:
-        return self.prior.dim
+        return self.modes.shape[1]
 
     @property
     def signal_peak(self) -> float:
         """Dynamic range for PSNR: the span of the mode coordinates
         (falling back to 1.0 for a degenerate single-point prior)."""
         with np.errstate(over="ignore"):  # an overflowed span is an inf peak
-            span = float(np.ptp(self.prior.modes))
+            span = float(np.ptp(self.modes))
         return span if span > 0.0 else 1.0
 
     def sample_pairs(self, rng, n: int):
         """``n`` mode draws ``C[idx]`` and observations ``D[idx] + sigma n``."""
-        idx = rng.choice(self.prior.n_modes, size=n, p=self.prior.weights)
-        with np.errstate(over="ignore"):  # an overflowed y is a non-finite start, flagged
-            x = self.prior.modes.take(idx, 0)  # take is ~10x faster than modes[idx]
+        idx = rng.choice(len(self.modes), size=n, p=self.weights)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite y is flagged
+            x = self.modes.take(idx, 0)  # take is ~10x faster than modes[idx]
             y = self.degraded_modes.take(idx, 0)
-            return x, y + self.degradation.sigma * rng.standard_normal(y.shape)
+            return x, y + self.sigma * rng.standard_normal(y.shape)
 
     def pair_stream(self, rng):
         """Endless stream of ``(x, y)`` draws of ``sample_pairs(rng, 256)``."""
@@ -127,26 +151,35 @@ class MixtureWorld:
 
 @dataclass(frozen=True)
 class GaussianWorld:
-    """Gaussian prior observed through ``y = x + n``, fully tractable."""
+    """Gaussian prior N(c, sigma_c^2 I), ``c`` a vector, observed through
+    ``y = x + n`` with noise std ``sigma_n``: fully tractable."""
 
-    prior: GaussianPrior
+    c: np.ndarray
+    sigma_c: float
     sigma_n: float
+    __eq__ = _fields_eq
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma_n", as_scalar(self.sigma_n, "sigma_n", positive=True))
+        c = as_state(np.atleast_1d(self.c), "c")
+        if c.ndim != 1:
+            raise ValueError("c must be a vector")
+        object.__setattr__(self, "c", c)
+        for name in ("sigma_c", "sigma_n"):
+            object.__setattr__(self, name, as_scalar(getattr(self, name), name, positive=True))
 
     @property
     def dim(self) -> int:
-        return self.prior.dim
+        return self.c.shape[0]
 
     @property
     def signal_peak(self) -> float:
         """Dynamic range convention: two prior standard deviations."""
-        return 2.0 * self.prior.sigma_c
+        return 2.0 * self.sigma_c
 
     def sample_pairs(self, rng, n: int):
-        x = self.prior.c + self.prior.sigma_c * rng.standard_normal((n, self.dim))
-        return x, x + self.sigma_n * rng.standard_normal(x.shape)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite y is flagged
+            x = self.c + self.sigma_c * rng.standard_normal((n, self.dim))
+            return x, x + self.sigma_n * rng.standard_normal(x.shape)
 
     def pair_stream(self, rng):
         while True:

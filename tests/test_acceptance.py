@@ -14,9 +14,6 @@ from numpy.testing import assert_array_equal
 
 from restep.harness import default_config, run_experiment
 from restep.oracles import (
-    GaussianMixturePrior,
-    GaussianPrior,
-    LinearDegradation,
     gaussian_posterior_mean,
     mixture_posterior_mean,
     posterior_mean_at_s,
@@ -48,7 +45,7 @@ def _random_mixture(rng):
     weights = weights / weights.sum()
     H = rng.normal(0.0, 1.0, size=(dim, dim))
     sigma = float(rng.uniform(0.3, 1.5))
-    return GaussianMixturePrior(modes, weights), LinearDegradation(H, sigma)
+    return MixtureWorld(modes, weights, H, sigma)
 
 
 def test_criterion_01_posterior_slide_identity():
@@ -59,27 +56,27 @@ def test_criterion_01_posterior_slide_identity():
     worst = 0.0
     n_triples = 0
     while n_triples < 1000:
-        prior, deg = _random_mixture(rng)
-        dim = prior.modes.shape[1]
+        world = _random_mixture(rng)
+        dim = world.dim
         t = float(rng.uniform(0.05, 1.0))
         s = float(rng.uniform(0.0, 1.0)) * t
         x_t = rng.normal(0.0, 2.0, size=(100, dim))
 
-        pm = mixture_posterior_mean(MixtureWorld(prior, deg), x_t, t)
+        pm = mixture_posterior_mean(world, x_t, t)
         via_package = posterior_mean_at_s(pm, x_t, s, t)
 
         # independent route: posterior atom weights from first principles,
         # then the per-atom slide averaged under them; the centres H_t c_i
         # use the blended matrix, not the oracle's table of degraded modes
-        H_t = (1.0 - t) * np.eye(dim) + t * deg.H
-        sigma_t = t * deg.sigma
-        resid = x_t[:, None, :] - prior.modes @ H_t.T
-        logw = np.log(prior.weights) - \
+        H_t = (1.0 - t) * np.eye(dim) + t * world.H
+        sigma_t = t * world.sigma
+        resid = x_t[:, None, :] - world.modes @ H_t.T
+        logw = np.log(world.weights) - \
             0.5 * np.sum(resid ** 2, axis=-1) / sigma_t ** 2
         logw -= logw.max(axis=1, keepdims=True)
         w = np.exp(logw)
         w /= w.sum(axis=1, keepdims=True)
-        per_atom = (1.0 - s / t) * prior.modes[None, :, :] \
+        per_atom = (1.0 - s / t) * world.modes[None, :, :] \
             + (s / t) * x_t[:, None, :]
         brute = np.sum(w[:, :, None] * per_atom, axis=1)
 
@@ -87,17 +84,16 @@ def test_criterion_01_posterior_slide_identity():
         n_triples += 100
 
     # Monte-Carlo side: one fixed scalar world, draws binned around a probe
-    prior = GaussianMixturePrior(np.array([[1.0], [-1.0]]), [0.5, 0.5])
-    deg = LinearDegradation(np.array([[1.0]]), 1.0)
+    world = MixtureWorld(np.array([[1.0], [-1.0]]), [0.5, 0.5], np.array([[1.0]]), 1.0)
     s, t, probe, half_width = 0.3, 0.7, 0.35, 0.01
     mc = derive_rng(0, "acceptance", "slide-mc")
-    x = prior.modes[mc.choice(2, size=100_000, p=prior.weights), 0]
-    y = x + deg.sigma * mc.normal(size=100_000)
+    x = world.modes[mc.choice(2, size=100_000, p=world.weights), 0]
+    y = x + world.sigma * mc.normal(size=100_000)
     x_t = (1.0 - t) * x + t * y
     keep = np.abs(x_t - probe) <= half_width
     x_s = (1.0 - s) * x[keep] + s * y[keep]
     se = x_s.std(ddof=1) / np.sqrt(keep.sum())
-    pm_probe = mixture_posterior_mean(MixtureWorld(prior, deg), np.array([probe]), t)
+    pm_probe = mixture_posterior_mean(world, np.array([probe]), t)
     target = posterior_mean_at_s(pm_probe, np.array([probe]), s, t)[0]
     mc_gap = abs(x_s.mean() - target)
 
@@ -113,7 +109,7 @@ def test_criterion_02_gaussian_closed_form_limit():
     """Oracle-driven restoration of y=2 on the unit Gaussian world lands on
     2/sqrt(2) and converges at first order in the step count."""
     t0 = time.perf_counter()
-    oracle = GaussianWorld(GaussianPrior([0.0], 1.0), 1.0).oracle()
+    oracle = GaussianWorld([0.0], 1.0, 1.0).oracle()
     y = np.array([2.0])
     limit = 2.0 / np.sqrt(2.0)
 
@@ -138,8 +134,7 @@ def test_criterion_03_distribution_preservation():
     """Restoring a large batch of observations drawn from the degraded
     marginal returns samples whose mean and variance match the prior."""
     t0 = time.perf_counter()
-    prior = GaussianPrior([0.0], 1.0)
-    oracle = GaussianWorld(prior, sigma_n=1.0).oracle()
+    oracle = GaussianWorld([0.0], 1.0, sigma_n=1.0).oracle()
     n = 10_000
     rng = derive_rng(0, "acceptance", "preservation")
     y = rng.normal(0.0, np.sqrt(2.0), size=(n, 1))
@@ -175,12 +170,11 @@ def test_criterion_04_toy_mode_convergence():
     symmetric_ok = True
     for sigma, H in ((1.0, np.eye(2)),
                      (0.3, np.array([[1.0, 0.0], [0.0, 0.0]]))):
-        prior = GaussianMixturePrior(
+        world = MixtureWorld(
             np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]),
-            np.full(4, 0.25))
-        oracle = MixtureWorld(prior, LinearDegradation(H, sigma)).oracle()
-        one_step = iterative_restore(oracle, np.zeros(2), SamplerConfig(steps=1))
-        dists = np.linalg.norm(prior.modes - one_step, axis=1)
+            np.full(4, 0.25), H, sigma)
+        one_step = iterative_restore(world.oracle(), np.zeros(2), SamplerConfig(steps=1))
+        dists = np.linalg.norm(world.modes - one_step, axis=1)
         symmetric_ok = symmetric_ok and bool(np.all(dists > 0.0))
 
     wall = time.perf_counter() - t0
@@ -194,10 +188,9 @@ def test_criterion_05_sampler_matches_explicit_euler():
     """The noiseless sampler and an explicit Euler integration of the
     residual flow produce elementwise identical iterates."""
     t0 = time.perf_counter()
-    prior = GaussianMixturePrior(
+    oracle = MixtureWorld(
         np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]),
-        np.full(4, 0.25))
-    oracle = MixtureWorld(prior, LinearDegradation(np.eye(2), 1.0)).oracle()
+        np.full(4, 0.25), np.eye(2), 1.0).oracle()
     y = derive_rng(0, "acceptance", "euler").normal(0.0, 1.2, size=(64, 2))
     all_equal = True
     for n in (5, 50):
@@ -217,15 +210,14 @@ def test_criterion_06_score_consistency():
     """On the Gaussian world, stepping the observation along the score of
     the analytic noisy marginal recovers the posterior mean to 1e-10."""
     t0 = time.perf_counter()
-    prior = GaussianPrior([0.4], 1.3)
     sigma_n = 0.8
-    world = GaussianWorld(prior, sigma_n)
+    world = GaussianWorld([0.4], 1.3, sigma_n)
     rng = derive_rng(0, "acceptance", "score")
     t = rng.uniform(0.05, 1.0, size=1000)
     x_t = rng.normal(0.0, 2.0, size=1000)
 
-    sigma_marg2 = prior.sigma_c ** 2 + (t * sigma_n) ** 2
-    score = -(x_t - prior.c[0]) / sigma_marg2
+    sigma_marg2 = world.sigma_c ** 2 + (t * sigma_n) ** 2
+    score = -(x_t - world.c[0]) / sigma_marg2
     via_score = x_t + (t * sigma_n) ** 2 * score
     direct = np.array([
         gaussian_posterior_mean(world, np.array([xv]), tv)[0]

@@ -20,9 +20,6 @@ from restep.degradation import (
 )
 from restep.metrics import distortion_metrics, empirical_distribution_stats
 from restep.oracles import (
-    GaussianMixturePrior,
-    GaussianPrior,
-    LinearDegradation,
     gaussian_flow_trajectory,
     gaussian_posterior_mean,
     mixture_posterior_mean,
@@ -90,30 +87,28 @@ class TestSchedules:
         assert_allclose(batch, singles)
 
 
-_MIX = MixtureWorld(GaussianMixturePrior([[-1.0], [1.0]], [0.5, 0.5]),
-                    LinearDegradation([[1.0]], 1.0))
-_GAUSS = GaussianPrior([0.0], 1.0)
-_GAUSS_WORLD = GaussianWorld(_GAUSS, 1.0)
+_MIX = MixtureWorld([[-1.0], [1.0]], [0.5, 0.5], [[1.0]], 1.0)
+_GAUSS_WORLD = GaussianWorld([0.0], 1.0, 1.0)
 _X = np.zeros(1)
 
 # (call site, parameter, needs > 0, call with the parameter set to v)
 _SCALAR_SITES = [
     ("ConstantSchedule", "epsilon", False, lambda v: ConstantSchedule(v)),
     ("BrownianSchedule", "epsilon", False, lambda v: BrownianSchedule(v)),
-    ("LinearDegradation", "sigma", False, lambda v: LinearDegradation([[1.0]], v)),
-    ("GaussianPrior", "sigma_c", True, lambda v: GaussianPrior([0.0], v)),
+    ("MixtureWorld", "sigma", False, lambda v: MixtureWorld([[0.0]], [1.0], [[1.0]], v)),
+    ("GaussianWorld", "sigma_c", True, lambda v: GaussianWorld([0.0], v, 1.0)),
     ("mixture_posterior_mean", "extra_noise_std", False,
      lambda v: mixture_posterior_mean(_MIX, _X, 0.5, v)),
     # the closed forms read sigma_n from their world, so it meets the rule on the way in
     ("gaussian_posterior_mean", "sigma_n", True,
-     lambda v: gaussian_posterior_mean(GaussianWorld(_GAUSS, v), _X, 0.5)),
+     lambda v: gaussian_posterior_mean(GaussianWorld([0.0], 1.0, v), _X, 0.5)),
     ("gaussian_posterior_mean", "extra_noise_std", False,
      lambda v: gaussian_posterior_mean(_GAUSS_WORLD, _X, 0.5, v)),
     ("gaussian_flow_trajectory", "sigma_n", True,
-     lambda v: gaussian_flow_trajectory(GaussianWorld(_GAUSS, v), _X, 0.5)),
+     lambda v: gaussian_flow_trajectory(GaussianWorld([0.0], 1.0, v), _X, 0.5)),
     ("TimeDistribution", "a", False, lambda v: TimeDistribution("linear_a", v)),
     ("TrainConfig", "learning_rate", True, lambda v: TrainConfig(learning_rate=v)),
-    ("GaussianWorld", "sigma_n", True, lambda v: GaussianWorld(_GAUSS, v)),
+    ("GaussianWorld", "sigma_n", True, lambda v: GaussianWorld([0.0], 1.0, v)),
     ("distortion_metrics", "peak", True, lambda v: distortion_metrics(_X, _X, peak=v)),
     ("empirical_distribution_stats", "ref_std", True,
      lambda v: empirical_distribution_stats(np.zeros((2, 1)), 0.0, v)),
@@ -171,13 +166,14 @@ _REFUSALS = [
      "unknown schedule type float"),
     ("injected_noise_std-nan", lambda: injected_noise_std(ConstantSchedule(0.0), np.nan, 0.1),
      ValueError, "t must be finite"),
-    ("GaussianMixturePrior-empty", lambda: GaussianMixturePrior(np.empty((0, 2)), []),
+    ("MixtureWorld-empty", lambda: MixtureWorld(np.empty((0, 2)), [], np.eye(2), 1.0),
      ValueError, "modes must be a non-empty (m, d) array"),
-    ("GaussianMixturePrior-negative", lambda: GaussianMixturePrior([[0.0], [1.0]], [1.5, -0.5]),
+    ("MixtureWorld-negative", lambda: MixtureWorld([[0.0], [1.0]], [1.5, -0.5], [[1.0]], 1.0),
      ValueError, "weights must be >= 0"),
-    ("LinearDegradation-square", lambda: LinearDegradation([[1.0, 0.0]], 1.0),
+    ("MixtureWorld-square", lambda: MixtureWorld([[0.0, 0.0]], [1.0], [[1.0, 0.0]], 1.0),
      ValueError, "H must be square"),
-    ("GaussianPrior-2d", lambda: GaussianPrior([[0.0]], 1.0), ValueError, "c must be a vector"),
+    ("GaussianWorld-2d", lambda: GaussianWorld([[0.0]], 1.0, 1.0), ValueError,
+     "c must be a vector"),
     ("MlpRegressor-sizes", lambda: _mlp(sizes=(3,)), ValueError,
      "layer_sizes needs >= 2 positive entries"),
     ("MlpRegressor-float-size", lambda: _mlp(sizes=(3.0, 2)), ValueError,
@@ -223,9 +219,9 @@ _REFUSALS = [
      "learning_rate must be finite and > 0"),
     ("distortion_metrics-huge-int", lambda: distortion_metrics([1.0], [2.0], peak=10**400),
      ValueError, "peak must be finite and > 0"),
-    ("GaussianMixturePrior-huge-int", lambda: GaussianMixturePrior([[10**400]], [1.0]),
+    ("MixtureWorld-huge-int", lambda: MixtureWorld([[10**400]], [1.0], [[1.0]], 1.0),
      ValueError, "modes must be a number within the float64 range"),
-    ("GaussianPrior-huge-int", lambda: GaussianPrior([0.0], 10**400), ValueError,
+    ("GaussianWorld-huge-int", lambda: GaussianWorld([0.0], 10**400, 1.0), ValueError,
      "sigma_c must be finite and > 0"),
     ("TableSchedule-huge-int", lambda: TableSchedule([0, 1], [10**400, 0]), ValueError,
      "table epsilons must be a number within the float64 range"),
@@ -246,7 +242,7 @@ def test_integers_wider_than_int64_are_numbers():
     """A JSON integer beyond int64 makes numpy build an object array; its
     entries are still numbers, so a config that holds one keeps working."""
     assert as_state([1.5, 10**30]).tolist() == [1.5, 1e30]
-    assert GaussianPrior([10**30], 1.0).c.tolist() == [1e30]
+    assert GaussianWorld([10**30], 1.0, 1.0).c.tolist() == [1e30]
 
 
 @pytest.mark.parametrize("call, error, message", [row[1:] for row in _REFUSALS],

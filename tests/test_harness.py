@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -150,6 +151,21 @@ class TestConfigValidation:
             resolved = resolve_config(default_config(kind))
             assert resolved["kind"] == kind
             assert resolved["schema_version"] == 1
+
+    def test_a_world_is_its_config_section(self):
+        """A world class's init fields are its config variant's fields, in order,
+        and the world a default kind builds gives back every field of its section
+        (arrays by value), so a new world field lands in both places or fails."""
+        types = set()
+        for kind in EXPERIMENT_KINDS:
+            section = default_config(kind)["world"]
+            names = list(harness._WORLDS[section["type"]])
+            world = harness.world_from_config(section)
+            assert [f.name for f in dataclasses.fields(world) if f.init] == names
+            for name in names:
+                assert np.array_equal(getattr(world, name), section[name]), (kind, name)
+            types.add(section["type"])
+        assert types == set(harness._WORLDS)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="kind"):
@@ -425,9 +441,9 @@ class TestExperimentRuns:
         on the output (there were two)."""
         calls = []
 
-        def counted(xs, prior):
+        def counted(xs, world):
             calls.append(len(xs))
-            return nearest_modes(xs, prior)
+            return nearest_modes(xs, world)
 
         monkeypatch.setattr(harness, "nearest_modes", counted)
         report = run_experiment(tiny_config("generate_from_noise"), write=False)
@@ -583,6 +599,22 @@ class TestExperimentRuns:
                "world": world}
         [row] = run_experiment(cfg, write=False).rows
         assert (row["divergent"], row["divergence_step"]) == (1, 0)
+
+    @pytest.mark.parametrize("kind, world", [
+        ("sweep_steps", {"type": "gaussian", "c": [0.0], "sigma_c": 1e308, "sigma_n": 1.0}),
+        ("sweep_steps", {"type": "gaussian", "c": [0.0], "sigma_c": 1.0, "sigma_n": 1e308}),
+        ("toy2d_a", {**_MIXTURE_WORLD, "modes": [[1e308, 0.0], [-1e308, 0.0]],
+                     "H": [[3.0, 0.0], [0.0, 1.0]], "sigma": _MAX}),
+    ], ids=["gaussian-sigma_c", "gaussian-sigma_n", "mixture-sigma"])
+    def test_a_draw_that_overflows_is_flagged_without_a_warning(self, kind, world):
+        """A Gaussian world's clean draw or its noise overflows, which warned in
+        the multiply; an inf degraded mode plus noise of the opposite inf warned
+        in the add.  Every row is flagged at step 0."""
+        cfg = {"kind": kind, "eval": {"n_inputs": 50}, "world": world}
+        if kind == "sweep_steps":
+            cfg["eval"]["step_grid"] = [1, 3]
+        rows = run_experiment(cfg, write=False).rows
+        assert rows and all((r["divergent"], r["divergence_step"]) == (1, 0) for r in rows)
 
     def test_a_mode_whose_observation_overflows_but_is_never_drawn(self):
         """A mode at 1e308 of weight 1e-13 under H = diag(3, 1): its degraded mode

@@ -16,7 +16,7 @@ from restep.metrics import (
     empirical_distribution_stats,
     nearest_modes,
 )
-from restep.oracles import GaussianMixturePrior
+from restep.worlds import MixtureWorld
 from test_oracles import tie_margin
 
 
@@ -69,49 +69,52 @@ class TestDistortion:
             distortion_metrics(np.zeros((2, 2)), np.zeros((2, 2)), peak=0.0)
 
 
+def mixture(modes, weights):
+    """A noiseless mixture world over ``modes``, every coordinate observed."""
+    modes = np.asarray(modes, dtype=float)
+    return MixtureWorld(modes, weights, np.eye(modes.shape[1]), 0.0)
+
+
 class TestNearestMode:
-    def prior(self):
-        return GaussianMixturePrior(
-            modes=[[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]],
-            weights=[0.25, 0.25, 0.25, 0.25],
-        )
+    def world(self):
+        return mixture([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]], [0.25] * 4)
 
     def test_frozen_distance(self):
-        idx, dist = nearest_modes(np.array([[0.9, 0.1]]), self.prior())
+        idx, dist = nearest_modes(np.array([[0.9, 0.1]]), self.world())
         assert_array_equal(idx, [0])
         assert_allclose(dist, [0.9055385138137417], rtol=1e-15)
 
     def test_rows_of_the_wrong_width_are_refused(self):
         """A (n, 1) batch against a 2-d prior used to broadcast into
         indices [1, 0] and distances 0.141."""
-        prior = GaussianMixturePrior([[0.0, 0.0], [5.0, 5.0]], [0.5, 0.5])
+        world = mixture([[0.0, 0.0], [5.0, 5.0]], [0.5, 0.5])
         with pytest.raises(ValueError, match=r"^xs must have 2 coordinates"):
-            nearest_modes([[4.9], [0.1]], prior)
+            nearest_modes([[4.9], [0.1]], world)
 
     @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 3, 2)])
     def test_more_than_one_leading_axis_is_refused(self, shape):
         """The transpose reversed every axis: a (2, 2, 2) batch returned
         wrong (2, 2) indices and a (2, 3, 2) one a broadcast error."""
-        prior = GaussianMixturePrior([[0.0, 0.0], [5.0, 5.0]], [0.5, 0.5])
+        world = mixture([[0.0, 0.0], [5.0, 5.0]], [0.5, 0.5])
         xs = np.zeros(shape)
         with pytest.raises(ValueError, match=r"^xs must be \(d,\) or \(n, d\), got shape "
                            + re.escape(str(shape))):
-            nearest_modes(xs, prior)
+            nearest_modes(xs, world)
 
     def test_empty_batch(self):
-        idx, dist = nearest_modes(np.zeros((0, 2)), self.prior())
+        idx, dist = nearest_modes(np.zeros((0, 2)), self.world())
         assert idx.shape == dist.shape == (0,)
 
     def test_tie_goes_to_lowest_index(self):
-        idx, _ = nearest_modes(np.array([[1.0, 0.0]]), self.prior())
+        idx, _ = nearest_modes(np.array([[1.0, 0.0]]), self.world())
         assert_array_equal(idx, [0])
-        idx, _ = nearest_modes(np.array([[0.0, 0.0]]), self.prior())
+        idx, _ = nearest_modes(np.array([[0.0, 0.0]]), self.world())
         assert_array_equal(idx, [0])
 
     def test_distances_whose_squares_overflow(self):
         """Every squared distance of the row overflows: it was index 0 at inf."""
-        prior = GaussianMixturePrior([[1e155, 0.0], [-1e155, 0.0]], [0.5, 0.5])
-        idx, dist = nearest_modes(np.array([[-2e154, 0.0], [0.0, 0.0]]), prior)
+        world = mixture([[1e155, 0.0], [-1e155, 0.0]], [0.5, 0.5])
+        idx, dist = nearest_modes(np.array([[-2e154, 0.0], [0.0, 0.0]]), world)
         assert_array_equal(idx, [1, 0])
         assert_array_equal(dist, [8e154, 1e155])
 
@@ -121,8 +124,8 @@ class TestNearestMode:
         about 1e-162 they round to 0: at 1e-160 the distances lost digits
         (1.4058e-161 for 1.4142e-161), and at 1e-200 every distance read 0 and
         both rows took index 0."""
-        prior = GaussianMixturePrior(self.prior().modes * s, [0.25] * 4)
-        idx, dist = nearest_modes(np.array([[0.9, -1.1], [-1.0, -0.8]]) * s, prior)
+        world = mixture(self.world().modes * s, [0.25] * 4)
+        idx, dist = nearest_modes(np.array([[0.9, -1.1], [-1.0, -0.8]]) * s, world)
         assert_array_equal(idx, [1, 3])
         assert_allclose(dist, [s * math.sqrt(0.02), s * 0.2], rtol=4 * 2**-52)
 
@@ -144,8 +147,7 @@ class TestNearestMode:
         tied with mode 0: a rule that moved to a lower index on a 0 gap cycled."""
         modes, xs = case
         d = modes.shape[1]
-        prior = GaussianMixturePrior(modes, np.full(len(modes), 1.0 / len(modes)))
-        idx, dists = nearest_modes(xs, prior)
+        idx, dists = nearest_modes(xs, mixture(modes, np.full(len(modes), 1.0 / len(modes))))
         rows = np.atleast_2d(xs)
         with np.errstate(over="ignore"):  # the reference's squares and differences overflow
             diff = rows - modes[idx]

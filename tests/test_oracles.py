@@ -17,9 +17,6 @@ from restep.degradation import (
 )
 from restep.oracles import (
     GaussianDenoisingOracle,
-    GaussianMixturePrior,
-    GaussianPrior,
-    LinearDegradation,
     MixturePosteriorOracle,
     _FAR_LOG,
     _mode_distances_sq,
@@ -33,16 +30,17 @@ from restep.oracles import (
 from restep.worlds import GaussianWorld, MixtureWorld
 
 
-def two_point_prior():
-    return GaussianMixturePrior(modes=[[-1.0], [1.0]], weights=[0.5, 0.5])
+def two_point_world(sigma=1.0):
+    return MixtureWorld(modes=[[-1.0], [1.0]], weights=[0.5, 0.5], H=[[1.0]], sigma=sigma)
 
 
 def random_mixture(rng, dim, n_modes):
+    """Random ``(modes, weights)`` of a mixture world."""
     modes = rng.normal(scale=2.0, size=(n_modes, dim))
     w = rng.uniform(0.2, 1.0, size=n_modes)
     w /= w.sum()
     w[-1] = 1.0 - w[:-1].sum()   # exact unit sum
-    return GaussianMixturePrior(modes=modes, weights=w)
+    return modes, w
 
 
 def tie_margin(row, near, rival, modes) -> Fraction:
@@ -78,56 +76,51 @@ def scaled_mode_sets(draw):
     return modes, np.ldexp(base + np.ldexp(offsets, -s), k)
 
 
-def _table_centres(prior, deg, t):
+def _table_centres(world, t):
     """The centres (1 - t) c_i + t D_i over the table D = C H^T of degraded modes."""
-    return (1.0 - t) * prior.modes + t * (prior.modes @ deg.H.T)
+    return (1.0 - t) * world.modes + t * (world.modes @ world.H.T)
 
 
-def _reference_log_terms(prior, deg, x_t, t, extra_noise_std):
+def _reference_log_terms(world, x_t, t, extra_noise_std):
     """log(w_i) - ||u_i||^2 / 2 as first written, modes on the last axis, with the
     oracle's table-form centres."""
-    sigma_t = t * float(np.hypot(deg.sigma, extra_noise_std))
-    centers = _table_centres(prior, deg, t)
+    sigma_t = t * float(np.hypot(world.sigma, extra_noise_std))
+    centers = _table_centres(world, t)
     u = (x_t[..., None, :] - centers) / sigma_t
     with np.errstate(divide="ignore"):
-        log_w = np.log(prior.weights)
+        log_w = np.log(world.weights)
     return log_w - 0.5 * np.sum(u * u, axis=-1)
 
 
-def _reference_mixture_posterior_mean(prior, deg, x_t, t, extra_noise_std):
+def _reference_mixture_posterior_mean(world, x_t, t, extra_noise_std):
     """The posterior mean as first written, with numpy's own reductions."""
-    log_terms = _reference_log_terms(prior, deg, x_t, t, extra_noise_std)
+    log_terms = _reference_log_terms(world, x_t, t, extra_noise_std)
     post = np.exp(log_terms - np.max(log_terms, axis=-1, keepdims=True))
     post /= np.sum(post, axis=-1, keepdims=True)
-    return post @ prior.modes
+    return post @ world.modes
 
 
 class TestMixturePosteriorMean:
     def test_frozen_two_point_value(self):
         """Hand-computed Bayes over two atoms at t = 0.5, x_t = 0.5:
         the posterior mean is tanh(2) = 0.9640275800758169."""
-        prior = two_point_prior()
-        deg = LinearDegradation(H=[[1.0]], sigma=1.0)
-        got = mixture_posterior_mean(MixtureWorld(prior, deg), np.array([0.5]), 0.5)
+        got = mixture_posterior_mean(two_point_world(), np.array([0.5]), 0.5)
         assert_allclose(got, [0.9640275800758169], rtol=0, atol=1e-12)
 
     def test_matches_tanh_closed_form_on_grid(self):
         # Symmetric unit modes admit E[x|x_t] = tanh(H_t x_t / sigma_t^2).
-        prior = two_point_prior()
-        deg = LinearDegradation(H=[[1.0]], sigma=0.8)
+        world = two_point_world(sigma=0.8)
         for t in (0.2, 0.5, 0.9, 1.0):
             h_t = 1.0   # (1-t) + t for the identity observation
             sigma_t = t * 0.8
             xs = np.linspace(-3.0, 3.0, 41)[:, None]
-            got = mixture_posterior_mean(MixtureWorld(prior, deg), xs, t)
+            got = mixture_posterior_mean(world, xs, t)
             want = np.tanh(h_t * xs / sigma_t**2)
             assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_monte_carlo_bayes_agreement(self):
         """Binned conditional mean from forward simulation agrees with the
         analytic posterior mean within 3 standard errors."""
-        prior = two_point_prior()
-        deg = LinearDegradation(H=[[1.0]], sigma=1.0)
         t, x_query = 0.5, 0.5
         rng = np.random.default_rng(0)
         n = 1_000_000
@@ -137,7 +130,7 @@ class TestMixturePosteriorMean:
         mask = np.abs(x_t - x_query) < 0.005
         mc_mean = x[mask].mean()
         se = x[mask].std(ddof=1) / np.sqrt(mask.sum())
-        analytic = mixture_posterior_mean(MixtureWorld(prior, deg), np.array([x_query]), t)[0]
+        analytic = mixture_posterior_mean(two_point_world(), np.array([x_query]), t)[0]
         assert abs(mc_mean - analytic) < 3.0 * se + 0.005
 
     @pytest.mark.parametrize("sigma", [0.6, 0.0])
@@ -149,33 +142,27 @@ class TestMixturePosteriorMean:
         modes are 2 e_i: the final product has the weights' bits whichever kernel
         matmul picks for the batch's shape."""
         rng = np.random.default_rng(5)
-        prior = GaussianMixturePrior(2.0 * np.eye(4), random_mixture(rng, 1, 4).weights)
-        deg = LinearDegradation(H=rng.normal(size=(4, 4)), sigma=sigma)
-        centers = _table_centres(prior, deg, 0.7)
+        weights = random_mixture(rng, 1, 4)[1]
+        world = MixtureWorld(2.0 * np.eye(4), weights, rng.normal(size=(4, 4)), sigma)
+        centers = _table_centres(world, 0.7)
         v = np.linalg.svd(centers[1:] - centers[0])[2][-1]
         near = rng.normal(size=(4, 4))
         xs = np.vstack([near, near + 1e6 * v, 1e300 * rng.normal(size=(1, 4))])
-        world = MixtureWorld(prior, deg)
         batch = mixture_posterior_mean(world, xs, 0.7)
         for i, row in enumerate(xs):
             assert batch[i].tobytes() == mixture_posterior_mean(world, row, 0.7).tobytes()
         assert_allclose(batch[4:8], batch[:4], rtol=1e-6, atol=1e-12)
 
     def test_zero_weight_mode_never_contributes(self):
-        prior = GaussianMixturePrior(
-            modes=[[0.0], [100.0]], weights=[1.0, 0.0]
-        )
-        deg = LinearDegradation(H=[[1.0]], sigma=1.0)
-        got = mixture_posterior_mean(MixtureWorld(prior, deg), np.array([50.0]), 1.0)
+        world = MixtureWorld(modes=[[0.0], [100.0]], weights=[1.0, 0.0], H=[[1.0]], sigma=1.0)
+        got = mixture_posterior_mean(world, np.array([50.0]), 1.0)
         assert_allclose(got, [0.0], atol=1e-12)
 
     @pytest.mark.parametrize("x", [1e8, 1e15, 1e16, 1e150, 1e155, 1e300, np.finfo(float).max])
     def test_far_field_snaps_to_nearest_mode_without_nan(self, x):
         """Where the squared distances tie (from 1e16) or overflow (from
         1e154) the mode-relative terms still pick the closer mode."""
-        prior = two_point_prior()
-        deg = LinearDegradation(H=[[1.0]], sigma=1.0)
-        got = mixture_posterior_mean(MixtureWorld(prior, deg), np.array([[x], [-x]]), 0.5)
+        got = mixture_posterior_mean(two_point_world(), np.array([[x], [-x]]), 0.5)
         assert_array_equal(got, [[1.0], [-1.0]])
 
     @pytest.mark.parametrize("mode, x", [(1e155, 3e154), (1e300, 1.0), (1e300, 1e-30),
@@ -183,26 +170,23 @@ class TestMixturePosteriorMean:
     def test_far_field_keeps_huge_modes_apart(self, mode, x):
         """Where ||C_i||^2 overflows, the centre terms are scaled too: modes
         +-1e155 at x_t = +-3e154 and +-1e300 at x_t = +-1 were [nan]."""
-        prior = GaussianMixturePrior(modes=[[-mode], [mode]], weights=[0.5, 0.5])
-        deg = LinearDegradation(H=[[1.0]], sigma=1.0)
-        got = mixture_posterior_mean(MixtureWorld(prior, deg), np.array([[x], [-x]]), 0.5)
+        world = MixtureWorld(modes=[[-mode], [mode]], weights=[0.5, 0.5], H=[[1.0]], sigma=1.0)
+        got = mixture_posterior_mean(world, np.array([[x], [-x]]), 0.5)
         assert_array_equal(got, [[mode], [-mode]])
 
     def test_far_field_zero_weight_mode_never_contributes(self):
         """The closest mode has weight 0, so the next one takes the row."""
-        prior = GaussianMixturePrior(modes=[[1e300], [0.0], [-1e300]], weights=[0.0, 0.5, 0.5])
-        deg = LinearDegradation(H=[[1.0]], sigma=1.0)
-        got = mixture_posterior_mean(MixtureWorld(prior, deg),
-                                     np.array([[1e300], [1e20], [-9e299]]), 0.5)
+        world = MixtureWorld(modes=[[1e300], [0.0], [-1e300]], weights=[0.0, 0.5, 0.5],
+                             H=[[1.0]], sigma=1.0)
+        got = mixture_posterior_mean(world, np.array([[1e300], [1e20], [-9e299]]), 0.5)
         assert_array_equal(got, [[0.0], [0.0], [-1e300]])
 
     def test_far_field_keeps_the_blend_on_a_bisector(self):
         """Far out along the line equidistant from two modes the posterior
         weights are the prior's, however far the row is."""
-        prior = GaussianMixturePrior(modes=[[1.0, 0.0], [-1.0, 0.0]], weights=[0.25, 0.75])
-        deg = LinearDegradation(H=np.eye(2), sigma=1.0)
-        got = mixture_posterior_mean(MixtureWorld(prior, deg),
-                                     np.array([[0.0, 1e200], [0.0, -1e300]]), 0.5)
+        world = MixtureWorld(modes=[[1.0, 0.0], [-1.0, 0.0]], weights=[0.25, 0.75],
+                             H=np.eye(2), sigma=1.0)
+        got = mixture_posterior_mean(world, np.array([[0.0, 1e200], [0.0, -1e300]]), 0.5)
         assert_allclose(got, [[-0.5, 0.0], [-0.5, 0.0]], rtol=1e-15, atol=0.0)
 
     @settings(max_examples=300, deadline=None)
@@ -220,39 +204,38 @@ class TestMixturePosteriorMean:
         modes = data.draw(st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=4, unique=True))
         raw = np.array(data.draw(st.lists(st.integers(1, 9), min_size=len(modes),
                                           max_size=len(modes))), dtype=float)
-        prior = GaussianMixturePrior(np.array(modes)[:, None], raw / raw.sum())
-        deg = LinearDegradation([[h]], sigma)
-        got = mixture_posterior_mean(MixtureWorld(prior, deg), np.array([x]), t)
+        world = MixtureWorld(np.array(modes)[:, None], raw / raw.sum(), [[h]], sigma)
+        got = mixture_posterior_mean(world, np.array([x]), t)
         assert np.isfinite(got).all()
         with np.errstate(over="ignore"):
-            top = np.max(_reference_log_terms(prior, deg, np.array([x]), t, 0.0))
+            top = np.max(_reference_log_terms(world, np.array([x]), t, 0.0))
         if top < -_FAR_LOG:
-            centers = [Fraction(c) for c in _table_centres(prior, deg, t)[:, 0]]
+            centers = [Fraction(c) for c in _table_centres(world, t)[:, 0]]
             sigma_sq = Fraction(t * sigma) ** 2
             terms = [(Fraction(x) * (c - centers[0]), (c * c - centers[0] ** 2) / 2)
                      for c in centers]
             rel = [(a - b) / sigma_sq + Fraction(float(np.log(w)))
-                   for (a, b), w in zip(terms, prior.weights)]
+                   for (a, b), w in zip(terms, world.weights)]
             # the mode is exact once the runner-up's weight is below exp(-746),
             # with room for float64 rounding of the largest term
             size = max(abs(a) + abs(b) for a, b in terms) / sigma_sq
             first, second = sorted(rel)[-1], sorted(rel)[-2]
             if first - second > 746 + size / 2**40:
-                assert got[0] == prior.modes[rel.index(first), 0]
+                assert got[0] == world.modes[rel.index(first), 0]
 
     def test_extra_noise_matches_inflated_sigma_world(self):
         """Schedule noise folded in via extra_noise_std must equal a world
         whose observation noise is sqrt(sigma^2 + eps^2)."""
         rng = np.random.default_rng(9)
-        prior = random_mixture(rng, dim=2, n_modes=3)
+        modes, weights = random_mixture(rng, dim=2, n_modes=3)
         xs = rng.normal(size=(6, 2))
         H = np.eye(2)
         sigma, eps, t = 0.5, 0.3, 0.6
         via_extra = mixture_posterior_mean(
-            MixtureWorld(prior, LinearDegradation(H, sigma)), xs, t, extra_noise_std=eps
+            MixtureWorld(modes, weights, H, sigma), xs, t, extra_noise_std=eps
         )
         via_sigma = mixture_posterior_mean(
-            MixtureWorld(prior, LinearDegradation(H, float(np.hypot(sigma, eps)))), xs, t
+            MixtureWorld(modes, weights, H, float(np.hypot(sigma, eps))), xs, t
         )
         assert_allclose(via_extra, via_sigma, rtol=1e-14)
 
@@ -261,27 +244,26 @@ class TestMixturePosteriorMean:
         that mode exactly, and a row equidistant from modes returns their w-weighted
         mean.  So do modes at +-1e308 under H = diag(3, 1), whose degraded modes
         overflow: (1 - t) c_i + t D_i would be 0 * inf = nan there."""
-        prior = GaussianMixturePrior([[-1.0, 0.0], [1.0, 0.0], [0.3, 5.0]], [0.25, 0.5, 0.25])
-        deg = LinearDegradation(H=[[2.0, 1.0], [0.0, -3.0]], sigma=1.0)
+        world = MixtureWorld([[-1.0, 0.0], [1.0, 0.0], [0.3, 5.0]], [0.25, 0.5, 0.25],
+                             H=[[2.0, 1.0], [0.0, -3.0]], sigma=1.0)
         rows = np.array([[-1.0, 0.0], [1.0, 0.0], [0.3, 5.0], [0.0, -1.0], [0.9, 0.1]])
-        got = mixture_posterior_mean(MixtureWorld(prior, deg), rows, 0.0)
-        assert_array_equal(got[:3], prior.modes)
+        got = mixture_posterior_mean(world, rows, 0.0)
+        assert_array_equal(got[:3], world.modes)
         assert_allclose(got[3], [1 / 3, 0.0], rtol=1e-15, atol=0.0)
         assert_array_equal(got[4], [1.0, 0.0])
-        huge = GaussianMixturePrior([[1e308, 0.0], [-1e308, 0.0]], [0.5, 0.5])
-        world = MixtureWorld(huge, LinearDegradation([[3.0, 0.0], [0.0, 1.0]], 1.0))
-        got = mixture_posterior_mean(world, huge.modes, 0.0)
+        huge = MixtureWorld([[1e308, 0.0], [-1e308, 0.0]], [0.5, 0.5],
+                            [[3.0, 0.0], [0.0, 1.0]], 1.0)
+        got = mixture_posterior_mean(huge, huge.modes, 0.0)
         assert got.tobytes() == huge.modes.tobytes()
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match=r"^weights must sum to 1 within 1e-12$"):
-            GaussianMixturePrior([[0.0], [1.0]], [0.5, 0.5 + 2e-12])
-        GaussianMixturePrior([[0.0], [1.0]], [0.5, 0.5 + 5e-13])
+            MixtureWorld([[0.0], [1.0]], [0.5, 0.5 + 2e-12], [[1.0]], 1.0)
+        MixtureWorld([[0.0], [1.0]], [0.5, 0.5 + 5e-13], [[1.0]], 1.0)
 
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
     def test_noiseless_empty_batch(self, sigma):
-        world = MixtureWorld(two_point_prior(), LinearDegradation([[1.0]], sigma))
-        got = mixture_posterior_mean(world, np.zeros((0, 1)), 0.5)
+        got = mixture_posterior_mean(two_point_world(sigma), np.zeros((0, 1)), 0.5)
         assert got.shape == (0, 1)
 
     @pytest.mark.parametrize("t", [1e-3, 0.1, 0.3, 1.0])
@@ -291,8 +273,8 @@ class TestMixturePosteriorMean:
         the mean is non-finite (it is finite wherever D is finite, and at t = 0).
         Centres taken through the blended matrix (1 - t) I + t H were finite at
         t 1e-3, 0.1 and 0.3, where the mean read [0, 0]."""
-        prior = GaussianMixturePrior([[1e308, 0.0], [-1e308, 0.0]], [0.5, 0.5])
-        world = MixtureWorld(prior, LinearDegradation([[3.0, 0.0], [0.0, 1.0]], 1.0))
+        world = MixtureWorld([[1e308, 0.0], [-1e308, 0.0]], [0.5, 0.5],
+                             [[3.0, 0.0], [0.0, 1.0]], 1.0)
         got = mixture_posterior_mean(world, np.array([0.0, 0.0]), t)
         assert not np.isfinite(got).all()
 
@@ -300,8 +282,7 @@ class TestMixturePosteriorMean:
         """Modes 1 + 3e-9 and 1 - 1e-9 from the row 1: the far field formed
         x (C_i - C_0) - (C_i^2 - C_0^2) / 2 from terms of size 1, whose
         rounding swamped the gap of 4e-18, and returned the farther mode."""
-        prior = GaussianMixturePrior([[1 + 3e-9], [1 - 1e-9]], [0.5, 0.5])
-        world = MixtureWorld(prior, LinearDegradation([[1.0]], 0.0))
+        world = MixtureWorld([[1 + 3e-9], [1 - 1e-9]], [0.5, 0.5], [[1.0]], 0.0)
         got = mixture_posterior_mean(world, np.array([1.0]), 1.0)
         assert got.tolist() == [1 - 1e-9]
 
@@ -322,9 +303,9 @@ class TestMixturePosteriorMean:
         from a set nested three deep, whose first pick moves three times; and
         0 on a set below 2^-74, whose frame's floor underflowed to 0."""
         modes, rows = case
-        prior = GaussianMixturePrior(modes, np.full(len(modes), 1.0 / len(modes)))
         picks = _nearest(rows, modes)[0]
-        world = MixtureWorld(prior, LinearDegradation(np.eye(modes.shape[1]), 0.0))
+        world = MixtureWorld(modes, np.full(len(modes), 1.0 / len(modes)),
+                             np.eye(modes.shape[1]), 0.0)
         outs = mixture_posterior_mean(world, rows, 1.0)
         for row, pick, out in zip(rows, picks, outs):
             exact = [sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(row, mode))
@@ -343,8 +324,7 @@ class TestMixturePosteriorMean:
     def test_noiseless_posterior_is_the_nearest_mode(self, sigma, x, want):
         """At sigma_t = 0 the posterior is a point mass on the nearest mode;
         a row equidistant from two modes keeps their prior blend."""
-        world = MixtureWorld(two_point_prior(), LinearDegradation([[1.0]], sigma))
-        got = mixture_posterior_mean(world, np.array([x]), 0.5)
+        got = mixture_posterior_mean(two_point_world(sigma), np.array([x]), 0.5)
         assert_array_equal(got, [want])
 
     @settings(max_examples=200, deadline=None)
@@ -359,17 +339,16 @@ class TestMixturePosteriorMean:
         modes = data.draw(arrays(np.float64, (m, d), elements=ints))
         raw = np.array(data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)
                                  .filter(any)), dtype=float)
-        prior = GaussianMixturePrior(modes, raw / raw.sum())
         H = data.draw(arrays(np.float64, (d, d), elements=st.sampled_from(
             [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])))
-        deg = LinearDegradation(H, 0.0)
-        centers = _table_centres(prior, deg, t)  # as the oracle computes them
+        world = MixtureWorld(modes, raw / raw.sum(), H, 0.0)
+        centers = _table_centres(world, t)  # as the oracle computes them
         on_centre = data.draw(st.lists(st.integers(0, m - 1), max_size=3))
         rows = np.vstack([centers[on_centre], data.draw(
             arrays(np.float64, (data.draw(st.integers(int(not on_centre), 3)), d),
                    elements=st.floats(-4.0, 4.0)))])
-        got = mixture_posterior_mean(MixtureWorld(prior, deg), rows, t)
-        live = np.flatnonzero(prior.weights)
+        got = mixture_posterior_mean(world, rows, t)
+        live = np.flatnonzero(world.weights)
         for row, out in zip(rows, got):
             dist_sq = {i: sum((Fraction(a) - Fraction(c)) ** 2 for a, c in zip(row, centers[i]))
                        for i in live}
@@ -380,11 +359,11 @@ class TestMixturePosteriorMean:
             if len({centers[i].tobytes() for i in group}) > 1 or (gap is not None
                                                                  and gap <= margin):
                 continue  # distinct centres tie, or one is within rounding of the nearest
-            w = prior.weights[group]
+            w = world.weights[group]
             if len(group) == 1:
-                assert_array_equal(out, prior.modes[group[0]])
+                assert_array_equal(out, world.modes[group[0]])
             else:
-                assert_allclose(out, w @ prior.modes[group] / w.sum(), rtol=1e-14, atol=1e-14)
+                assert_allclose(out, w @ world.modes[group] / w.sum(), rtol=1e-14, atol=1e-14)
             if gap is None:
                 continue
             # sigma_t^2 <= gap / 128 leaves the runner-up a weight below 4 e^-64.  Inside
@@ -396,7 +375,7 @@ class TestMixturePosteriorMean:
             k = max(0, math.ceil(math.log2(t) - (math.log2(bound.numerator)
                                                  - math.log2(bound.denominator)) / 2))
             for j in (k, k + 8, k + 32):
-                noisy = MixtureWorld(prior, LinearDegradation(H, math.ldexp(1.0, -j)))
+                noisy = MixtureWorld(world.modes, world.weights, H, math.ldexp(1.0, -j))
                 approx = mixture_posterior_mean(noisy, row, t)
                 assert_allclose(approx, out, rtol=0.0, atol=1e-12)
 
@@ -419,14 +398,13 @@ class TestMixturePosteriorMean:
         modes = data.draw(arrays(np.float64, (m, d), elements=coords))
         raw = data.draw(arrays(np.float64, m, elements=st.sampled_from([0.0, 0.3, 1.0, 2.5])))
         raw[data.draw(st.integers(0, m - 1))] = 1.0
-        prior = GaussianMixturePrior(modes, raw / raw.sum())
         H = data.draw(arrays(np.float64, (d, d), elements=st.floats(-2.0, 2.0)))
-        deg = LinearDegradation(H, sigma)
+        world = MixtureWorld(modes, raw / raw.sum(), H, sigma)
         x_t = data.draw(arrays(np.float64, lead + (d,), elements=coords))
-        got = mixture_posterior_mean(MixtureWorld(prior, deg), x_t, t, extra_noise_std=extra)
-        want = _reference_mixture_posterior_mean(prior, deg, x_t, t, extra)
+        got = mixture_posterior_mean(world, x_t, t, extra_noise_std=extra)
+        want = _reference_mixture_posterior_mean(world, x_t, t, extra)
         assert got.shape == want.shape
-        near = ~(np.max(_reference_log_terms(prior, deg, x_t, t, extra), axis=-1) < -_FAR_LOG)
+        near = ~(np.max(_reference_log_terms(world, x_t, t, extra), axis=-1) < -_FAR_LOG)
         assert got[near].tobytes() == want[near].tobytes()
 
 
@@ -489,19 +467,19 @@ class TestSlideToS:
         rng = np.random.default_rng(13)
         for _ in range(50):
             dim = rng.integers(1, 4)
-            prior = random_mixture(rng, dim=dim, n_modes=int(rng.integers(2, 6)))
-            deg = LinearDegradation(H=rng.normal(size=(dim, dim)), sigma=0.9)
+            world = MixtureWorld(*random_mixture(rng, dim=dim, n_modes=int(rng.integers(2, 6))),
+                                 H=rng.normal(size=(dim, dim)), sigma=0.9)
             x_t = rng.normal(scale=1.5, size=dim)
             t = rng.uniform(0.1, 1.0)
             s = rng.uniform(0.0, t)
             # posterior weights, recomputed here by direct Bayes
-            h_t = (1.0 - t) * np.eye(dim) + t * deg.H
-            u = (x_t - prior.modes @ h_t.T) / (t * 0.9)
-            logp = np.log(prior.weights) - 0.5 * np.sum(u * u, axis=1)
+            h_t = (1.0 - t) * np.eye(dim) + t * world.H
+            u = (x_t - world.modes @ h_t.T) / (t * 0.9)
+            logp = np.log(world.weights) - 0.5 * np.sum(u * u, axis=1)
             p = np.exp(logp - logp.max())
             p /= p.sum()
-            atomwise = p @ ((1.0 - s / t) * prior.modes + (s / t) * x_t)
-            pm = mixture_posterior_mean(MixtureWorld(prior, deg), x_t, t)
+            atomwise = p @ ((1.0 - s / t) * world.modes + (s / t) * x_t)
+            pm = mixture_posterior_mean(world, x_t, t)
             got = posterior_mean_at_s(pm, x_t, s, t)
             assert_allclose(got, atomwise, rtol=1e-10, atol=1e-10)
 
@@ -522,9 +500,7 @@ class TestSlideToS:
         x_t = (1 - t) * x + t * y
         x_s = (1 - s) * x + s * y
         mask = np.abs(x_t - 0.4) < 0.01
-        prior = two_point_prior()
-        deg = LinearDegradation(H=[[1.0]], sigma=sigma)
-        pm = mixture_posterior_mean(MixtureWorld(prior, deg), np.array([0.4]), t)
+        pm = mixture_posterior_mean(two_point_world(sigma), np.array([0.4]), t)
         pred = posterior_mean_at_s(pm, np.array([0.4]), s, t)[0]
         resid = x_s[mask] - pred
         se = resid.std(ddof=1) / np.sqrt(mask.sum())
@@ -544,8 +520,8 @@ class TestSlideToS:
         with cov = sigma_c^2 + s t sigma_n^2 and var = sigma_c^2 + t^2
         sigma_n^2, a route that uses nothing from the package."""
         s = frac * t
-        prior = GaussianPrior(c=[c], sigma_c=sigma_c)
-        pm = gaussian_posterior_mean(GaussianWorld(prior, sigma_n), np.array([x_t]), t)
+        world = GaussianWorld(c=[c], sigma_c=sigma_c, sigma_n=sigma_n)
+        pm = gaussian_posterior_mean(world, np.array([x_t]), t)
         got = posterior_mean_at_s(pm, np.array([x_t]), s, t)[0]
         vc, vn = sigma_c**2, sigma_n**2
         want = c + (vc + s * t * vn) / (vc + t * t * vn) * (x_t - c)
@@ -562,34 +538,34 @@ class TestSlideToS:
 
 class TestGaussianWorldForms:
     def test_frozen_posterior_mean_at_t_one(self):
-        prior = GaussianPrior(c=[0.0], sigma_c=1.0)
-        got = gaussian_posterior_mean(GaussianWorld(prior, 1.0), np.array([2.0]), 1.0)
+        world = GaussianWorld(c=[0.0], sigma_c=1.0, sigma_n=1.0)
+        got = gaussian_posterior_mean(world, np.array([2.0]), 1.0)
         assert_allclose(got, [1.0], rtol=1e-15)
 
     def test_posterior_mean_is_identity_at_t_zero(self):
-        prior = GaussianPrior(c=[0.3], sigma_c=0.5)
+        world = GaussianWorld(c=[0.3], sigma_c=0.5, sigma_n=2.0)
         x = np.array([1.7])
-        assert_allclose(gaussian_posterior_mean(GaussianWorld(prior, 2.0), x, 0.0), x)
+        assert_allclose(gaussian_posterior_mean(world, x, 0.0), x)
 
     def test_posterior_mean_is_the_prior_mean_when_the_noise_variance_overflows(self):
         """t^2 (sigma_n^2 + eps^2) overflows to inf: the weight on x_t tends to
         0, so the mean is c (it was inf / inf = nan)."""
-        oracle = GaussianWorld(GaussianPrior([0.0], 1.0), 0.5).oracle(BrownianSchedule(1e160))
+        oracle = GaussianWorld([0.0], 1.0, 0.5).oracle(BrownianSchedule(1e160))
         assert_array_equal(oracle(np.array([0.3]), 0.5), [0.0])
-        prior = GaussianPrior(c=[0.5, -2.0], sigma_c=1.0)
+        world = GaussianWorld(c=[0.5, -2.0], sigma_c=1.0, sigma_n=1e200)
         x = np.array([[0.3, 1.0], [4.0, -1.0], [0.0, 0.0]])
-        got = gaussian_posterior_mean(GaussianWorld(prior, 1e200), x, 0.5)
-        assert_array_equal(got, np.broadcast_to(prior.c, x.shape))
-        got[0, 0] = 9.0  # a fresh array, not a view of the prior
-        assert_array_equal(prior.c, [0.5, -2.0])
+        got = gaussian_posterior_mean(world, x, 0.5)
+        assert_array_equal(got, np.broadcast_to(world.c, x.shape))
+        got[0, 0] = 9.0  # a fresh array, not a view of the world's c
+        assert_array_equal(world.c, [0.5, -2.0])
 
     def test_posterior_mean_is_x_t_when_the_prior_variance_overflows(self):
         """sigma_c^2 overflows to inf: the weight on c tends to 0, so the mean
         is x_t itself (it was inf / inf = nan)."""
-        prior = GaussianPrior(c=[0.5], sigma_c=1e200)
+        world = GaussianWorld(c=[0.5], sigma_c=1e200, sigma_n=0.5)
         x = np.array([[0.3], [-7.0]])
         for t in (0.25, 1.0):
-            got = gaussian_posterior_mean(GaussianWorld(prior, 0.5), x, t, extra_noise_std=1e3)
+            got = gaussian_posterior_mean(world, x, t, extra_noise_std=1e3)
             assert_array_equal(got, x)
             assert got is not x
 
@@ -601,30 +577,30 @@ class TestGaussianWorldForms:
         large sigma_n is, so the mean is x_t, bit for bit as with a finite
         sigma_n (0 * inf made it nan)."""
         x = np.array([[0.3], [-7.0]])
-        for prior in (GaussianPrior(c=[0.5], sigma_c=1.0), GaussianPrior(c=[0.5], sigma_c=1e200)):
-            got = gaussian_posterior_mean(GaussianWorld(prior, sigma_n), x, 0.0, extra)
-            want = gaussian_posterior_mean(GaussianWorld(prior, 1.0), x, 0.0)
+        for sigma_c in (1.0, 1e200):
+            got = gaussian_posterior_mean(GaussianWorld([0.5], sigma_c, sigma_n), x, 0.0, extra)
+            want = gaussian_posterior_mean(GaussianWorld([0.5], sigma_c, 1.0), x, 0.0)
             assert got.tobytes() == want.tobytes()
             assert_array_equal(got, x)
 
     def test_posterior_mean_is_nan_when_both_variances_overflow(self):
         """Both limits compete; the nan is kept so samplers flag the row."""
-        prior = GaussianPrior(c=[0.5], sigma_c=1e200)
-        got = gaussian_posterior_mean(GaussianWorld(prior, 1e200), np.array([0.3]), 0.5)
+        world = GaussianWorld(c=[0.5], sigma_c=1e200, sigma_n=1e200)
+        got = gaussian_posterior_mean(world, np.array([0.3]), 0.5)
         assert np.isnan(got).all()
 
     def test_frozen_flow_values(self):
         """c = 0, sigma_c = sigma_n = 1, y = 2: the closed-form trajectory
         passes through sqrt(2.5) at t = 0.5 and ends at sqrt(2)."""
-        prior = GaussianPrior(c=[0.0], sigma_c=1.0)
+        world = GaussianWorld(c=[0.0], sigma_c=1.0, sigma_n=1.0)
         y = np.array([2.0])
-        assert_allclose(gaussian_flow_trajectory(GaussianWorld(prior, 1.0), y, 1.0), [2.0])
+        assert_allclose(gaussian_flow_trajectory(world, y, 1.0), [2.0])
         assert_allclose(
-            gaussian_flow_trajectory(GaussianWorld(prior, 1.0), y, 0.5),
+            gaussian_flow_trajectory(world, y, 0.5),
             [1.5811388300841898], rtol=1e-15,
         )
         assert_allclose(
-            gaussian_flow_trajectory(GaussianWorld(prior, 1.0), y, 0.0),
+            gaussian_flow_trajectory(world, y, 0.0),
             [1.4142135623730951], rtol=1e-15,
         )
 
@@ -633,33 +609,32 @@ class TestGaussianWorldForms:
         """(sigma_c / sigma_n)^2 overflows to inf; the scale
         sqrt((t^2 + alpha^2) / (1 + alpha^2)) tends to 1, so the trajectory
         stays at y instead of becoming inf / inf = nan."""
-        prior = GaussianPrior(c=[0.5], sigma_c=sigma_c)
+        world = GaussianWorld(c=[0.5], sigma_c=sigma_c, sigma_n=sigma_n)
         y = np.array([2.0])
         for t in (0.0, 0.5, 1.0):
-            assert_array_equal(gaussian_flow_trajectory(GaussianWorld(prior, sigma_n), y, t), y)
+            assert_array_equal(gaussian_flow_trajectory(world, y, t), y)
 
     @pytest.mark.parametrize("form", [gaussian_posterior_mean, gaussian_flow_trajectory])
     def test_a_batch_of_the_wrong_width_is_refused(self, form):
         """A (2, 1) batch against a 2-d c used to broadcast into a (2, 2)
         result; a batch with the prior's width still runs, and a 1-d c is
         one mean for a batch of any width."""
-        prior = GaussianPrior(c=[0.0, 3.0], sigma_c=1.0)
+        world = GaussianWorld(c=[0.0, 3.0], sigma_c=1.0, sigma_n=1.0)
         for x in (np.array([[1.0], [2.0]]), np.array([1.0, 2.0, 3.0])):
             with pytest.raises(ValueError, match=r"must have 2 coordinates, got shape"):
-                form(GaussianWorld(prior, 1.0), x, 0.5)
-        assert form(GaussianWorld(prior, 1.0), np.array([[1.0, 2.0]]), 0.5).shape == (1, 2)
-        world = GaussianWorld(GaussianPrior(c=[0.5], sigma_c=1.0), 1.0)
+                form(world, x, 0.5)
+        assert form(world, np.array([[1.0, 2.0]]), 0.5).shape == (1, 2)
+        world = GaussianWorld(c=[0.5], sigma_c=1.0, sigma_n=1.0)
         assert form(world, np.ones((2, 3)), 0.5).shape == (2, 3)
 
     def test_flow_endpoint_maps_observation_onto_prior(self):
         """Pushing y ~ N(c, sigma_c^2 + sigma_n^2) through the t = 0 map
         gives samples distributed as the prior."""
         rng = np.random.default_rng(17)
-        prior = GaussianPrior(c=[0.7], sigma_c=0.9)
-        sigma_n = 0.4
+        world = GaussianWorld(c=[0.7], sigma_c=0.9, sigma_n=0.4)
         n = 100_000
-        y = prior.c + np.hypot(0.9, sigma_n) * rng.standard_normal((n, 1))
-        x0 = gaussian_flow_trajectory(GaussianWorld(prior, sigma_n), y, 0.0)
+        y = world.c + np.hypot(0.9, world.sigma_n) * rng.standard_normal((n, 1))
+        x0 = gaussian_flow_trajectory(world, y, 0.0)
         assert abs(x0.mean() - 0.7) < 3.0 * 0.9 / np.sqrt(n)
         assert abs(x0.std(ddof=1) - 0.9) < 3.0 * 0.9 / np.sqrt(2 * n)
 
@@ -668,16 +643,16 @@ class TestGaussianWorldForms:
         is available without any posterior computation; x_t + sigma_t^2
         times that score must reproduce the posterior mean."""
         rng = np.random.default_rng(23)
-        prior = GaussianPrior(c=[0.2], sigma_c=1.1)
         sigma_n = 0.8
+        world = GaussianWorld(c=[0.2], sigma_c=1.1, sigma_n=sigma_n)
         for _ in range(100):
             t = rng.uniform(0.05, 1.0)
             x_t = rng.normal(scale=2.0, size=1)
-            marg_var = prior.sigma_c**2 + t**2 * sigma_n**2
-            score = -(x_t - prior.c) / marg_var
+            marg_var = world.sigma_c**2 + t**2 * sigma_n**2
+            score = -(x_t - world.c) / marg_var
             sigma_t = t * sigma_n
             via_score = x_t + sigma_t**2 * score
-            pm = gaussian_posterior_mean(GaussianWorld(prior, sigma_n), x_t, t)
+            pm = gaussian_posterior_mean(world, x_t, t)
             assert_allclose(via_score, pm, rtol=0, atol=1e-10)
 
 
@@ -701,10 +676,9 @@ class TestOracleWrappers:
         modes = data.draw(arrays(np.float64, (m, d), elements=coords))
         raw = data.draw(arrays(np.float64, m, elements=st.sampled_from([0.0, 0.3, 1.0])))
         raw[data.draw(st.integers(0, m - 1))] = 1.0
-        prior = GaussianMixturePrior(modes, raw / raw.sum())
         H = data.draw(arrays(np.float64, (d, d), elements=st.floats(-2.0, 2.0)))
         x_t = data.draw(arrays(np.float64, lead + (d,), elements=coords))
-        world = MixtureWorld(prior, LinearDegradation(H, sigma))
+        world = MixtureWorld(modes, raw / raw.sum(), H, sigma)
         want = mixture_posterior_mean(world, x_t, t, schedule_epsilon(schedule, t))
         oracle = world.oracle(schedule)
         assert oracle(x_t, t).tobytes() == want.tobytes()
@@ -713,8 +687,7 @@ class TestOracleWrappers:
 
     def test_mixture_oracle_with_schedule_folds_epsilon(self):
         rng = np.random.default_rng(31)
-        prior = random_mixture(rng, dim=2, n_modes=3)
-        world = MixtureWorld(prior, LinearDegradation(H=np.eye(2), sigma=0.5))
+        world = MixtureWorld(*random_mixture(rng, dim=2, n_modes=3), H=np.eye(2), sigma=0.5)
         oracle = MixturePosteriorOracle(world, BrownianSchedule(0.2))
         xs = rng.normal(size=(4, 2))
         t = 0.4
@@ -723,8 +696,7 @@ class TestOracleWrappers:
         assert_allclose(oracle(xs, t), want, rtol=1e-14)
 
     def test_gaussian_oracle_without_schedule(self):
-        prior = GaussianPrior(c=[0.0], sigma_c=1.0)
-        oracle = GaussianDenoisingOracle(GaussianWorld(prior, 1.0))
+        oracle = GaussianDenoisingOracle(GaussianWorld(c=[0.0], sigma_c=1.0, sigma_n=1.0))
         assert oracle.schedule == ConstantSchedule(0.0)
         xs = np.array([[2.0]])
         assert_allclose(oracle(xs, 1.0), [[1.0]])
@@ -732,11 +704,10 @@ class TestOracleWrappers:
     def test_constant_zero_schedule_is_a_no_op(self):
         """The default schedule adds no noise: the oracles are the posterior
         means without extra noise, bit for bit."""
-        prior = GaussianPrior(c=[0.0], sigma_c=1.0)
         xs = np.array([[0.3], [-1.0]])
-        world = GaussianWorld(prior, 1.0)
+        world = GaussianWorld(c=[0.0], sigma_c=1.0, sigma_n=1.0)
         got = GaussianDenoisingOracle(world)(xs, 0.6)
         assert got.tobytes() == gaussian_posterior_mean(world, xs, 0.6).tobytes()
-        mix = MixtureWorld(two_point_prior(), LinearDegradation(H=[[1.0]], sigma=0.5))
+        mix = two_point_world(sigma=0.5)
         got = MixturePosteriorOracle(mix)(xs, 0.6)
         assert got.tobytes() == mixture_posterior_mean(mix, xs, 0.6).tobytes()

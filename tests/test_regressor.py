@@ -21,7 +21,6 @@ from restep.degradation import (
     forward_interpolate,
     forward_noise_std,
 )
-from restep.oracles import GaussianMixturePrior, GaussianPrior, LinearDegradation
 from restep.regressor import (
     TIME_DISTRIBUTION_KINDS,
     MlpRegressor,
@@ -530,10 +529,8 @@ class TestAllocations:
 
 class TestTraining:
     def make_world(self):
-        prior = GaussianMixturePrior(
-            modes=[[1.0, 1.0], [-1.0, -1.0]], weights=[0.5, 0.5]
-        )
-        return MixtureWorld(prior, LinearDegradation(np.eye(2), 0.8))
+        return MixtureWorld(modes=[[1.0, 1.0], [-1.0, -1.0]], weights=[0.5, 0.5],
+                            H=np.eye(2), sigma=0.8)
 
     def test_loss_decreases_on_toy_task(self):
         world = self.make_world()
@@ -698,8 +695,7 @@ class TestTraining:
         assert str(info.value) == "non-finite training pair at step 1"
 
     def test_dimension_mismatch_rejected(self):
-        prior = GaussianPrior(c=[0.0], sigma_c=1.0)
-        world = GaussianWorld(prior, 1.0)
+        world = GaussianWorld(c=[0.0], sigma_c=1.0, sigma_n=1.0)
         model = MlpRegressor.create(2, [4], np.random.default_rng(1))
         with pytest.raises(ValueError):
             train(model, world.pair_stream(np.random.default_rng(2)),

@@ -15,7 +15,6 @@ from restep.degradation import (
     injected_noise_std,
     schedule_epsilon,
 )
-from restep.oracles import GaussianPrior
 from restep.samplers import (
     SamplerConfig,
     cold_diffusion_restore,
@@ -27,7 +26,7 @@ from restep.worlds import DivergenceError, GaussianWorld
 
 
 def gauss_oracle(sigma_c=1.0, sigma_n=1.0, c=0.0):
-    world = GaussianWorld(GaussianPrior(c=[c], sigma_c=sigma_c), sigma_n)
+    world = GaussianWorld(c=[c], sigma_c=sigma_c, sigma_n=sigma_n)
     return world.oracle()
 
 
@@ -150,7 +149,7 @@ class TestIterativeSampler:
         last step, whose h / t is 1, lands on it; no RuntimeWarning (it
         printed "overflow encountered in scalar power")."""
         sched = BrownianSchedule(1e160)
-        oracle = GaussianWorld(GaussianPrior(c=[c], sigma_c=1.0), 0.5).oracle(sched)
+        oracle = GaussianWorld(c=[c], sigma_c=1.0, sigma_n=0.5).oracle(sched)
         cfg = SamplerConfig(steps=4, schedule=sched, seed=1)
         out = iterative_restore(oracle, np.array([[0.3], [-1.0]]), cfg)
         assert_array_equal(out, [[c], [c]])
@@ -228,8 +227,7 @@ class TestOdeEquivalence:
         """Halving the step size cuts the Heun error by about four and the
         Euler error by about two, both measured against the flow's exact
         endpoint at t = 0 (the last step of each is the terminal map)."""
-        prior = GaussianPrior(c=[0.0], sigma_c=1.0)
-        world = GaussianWorld(prior, 1.0)
+        world = GaussianWorld(c=[0.0], sigma_c=1.0, sigma_n=1.0)
         oracle = world.oracle()
         y = np.array([2.0])
 
@@ -244,7 +242,7 @@ class TestOdeEquivalence:
             assert 3.2 < err("heun", n) / err("heun", 2 * n) < 5.0
 
     def test_heun_beats_euler_at_equal_steps(self):
-        world = GaussianWorld(GaussianPrior(c=[0.0], sigma_c=1.0), 1.0)
+        world = GaussianWorld(c=[0.0], sigma_c=1.0, sigma_n=1.0)
         oracle = world.oracle()
         y = np.array([2.0])
         from restep.oracles import gaussian_flow_trajectory
@@ -339,8 +337,7 @@ _STATES = arrays(
 
 
 def _gauss_oracle_for(y):
-    prior = GaussianPrior(c=np.full(y.shape[-1], 0.2), sigma_c=0.9)
-    return GaussianWorld(prior, 1.1).oracle()
+    return GaussianWorld(c=np.full(y.shape[-1], 0.2), sigma_c=0.9, sigma_n=1.1).oracle()
 
 
 class TestGeneratedInputs:
@@ -407,8 +404,8 @@ class TestStepListProperties:
     def test_iterative_is_the_per_step_loop(self, y, schedule, n, seed):
         """The step list built once per run gives the output and trajectory
         of the per-step loop bit for bit."""
-        oracle = GaussianWorld(GaussianPrior(c=np.full(y.shape[-1], 0.2), sigma_c=0.9),
-                               1.1).oracle(schedule)
+        oracle = GaussianWorld(c=np.full(y.shape[-1], 0.2), sigma_c=0.9,
+                               sigma_n=1.1).oracle(schedule)
         watched = recording(oracle)
         out = iterative_restore(watched, y, SamplerConfig(steps=n, schedule=schedule, seed=seed))
         traj = [*watched.seen, (0.0, out)]

@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from restep.degradation import ConstantSchedule
-from restep.oracles import GaussianMixturePrior, GaussianPrior, LinearDegradation
 from restep.regressor import MlpRegressor, TrainConfig
 from restep.samplers import SamplerConfig, iterative_restore
 from restep.worlds import (
@@ -22,6 +21,9 @@ from restep.worlds import (
     derive_rng,
     derive_seed,
 )
+
+
+_MAX = 1.7976931348623157e308
 
 
 class TestSeedDerivation:
@@ -83,17 +85,16 @@ class TestSeedDerivation:
 
 class TestMixtureWorld:
     def world(self, sigma=0.5):
-        prior = GaussianMixturePrior(
+        return MixtureWorld(
             modes=[[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]],
-            weights=[0.4, 0.3, 0.2, 0.1],
+            weights=[0.4, 0.3, 0.2, 0.1], H=np.eye(2), sigma=sigma,
         )
-        return MixtureWorld(prior, LinearDegradation(np.eye(2), sigma))
 
     def test_clean_samples_live_on_modes(self):
         world = self.world()
         x = world.sample_pairs(derive_rng(0, "clean"), 100)[0]
         dists = np.linalg.norm(
-            x[:, None, :] - world.prior.modes[None, :, :], axis=2
+            x[:, None, :] - world.modes[None, :, :], axis=2
         ).min(axis=1)
         assert_array_equal(dists, np.zeros(100))
 
@@ -101,22 +102,20 @@ class TestMixtureWorld:
         world = self.world()
         n = 20_000
         x = world.sample_pairs(derive_rng(1, "clean"), n)[0]
-        for i, w in enumerate(world.prior.weights):
-            freq = np.mean(np.all(x == world.prior.modes[i], axis=1))
+        for i, w in enumerate(world.weights):
+            freq = np.mean(np.all(x == world.modes[i], axis=1))
             assert abs(freq - w) < 3.0 * np.sqrt(w * (1 - w) / n)
 
     def test_degradation_noise_level(self):
         world = self.world(sigma=0.5)
         x, y = world.sample_pairs(derive_rng(2, "pairs"), 50_000)
-        resid = y - x @ world.degradation.H.T
+        resid = y - x @ world.H.T
         assert abs(resid.std() - 0.5) < 0.01
         assert abs(resid.mean()) < 0.01
 
     def test_rank_deficient_observation(self):
-        prior = GaussianMixturePrior(modes=[[1.0, 2.0]], weights=[1.0])
-        world = MixtureWorld(
-            prior, LinearDegradation([[1.0, 0.0], [0.0, 0.0]], 0.0)
-        )
+        world = MixtureWorld(modes=[[1.0, 2.0]], weights=[1.0],
+                             H=[[1.0, 0.0], [0.0, 0.0]], sigma=0.0)
         x, y = world.sample_pairs(derive_rng(3, "pairs"), 4)
         assert_array_equal(y[:, 0], x[:, 0])
         assert_array_equal(y[:, 1], np.zeros(4))
@@ -125,8 +124,8 @@ class TestMixtureWorld:
         """Modes at +-1e308 under H = diag(3, 1): the degraded modes D = C H^T
         overflow, which warned in the matmul; the observation is non-finite, a
         start the samplers flag."""
-        prior = GaussianMixturePrior([[1e308, 0.0], [-1e308, 0.0]], [0.5, 0.5])
-        world = MixtureWorld(prior, LinearDegradation([[3.0, 0.0], [0.0, 1.0]], 1.0))
+        world = MixtureWorld([[1e308, 0.0], [-1e308, 0.0]], [0.5, 0.5],
+                             [[3.0, 0.0], [0.0, 1.0]], 1.0)
         y = world.sample_pairs(derive_rng(0, "pairs"), 4)[1]
         assert not np.isfinite(y[:, 0]).any()
 
@@ -149,15 +148,14 @@ class TestMixtureWorld:
             H[data.draw(arrays(bool, d))] = 0.0
             raw = np.array(data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)
                                      .filter(any)), dtype=float)
-        world = MixtureWorld(GaussianMixturePrior(modes, raw / raw.sum()),
-                             LinearDegradation(H, 0.0))
+        world = MixtureWorld(modes, raw / raw.sum(), H, 0.0)
         x, y = world.sample_pairs(derive_rng(seed, "table"), 20)
         got = world.oracle()(y, 1.0)
 
         def row_of_d(c):
             return tuple(sum(Fraction(h) * Fraction(v) for h, v in zip(hr, c)) for hr in H)
 
-        w = world.prior.weights
+        w = world.weights
         for xi, yi, out in zip(x, y, got):
             assert row_of_d(xi) == tuple(map(Fraction, yi))
             group = [i for i, c in enumerate(modes) if w[i] > 0 and row_of_d(c) == row_of_d(xi)]
@@ -183,9 +181,8 @@ class TestMixtureWorld:
             assert_array_equal(got_y, y)
 
     def test_dimension_mismatch_rejected(self):
-        prior = GaussianMixturePrior(modes=[[0.0, 0.0]], weights=[1.0])
-        with pytest.raises(ValueError):
-            MixtureWorld(prior, LinearDegradation(np.eye(3), 0.1))
+        with pytest.raises(ValueError, match="^prior and degradation dimensions differ$"):
+            MixtureWorld(modes=[[0.0, 0.0]], weights=[1.0], H=np.eye(3), sigma=0.1)
 
     def test_oracle_is_exact_posterior(self):
         world = self.world()
@@ -199,28 +196,27 @@ class TestMixtureWorld:
         are set when the world is built, left out of == (two arrays there would make
         == ambiguous) and repr, kept by a pickle round trip and formed again by
         dataclasses.replace; the world's oracle holds the world itself."""
-        prior = GaussianMixturePrior(modes=[[0.0], [1.0]], weights=[1.0, 0.0])
-        world = MixtureWorld(prior, LinearDegradation([[2.0]], 0.5))
+        world = MixtureWorld(modes=[[0.0], [1.0]], weights=[1.0, 0.0], H=[[2.0]], sigma=0.5)
         assert_array_equal(world.degraded_modes, [[0.0], [2.0]])
         assert_array_equal(world.log_weights, [0.0, -np.inf])
-        assert world == MixtureWorld(prior, LinearDegradation([[2.0]], 0.5))
+        assert world == MixtureWorld([[0.0], [1.0]], [1.0, 0.0], [[2.0]], 0.5)
         assert "degraded_modes" not in repr(world) and "log_weights" not in repr(world)
         restored = pickle.loads(pickle.dumps(world))
         assert restored == world
         assert restored.degraded_modes.tobytes() == world.degraded_modes.tobytes()
         assert restored.log_weights.tobytes() == world.log_weights.tobytes()
-        moved = dataclasses.replace(world, degradation=LinearDegradation([[-3.0]], 0.5))
+        moved = dataclasses.replace(world, H=[[-3.0]])
         assert_array_equal(moved.degraded_modes, [[0.0], [-3.0]])
         assert_array_equal(moved.log_weights, [0.0, -np.inf])
         schedule = ConstantSchedule(0.3)
-        for w in (world, GaussianWorld(GaussianPrior(c=[0.5], sigma_c=1.5), 0.5)):
+        for w in (world, GaussianWorld(c=[0.5], sigma_c=1.5, sigma_n=0.5)):
             oracle = w.oracle(schedule)
             assert oracle.world is w and oracle.schedule is schedule
 
 
 class TestGaussianWorld:
     def world(self):
-        return GaussianWorld(GaussianPrior(c=[0.5], sigma_c=1.5), sigma_n=0.5)
+        return GaussianWorld(c=[0.5], sigma_c=1.5, sigma_n=0.5)
 
     def test_sample_statistics(self):
         world = self.world()
@@ -233,6 +229,15 @@ class TestGaussianWorld:
     def test_signal_peak_convention(self):
         # two prior standard deviations, the bulk of the prior's range
         assert self.world().signal_peak == 3.0
+
+    @pytest.mark.parametrize("sigma_c, sigma_n", [(1e308, 1.0), (1.0, 1e308), (_MAX, _MAX)])
+    def test_a_draw_that_overflows_raises_no_warning(self, sigma_c, sigma_n):
+        """sigma_c or sigma_n at 1e308: the product overflowed with a warning, and
+        at both an inf draw plus noise of the opposite inf (a nan) warned in the
+        add.  The non-finite observation is a start the samplers flag."""
+        x, y = GaussianWorld([0.0], sigma_c, sigma_n).sample_pairs(derive_rng(1, "pairs"), 50)
+        assert not np.isfinite(y).all()
+        assert np.isnan(y).any() == (sigma_c == sigma_n)
 
 
 @st.composite
@@ -391,18 +396,16 @@ class TestEquality:
 
     @staticmethod
     def mixture(weights=(0.25, 0.75), sigma=0.5):
-        prior = GaussianMixturePrior([[0.0, 1.0], [2.0, 3.0]], list(weights))
-        return MixtureWorld(prior, LinearDegradation([[1.0, 0.0], [0.0, 0.5]], sigma))
+        return MixtureWorld([[0.0, 1.0], [2.0, 3.0]], list(weights),
+                            [[1.0, 0.0], [0.0, 0.5]], sigma)
 
     @staticmethod
     def gaussian(c=(1.0, 2.0)):
-        return GaussianWorld(GaussianPrior(list(c), 1.0), 0.5)
+        return GaussianWorld(list(c), 1.0, 0.5)
 
     def test_equal_values_built_apart_are_equal(self):
         a, b = self.mixture(), self.mixture()
-        assert a.prior == b.prior and a.degradation == b.degradation
         assert a == b and a.oracle(ConstantSchedule(0.1)) == b.oracle(ConstantSchedule(0.1))
-        assert self.gaussian().prior == self.gaussian().prior
         assert self.gaussian() == self.gaussian()
         assert self.gaussian().oracle() == self.gaussian().oracle()
         model = MlpRegressor.create(2, [4, 3], np.random.default_rng(0))
@@ -410,12 +413,12 @@ class TestEquality:
         assert not model != model.copy()
 
     def test_a_changed_value_or_type_is_unequal(self):
-        assert self.mixture().prior != self.mixture(weights=(0.75, 0.25)).prior
+        assert self.mixture() != self.mixture(weights=(0.75, 0.25))
         assert self.mixture() != self.mixture(sigma=0.6)
         assert self.gaussian() != self.gaussian(c=(1.0, 2.5))
-        assert self.gaussian().prior != self.gaussian(c=(1.0, 2.0, 3.0)).prior
-        assert self.mixture().prior != self.gaussian().prior
-        assert self.mixture().degradation != "H"
+        assert self.gaussian() != self.gaussian(c=(1.0, 2.0, 3.0))
+        assert self.mixture() != self.gaussian()
+        assert self.mixture() != "H"
         model = MlpRegressor.create(2, [4, 3], np.random.default_rng(0))
         other = model.copy()
         other.biases[-1][0] = 1.0
@@ -423,8 +426,7 @@ class TestEquality:
         assert model != MlpRegressor.create(2, [4], np.random.default_rng(0))
 
     def test_arrays_keep_the_classes_unhashable(self):
-        for value in (self.mixture().prior, self.mixture().degradation,
-                      self.gaussian().prior,
+        for value in (self.mixture(), self.gaussian(),
                       MlpRegressor.create(2, [4], np.random.default_rng(0))):
             with pytest.raises(TypeError, match="unhashable"):
                 hash(value)
