@@ -44,6 +44,7 @@ same type and message, at every ``jobs``.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import sys
 import time
@@ -267,71 +268,61 @@ def _text(value, path):
     _require(isinstance(value, str) and value, path, "must be a non-empty string")
 
 
-# The tagged mappings: tag value -> field -> check.
+# The tagged mappings: tag value -> (the record class it builds, field -> check).
 _SCHEDULES = {
-    "constant": {"epsilon": _num(0.0)},
-    "brownian": {"epsilon": _num(0.0)},
-    "table": {"times": _list_of(_num(0.0, 1.0)), "epsilons": _list_of(_num(0.0))},
+    "constant": (ConstantSchedule, {"epsilon": _num(0.0)}),
+    "brownian": (BrownianSchedule, {"epsilon": _num(0.0)}),
+    "table": (TableSchedule, {"times": _list_of(_num(0.0, 1.0)), "epsilons": _list_of(_num(0.0))}),
 }
 _WORLDS = {
-    "mixture": {
+    "mixture": (MixtureWorld, {
         "modes": _list_of(_list_of(_num())),
         "weights": _list_of(_num(0.0)),
         "H": _list_of(_list_of(_num())),
         "sigma": _num(0.0),
-    },
-    "gaussian": {"c": _list_of(_num()), "sigma_c": _num(positive=True),
-                 "sigma_n": _num(positive=True)},
+    }),
+    "gaussian": (GaussianWorld, {"c": _list_of(_num()), "sigma_c": _num(positive=True),
+                                 "sigma_n": _num(positive=True)}),
 }
-_TIME_DISTS = {kind: {"a": _num(0.0)} for kind in TIME_DISTRIBUTION_KINDS}
+_TIME_DISTS = {kind: (TimeDistribution, {"a": _num(0.0)}) for kind in TIME_DISTRIBUTION_KINDS}
 
 
-def _tagged(d, path: str, tag: str, variants: dict, build):
-    """Check ``d`` against the variant its ``tag`` names; return ``build(tag
-    value, d)``, whose ValueErrors (shapes, orderings) are ConfigErrors."""
+def _tagged(d, path: str, tag: str, variants: dict):
+    """Check ``d`` against the variant its ``tag`` names and build that
+    variant's class from the fields by name, the tag too where the class has
+    a field of its name.  A field may be left out exactly where the class
+    gives it a default; the class's ValueErrors (shapes, orderings) are
+    ConfigErrors."""
     _require(isinstance(d, dict), path, "must be a mapping")
     name = d.get(tag)
     _require(
         isinstance(name, str) and name in variants,
         f"{path}.{tag}", f"must be one of {tuple(variants)}, got {name!r}",
     )
-    fields = variants[name]
+    cls, checks = variants[name]
     for key in d:
-        _require(key == tag or key in fields, f"{path}.{key}", "unknown config field")
-    for key, check in fields.items():
-        _require(key in d, path, f"missing field {key!r}")
-        check(d[key], f"{path}.{key}")
+        _require(key == tag or key in checks, f"{path}.{key}", "unknown config field")
+    init = {f.name: f for f in dataclasses.fields(cls) if f.init}
+    for key, check in checks.items():
+        if key in d or init[key].default is dataclasses.MISSING:
+            _require(key in d, path, f"missing field {key!r}")
+            check(d[key], f"{path}.{key}")
     try:
-        return build(name, d)
+        return cls(**{key: d[key] for key in init if key in d})
     except ValueError as err:
         raise ConfigError(f"{path}: {err}") from err
 
 
-def _build_schedule(kind, d):
-    if kind == "table":
-        return TableSchedule(d["times"], d["epsilons"])
-    return (ConstantSchedule if kind == "constant" else BrownianSchedule)(d["epsilon"])
-
-
 def schedule_from_config(d, path: str = "schedule"):
-    return _tagged(d, path, "kind", _SCHEDULES, _build_schedule)
-
-
-def _build_world(wtype, d):
-    return (MixtureWorld if wtype == "mixture" else GaussianWorld)(
-        **{key: d[key] for key in _WORLDS[wtype]})
+    return _tagged(d, path, "kind", _SCHEDULES)
 
 
 def world_from_config(d, path: str = "world"):
-    return _tagged(d, path, "type", _WORLDS, _build_world)
+    return _tagged(d, path, "type", _WORLDS)
 
 
 def _time_dist_from_config(d, path: str = "train.time_dist"):
-    if isinstance(d, dict):
-        d = {"a": 0.0, **d}  # ``a`` may be left out
-    return _tagged(
-        d, path, "kind", _TIME_DISTS, lambda kind, d: TimeDistribution(kind, d["a"]),
-    )
+    return _tagged(d, path, "kind", _TIME_DISTS)
 
 
 # Every field of a resolved config (except ``kind``, which chose the

@@ -224,14 +224,21 @@ def gaussian_posterior_mean(world: GaussianWorld, x_t, t, extra_noise_std: float
     t = as_time(t)
     # squares overflow to inf (Python's ** raises); where one variance is inf
     # the mean is its limit, and where both are, inf / inf is a nan samplers flag
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vc = np.float64(world.sigma_c) ** 2
         vt = (t * t) * (np.float64(world.sigma_n) ** 2 + np.float64(extra_noise_std) ** 2)
         if t == 0.0:  # 0 * inf is nan; at t = 0 the noise variance is 0 for any sigma_n
             vt = 0.0
         if np.isinf(vc) != np.isinf(vt):
             return x_t.copy() if np.isinf(vc) else np.broadcast_to(world.c, x_t.shape).copy()
-        return (vc * x_t + vt * world.c) / (vc + vt)
+        try:
+            with np.errstate(over="raise"):
+                return (vc * x_t + vt * world.c) / (vc + vt)
+        except FloatingPointError:  # a term overflowed; the mean, a convex blend, is a float
+            g = 1.0 / (1.0 + vt / vc)
+            blend = g * x_t + (1.0 - g) * world.c
+            out = (vc * x_t + vt * world.c) / (vc + vt)
+            return blend if np.isinf(vc + vt) else np.where(np.isfinite(out), out, blend)
 
 
 def gaussian_flow_trajectory(world: GaussianWorld, y, t) -> np.ndarray:
@@ -254,7 +261,9 @@ def gaussian_flow_trajectory(world: GaussianWorld, y, t) -> np.ndarray:
     if np.isinf(alpha_sq):  # the scale below tends to 1, where inf / inf is nan
         return y.copy()
     scale = np.sqrt((t * t + alpha_sq) / (1.0 + alpha_sq))
-    return world.c + (y - world.c) * scale
+    with np.errstate(over="ignore", invalid="ignore"):  # y - c overflows where x_t is a float
+        out = world.c + (y - world.c) * scale
+        return np.where(np.isfinite(out), out, (1.0 - scale) * world.c + scale * y)
 
 
 # ---- estimator wrappers ---- #

@@ -104,7 +104,8 @@ def _restore(estimator: Estimator, y, config: SamplerConfig, rule):
     x = np.array(y, copy=True)
     eps1 = schedule_epsilon(config.schedule, 1.0)
     if eps1 > 0.0:
-        x += eps1 * rng.standard_normal(x.shape)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow diverges at step 0
+            x += eps1 * rng.standard_normal(x.shape)
     x = _check_finite(x, 0, 1.0, "start")
     for k, (t, h, std) in enumerate(_steps(config.steps, config.schedule)):
         est = _check_finite(estimator(x, t), k, t, "estimate")

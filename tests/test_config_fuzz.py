@@ -82,7 +82,7 @@ def _variant_dicts(draw, tag, table):
     """A mapping of a random variant, now and then missing a field."""
     name = draw(st.sampled_from(sorted(table)))
     out = {tag: name}
-    for field, check in table[name].items():
+    for field, check in table[name][1].items():
         if draw(st.integers(0, 9)):
             out[field] = draw(_like(check) | VALUES)
     return out
@@ -108,7 +108,7 @@ def _mutable_fields(cfg):
             continue
         out.append((path, dicts | VALUES))
         out.append((f"{path}.{tag}", st.sampled_from(sorted(table)) | SCALARS))
-        for field, field_check in table[node[key][tag]].items():
+        for field, field_check in table[node[key][tag]][1].items():
             out.append((f"{path}.{field}",
                         _like(field_check, node[key][field]) | SCALARS | VALUES))
     return out
@@ -118,7 +118,7 @@ def _field_paths():
     """Every path a ConfigError may name, with list indices dropped."""
     paths = set(harness._SCHEMA)
     for path, tag, table in _tagged_rows():
-        paths |= {f"{path}.{f}" for variant in table.values() for f in (tag, *variant)}
+        paths |= {f"{path}.{f}" for _, variant in table.values() for f in (tag, *variant)}
     return paths
 
 

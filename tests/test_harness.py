@@ -26,7 +26,7 @@ from restep.harness import (
     run_experiment,
 )
 from restep.metrics import nearest_modes
-from restep.regressor import load_checkpoint, train
+from restep.regressor import TIME_DISTRIBUTION_KINDS, load_checkpoint, train
 from restep.samplers import SamplerConfig
 from restep.worlds import DivergenceError
 
@@ -98,6 +98,23 @@ def _unflagged_rows(rows):
     assert rows and [r["divergent"] for r in rows] == [0] * len(rows)
 
 
+def _exact_rows(rows):
+    """No row flagged, and every output equal to its clean draw."""
+    assert [(r["divergent"], r["mse"]) for r in rows] == [(0, 0.0)] * len(rows)
+
+
+def _limit_rows(limit):
+    def check(rows):
+        [row] = rows
+        assert row["limit_0"] == pytest.approx(limit, rel=1e-15) and row["divergent"] == 0
+        assert row["abs_error"] < 1e-2 * abs(limit)  # first order in 1 / N, N = 1000
+    return check
+
+
+def _start_flagged_rows(rows):
+    assert [(r["divergent"], r["divergence_step"]) for r in rows] == [(1, 0)]
+
+
 def _even_mode_rows(rows):
     """No row flagged, and each mode's frequency within 4 standard errors of 1/4."""
     assert [r["divergent"] for r in rows] == [0, 0, 0, 0]
@@ -142,6 +159,20 @@ _FAULT_CONFIGS = [
     ({"kind": "train_restore", "seed": 1, "eval": {"n_inputs": 200}, "train": TINY_TRAIN,
       "world": {**default_config("generate_from_noise")["world"], "sigma": 1e-7}},
      _unflagged_rows),
+    ({"kind": "sweep_steps", "eval": {"n_inputs": 50, "step_grid": [1, 3, 20]},
+      "world": {"type": "gaussian", "c": [0.0], "sigma_c": 1e150, "sigma_n": 1.0}},
+     _unflagged_rows),
+    ({"kind": "sweep_steps", "eval": {"n_inputs": 50, "step_grid": [1, 3]},
+      "world": {"type": "gaussian", "c": [1e308], "sigma_c": 1.0, "sigma_n": 1.0}},
+     _exact_rows),
+    ({"kind": "gauss1d", "eval": {"probe_y": [-1e308]},
+      "world": {"type": "gaussian", "c": [1e308], "sigma_c": 1.0, "sigma_n": 1.0}},
+     _limit_rows(-4.142135623730951e307)),
+    ({"kind": "gauss1d", "eval": {"probe_y": [-1.7e308]},
+      "world": {"type": "gaussian", "c": [1.7e308], "sigma_c": 1e-300, "sigma_n": 1e308}},
+     _limit_rows(1.7e308)),
+    ({"kind": "sweep_noise", "eval": {"n_inputs": 20, "schedules": [
+        {"kind": "constant", "epsilon": 1.7e308}]}}, _start_flagged_rows),
 ]
 
 
@@ -152,20 +183,39 @@ class TestConfigValidation:
             assert resolved["kind"] == kind
             assert resolved["schema_version"] == 1
 
-    def test_a_world_is_its_config_section(self):
-        """A world class's init fields are its config variant's fields, in order,
-        and the world a default kind builds gives back every field of its section
-        (arrays by value), so a new world field lands in both places or fails."""
-        types = set()
-        for kind in EXPERIMENT_KINDS:
-            section = default_config(kind)["world"]
-            names = list(harness._WORLDS[section["type"]])
-            world = harness.world_from_config(section)
-            assert [f.name for f in dataclasses.fields(world) if f.init] == names
-            for name in names:
-                assert np.array_equal(getattr(world, name), section[name]), (kind, name)
-            types.add(section["type"])
-        assert types == set(harness._WORLDS)
+    def test_a_tagged_section_is_its_class(self):
+        """Each tagged variant checks its class's init fields, in order, minus
+        the tag; a field is optional exactly where the class gives a default; and
+        the record a default section builds gives back every field (arrays by
+        value, a left-out one as its default), so a new field lands in both
+        places or fails.  Every variant is built: the default configs' sections,
+        a table schedule (no kind has one) and each time distribution without ``a``."""
+        defaults = [default_config(kind) for kind in EXPERIMENT_KINDS]
+        schedules = [{"kind": "table", "times": [0.0, 0.5, 1.0], "epsilons": [0.2, 0.1, 0.0]}]
+        for cfg in defaults:
+            schedules += [cfg["sampler"]["schedule"], *cfg["eval"].get("schedules", [])]
+            schedules += [cfg["train"]["schedule"]] if "train" in cfg else []
+        dists = [{"kind": kind} for kind in TIME_DISTRIBUTION_KINDS]
+        dists += [cfg["train"]["time_dist"] for cfg in defaults if "train" in cfg]
+        for parse, tag, table, optional, sections in (
+            (harness.world_from_config, "type", harness._WORLDS, set(),
+             [cfg["world"] for cfg in defaults]),
+            (harness.schedule_from_config, "kind", harness._SCHEDULES, set(), schedules),
+            (harness._time_dist_from_config, "kind", harness._TIME_DISTS, {"a"}, dists),
+        ):
+            for name, (cls, checks) in table.items():
+                init = [f for f in dataclasses.fields(cls) if f.init and f.name != tag]
+                assert list(checks) == [f.name for f in init], name
+                assert {f.name for f in init if f.default is not dataclasses.MISSING} == optional
+            for section in sections:
+                record = parse(section)
+                cls, checks = table[section[tag]]
+                assert type(record) is cls and getattr(record, tag, section[tag]) == section[tag]
+                default = {f.name: f.default for f in dataclasses.fields(cls)}
+                for key in checks:
+                    want = section.get(key, default[key])
+                    assert np.array_equal(getattr(record, key), want), (section, key)
+            assert {section[tag] for section in sections} == set(table)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="kind"):
@@ -751,7 +801,9 @@ class TestExperimentRuns:
     @pytest.mark.parametrize("cfg, expect", _FAULT_CONFIGS,
                              ids=["knot", "psnr-underflow", "peak-overflow", "slope",
                                   "slope-sweep", "slope-swept", "small-sigma", "tiny-world",
-                                  "small-sigma-trained"])
+                                  "small-sigma-trained", "posterior-overflow",
+                                  "posterior-at-float-max", "flow-limit-overflow",
+                                  "flow-limit-underflowed-scale", "start-noise-overflow"])
     def test_fault_configs_run_or_are_refused_at_their_path(self, cfg, expect):
         """Accepted configs that exited 1: a table knot one ulp above a grid
         point (a negative radicand by rounding), peak^2 underflowing in
@@ -762,7 +814,11 @@ class TestExperimentRuns:
         path goes out to the modes at +-1), and the corners, H and sigma all
         scaled by 1e-200, whose squared distances rounded to 0 and gave
         frequencies (1, 0, 0, 0).  A trained model on the sigma 1e-7 world
-        has its guard floored at the world's scale too."""
+        has its guard floored at the world's scale too.  Gaussian worlds whose
+        posterior mean or flow limit is a float although a term of its formula
+        overflows: every sweep_steps row was flagged at step 0, and the gauss1d
+        limit read -inf or nan, with a warning.  Start noise past the float
+        range flags its row at step 0, as it did, with no warning now."""
         if isinstance(expect, str):
             message = f"^{re.escape(expect)}: table slopes must be finite$"
             with pytest.raises(ConfigError, match=message):

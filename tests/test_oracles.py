@@ -589,6 +589,24 @@ class TestGaussianWorldForms:
         got = gaussian_posterior_mean(world, np.array([0.3]), 0.5)
         assert np.isnan(got).all()
 
+    def test_posterior_mean_past_the_float_range_is_the_convex_blend(self):
+        """sigma_c^2 x_t or t^2 sigma_n^2 c overflows where the mean is a float
+        (it was +-inf): those entries are g x_t + (1 - g) c with g = 1 / (1 +
+        vt / vc), the others keep the plain formula's bits, and where vc + vt
+        overflows (the mean read 0) every entry is the blend."""
+        world = GaussianWorld(c=[0.0], sigma_c=1e150, sigma_n=1.0)
+        x = np.array([[1e5], [1e200], [-1e200]])
+        got = gaussian_posterior_mean(world, x, 0.5)
+        vc = np.float64(1e150) ** 2
+        assert got[0].tobytes() == ((vc * x[0] + 0.25 * world.c) / (vc + 0.25)).tobytes()
+        assert_array_equal(got[1:], x[1:])
+        for t in (0.5, 1.0):
+            got = gaussian_posterior_mean(GaussianWorld([1e308], 1.0, 1.0), np.array([1e308]), t)
+            assert_array_equal(got, [1e308])
+        world = GaussianWorld(c=[-0.25], sigma_c=1e154, sigma_n=1e154)
+        assert_array_equal(gaussian_posterior_mean(world, np.array([[0.5], [3.0]]), 1.0),
+                           [[0.125], [1.375]])
+
     def test_frozen_flow_values(self):
         """c = 0, sigma_c = sigma_n = 1, y = 2: the closed-form trajectory
         passes through sqrt(2.5) at t = 0.5 and ends at sqrt(2)."""
@@ -613,6 +631,22 @@ class TestGaussianWorldForms:
         y = np.array([2.0])
         for t in (0.0, 0.5, 1.0):
             assert_array_equal(gaussian_flow_trajectory(world, y, t), y)
+
+    @pytest.mark.parametrize("c, sigma_c, sigma_n, y, limit", [
+        (1e308, 1.0, 1.0, -1e308, -4.142135623730951e307),
+        (1.7e308, 1e-300, 1e308, -1.7e308, 1.7e308),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_flow_limit_past_the_float_range_is_a_float(self, c, sigma_c, sigma_n, y, limit):
+        """y - c overflows where the limit is a float (it read -inf, or nan where
+        the scale underflows to 0, with an overflow warning): that entry is
+        (1 - scale) c + scale y, and the others keep their bits."""
+        world = GaussianWorld(c=[c], sigma_c=sigma_c, sigma_n=sigma_n)
+        got = gaussian_flow_trajectory(world, np.array([[y], [c / 2]]), 0.0)
+        assert_allclose(got[0], [limit], rtol=1e-15)
+        alpha_sq = np.float64(sigma_c / sigma_n) ** 2
+        scale = np.sqrt(alpha_sq / (1.0 + alpha_sq))
+        assert got[1].tobytes() == (world.c + (c / 2 - world.c) * scale).tobytes()
 
     @pytest.mark.parametrize("form", [gaussian_posterior_mean, gaussian_flow_trajectory])
     def test_a_batch_of_the_wrong_width_is_refused(self, form):
