@@ -59,7 +59,7 @@ from .degradation import (
     ConstantSchedule,
     TableSchedule,
 )
-from .metrics import distortion_metrics, empirical_distribution_stats, nearest_modes
+from .metrics import _mean, distortion_metrics, empirical_distribution_stats, nearest_modes
 from .oracles import gaussian_flow_trajectory
 from .regressor import (
     TIME_DISTRIBUTION_KINDS,
@@ -556,7 +556,7 @@ def _metrics(cfg, world, x, result, nearest=None) -> dict:
         _, dists = nearest_modes(out, world) if nearest is None else nearest
         if "hit_threshold" in cfg["eval"]:
             row["mode_hit_rate"] = float(np.mean(dists <= cfg["eval"]["hit_threshold"]))
-        row["mean_min_dist"] = float(np.mean(dists))
+        row["mean_min_dist"] = _mean(dists)
     elif len(out) >= 2:  # one row has no distribution
         ks = empirical_distribution_stats(out, world.c, world.sigma_c)
         row["ks"] = float(np.max(ks))

@@ -36,13 +36,25 @@ def distortion_metrics(reference, estimate, peak: float = 1.0) -> tuple[float, f
     estimate = as_state(estimate, "estimate", like=reference)
     peak = as_scalar(peak, "peak", positive=True)
     with np.errstate(over="ignore"):  # an overflowed error is an inf mse
-        mse = float(np.mean((reference - estimate) ** 2))
+        mse = _mean((reference - estimate) ** 2)
     if mse == 0.0:
         return mse, math.inf
     ratio = peak * peak / mse  # 0 or inf where peak^2 under- or overflowed, or mse did
     if 0.0 < ratio < math.inf:
         return mse, 10.0 * math.log10(ratio)
     return mse, 20.0 * math.log10(peak) - 10.0 * math.log10(mse)
+
+
+def _mean(terms: np.ndarray) -> float:
+    """``np.mean(terms)``, also where the sum of finite terms overflows but their mean is a
+    float: then the terms are first scaled by a power of two at least their count, which
+    moves no bit of the mean."""
+    with np.errstate(over="ignore"):
+        mean = np.mean(terms)
+        if np.isinf(mean) and np.isfinite(terms).all():
+            e = np.frexp(terms.size)[1]
+            mean = np.ldexp(np.mean(np.ldexp(terms, -e)), e)
+    return float(mean)
 
 
 def nearest_modes(xs, world):

@@ -25,10 +25,9 @@ a C-ordered (d, m, n) array, so every elementwise step runs along the n rows;
 broadcasting ``x_t[..., None, :] - centers`` instead runs n * m inner loops of
 length d, and letting the subtraction allocate takes its inputs' transposed
 layout, which is slower.  The squared norms (over d) and the normaliser (over
-m) are sums over the first, short axis of terms that are never -0.0, and
-:func:`_sum_axis` gives them the bits of ``np.sum`` over that axis laid out
-last: below 8 terms numpy adds left to right from +0.0, which changes no such
-term, so the helper adds whole slices in place from the first two; from 8
+m) are sums over the first, short axis, and :func:`_sum_axis` gives them the
+bits of ``np.sum`` over that axis laid out last: below 8 terms numpy adds left
+to right from +0.0, and so does one reduction over the first axis; from 8
 terms up it calls ``np.sum`` on a copy with the axis last.  The exponentials
 are divided by the normaliser straight into C-ordered (n, m) weights (written
 through their transpose), because the final product's matmul chooses its
@@ -78,15 +77,10 @@ _SHORT_AXIS = 8
 
 def _sum_axis(a: np.ndarray):
     """The sum over the first axis with the bits of ``np.sum`` over a C-ordered copy with
-    that axis last, unless 2 to 7 terms are all -0.0 (-0.0, not 0.0): below ``_SHORT_AXIS``
-    terms numpy adds left to right from +0.0, and this adds in place from ``a0 + a1``."""
-    n = a.shape[0]
-    if not 0 < n < _SHORT_AXIS:
-        return np.sum(np.ascontiguousarray(np.moveaxis(a, 0, -1)), axis=-1)
-    out = a[0] + (a[1] if n > 1 else 0.0)
-    for j in range(2, n):
-        out += a[j]
-    return out
+    that axis last: below ``_SHORT_AXIS`` terms both add left to right from +0.0."""
+    if a.shape[0] < _SHORT_AXIS:
+        return np.add.reduce(a, axis=0, initial=0.0)
+    return np.sum(np.ascontiguousarray(np.moveaxis(a, 0, -1)), axis=-1)
 
 
 def _mode_distances_sq(x: np.ndarray, centers: np.ndarray, scale: float = 1.0) -> np.ndarray:

@@ -127,7 +127,13 @@ def _naive_rule(x, est, t, h, std, k, y, rng):
 
 
 def _cold_diffusion_rule(x, est, t, h, std, k, y, rng):
-    return x + h * (est - y)
+    try:
+        with np.errstate(over="raise"):
+            return x + h * (est - y)
+    except FloatingPointError:  # est - y overflows where h est and -h y share a sign, so
+        with np.errstate(over="ignore"):  # (x + h est) - h y overflows only with the iterate
+            out = x + h * (est - y)
+            return np.where(np.isfinite(out), out, (x + h * est) - h * y)
 
 
 def iterative_restore(estimator: Estimator, y, config: SamplerConfig) -> np.ndarray:

@@ -640,6 +640,24 @@ class TestExperimentRuns:
         assert (row["mse"], row["psnr"], row["mode_hit_rate"], row["mean_min_dist"]) == want
         assert row["divergent"] == 0
 
+    def test_cold_diffusion_row_far_out_is_unflagged_and_finite(self):
+        """Modes at +-1e308 seen through H = -1: cold diffusion's first
+        correction est - y overflowed, which warned and flagged its row at
+        step 0.  Its outputs stop at +-7.5e307, 2.5e307 from a mode each, and
+        the mean of those 20 distances overflowed in its sum to inf."""
+        world = {"type": "mixture", "modes": [[1e308], [-1e308]], "weights": [0.5, 0.5],
+                 "H": [[-1.0]], "sigma": 0.0}
+        cfg = {"kind": "sampler_compare", "world": world,
+               "eval": {"estimator": "oracle", "n_inputs": 20, "step_grid": [4],
+                        "hit_threshold": 0.01}}
+        rows = {r["sampler"]: r for r in run_experiment(cfg, write=False).rows}
+        cold = rows["cold_diffusion"]
+        assert (cold["divergent"], cold["mode_hit_rate"], cold["mean_min_dist"]) == (0, 0.0, 2.5e307)
+        assert all(r["divergent"] == 0 for r in rows.values())
+        out = np.full((20, 1), 7.5e307)
+        metrics = harness._metrics(cfg, harness.world_from_config(world), None, (out, None))
+        assert metrics["mean_min_dist"] == 2.5e307
+
     def test_an_observation_that_overflows_is_flagged_without_a_warning(self):
         """Modes at +-1e308 under H = diag(3, 1): the observations overflow
         (the draw warned in the matmul), and the row is flagged at step 0."""

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy import special, stats
 
 from restep.metrics import (
+    _mean,
     _ndtr,
     distortion_metrics,
     empirical_distribution_stats,
@@ -61,6 +62,26 @@ class TestDistortion:
             mse, psnr = distortion_metrics(np.full((2, 1), 1e200), np.full((2, 1), -1e200))
         assert mse == np.inf
         assert psnr == -np.inf
+
+    def test_mse_is_a_float_where_only_its_sum_overflows(self):
+        """Each squared error is 9e306, so their sum overflows but their mean
+        does not: mse was inf and psnr -inf."""
+        mse, psnr = distortion_metrics(np.zeros((1000, 2)), np.full((1000, 2), 3e153), peak=2.0)
+        assert mse == 3e153 ** 2
+        assert psnr == 10.0 * math.log10(4.0 / mse)
+
+    @settings(max_examples=100, deadline=None)
+    @given(terms=arrays(np.float64, st.integers(1, 300),
+                        elements=st.floats(0.0, 1.7e308) | st.floats(0.0, 10.0)))
+    def test_mean_keeps_numpys_bits_and_scales_only_an_overflowed_sum(self, terms):
+        """A finite np.mean is returned as is; an overflowed one is the mean of
+        the terms scaled by a power of two above their count, here 2^9 > 300,
+        and scaled back: the scale moves no bit that the mean keeps."""
+        with np.errstate(over="ignore"):
+            want = np.mean(terms)
+        if np.isinf(want):
+            want = np.mean(terms / 512.0) * 512.0
+        assert _mean(terms) == want
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,7 @@ from restep.samplers import (
     naive_restore,
     ode_restore,
 )
-from restep.worlds import DivergenceError, GaussianWorld
+from restep.worlds import DivergenceError, GaussianWorld, MixtureWorld
 
 
 def gauss_oracle(sigma_c=1.0, sigma_n=1.0, c=0.0):
@@ -204,6 +204,19 @@ class TestOtherSamplers:
         y = np.array([2.0])
         out = cold_diffusion_restore(oracle, y, SamplerConfig(steps=1))
         assert_allclose(out, y + 1.0 * (oracle(y, 1.0) - y))
+
+    def test_cold_diffusion_keeps_an_iterate_whose_correction_overflows(self):
+        """Where est - y overflows but x + h (est - y) is a float, the update is
+        that float (it warned and was flagged at step 0); an entry that does not
+        overflow keeps the bits of x + h (est - y).  Modes at +-1e308 seen
+        through H = -1 give every row such a first step."""
+        x, est, y = np.array([1.0, -1e308]), np.array([0.3, 1e308]), np.array([0.7, -1e308])
+        out = samplers._cold_diffusion_rule(x, est, 1.0, 0.25, 0.0, 0, y, None)
+        assert out.tobytes() == np.array([1.0 + 0.25 * (0.3 - 0.7), -0.5e308]).tobytes()
+        world = MixtureWorld(modes=[[1e308], [-1e308]], weights=[0.5, 0.5], H=[[-1.0]],
+                             sigma=0.0)
+        out = cold_diffusion_restore(world.oracle(), [[-1e308], [1e308]], SamplerConfig(4))
+        assert_array_equal(out, [[7.5e307], [-7.5e307]])
 
     def test_naive_final_step_is_full_estimator_weight(self):
         est = constant_estimator(0.25)
